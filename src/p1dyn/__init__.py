@@ -6,58 +6,33 @@ and a symbolic magnitude type that keeps count bounds like e^(30^15)
 comparable without ever rounding them into floats.
 """
 
-from .intarith import (ArithmeticInputError, FactorizationIncompleteError,
-                       factorize, fraction_support, is_prime, valuation)
-from .projline import (INFINITE_DISTANCE, INFINITY, ProjPoint, canonicalize,
-                       cross_product, distance_support, format_point,
-                       from_rational, log_distance, parse_point,
-                       point_sort_key, points_up_to_height)
-from .ratmap import (DegenerateMapError, HomogPair, PlaceSet, ReductionProfile,
-                     critical_points_rational, evaluate, good_reduction,
-                     make_pair, reduction_profile, resultant)
+from .intarith import ArithmeticInputError, FactorizationIncompleteError
+from .projline import (INFINITY, canonicalize, cross_product, distance_support,
+                       format_point, from_rational, log_distance, parse_point)
+from .ratmap import (DegenerateMapError, PlaceSet, evaluate, good_reduction,
+                     reduction_profile)
 from .mapparse import MapSyntaxError, parse_map
-from .orbits import (DynamicalInventory, OrbitClassification, classify_point,
-                     enumerate_preperiodic, tails_of)
+from .orbits import classify_point, enumerate_preperiodic, tails_of
 from .magnitude import (Comparison, IndistinguishableError, MagnitudeInputError,
-                        compare, digit_count, exact, exp_of, force_exact,
-                        ln_interval, max_of, power, prod_of, sum_of)
-from .bounds import (AggregateBounds, BoundInputError, TailBounds,
-                     UnitEquationBounds, aggregate_bounds, bound_table,
-                     tail_bounds, unit_equation_bounds)
-from .verify import (FAIL, PASS, SKIPPED, SUITE_NAMES, VerificationInputError,
-                     VerificationReport, check_chain_lemma,
-                     check_critical_distance, check_main_theorems,
-                     check_non_expansion, check_tail_count_lemmas,
-                     check_tail_periodic_distance, check_ultrametric,
-                     four_point_set, run_suite, three_point_set)
-from .report import (analysis_report, analysis_text, bound_rows,
-                     format_magnitude, render_magnitude, report_json)
+                        compare, digit_count, exact, exp_of, force_exact, power)
+from .bounds import BoundInputError, bound_table
+from .verify import (VerificationInputError, check_chain_lemma, four_point_set,
+                     run_suite, three_point_set)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticInputError", "FactorizationIncompleteError", "factorize",
-    "fraction_support", "is_prime", "valuation",
-    "INFINITE_DISTANCE", "INFINITY", "ProjPoint", "canonicalize",
-    "cross_product", "distance_support", "format_point", "from_rational",
-    "log_distance", "parse_point", "point_sort_key", "points_up_to_height",
-    "DegenerateMapError", "HomogPair", "PlaceSet", "ReductionProfile",
-    "critical_points_rational", "evaluate", "good_reduction", "make_pair",
-    "reduction_profile", "resultant",
-    "MapSyntaxError", "parse_map",
-    "DynamicalInventory", "OrbitClassification", "classify_point",
-    "enumerate_preperiodic", "tails_of",
-    "Comparison", "IndistinguishableError", "MagnitudeInputError", "compare",
-    "digit_count", "exact", "exp_of", "force_exact", "ln_interval", "max_of",
-    "power", "prod_of", "sum_of",
-    "AggregateBounds", "BoundInputError", "TailBounds", "UnitEquationBounds",
-    "aggregate_bounds", "bound_table", "tail_bounds", "unit_equation_bounds",
-    "FAIL", "PASS", "SKIPPED", "SUITE_NAMES", "VerificationInputError",
-    "VerificationReport", "check_chain_lemma", "check_critical_distance",
-    "check_main_theorems", "check_non_expansion", "check_tail_count_lemmas",
-    "check_tail_periodic_distance", "check_ultrametric", "four_point_set",
-    "run_suite", "three_point_set",
-    "analysis_report", "analysis_text", "bound_rows", "format_magnitude",
-    "render_magnitude", "report_json",
+    "INFINITY", "canonicalize", "cross_product", "distance_support",
+    "format_point", "from_rational", "log_distance", "parse_point",
+    "PlaceSet", "evaluate", "good_reduction", "reduction_profile",
+    "parse_map",
+    "classify_point", "enumerate_preperiodic", "tails_of",
+    "Comparison", "compare", "digit_count", "exact", "exp_of", "force_exact",
+    "power",
+    "bound_table",
+    "check_chain_lemma", "four_point_set", "run_suite", "three_point_set",
+    "ArithmeticInputError", "FactorizationIncompleteError", "DegenerateMapError",
+    "MapSyntaxError", "IndistinguishableError", "MagnitudeInputError",
+    "BoundInputError", "VerificationInputError",
     "__version__",
 ]

@@ -9,15 +9,12 @@ candidates is flagged incomplete and never silently treated as finished.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .intarith import ArithmeticInputError
-from .projline import ProjPoint, point_sort_key
-from .ratmap import HomogPair, critical_points_rational, evaluate
-
-_CACHE_CAP = 2_000_000
+from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
+from .ratmap import HomogPair, critical_points_rational, evaluate, step_kernel
 
 
 @dataclass(frozen=True)
@@ -39,53 +36,43 @@ def _check_limits(pair: HomogPair, max_iters: int, escape_height: int):
         raise ArithmeticInputError("escape_height must be positive")
 
 
-def _make_step(pair: HomogPair):
-    a, b, d = pair.a, pair.b, pair.degree
+def _walk(step, start, known, max_iters: int, escape_height: int):
+    """Follow the orbit of ``start`` for at most ``max_iters`` applications of ``step``.
 
-    def step(x: int, y: int) -> tuple[int, int]:
-        fa, fb, ypow = a[0], b[0], 1
-        for i in range(1, d + 1):
-            ypow *= y
-            fa = fa * x + a[i] * ypow
-            fb = fb * x + b[i] * ypow
-        g = math.gcd(fa, fb)
-        fa //= g
-        fb //= g
-        if fb < 0 or (fb == 0 and fa < 0):
-            fa, fb = -fa, -fb
-        return fa, fb
-
-    return step
+    Returns (outcome, trajectory, hit), the trajectory starting at ``start``:
+    "known" when the next point is in ``known`` (hit is that point), "cycle"
+    when it repeats trajectory[hit], "escaped" when the last trajectory point
+    has a coordinate above ``escape_height``, and "undecided" otherwise.
+    """
+    traj = [start]
+    seen = {start: 0}
+    cur = start
+    for _ in range(max_iters):
+        cur = step(*cur)
+        if cur in known:
+            return "known", traj, cur
+        if cur in seen:
+            return "cycle", traj, seen[cur]
+        traj.append(cur)
+        if abs(cur[0]) > escape_height or cur[1] > escape_height:
+            return "escaped", traj, None
+        seen[cur] = len(traj) - 1
+    return "undecided", traj, None
 
 
 def classify_point(pair: HomogPair, point: ProjPoint, *, max_iters: int = 256,
                    escape_height: int = 10**6) -> OrbitClassification:
     """Walk the forward orbit until a repeat, an escape, or budget exhaustion."""
     _check_limits(pair, max_iters, escape_height)
-    step = _make_step(pair)
-    traj = [(point.x, point.y)]
-    seen = {traj[0]: 0}
-    applications = 0
-    while applications < max_iters:
-        cur = step(*traj[-1])
-        applications += 1
-        j = seen.get(cur)
-        if j is not None:
-            points = tuple(ProjPoint(x, y) for x, y in traj)
-            cycle = points[j:]
-            if j == 0:
-                return OrbitClassification("periodic", points, period=len(cycle),
-                                           tail_length=0, cycle=cycle, steps=applications)
-            return OrbitClassification("tail", points, period=len(cycle),
-                                       tail_length=j, cycle=cycle, steps=applications)
-        if abs(cur[0]) > escape_height or cur[1] > escape_height:
-            traj.append(cur)
-            points = tuple(ProjPoint(x, y) for x, y in traj)
-            return OrbitClassification("escaped", points, steps=applications)
-        seen[cur] = len(traj)
-        traj.append(cur)
+    outcome, traj, hit = _walk(step_kernel(pair.a, pair.b), (point.x, point.y), {},
+                               max_iters, escape_height)
     points = tuple(ProjPoint(x, y) for x, y in traj)
-    return OrbitClassification("undecided", points, steps=applications)
+    if outcome == "cycle":
+        cycle = points[hit:]
+        return OrbitClassification("periodic" if hit == 0 else "tail", points,
+                                   period=len(cycle), tail_length=hit, cycle=cycle,
+                                   steps=len(points))
+    return OrbitClassification(outcome, points, steps=len(points) - 1)
 
 
 @dataclass(frozen=True)
@@ -111,70 +98,42 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
                           escape_height: int = 10**6) -> DynamicalInventory:
     """Classify every canonical point up to the height bound.
 
-    The returned preperiodic set also contains all forward images of found
-    preperiodic points, even above the height bound.  A shared cache lets a
-    candidate reuse verdicts from earlier trajectories; cached escape facts
-    may resolve points the standalone budget would leave undecided, never
-    the other way around.
+    Each candidate from ``coordinates_up_to_height`` is walked until its orbit
+    reaches a point already known to be preperiodic, closes a new cycle,
+    escapes, or uses up ``max_iters``.  The returned preperiodic set also
+    contains all forward images of found preperiodic points, even above the
+    height bound.  Candidates left undecided are listed and make the
+    inventory incomplete.
     """
     _check_limits(pair, max_iters, escape_height)
     if height < 1:
         raise ArithmeticInputError("height must be positive")
-    step = _make_step(pair)
+    step = step_kernel(pair.a, pair.b)
 
     cycles: list[tuple[tuple[int, int], ...]] = []
     preper_map: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (tail_len, cycle id)
-    escaped: set[tuple[int, int]] = set()  # speed only, capped
     undecided: list[tuple[int, int]] = []
 
-    def settle_tails(traj: list[tuple[int, int]], m: int, cid: int):
-        # the successor of traj[-1] is known preperiodic with tail length m
+    for start in coordinates_up_to_height(height):
+        if start in preper_map:
+            continue
+        outcome, traj, hit = _walk(step, start, preper_map, max_iters, escape_height)
+        if outcome == "escaped":
+            continue
+        if outcome == "undecided":
+            undecided.append(start)
+            continue
+        if outcome == "known":
+            tail_len, cid = preper_map[hit]
+        else:
+            cid = len(cycles)
+            cycles.append(tuple(traj[hit:]))
+            for pt in traj[hit:]:
+                preper_map[pt] = (0, cid)
+            traj, tail_len = traj[:hit], 0
+        # the successor of traj[-1] has tail length tail_len
         for offset, pt in enumerate(reversed(traj)):
-            preper_map[pt] = (m + offset + 1, cid)
-
-    def settle_escaped(traj: list[tuple[int, int]]):
-        if len(escaped) < _CACHE_CAP:
-            escaped.update(traj)
-
-    def walk(start: tuple[int, int]):
-        if start in preper_map or start in escaped:
-            return
-        traj = [start]
-        seen = {start: 0}
-        applications = 0
-        while applications < max_iters:
-            cur = step(*traj[-1])
-            applications += 1
-            fact = preper_map.get(cur)
-            if fact is not None:
-                settle_tails(traj, fact[0], fact[1])
-                return
-            if cur in escaped:
-                settle_escaped(traj)
-                return
-            j = seen.get(cur)
-            if j is not None:
-                cid = len(cycles)
-                cycle = tuple(traj[j:])
-                cycles.append(cycle)
-                for pt in cycle:
-                    preper_map[pt] = (0, cid)
-                if j > 0:
-                    settle_tails(traj[:j], 0, cid)
-                return
-            if abs(cur[0]) > escape_height or cur[1] > escape_height:
-                traj.append(cur)
-                settle_escaped(traj)
-                return
-            seen[cur] = len(traj)
-            traj.append(cur)
-        undecided.append(start)
-
-    walk((1, 0))
-    for y in range(1, height + 1):
-        for x in range(-height, height + 1):
-            if math.gcd(x, y) == 1:
-                walk((x, y))
+            preper_map[pt] = (tail_len + offset + 1, cid)
 
     # assemble, with canonical cycle rotations and deterministic ordering
     cycle_points = [tuple(ProjPoint(x, y) for x, y in c) for c in cycles]

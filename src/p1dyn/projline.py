@@ -136,12 +136,20 @@ def point_sort_key(p: ProjPoint):
     return (0, Fraction(p.x, p.y))
 
 
-def points_up_to_height(height: int):
-    """Yields every canonical point with max(|x|, y) <= height, infinity first."""
+def coordinates_up_to_height(height: int):
+    """Yields the coprime (x, y) of every canonical point with max(|x|, y) <= height.
+
+    Infinity (1, 0) comes first, then rows of increasing y.
+    """
     if height < 1:
         raise ArithmeticInputError("height bound must be at least 1")
-    yield INFINITY
+    yield 1, 0
     for y in range(1, height + 1):
         for x in range(-height, height + 1):
             if math.gcd(x, y) == 1:
-                yield ProjPoint(x, y)
+                yield x, y
+
+
+def points_up_to_height(height: int):
+    """Yields every canonical point with max(|x|, y) <= height, infinity first."""
+    return (ProjPoint(x, y) for x, y in coordinates_up_to_height(height))

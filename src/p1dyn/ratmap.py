@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intarith import ArithmeticInputError, factorize, is_prime
-from .projline import INFINITY, ProjPoint, canonicalize, point_sort_key
+from .projline import INFINITY, ProjPoint, point_sort_key
 
 
 class DegenerateMapError(ValueError):
@@ -191,24 +191,34 @@ def good_reduction(pair: HomogPair, p: int) -> bool:
     return resultant(pair) % p != 0
 
 
-def _eval_form(coeffs, d, x, y):
-    xp = 1
-    ypows = [1] * (d + 1)
-    for i in range(1, d + 1):
-        ypows[i] = ypows[i - 1] * y
-    acc = 0
-    for i in range(d, -1, -1):
-        acc += coeffs[i] * xp * ypows[i]
-        xp *= x
-    return acc
+def step_kernel(a: tuple[int, ...], b: tuple[int, ...]):
+    """The action of the forms (F, G) on coprime integer coordinates.
+
+    Returns step(x, y): the canonical coprime coordinates of [F(x,y) : G(x,y)],
+    both forms evaluated in one fused Horner pass.  This is the only code that
+    applies a pair to a point.
+    """
+    d = len(a) - 1
+
+    def step(x: int, y: int) -> tuple[int, int]:
+        fa, fb, ypow = a[0], b[0], 1
+        for i in range(1, d + 1):
+            ypow *= y
+            fa = fa * x + a[i] * ypow
+            fb = fb * x + b[i] * ypow
+        g = math.gcd(fa, fb)
+        fa //= g
+        fb //= g
+        if fb < 0 or (fb == 0 and fa < 0):
+            fa, fb = -fa, -fb
+        return fa, fb
+
+    return step
 
 
 def evaluate(pair: HomogPair, point: ProjPoint) -> ProjPoint:
     """Image of a canonical point, new in canonical coordinates."""
-    d = pair.degree
-    fx = _eval_form(pair.a, d, point.x, point.y)
-    gx = _eval_form(pair.b, d, point.x, point.y)
-    return canonicalize(fx, gx)
+    return ProjPoint(*step_kernel(pair.a, pair.b)(point.x, point.y))
 
 
 def _form_derivative_x(coeffs, d):
@@ -266,13 +276,14 @@ def binary_form_rational_roots(w) -> list[ProjPoint]:
         hi -= 1
     core = u[lo : hi + 1]
     if len(core) > 1:
-        d = len(w) - 1
+        # [w : Y^D] sends [x : den] with den > 0 to [0 : 1] exactly when w(x, den) = 0
+        vanishes_at = step_kernel(w, (0,) * (len(w) - 1) + (1,))
         for num in _divisors(abs(core[0])):
             for den in _divisors(abs(core[-1])):
                 if math.gcd(num, den) != 1:
                     continue
                 for x in (num, -num):
-                    if _eval_form(w, d, x, den) == 0:
+                    if vanishes_at(x, den) == (0, 1):
                         roots.append(ProjPoint(x, den))
     return sorted(set(roots), key=point_sort_key)
 

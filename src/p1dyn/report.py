@@ -25,6 +25,16 @@ BOUND_ORDER = ("B", "C3", "C5", "L1", "L2", "L3", "L4",
 _EXACT_DISPLAY_DIGITS = 40
 
 
+def _magnitude_parts(m) -> tuple:
+    """(kind, decimal digit count, exact value or exponent) of a bound value."""
+    v = force_exact(m)
+    if v is not None:
+        return "exact", int_digits(v), v
+    if isinstance(m, ExpOf):
+        return "exp", digit_count(m), m.ln
+    return "astronomical", digit_count(m), None
+
+
 def render_magnitude(m) -> dict:
     """JSON form of a bound value.
 
@@ -32,25 +42,31 @@ def render_magnitude(m) -> dict:
     the exact exponent; anything else is pinned down by its digit count
     alone.  Digit counts are strings because they can exceed 2**53.
     """
-    v = force_exact(m)
-    if v is not None:
-        return {"kind": "exact", "value": str(v), "digits": str(int_digits(v))}
-    if isinstance(m, ExpOf):
-        return {"kind": "exp", "ln": str(m.ln), "digits": str(digit_count(m))}
-    return {"kind": "astronomical", "digits": str(digit_count(m))}
+    kind, digits, value = _magnitude_parts(m)
+    if kind == "exact":
+        return {"kind": kind, "value": str(value), "digits": str(digits)}
+    if kind == "exp":
+        return {"kind": kind, "ln": str(value), "digits": str(digits)}
+    return {"kind": kind, "digits": str(digits)}
+
+
+def _bound_text(kind: str, digits: int, value) -> str:
+    """Terminal text of a bound value.
+
+    An exact value is turned into decimal only when it is short enough to
+    be shown; longer ones are summarized by their digit count.
+    """
+    if kind == "exact":
+        if digits <= _EXACT_DISPLAY_DIGITS:
+            return str(value)
+        return f"~10^{digits - 1} ({digits} digits, exact)"
+    if kind == "exp":
+        return f"e^{value} ({digits} digits)"
+    return f"~10^{digits - 1} ({digits} digits)"
 
 
 def format_magnitude(m) -> str:
-    v = force_exact(m)
-    if v is not None:
-        d = int_digits(v)
-        if d <= _EXACT_DISPLAY_DIGITS:
-            return str(v)
-        return f"~10^{d - 1} ({d} digits, exact)"
-    if isinstance(m, ExpOf):
-        return f"e^{m.ln} ({digit_count(m)} digits)"
-    d = digit_count(m)
-    return f"~10^{d - 1} ({d} digits)"
+    return _bound_text(*_magnitude_parts(m))
 
 
 def bound_rows(d: int, s: int, which: str | None = None) -> list[str]:
@@ -143,17 +159,6 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _bound_text(rendered: dict) -> str:
-    # mirror format_magnitude, working from the serialized form
-    if rendered["kind"] == "exact":
-        if len(rendered["value"]) <= _EXACT_DISPLAY_DIGITS:
-            return rendered["value"]
-        return f"~10^{int(rendered['digits']) - 1} ({rendered['digits']} digits, exact)"
-    if rendered["kind"] == "exp":
-        return f"e^{rendered['ln']} ({rendered['digits']} digits)"
-    return f"~10^{int(rendered['digits']) - 1} ({rendered['digits']} digits)"
-
-
 def analysis_text(report: dict) -> str:
     """Human-readable rendering of an analysis document."""
     lines = []
@@ -183,7 +188,9 @@ def analysis_text(report: dict) -> str:
                 lines.append(f"  tails into cycle of {rep}: {', '.join(tails)}")
         lines.append(f"bounds (d = {m['degree']}, s = {report['s']}):")
         for label in BOUND_ORDER:
-            lines.append(f"  {label} = {_bound_text(report['bounds'][label])}")
+            r = report["bounds"][label]
+            text = _bound_text(r["kind"], int(r["digits"]), r.get("value", r.get("ln")))
+            lines.append(f"  {label} = {text}")
     flags = report["flags"]
     if flags["degree_below_2"]:
         lines.append("degree below 2: no dynamical analysis")

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: trajectories are stored in
 plain lists and scanned quadratically, set memberships are tested prime by
-prime, and no caching of any kind happens.
+prime, and no caching of any kind happens.  Maps are applied by
+naive_evaluate, which shares no code with the library's step kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +12,23 @@ import math
 
 from p1dyn.intarith import factorize
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance
-from p1dyn.ratmap import evaluate
+
+
+def _form_value(coeffs, x, y):
+    """Sum of c_i * x^(d-i) * y^i, one monomial at a time."""
+    d = len(coeffs) - 1
+    return sum(c * x ** (d - i) * y**i for i, c in enumerate(coeffs))
+
+
+def naive_evaluate(pair, point):
+    """Image of a point, from monomial sums and a from-scratch canonical form."""
+    fx = _form_value(pair.a, point.x, point.y)
+    gx = _form_value(pair.b, point.x, point.y)
+    g = math.gcd(fx, gx)
+    fx, gx = fx // g, gx // g
+    if gx < 0 or (gx == 0 and fx < 0):
+        fx, gx = -fx, -gx
+    return ProjPoint(fx, gx)
 
 
 def naive_classify(pair, point, max_iters, escape_height):
@@ -19,7 +36,7 @@ def naive_classify(pair, point, max_iters, escape_height):
     traj = [point]
     applications = 0
     while applications < max_iters:
-        image = evaluate(pair, traj[-1])
+        image = naive_evaluate(pair, traj[-1])
         applications += 1
         hit = None
         for idx, old in enumerate(traj):  # quadratic on purpose

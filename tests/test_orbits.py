@@ -162,3 +162,18 @@ def test_image_map_is_consistent_with_evaluate():
     for p in inv.preper:
         assert inv.image[p] == evaluate(inv.pair, p)
         assert inv.image[p] in inv.preper
+
+
+@pytest.mark.parametrize("map_text", ["z^2", "z^2-1", "z^2-2", "z^2-29/16", "z^2+1/4"])
+def test_inventory_walker_agrees_with_classify_point(map_text):
+    # with a tiny budget, known preperiodic points can only settle more starts
+    pair = parse_map(map_text)
+    inv = enumerate_preperiodic(pair, 12, max_iters=3)
+    undecided = set()
+    for p in all_points_up_to_height(12):
+        kind = classify_point(pair, p, max_iters=3).kind
+        if kind == "undecided":
+            undecided.add(p)
+        elif kind in ("periodic", "tail"):
+            assert p in inv.preper
+    assert set(inv.undecided) <= undecided

@@ -5,7 +5,7 @@ import sympy
 
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import MapSyntaxError, parse_map
-from p1dyn.projline import INFINITY, ProjPoint, parse_point
+from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point
 from p1dyn.ratmap import (
     DegenerateMapError,
     HomogPair,
@@ -19,6 +19,8 @@ from p1dyn.ratmap import (
     resultant,
     wronskian,
 )
+
+from naive import naive_evaluate
 
 
 def test_parse_affine_quadratic_with_rational_constant():
@@ -224,3 +226,40 @@ def test_pair_normalization_and_validation():
 
 def test_parse_point_reuse_in_map_context():
     assert parse_point("[6:-4]") == ProjPoint(-3, 2)
+
+
+def test_evaluate_matches_naive_monomial_sums():
+    rng = random.Random(11)
+    maps = 0
+    while maps < 40:
+        d = rng.randint(2, 5)
+        try:
+            pair = make_pair([rng.randint(-9, 9) for _ in range(d + 1)],
+                             [rng.randint(-9, 9) for _ in range(d + 1)])
+        except DegenerateMapError:
+            continue
+        maps += 1
+        for _ in range(20):
+            x, y = rng.randint(-60, 60), rng.randint(0, 60)
+            if (x, y) == (0, 0):
+                continue
+            p = canonicalize(x, y)
+            assert evaluate(pair, p) == naive_evaluate(pair, p)
+
+
+def test_binary_form_rational_roots_of_products_of_linear_factors():
+    rng = random.Random(5)
+    X, Y = sympy.symbols("X Y")
+    for _ in range(30):
+        roots = {canonicalize(rng.randint(-9, 9), rng.randint(0, 9) or 1)
+                 for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.3:
+            roots.add(INFINITY)
+        form = X**2 + 3 * Y**2  # no rational roots of its own
+        for r in roots:
+            form *= r.y * X - r.x * Y
+        degree = len(roots) + 2
+        poly = sympy.Poly(sympy.expand(form), X, Y)
+        coeffs = tuple(int(poly.coeff_monomial(X ** (degree - i) * Y**i))
+                       for i in range(degree + 1))
+        assert set(binary_form_rational_roots(coeffs)) == roots

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from p1dyn.bounds import aggregate_bounds, bound_table
 from p1dyn.magnitude import exact, exp_of, power
 from p1dyn.mapparse import parse_map
@@ -43,6 +45,15 @@ def test_bound_rows_frozen():
     assert "TPLA = 7203" in rows
     assert "C3 = e^198359290368 (86146345242 digits)" in rows
     assert len(rows) == len(bound_table(2, 1))
+
+
+def test_bound_rows_long_exact_values_are_not_stringified():
+    # B = 2^(16s) and T = 12*7^(4s) pass CPython's 4,300-digit int-to-str
+    # limit here; the text path must summarize them from the digit count
+    rows = bound_rows(2, 900)
+    assert rows[0] == "B = ~10^4334 (4335 digits, exact)"
+    assert "T = ~10^4395 (4396 digits, exact)" in bound_rows(2, 1300)
+    assert format_magnitude(exact(2**20000)) == "~10^6020 (6021 digits, exact)"
 
 
 def test_bound_rows_single_label():
@@ -112,3 +123,21 @@ def test_batch_rows_csv_shape():
                             "count_le_Q": "PASS"}])
     assert rows[0][0] == "c" and rows[0][-1] == "count_le_Q"
     assert rows[1] == ["-1/2", "2", "2", "1", "1", "0", "1", "no", "PASS"]
+
+
+@pytest.mark.parametrize("extra", [(), (3, 5, 7, 11, 13, 17)])
+def test_analysis_text_bound_lines_match_bound_rows(extra):
+    pair = parse_map("z^2-29/16")
+    profile = reduction_profile(pair)
+    places = profile.places.extended(extra)
+    inv = enumerate_preperiodic(pair, 8)
+    lines = analysis_text(analysis_report(pair, profile, places, inv)).splitlines()
+    start = lines.index(f"bounds (d = 2, s = {places.size}):") + 1
+    rows = bound_rows(2, places.size)
+    assert [line.strip() for line in lines[start:start + len(rows)]] == rows
+    if places.size == 8:
+        table = bound_table(2, 8)
+        assert render_magnitude(table["L3"])["kind"] == "exact"
+        assert rows[5] == "L3 = ~10^77 (78 digits, exact)"
+        assert render_magnitude(table["L2"])["kind"] == "astronomical"
+        assert rows[4] == "L2 = ~10^1895219595342 (1895219595343 digits)"
