@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 argument or parse error, 3 incomplete inventory,
 
 import argparse
 import csv
+import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -48,9 +49,15 @@ def _parse_s_extra(text: str) -> list[int]:
     return primes
 
 
-def _write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(document))
+def _write_file(path: str, text: str) -> bool:
+    """Writes text to path; on failure prints an error line and returns False."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e.strerror or e}")
+        return False
+    return True
 
 
 def cmd_analyze(args) -> int:
@@ -65,8 +72,8 @@ def cmd_analyze(args) -> int:
     if pair.degree_below_2:
         report = analysis_report(pair, profile, places, None)
         sys.stdout.write(analysis_text(report))
-        if args.json:
-            _write_json(args.json, report)
+        if args.json and not _write_file(args.json, report_json(report)):
+            return 2
         return _fail("dynamical analysis needs a map of degree at least 2")
     try:
         inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters,
@@ -75,8 +82,8 @@ def cmd_analyze(args) -> int:
         return _fail(str(e))
     report = analysis_report(pair, profile, places, inv)
     sys.stdout.write(analysis_text(report))
-    if args.json:
-        _write_json(args.json, report)
+    if args.json and not _write_file(args.json, report_json(report)):
+        return 2
     return 3 if inv.incomplete else 0
 
 
@@ -90,12 +97,14 @@ def cmd_verify(args) -> int:
     for r in reports:
         print(verification_line(r))
     if args.json:
-        _write_json(args.json, {
+        document = {
             "schema_version": SCHEMA_VERSION,
             "map": {"input": str(pair)},
             "suite": args.suite,
             "verifications": [verification_to_dict(r) for r in reports],
-        })
+        }
+        if not _write_file(args.json, report_json(document)):
+            return 2
     return 4 if any(r.status == FAIL for r in reports) else 0
 
 
@@ -152,8 +161,10 @@ def cmd_batch(args) -> int:
             chunk = max(1, len(tasks) // (8 * args.jobs))
             rows = list(pool.map(_sweep_entry, tasks, chunksize=chunk))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(batch_rows_csv(rows))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(batch_rows_csv(rows))
+        if not _write_file(args.csv, buf.getvalue()):
+            return 2
     best = max(r["preper"] for r in rows)
     attained = [r["c"] for r in rows if r["preper"] == best]
     print(f"maps analyzed: {len(rows)}")

@@ -42,7 +42,12 @@ def _tokenize(text: str):
             at = len(text) - len(stripped)
             raise MapSyntaxError(f"unexpected character {stripped[0]!r}", at)
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise MapSyntaxError(f"integer literal of {len(m.group('int'))} digits "
+                                     "is too long", m.start("int")) from None
+            tokens.append(("int", value, m.start("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:

@@ -156,9 +156,6 @@ class PlaceSet:
     def size(self) -> int:
         return 1 + len(self.finite)
 
-    def contains_prime(self, p: int) -> bool:
-        return p in self.finite
-
     def extended(self, primes) -> "PlaceSet":
         extra = set(self.finite)
         for p in primes:

@@ -5,7 +5,9 @@ status is PASS (or SKIPPED when a hypothesis is not met); a FAIL means the
 implementation, not the mathematics, is broken.  All distance conditions of
 the shape "for every prime outside S" are decided exhaustively by factoring
 cross products: a prime outside every support contributes distance zero to
-both sides, so finitely many primes settle the universal claim.
+both sides, so finitely many primes settle the universal claim.  Each pair
+of points is factored once, and every δ_p is read from that support: a
+prime absent from it has distance zero.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .projline import (
     INFINITE_DISTANCE,
     ProjPoint,
     distance_support,
-    format_point,
-    log_distance,
     point_sort_key,
     points_up_to_height,
 )
@@ -65,16 +65,14 @@ def _finish(name, failures, confirmations, checked, params, reason=""):
                               parameters=params)
 
 
-def _fmt(p: ProjPoint) -> str:
-    return format_point(p)
+def _support(a: ProjPoint, b: ProjPoint):
+    """Distance support of a pair; None when the points coincide."""
+    return None if a == b else distance_support(a, b)
 
 
-def _good_support(profile: ReductionProfile, p1: ProjPoint, p2: ProjPoint):
-    """Distance support restricted to good-reduction primes; None if p1 = p2."""
-    if p1 == p2:
-        return None
-    bad = set(profile.bad_primes)
-    return {p: v for p, v in distance_support(p1, p2).items() if p not in bad}
+def _delta(support, p: int):
+    """δ_p from a ``_support`` result: infinite if the points coincide, else 0 off it."""
+    return INFINITE_DISTANCE if support is None else support.get(p, 0)
 
 
 def check_ultrametric(points) -> VerificationReport:
@@ -82,23 +80,26 @@ def check_ultrametric(points) -> VerificationReport:
     pts = sorted(set(points), key=point_sort_key)
     if len(pts) < 3:
         raise VerificationInputError("ultrametric check needs at least three points")
+    n = len(pts)
+    # sup[i][j] == sup[j][i]: the support of pts[i] against pts[j], factored once
+    sup = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        sup[i][j] = sup[j][i] = distance_support(pts[i], pts[j])
     failures, confirmations = [], []
     checked = 0
-    for trio in itertools.combinations(pts, 3):
+    for trio in itertools.combinations(range(n), 3):
         for mid_idx in range(3):
-            p2 = trio[mid_idx]
-            p1, p3 = (trio[i] for i in range(3) if i != mid_idx)
-            primes = set()
-            for a, b in ((p1, p3), (p1, p2), (p2, p3)):
-                primes.update(distance_support(a, b))
-            for p in sorted(primes):
-                lhs = log_distance(p1, p3, p)
-                rhs = min(log_distance(p1, p2, p), log_distance(p2, p3, p))
+            i2 = trio[mid_idx]
+            i1, i3 = (trio[k] for k in range(3) if k != mid_idx)
+            s13, s12, s23 = sup[i1][i3], sup[i1][i2], sup[i2][i3]
+            for p in sorted(s13.keys() | s12.keys() | s23.keys()):
+                lhs = s13.get(p, 0)
+                rhs = min(s12.get(p, 0), s23.get(p, 0))
                 checked += 1
                 if lhs < rhs:
                     failures.append(
-                        f"d_{p}({_fmt(p1)},{_fmt(p3)})={lhs} < "
-                        f"min over {_fmt(p2)} = {rhs}"
+                        f"d_{p}({pts[i1]},{pts[i3]})={lhs} < "
+                        f"min over {pts[i2]} = {rhs}"
                     )
     confirmations.append(f"{len(pts)} points, all ordered triples")
     return _finish("ultrametric", failures, confirmations, checked,
@@ -109,22 +110,22 @@ def check_non_expansion(pair: HomogPair, profile: ReductionProfile,
                         points) -> VerificationReport:
     """Good reduction never shrinks distances: δ_p(φP, φQ) >= δ_p(P, Q)."""
     pts = sorted(set(points), key=point_sort_key)
+    image = {pt: evaluate(pair, pt) for pt in pts}
     bad = set(profile.bad_primes)
     failures, confirmations = [], []
     checked = 0
     for p1, p2 in itertools.combinations(pts, 2):
-        i1, i2 = evaluate(pair, p1), evaluate(pair, p2)
-        primes = set(distance_support(p1, p2))
-        if i1 != i2:
-            primes.update(distance_support(i1, i2))
-        for p in sorted(primes - bad):
-            before = log_distance(p1, p2, p)
-            after = INFINITE_DISTANCE if i1 == i2 else log_distance(i1, i2, p)
+        i1, i2 = image[p1], image[p2]
+        s_before = distance_support(p1, p2)
+        s_after = _support(i1, i2)
+        for p in sorted((s_before.keys() | (s_after or {}).keys()) - bad):
+            before = s_before.get(p, 0)
+            after = _delta(s_after, p)
             checked += 1
             if after < before:
                 failures.append(
-                    f"d_{p}({_fmt(i1)},{_fmt(i2)})={after} < "
-                    f"d_{p}({_fmt(p1)},{_fmt(p2)})={before}"
+                    f"d_{p}({i1},{i2})={after} < "
+                    f"d_{p}({p1},{p2})={before}"
                 )
     confirmations.append(f"{len(pts)} points, all pairs, good primes only")
     return _finish("non_expansion", failures, confirmations, checked,
@@ -142,7 +143,7 @@ def check_chain_lemma(pair: HomogPair, profile: ReductionProfile,
     """
     chain = list(chain)
     if evaluate(pair, p0) != p0:
-        raise VerificationInputError(f"{_fmt(p0)} is not a fixed point")
+        raise VerificationInputError(f"{p0} is not a fixed point")
     if not chain or chain[-1] != p0:
         raise VerificationInputError("chain must end at the fixed point")
     if len(chain) < 3:
@@ -152,35 +153,34 @@ def check_chain_lemma(pair: HomogPair, profile: ReductionProfile,
         if image != chain[i + 1]:
             raise VerificationInputError(
                 f"chain breaks at position {i}: "
-                f"image of {_fmt(chain[i])} is {_fmt(image)}, not {_fmt(chain[i + 1])}"
+                f"image of {chain[i]} is {image}, not {chain[i + 1]}"
             )
     bad = set(profile.bad_primes)
     failures, confirmations = [], []
     checked = 0
     for i, j in itertools.combinations(range(len(chain) - 1), 2):
         far, near = chain[i], chain[j]
+        # a chain may reach p0 before its last entry, so any pair can coincide
+        sups = (_support(far, near), _support(far, p0), _support(near, p0))
         primes = set()
-        for a, b in ((far, near), (far, p0), (near, p0)):
-            if a != b:
-                primes.update(distance_support(a, b))
+        for support in sups:
+            primes.update(support or ())
         for p in sorted(primes - bad):
-            d_fn = log_distance(far, near, p)
-            d_f0 = log_distance(far, p0, p)
-            d_n0 = log_distance(near, p0, p)
+            d_fn, d_f0, d_n0 = (_delta(support, p) for support in sups)
             checked += 1
             if d_fn != d_f0 or not d_f0 <= d_n0:
                 failures.append(
-                    f"p={p}: d({_fmt(far)},{_fmt(near)})={d_fn}, "
-                    f"d({_fmt(far)},{_fmt(p0)})={d_f0}, "
-                    f"d({_fmt(near)},{_fmt(p0)})={d_n0}"
+                    f"p={p}: d({far},{near})={d_fn}, "
+                    f"d({far},{p0})={d_f0}, "
+                    f"d({near},{p0})={d_n0}"
                 )
             else:
                 confirmations.append(
                     f"p={p}: {d_fn} = {d_f0} <= {d_n0} "
-                    f"for ({_fmt(far)}, {_fmt(near)})"
+                    f"for ({far}, {near})"
                 )
     return _finish("chain_equality", failures, confirmations, checked,
-                   [("fixed_point", _fmt(p0)), ("chain_length", str(len(chain) - 1))])
+                   [("fixed_point", str(p0)), ("chain_length", str(len(chain) - 1))])
 
 
 def _cycle_of(inv: DynamicalInventory, point: ProjPoint):
@@ -201,6 +201,22 @@ def _excluded_periodic(inv: DynamicalInventory, tail_point: ProjPoint) -> ProjPo
     return cycle[(cycle.index(cur) - t) % len(cycle)]
 
 
+def _zero_distance_check(name: str, inv: DynamicalInventory,
+                         profile: ReductionProfile, pairs, params) -> VerificationReport:
+    """Each pair (P, Q) of ``pairs`` has distance zero at every good prime."""
+    if inv.incomplete:
+        return VerificationReport(name, SKIPPED, reason="inventory incomplete")
+    bad = set(profile.bad_primes)
+    failures, confirmations = [], []
+    for a, b in pairs:
+        support = distance_support(a, b).keys() - bad
+        if support:
+            failures.append(f"d_p({a},{b}) nonzero at good primes {sorted(support)}")
+        else:
+            confirmations.append(f"({a}, {b}) zero outside S")
+    return _finish(name, failures, confirmations, len(pairs), params)
+
+
 def check_tail_periodic_distance(inv: DynamicalInventory,
                                  profile: ReductionProfile) -> VerificationReport:
     """Tail points sit at distance zero from almost every periodic point.
@@ -208,59 +224,32 @@ def check_tail_periodic_distance(inv: DynamicalInventory,
     The only periodic point allowed nonzero distance from a tail point R is
     the one R reaches after a multiple of the cycle length.
     """
-    name = "tail_periodic_distance"
-    if inv.incomplete:
-        return VerificationReport(name, SKIPPED, reason="inventory incomplete")
-    bad = set(profile.bad_primes)
-    failures, confirmations = [], []
-    checked = 0
+    periodic = sorted(inv.per, key=point_sort_key)
+    pairs = []
     for r in sorted(inv.tail, key=point_sort_key):
         excluded = _excluded_periodic(inv, r)
-        for p_per in sorted(inv.per, key=point_sort_key):
-            if p_per == excluded:
-                continue
-            support = set(distance_support(p_per, r)) - bad
-            checked += 1
-            if support:
-                failures.append(
-                    f"d_p({_fmt(p_per)},{_fmt(r)}) nonzero at good primes {sorted(support)}"
-                )
-            else:
-                confirmations.append(f"({_fmt(p_per)}, {_fmt(r)}) zero outside S")
-    return _finish(name, failures, confirmations, checked,
-                   [("tails", str(len(inv.tail))), ("periodic", str(len(inv.per)))])
+        pairs.extend((p_per, r) for p_per in periodic if p_per != excluded)
+    return _zero_distance_check(
+        "tail_periodic_distance", inv, profile, pairs,
+        [("tails", str(len(inv.tail))), ("periodic", str(len(inv.per)))])
 
 
 def check_critical_distance(inv: DynamicalInventory,
                             profile: ReductionProfile) -> VerificationReport:
     """Periodic points are at distance zero from every critical-cycle point."""
-    name = "critical_distance"
-    if inv.incomplete:
-        return VerificationReport(name, SKIPPED, reason="inventory incomplete")
-    bad = set(profile.bad_primes)
-    failures, confirmations = [], []
-    checked = 0
-    for p_per in sorted(inv.per, key=point_sort_key):
-        for q in sorted(inv.per0, key=point_sort_key):
-            if p_per == q:
-                continue
-            support = set(distance_support(p_per, q)) - bad
-            checked += 1
-            if support:
-                failures.append(
-                    f"d_p({_fmt(p_per)},{_fmt(q)}) nonzero at good primes {sorted(support)}"
-                )
-            else:
-                confirmations.append(f"({_fmt(p_per)}, {_fmt(q)}) zero outside S")
-    return _finish(name, failures, confirmations, checked,
-                   [("periodic", str(len(inv.per))), ("critical_cycle", str(len(inv.per0)))])
+    critical = sorted(inv.per0, key=point_sort_key)
+    pairs = [(p_per, q) for p_per in sorted(inv.per, key=point_sort_key)
+             for q in critical if p_per != q]
+    return _zero_distance_check(
+        "critical_distance", inv, profile, pairs,
+        [("periodic", str(len(inv.per))), ("critical_cycle", str(len(inv.per0)))])
 
 
 def _restricted_support(point: ProjPoint, q: ProjPoint, excluded_primes):
-    if point == q:
+    support = _support(point, q)
+    if support is None:
         return None  # infinite distance everywhere
-    return {p: v for p, v in distance_support(point, q).items()
-            if p not in excluded_primes}
+    return {p: v for p, v in support.items() if p not in excluded_primes}
 
 
 def three_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint,
@@ -355,22 +344,22 @@ def check_tail_count_lemmas(inv: DynamicalInventory,
             checked += 1
             if _le(count, cap):
                 confirmations.append(
-                    f"period {n} cycle at {_fmt(cycle[0])}: {count} tail points <= {label}({d},{s})"
+                    f"period {n} cycle at {cycle[0]}: {count} tail points <= {label}({d},{s})"
                 )
             else:
                 failures.append(
-                    f"period {n} cycle at {_fmt(cycle[0])}: {count} tail points > {label}({d},{s})"
+                    f"period {n} cycle at {cycle[0]}: {count} tail points > {label}({d},{s})"
                 )
         if n == 1 and has_fixed and has_two:
             checked += 1
             if _le(count, caps.fixed_and_double):
                 confirmations.append(
-                    f"fixed point {_fmt(cycle[0])} with a 2-cycle present: "
+                    f"fixed point {cycle[0]} with a 2-cycle present: "
                     f"{count} <= L4({d},{s})"
                 )
             else:
                 failures.append(
-                    f"fixed point {_fmt(cycle[0])}: {count} > L4({d},{s})"
+                    f"fixed point {cycle[0]}: {count} > L4({d},{s})"
                 )
     if checked == 0:
         return VerificationReport(name, SKIPPED,
@@ -398,64 +387,47 @@ def check_main_theorems(inv: DynamicalInventory,
     s = profile.places.size
     agg = aggregate_bounds(d, s)
     params = (("d", str(d)), ("s", str(s)))
-    reports = []
+
+    def verdict(name, ok, text):
+        """PASS/FAIL with ``text`` as witness; SKIPPED with it as reason when ok is None."""
+        if ok is None:
+            return VerificationReport(name, SKIPPED, reason=text, parameters=params)
+        return VerificationReport(name, PASS if ok else FAIL, witnesses=(text,),
+                                  parameters=params)
 
     n_preper = len(inv.preper)
-    if _le(n_preper, agg.preperiodic):
-        reports.append(VerificationReport(
-            "preper_bound_Q", PASS,
-            witnesses=(f"{n_preper} preperiodic points <= Q({d},{s})",),
-            parameters=params))
-    else:
-        reports.append(VerificationReport(
-            "preper_bound_Q", FAIL,
-            witnesses=(f"{n_preper} preperiodic points > Q({d},{s})",),
-            parameters=params))
+    ok = _le(n_preper, agg.preperiodic)
+    rel = "<=" if ok else ">"
+    reports = [verdict("preper_bound_Q", ok,
+                       f"{n_preper} preperiodic points {rel} Q({d},{s})")]
 
     if any(len(c) >= 2 for c in inv.cycles):
-        if _le(n_preper, agg.preperiodic_long_cycle):
-            reports.append(VerificationReport(
-                "preper_bound_L", PASS,
-                witnesses=(f"{n_preper} preperiodic points <= L({d},{s})",),
-                parameters=params))
-        else:
-            reports.append(VerificationReport(
-                "preper_bound_L", FAIL,
-                witnesses=(f"{n_preper} preperiodic points > L({d},{s})",),
-                parameters=params))
+        ok = _le(n_preper, agg.preperiodic_long_cycle)
+        rel = "<=" if ok else ">"
+        reports.append(verdict("preper_bound_L", ok,
+                               f"{n_preper} preperiodic points {rel} L({d},{s})"))
     else:
-        reports.append(VerificationReport(
-            "preper_bound_L", SKIPPED,
-            reason="no cycle of length >= 2", parameters=params))
+        reports.append(verdict("preper_bound_L", None, "no cycle of length >= 2"))
 
     tailish = inv.tail | inv.per0
     if len(tailish) >= 3:
         cap = force_exact(agg.periodic_via_three_points) + 3
         n_per = len(inv.per)
-        status = PASS if n_per <= cap else FAIL
-        reports.append(VerificationReport(
-            "per_bound_three_tailish", status,
-            witnesses=(f"{n_per} periodic points vs 3*7^(4s)+3 = {cap}",),
-            parameters=params))
+        reports.append(verdict("per_bound_three_tailish", n_per <= cap,
+                               f"{n_per} periodic points vs 3*7^(4s)+3 = {cap}"))
     else:
-        reports.append(VerificationReport(
-            "per_bound_three_tailish", SKIPPED,
-            reason=f"only {len(tailish)} tail-or-critical-cycle points",
-            parameters=params))
+        reports.append(verdict("per_bound_three_tailish", None,
+                               f"only {len(tailish)} tail-or-critical-cycle points"))
 
     if len(inv.per) >= 4:
         cap = force_exact(agg.tail_given_four_periodic)
         n_tailish = len(inv.tail) + len(inv.per0)
-        status = PASS if n_tailish <= cap else FAIL
-        reports.append(VerificationReport(
-            "tail_bound_four_periodic", status,
-            witnesses=(f"|tail| + |critical cycle| = {n_tailish} vs 12*7^(4s) = {cap}",),
-            parameters=params))
+        reports.append(verdict(
+            "tail_bound_four_periodic", n_tailish <= cap,
+            f"|tail| + |critical cycle| = {n_tailish} vs 12*7^(4s) = {cap}"))
     else:
-        reports.append(VerificationReport(
-            "tail_bound_four_periodic", SKIPPED,
-            reason=f"only {len(inv.per)} periodic points",
-            parameters=params))
+        reports.append(verdict("tail_bound_four_periodic", None,
+                               f"only {len(inv.per)} periodic points"))
     return tuple(reports)
 
 

@@ -34,6 +34,25 @@ def test_analyze_parse_error_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_huge_literal_exits_2(capsys):
+    # past the interpreter's int-string limit; a parse error, not a traceback
+    assert main(["analyze", "--map", "z^2+" + "7" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integer literal of 5000 digits is too long (at position 4)\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "--map", "z^2", "--height", "4"], "--json"),
+    (["verify", "--map", "z^2", "--height", "4"], "--json"),
+    (["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"], "--csv"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, flag):
+    path = tmp_path / "missing" / "x.json"
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_analyze_degree_below_2(tmp_path, capsys):
     out = tmp_path / "lin.json"
     code = main(["analyze", "--map", "z+1", "--json", str(out)])

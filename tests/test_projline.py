@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from naive import _naive_distance
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.projline import (
     INFINITE_DISTANCE,
@@ -101,6 +104,27 @@ def test_distance_support_is_exhaustive():
         for p in (2, 3, 5, 7, 11, 13, 17, 101):
             if p not in support:
                 assert log_distance(p1, p2, p) == 0
+
+
+PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def proj_points(draw, bound=10**6):
+    x = draw(st.integers(-bound, bound))
+    y = draw(st.integers(0, bound))
+    assume((x, y) != (0, 0))
+    return canonicalize(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(proj_points(), proj_points())
+def test_support_holds_every_distance(a, b):
+    # verify reads each distance from one factored support; absent primes are 0
+    assume(a != b)
+    support = distance_support(a, b)
+    for p in sorted(support.keys() | set(PRIMES_BELOW_50)):
+        assert support.get(p, 0) == log_distance(a, b, p) == _naive_distance(a, b, p)
 
 
 def test_parse_and_format_round_trip():

@@ -10,10 +10,13 @@ import random
 import pytest
 
 from naive import naive_four_point_members, naive_three_point_members
+from p1dyn import verify
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
-from p1dyn.projline import INFINITY, ProjPoint, from_rational, points_up_to_height
+from p1dyn.projline import (INFINITY, ProjPoint, distance_support, from_rational,
+                             points_up_to_height)
 from p1dyn.ratmap import PlaceSet, reduction_profile
+from p1dyn.report import verification_line
 from p1dyn.verify import (
     VerificationInputError,
     check_chain_lemma,
@@ -98,6 +101,48 @@ def test_chain_lemma_rejects_bad_hypotheses():
         check_chain_lemma(pair, profile, pt(2), [pt(-2), pt(2)])
     with pytest.raises(VerificationInputError, match="end at the fixed point"):
         check_chain_lemma(pair, profile, pt(2), [pt(0), pt(-2)])
+
+
+def test_chain_lemma_reaches_fixed_point_early():
+    # the chain may reach p0 before its last entry; those distances are infinite
+    pair = parse_map("z^2-2")
+    profile = reduction_profile(pair)
+    r = check_chain_lemma(pair, profile, pt(2), [pt(0), pt(-2), pt(2), pt(2)])
+    assert r.status == "PASS"
+    assert params_dict(r)["checked"] == "3"
+    assert "p=2: 1 = 1 <= inf for (0, 2)" in r.witnesses
+    r = check_chain_lemma(pair, profile, pt(2), [pt(2), pt(2), pt(2)])
+    assert r.status == "PASS"
+    assert params_dict(r)["checked"] == "0"
+
+
+def _bump_support(monkeypatch, a, b, prime, extra):
+    """Makes verify see distance_support(a, b) with v_prime raised by extra."""
+    def bumped(p, q):
+        support = dict(distance_support(p, q))
+        if {p, q} == {a, b}:
+            support[prime] = support.get(prime, 0) + extra
+        return support
+
+    monkeypatch.setattr(verify, "distance_support", bumped)
+
+
+def test_distance_checks_report_fail(monkeypatch):
+    # d_2(1,3) = 1 becomes 5, so d_2(3,5) = 1 < min(d_2(1,3), d_2(1,5)) = 2
+    _bump_support(monkeypatch, pt(1), pt(3), 2, 4)
+    r = check_ultrametric({pt(1), pt(3), pt(5)})
+    assert r.status == "FAIL"
+    assert r.witnesses == ("d_2(3,5)=1 < min over 1 = 2",)
+    assert verification_line(r).startswith("[FAIL] ultrametric: inequality violated")
+
+    # 0 and -1 lie on the critical 2-cycle of z^2-1, at distance 0 everywhere
+    pair = parse_map("z^2-1")
+    _bump_support(monkeypatch, pt(0), pt(-1), 3, 1)
+    r = check_critical_distance(enumerate_preperiodic(pair, 32), reduction_profile(pair))
+    assert r.status == "FAIL"
+    assert r.witnesses == ("d_p(-1,0) nonzero at good primes [3]",
+                           "d_p(0,-1) nonzero at good primes [3]")
+    assert verification_line(r).startswith("[FAIL] critical_distance")
 
 
 def test_tail_periodic_golden_map():
