@@ -22,13 +22,13 @@ from .magnitude import Comparison, compare, exact
 from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic
 from .ratmap import DegenerateMapError, reduction_profile
-from .report import (SCHEMA_VERSION, BOUND_ORDER, analysis_report, analysis_text,
-                     batch_rows_csv, bound_rows, report_json, verification_line,
-                     verification_to_dict)
+from .report import (SCHEMA_VERSION, BOUND_ORDER, OutputSizeError, analysis_report,
+                     analysis_text, batch_rows_csv, bound_rows, report_json,
+                     verification_line, verification_to_dict)
 from .verify import FAIL, SUITE_NAMES, run_suite
 
 _INPUT_ERRORS = (MapSyntaxError, DegenerateMapError, ArithmeticInputError,
-                 FactorizationIncompleteError, BoundInputError)
+                 FactorizationIncompleteError, BoundInputError, OutputSizeError)
 
 
 def _fail(message: str) -> int:
@@ -67,23 +67,18 @@ def cmd_analyze(args) -> int:
         places = profile.places
         if args.s_extra:
             places = places.extended(_parse_s_extra(args.s_extra))
+        inv = None
+        if not pair.degree_below_2:
+            inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters,
+                                        escape_height=args.escape)
+        report = analysis_report(pair, profile, places, inv)
     except _INPUT_ERRORS as e:
         return _fail(str(e))
-    if pair.degree_below_2:
-        report = analysis_report(pair, profile, places, None)
-        sys.stdout.write(analysis_text(report))
-        if args.json and not _write_file(args.json, report_json(report)):
-            return 2
-        return _fail("dynamical analysis needs a map of degree at least 2")
-    try:
-        inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters,
-                                    escape_height=args.escape)
-    except ArithmeticInputError as e:
-        return _fail(str(e))
-    report = analysis_report(pair, profile, places, inv)
     sys.stdout.write(analysis_text(report))
     if args.json and not _write_file(args.json, report_json(report)):
         return 2
+    if inv is None:
+        return _fail("dynamical analysis needs a map of degree at least 2")
     return 3 if inv.incomplete else 0
 
 

@@ -52,13 +52,12 @@ _PRIMES_10K = _small_primes(10_000)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 3.317e24; larger inputs are rejected."""
+    """Deterministic primality; a failing witness proves compositeness at any size.
+
+    A number of 3.317e24 or more that passes every witness raises PrimalityRangeError.
+    """
     if n < 0:
         raise ArithmeticInputError("primality is asked of nonnegative integers")
-    if n >= _MR_LIMIT:
-        raise PrimalityRangeError(
-            f"{n} exceeds the deterministic Miller-Rabin range {_MR_LIMIT}"
-        )
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -81,6 +80,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise PrimalityRangeError(
+            f"{n} exceeds the deterministic Miller-Rabin range {_MR_LIMIT}"
+        )
     return True
 
 

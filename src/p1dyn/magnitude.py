@@ -2,11 +2,15 @@
 
 A magnitude is a nonnegative value built from exact integers, pure
 exponentials e^q with exact rational q, integer powers, sums, products, and
-maxima.  Values small enough to materialize (at most EXACT_DIGIT_CEILING
-decimal digits) collapse to exact integers; everything else is compared
-through interval arithmetic on natural logarithms with exact dyadic
-rational endpoints, doubling the working precision until the comparison is
-decided.  A comparison that cannot be decided raises rather than guessing.
+maxima.  The constructors fold every integer of at most EXACT_DIGIT_CEILING
+decimal digits into an Exact node, and max_of decides dominance once, when it
+is built; by Lindemann-Weierstrass any other node they build is irrational or
+past the ceiling, so only an Exact node ever materializes.  Nodes built by
+hand, bypassing the constructors, are outside this contract.  Everything else
+is compared through interval arithmetic on natural logarithms with exact
+dyadic rational endpoints, doubling the working precision until the
+comparison is decided.  A comparison that cannot be decided raises rather
+than guessing.
 
 The logarithm intervals come from the atanh series
 ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point
@@ -134,9 +138,11 @@ def power(base: Magnitude, exponent: int) -> Magnitude:
     if isinstance(base, Exact):
         if base.value in (0, 1):
             return base
-        bits = base.value.bit_length() * exponent
-        if bits * 30103 // 100000 <= EXACT_DIGIT_CEILING + 2:
-            return Exact(base.value**exponent)
+        # the power has more than (bit_length - 1) * exponent * log10(2) digits
+        if (base.value.bit_length() - 1) * exponent * 30102 // 100000 <= EXACT_DIGIT_CEILING:
+            value = base.value**exponent
+            if _digits_at_most(value, EXACT_DIGIT_CEILING):
+                return Exact(value)
         return Power(base, exponent)
     if isinstance(base, ExpOf):
         return ExpOf(base.ln * exponent)
@@ -149,13 +155,19 @@ def _is_zero(m: Magnitude) -> bool:
     return isinstance(m, Exact) and m.value == 0
 
 
-def prod_of(*parts: Magnitude) -> Magnitude:
+def _flatten(parts, node_type) -> list:
+    """The parts, with each node of node_type replaced by its own parts."""
     flat: list[Magnitude] = []
     for p in parts:
-        if isinstance(p, Prod):
+        if isinstance(p, node_type):
             flat.extend(p.parts)
         else:
             flat.append(p)
+    return flat
+
+
+def prod_of(*parts: Magnitude) -> Magnitude:
+    flat = _flatten(parts, Prod)
     if any(_is_zero(p) for p in flat):
         return Exact(0)
     acc_exact = 1
@@ -185,15 +197,9 @@ def prod_of(*parts: Magnitude) -> Magnitude:
 
 
 def sum_of(*parts: Magnitude) -> Magnitude:
-    flat: list[Magnitude] = []
-    for p in parts:
-        if isinstance(p, Sum):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
     acc_exact = 0
     rest: list[Magnitude] = []
-    for p in flat:
+    for p in _flatten(parts, Sum):
         if isinstance(p, Exact):
             acc_exact += p.value
         else:
@@ -214,27 +220,26 @@ def sum_of(*parts: Magnitude) -> Magnitude:
 
 
 def max_of(*parts: Magnitude) -> Magnitude:
-    flat: list[Magnitude] = []
-    for p in parts:
-        if isinstance(p, MaxOf):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    best_exact = None
-    rest = []
-    for p in flat:
-        if isinstance(p, Exact):
-            if best_exact is None or p.value > best_exact:
-                best_exact = p.value
-        elif p not in rest:
-            rest.append(p)
-    if best_exact is not None and (best_exact > 0 or not rest):
-        rest.append(Exact(best_exact))
-    if len(rest) == 1:
-        return rest[0]
-    if not rest:
+    """The maximum, with dominance decided here, once.
+
+    A part that another part provably bounds (their comparison is not LESS)
+    is dropped; parts are visited in canonical order, so argument order
+    never changes the result.  What is left is the one dominant part, or a
+    MaxOf of the parts no comparison could separate.
+    """
+    kept: list[Magnitude] = []
+    for p in sorted(set(_flatten(parts, MaxOf)), key=_key):
+        verdicts = []
+        for q in kept:
+            try:
+                verdicts.append(compare(p, q))
+            except IndistinguishableError:
+                verdicts.append(None)
+        if all(v in (Comparison.GREATER, None) for v in verdicts):
+            kept = [q for q, v in zip(kept, verdicts) if v is None] + [p]
+    if not kept:
         raise MagnitudeInputError("max of nothing")
-    return MaxOf(tuple(sorted(rest, key=_key)))
+    return kept[0] if len(kept) == 1 else MaxOf(tuple(kept))
 
 
 # --- fixed-point logarithms with directed rounding -------------------------
@@ -369,44 +374,16 @@ def _ln_sum_interval(m: Sum, prec: int) -> tuple[Fraction, Fraction]:
     return (max(iv[0] for iv in ivs), max(iv[1] for iv in ivs) + ln_n_hi)
 
 
-def force_exact(m: Magnitude, max_digits: int = EXACT_DIGIT_CEILING) -> Optional[int]:
-    """The exact integer value, or None when it cannot be materialized.
+def force_exact(m: Magnitude) -> Optional[int]:
+    """The value of an Exact node within the digit ceiling; None for any other node.
 
-    Pure exponentials e^q with q > 0 are never integers; anything whose
-    value would exceed the digit ceiling is refused.
+    A leaf check: no other node the constructors build could materialize (the
+    module docstring gives the rule); nodes built by hand are outside it.
     """
     if isinstance(m, Exact):
-        return m.value if _digits_at_most(m.value, max_digits) else None
-    if isinstance(m, ExpOf):
+        return m.value if _digits_at_most(m.value, EXACT_DIGIT_CEILING) else None
+    if isinstance(m, (ExpOf, Power, Sum, Prod, MaxOf)):
         return None
-    if isinstance(m, Power):
-        base = force_exact(m.base, max_digits)
-        if base is None or base == 0:
-            return base
-        if base.bit_length() * m.exponent * 30103 // 100000 > max_digits + 2:
-            return None
-        value = base**m.exponent
-        return value if _digits_at_most(value, max_digits) else None
-    if isinstance(m, Sum) or isinstance(m, Prod):
-        values = []
-        for p in m.parts:
-            v = force_exact(p, max_digits)
-            if v is None:
-                return None
-            values.append(v)
-        acc = 0 if isinstance(m, Sum) else 1
-        for v in values:
-            acc = acc + v if isinstance(m, Sum) else acc * v
-        return acc if _digits_at_most(acc, max_digits) else None
-    if isinstance(m, MaxOf):
-        try:
-            best = m.parts[0]
-            for p in m.parts[1:]:
-                if compare(p, best) is Comparison.GREATER:
-                    best = p
-        except IndistinguishableError:
-            return None
-        return force_exact(best, max_digits)
     raise MagnitudeInputError(f"not a magnitude: {m!r}")
 
 

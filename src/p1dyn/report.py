@@ -25,6 +25,18 @@ BOUND_ORDER = ("B", "C3", "C5", "L1", "L2", "L3", "L4",
 _EXACT_DISPLAY_DIGITS = 40
 
 
+class OutputSizeError(ValueError):
+    """An integer the document must spell out is past the interpreter's int-string limit."""
+
+
+def _decimal(n: int, what: str) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        raise OutputSizeError(f"{what} of {int_digits(abs(n))} digits is too long "
+                              "to write in decimal") from None
+
+
 def _magnitude_parts(m) -> tuple:
     """(kind, decimal digit count, exact value or exponent) of a bound value."""
     v = force_exact(m)
@@ -40,11 +52,12 @@ def render_magnitude(m) -> dict:
 
     Exact integers carry their decimal expansion; pure exponentials carry
     the exact exponent; anything else is pinned down by its digit count
-    alone.  Digit counts are strings because they can exceed 2**53.
+    alone.  Digit counts are strings because they can exceed 2**53.  An
+    exact value past the int-string limit raises OutputSizeError.
     """
     kind, digits, value = _magnitude_parts(m)
     if kind == "exact":
-        return {"kind": kind, "value": str(value), "digits": str(digits)}
+        return {"kind": kind, "value": _decimal(value, "exact bound"), "digits": str(digits)}
     if kind == "exp":
         return {"kind": kind, "ln": str(value), "digits": str(digits)}
     return {"kind": kind, "digits": str(digits)}
@@ -97,16 +110,19 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
 
     ``inventory`` is None for maps of degree below 2, where only the static
     reduction data makes sense; the flag records why the rest is missing.
+    An integer past the int-string limit raises OutputSizeError.
     """
+    numerator = [_decimal(c, "coefficient") for c in pair.a]
+    denominator = [_decimal(c, "coefficient") for c in pair.b]
     report = {
         "schema_version": SCHEMA_VERSION,
         "map": {
             "input": str(pair),
             "degree": pair.degree,
-            "numerator": [str(c) for c in pair.a],
-            "denominator": [str(c) for c in pair.b],
+            "numerator": numerator,
+            "denominator": denominator,
         },
-        "resultant": str(profile.resultant),
+        "resultant": _decimal(profile.resultant, "resultant"),
         "bad_primes": list(profile.bad_primes),
         "S": ["inf"] + sorted(places.finite),
         "s": places.size,

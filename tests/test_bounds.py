@@ -21,6 +21,8 @@ from p1dyn.magnitude import (
     Comparison,
     ExpOf,
     IndistinguishableError,
+    MaxOf,
+    Power,
     compare,
     digit_count,
     exact,
@@ -132,6 +134,22 @@ def test_degree_growth_of_aggregates_is_buried():
     # the comparison must refuse rather than guess
     with pytest.raises(IndistinguishableError):
         compare(bound_table(2, 1)["Q"], bound_table(3, 1)["Q"])
+
+
+@pytest.mark.parametrize("d, s", [(2, 1), (3, 2)])
+def test_long_cycle_and_preperiodic_bounds_share_their_dominant_part(d, s):
+    # both maxima are dominated by T + CV, which max_of keeps alone
+    t = bound_table(d, s)
+    assert compare(t["L"], t["Q"]) is Comparison.EQUAL
+
+
+def test_bound_tables_hold_no_max_nodes():
+    def maxima(m):
+        inner = (m.base,) if isinstance(m, Power) else getattr(m, "parts", ())
+        return isinstance(m, MaxOf) + sum(maxima(p) for p in inner)
+
+    assert sum(maxima(m) for d in range(2, 34) for s in range(1, 17)
+               for m in bound_table(d, s).values()) == 0
 
 
 def test_table_labels():

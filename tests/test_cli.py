@@ -74,6 +74,44 @@ def test_analyze_s_extra(tmp_path):
     assert doc["bounds"]["B"]["value"] == str(2**32)
 
 
+def test_analyze_factors_resultant_past_the_primality_range(capsys):
+    # the resultant 10000000000427000000001443 is past 3.317e24; a witness
+    # proves it composite, so rho splits it instead of refusing the map
+    code = main(["analyze", "--map", "[X^2+10000000000427000000001443*Y^2:X*Y]",
+                 "--height", "4"])
+    assert code == 0
+    assert "bad primes: 1000000000039, 10000000000037" in capsys.readouterr().out
+
+
+def _odd_primes(count):
+    primes = []
+    n = 3
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 2
+    return ",".join(map(str, primes))
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--map", "z^2+2^16000", "--height", "4"],
+     "error: coefficient of 4817 digits is too long to write in decimal\n"),
+    # s = 461 makes the exact L3 bound 4442 digits long
+    (["--map", "z^2", "--height", "2", "--s-extra", _odd_primes(460)],
+     "error: exact bound of 4442 digits is too long to write in decimal\n"),
+])
+def test_analyze_number_past_int_string_limit_exits_2(capsys, argv, err):
+    assert main(["analyze"] + argv) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_analyze_s_extra_long_exact_bounds(capsys):
+    # at s = 401 the exact L3 bound has 3864 digits, inside the limit
+    assert main(["analyze", "--map", "z^2", "--height", "2",
+                 "--s-extra", _odd_primes(400)]) == 0
+    assert "L3 = ~10^3863 (3864 digits, exact)" in capsys.readouterr().out
+
+
 def test_analyze_s_extra_rejects_composites(capsys):
     assert main(["analyze", "--map", "z^2", "--s-extra", "6"]) == 2
     assert "not prime" in capsys.readouterr().err

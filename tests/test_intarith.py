@@ -103,6 +103,15 @@ def test_is_prime_range_rejection():
     assert is_prime(3_317_044_064_679_887_385_961_813)  # largest prime below the limit
 
 
+def test_is_prime_proves_compositeness_past_the_range():
+    # a failing witness is a proof at any size; a probable prime past the
+    # range is still refused
+    with pytest.raises(PrimalityRangeError):
+        is_prime(2**89 - 1)
+    assert is_prime(3 * (2**89 - 1)) is False
+    assert is_prime(10**30 + 1) is False
+
+
 def test_fraction_support():
     assert fraction_support(Fraction(5, 8)) == {2: -3, 5: 1}
     assert fraction_support(Fraction(-29, 16)) == {2: -4, 29: 1}

@@ -5,11 +5,14 @@ frozen constant here was computed independently (mpmath at 60+ digits, or
 direct integer arithmetic) before the engine existed.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1dyn.magnitude import (
     Comparison,
@@ -130,6 +133,46 @@ def test_force_exact():
     assert force_exact(max_of(exact(5), power(exact(2), 10))) == 1024
     # the max is an unforcible exponential: refuse honestly
     assert force_exact(max_of(exact(5), exp_of(3))) is None
+
+
+def test_force_exact_rejects_non_magnitudes():
+    with pytest.raises(MagnitudeInputError):
+        force_exact(5)
+
+
+def test_power_folds_every_integer_within_the_ceiling():
+    # 2^(2*10^6) has 602,060 digits: inside the ceiling, so it is built as
+    # Exact even though bit_length * exponent overestimates it twofold
+    m = power(exact(2), 2 * 10**6)
+    assert isinstance(m, Exact)
+    assert force_exact(m) == 2 ** (2 * 10**6)
+    assert isinstance(power(exact(2), 4 * 10**6), Power)
+
+
+_leaf = st.one_of(
+    st.integers(0, 10**6).map(exact),
+    st.fractions(min_value=0, max_value=60, max_denominator=8).map(exp_of),
+)
+_sum = st.lists(_leaf, min_size=1, max_size=3).map(lambda ps: sum_of(*ps))
+_part = st.one_of(
+    _leaf,
+    _sum,
+    st.tuples(st.one_of(_leaf, _sum), st.integers(0, 4)).map(lambda t: power(*t)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_part, min_size=1, max_size=5), st.data())
+def test_max_of_decides_dominance_at_construction(parts, data):
+    m = max_of(*parts)
+    assert max_of(*data.draw(st.permutations(parts))) == m
+    for p in parts:
+        # a comparison may fail to separate, but never proves the max smaller
+        with contextlib.suppress(IndistinguishableError):
+            assert compare(m, p) is not Comparison.LESS
+    if all(isinstance(p, Exact) for p in parts):
+        assert m == Exact(max(p.value for p in parts))
+    assert (force_exact(m) is not None) == isinstance(m, Exact)
 
 
 def test_compare_basic():

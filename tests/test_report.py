@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -54,6 +55,15 @@ def test_bound_rows_long_exact_values_are_not_stringified():
     assert rows[0] == "B = ~10^4334 (4335 digits, exact)"
     assert "T = ~10^4395 (4396 digits, exact)" in bound_rows(2, 1300)
     assert format_magnitude(exact(2**20000)) == "~10^6020 (6021 digits, exact)"
+
+
+def test_bound_rows_grid_digest():
+    # every row of the 2..33 x 1..16 grid, frozen before max_of decided
+    # dominance at construction
+    rows = [r for d in range(2, 34) for s in range(1, 17) for r in bound_rows(d, s)]
+    assert len(rows) == 6656
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
+        "c04642ff4e6962db00427b008102346f9e93b4543db239e0a9269b53d849a690"
 
 
 def test_bound_rows_single_label():
