@@ -18,7 +18,10 @@ for text in ("1/4", "3/4", "2"):
     print(f"{text}: {c.kind:8s} {route}" + (" ..." if len(c.trajectory) > 5 else ""))
 
 # enumerate_preperiodic classifies every canonical point up to a height
-# bound, sharing verdicts between orbits, and assembles the full picture.
+# bound that can be preperiodic, sharing verdicts between orbits, and
+# assembles the full picture.  For a polynomial like this one it skips the
+# starts that provably escape: here only denominators 1, 2, 4 and
+# |z| <= 45/16 are walked, 24 starts in all.
 inv = enumerate_preperiodic(phi, height=64)
 print("\npreperiodic points:", len(inv.preper))
 print("  periodic:", sorted(format_point(p) for p in inv.per))

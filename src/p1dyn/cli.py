@@ -14,6 +14,7 @@ import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .bounds import BoundInputError, aggregate_bounds
@@ -113,6 +114,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
+def _within_q(s: int, count: int) -> bool:
+    """Whether count <= Q(2, s); the sweep asks this of few distinct (s, count)."""
+    return compare(exact(count), aggregate_bounds(2, s).preperiodic) is not Comparison.GREATER
+
+
 def _sweep_entry(task):
     """Inventory counts for one member of z^2 + c, plus the overall bound check."""
     num, den, height, max_iters, escape = task
@@ -124,9 +131,7 @@ def _sweep_entry(task):
     if inv.incomplete:
         status = "SKIPPED"
     else:
-        q = aggregate_bounds(2, profile.places.size).preperiodic
-        ok = compare(exact(len(inv.preper)), q) is not Comparison.GREATER
-        status = "PASS" if ok else FAIL
+        status = "PASS" if _within_q(profile.places.size, len(inv.preper)) else FAIL
     return {"c": str(c), "s": profile.places.size,
             "bad_primes": list(profile.bad_primes),
             "preper": len(inv.preper), "per": len(inv.per),

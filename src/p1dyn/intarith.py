@@ -23,6 +23,24 @@ class ArithmeticInputError(ValueError):
     """Raised for arguments outside an operation's domain."""
 
 
+def int_digits(v: int) -> int:
+    """Exact decimal digit count of a nonnegative integer."""
+    if v == 0:
+        return 1
+    d = v.bit_length() * 30103 // 100000 + 1
+    while 10**d <= v:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > v:
+        d -= 1
+    return d
+
+
+def _name(n: int) -> str:
+    """n in decimal, or its digit count once it is past 60 digits."""
+    digits = int_digits(abs(n))
+    return str(n) if digits <= 60 else f"a {digits}-digit number"
+
+
 class PrimalityRangeError(ArithmeticInputError):
     """Raised when a primality query exceeds the deterministic witness range."""
 
@@ -32,7 +50,8 @@ class FactorizationIncompleteError(RuntimeError):
 
     def __init__(self, n, partial, remaining):
         super().__init__(
-            f"factoring budget exhausted on {n}; unfactored cofactor {remaining}"
+            f"factoring budget exhausted on {_name(n)}; "
+            f"unfactored cofactor {_name(remaining)}"
         )
         self.n = n
         self.partial = partial
@@ -82,7 +101,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _MR_LIMIT:
         raise PrimalityRangeError(
-            f"{n} exceeds the deterministic Miller-Rabin range {_MR_LIMIT}"
+            f"{_name(n)} exceeds the deterministic Miller-Rabin range {_MR_LIMIT}"
         )
     return True
 
@@ -109,8 +128,11 @@ def _int_valuation(n: int, p: int) -> int:
 
 def _brent_rho(n: int, budget: list[int]) -> int:
     # Brent's cycle variant; deterministic over increasing polynomial offsets.
+    # An iteration costs about quadratically in the size of n, so past 511
+    # bits it is charged (bits >> 8)**2 budget units instead of one.
     if n % 2 == 0:
         return 2
+    cost = max(1, (n.bit_length() >> 8) ** 2)
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -124,7 +146,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget[0] -= min(m, r - k)
+                budget[0] -= cost * min(m, r - k)
                 if budget[0] <= 0:
                     return 0
                 g = math.gcd(q, n)
@@ -135,7 +157,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
-                budget[0] -= 1
+                budget[0] -= cost
                 if budget[0] <= 0:
                     return 0
         if g != n:
@@ -148,9 +170,11 @@ def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
     """Full prime factorization of |n| as an ordered {prime: exponent} map.
 
     Trial division runs up to ``trial_limit`` (stopping early once p*p exceeds
-    the cofactor), then a Brent rho stage splits anything left.  If the rho
-    iteration budget runs out, FactorizationIncompleteError carries the partial
-    factorization; a partial answer is never returned silently.
+    the cofactor), then a Brent rho stage splits anything left.  The rho
+    budget counts one unit per iteration on cofactors below 512 bits and
+    (bits >> 8)**2 units above.  If it runs out, FactorizationIncompleteError
+    carries the partial factorization; a partial answer is never returned
+    silently.
     """
     if n == 0:
         raise ArithmeticInputError("0 has no prime factorization")

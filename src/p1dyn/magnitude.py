@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+from .intarith import int_digits
+
 EXACT_DIGIT_CEILING = 10**6
 _PREC_START = 64
 _PREC_CEILING = 1 << 13
@@ -91,18 +93,6 @@ def _key(m):
     if isinstance(m, Prod):
         return (4, tuple(_key(p) for p in m.parts))
     return (5, tuple(_key(p) for p in m.parts))
-
-
-def int_digits(v: int) -> int:
-    """Exact decimal digit count of a nonnegative integer."""
-    if v == 0:
-        return 1
-    d = v.bit_length() * 30103 // 100000 + 1
-    while 10**d <= v:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > v:
-        d -= 1
-    return d
 
 
 def _digits_at_most(v: int, ceiling: int) -> bool:

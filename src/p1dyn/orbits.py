@@ -5,14 +5,35 @@ trajectory).  ESCAPED is a heuristic non-preperiodicity certificate: some
 trajectory coordinate exceeded the escape bound.  UNDECIDED means neither
 happened within the iteration budget; an inventory containing undecided
 candidates is flagged incomplete and never silently treated as finished.
+
+enumerate_preperiodic walks every canonical point up to the height bound,
+except for a polynomial pair, b = (0, ..., 0, b_d) with a_0 != 0, where
+phi(z) = F(z, 1)/b_d.  There, with A = sum of |a_i| over i >= 1, a start
+z = x/y (y >= 1) is dropped when
+
+(i)  |x|*|a_0| > max(|a_0|, A + |b_d|)*y.  Proof: |z| > 1 and
+     |F(z, 1)| >= |z|^(d-1) (|a_0||z| - A) > |z|^(d-1) |b_d| >= |z| |b_d|,
+     so |phi(z)| > |z| and (i) holds again at phi(z): |z| grows forever.
+(ii) some prime p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for
+     every i >= 1 with a_i != 0, and k*(d-1) > v_p(a_0) - v_p(b_d).  Proof:
+     a_0 z^d strictly dominates, so v_p(phi(z)) = v_p(a_0) - k*d - v_p(b_d)
+     < -k, and (ii) holds again at the larger k: v_p(z) falls forever.
+     For p not dividing a_0 this holds at every k >= 1, so the kept
+     denominators are built from primes of a_0.
+
+A strictly monotone |z| or v_p(z) never repeats, so no dropped start is
+preperiodic.  A walk of it could only have escaped or, with too small a
+``max_iters``, stayed undecided; so the inventory is the one the full scan
+gives, except that such starts are no longer listed as undecided.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .intarith import ArithmeticInputError
+from .intarith import ArithmeticInputError, factorize, valuation
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
 from .ratmap import HomogPair, critical_points_rational, evaluate, step_kernel
 
@@ -91,19 +112,67 @@ class DynamicalInventory:
     image: dict[ProjPoint, ProjPoint]
     incomplete: bool
     undecided: tuple[ProjPoint, ...]
+    starts: int  # candidates offered to the walker, infinity included
+
+
+def _escape_exponent(pair: HomogPair, p: int) -> int:
+    """Least k >= 1 for which rule (ii) drops every start with v_p(y) >= k."""
+    a, d = pair.a, pair.degree
+    top = valuation(a[0], p)
+    k = max(1, (top - valuation(pair.b[-1], p)) // (d - 1) + 1)
+    for i in range(1, d + 1):
+        if a[i]:
+            k = max(k, (top - valuation(a[i], p)) // i + 1)
+    return k
+
+
+def _polynomial_rows(pair: HomogPair, height: int):
+    """Rows (y, x bound) of the starts rules (i) and (ii) keep, or None if not a polynomial."""
+    a, b = pair.a, pair.b
+    if any(b[:-1]) or not a[0]:
+        return None
+    lead = abs(a[0])
+    reach = max(lead, sum(abs(c) for c in a[1:]) + abs(b[-1]))
+    exponents: dict[int, int] = {}
+    rows = []
+    for y in range(1, height + 1):
+        rest = y
+        while (g := math.gcd(rest, lead)) > 1:
+            rest //= g
+        if rest > 1:  # a prime not dividing a_0 is dropped by rule (ii) at every k
+            continue
+        for p, k in factorize(y).items():
+            if p not in exponents:
+                exponents[p] = _escape_exponent(pair, p)
+            if k >= exponents[p]:
+                break
+        else:
+            rows.append((y, min(height, reach * y // lead)))
+    return rows
 
 
 def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
                           max_iters: int = 256,
                           escape_height: int = 10**6) -> DynamicalInventory:
-    """Classify every canonical point up to the height bound.
+    """Classify every canonical point up to the height bound that can be preperiodic.
 
     Each candidate from ``coordinates_up_to_height`` is walked until its orbit
     reaches a point already known to be preperiodic, closes a new cycle,
     escapes, or uses up ``max_iters``.  The returned preperiodic set also
     contains all forward images of found preperiodic points, even above the
     height bound.  Candidates left undecided are listed and make the
-    inventory incomplete.
+    inventory incomplete; ``starts`` counts the candidates.
+
+    For a polynomial pair (b = (0, ..., 0, b_d)) the candidates skip the
+    starts x/y that provably have an infinite orbit (module docstring):
+    (i) |x|*|a_0| > max(|a_0|, sum_{i>=1} |a_i| + |b_d|)*y, where |phi(z)| >
+    |z| > 1 at every step; (ii) a prime p with k = v_p(y) >= 1,
+    k*i > v_p(a_0) - v_p(a_i) for every nonzero a_i (i >= 1) and
+    k*(d-1) > v_p(a_0) - v_p(b_d), where the leading term dominates and
+    v_p(phi(z)) < v_p(z) at every step.  A walk of such a start could only
+    escape or, with too small a ``max_iters``, stay undecided; so only the
+    ``undecided`` list can differ from the full scan.  Other pairs walk the
+    whole grid.
     """
     _check_limits(pair, max_iters, escape_height)
     if height < 1:
@@ -114,7 +183,9 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     preper_map: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (tail_len, cycle id)
     undecided: list[tuple[int, int]] = []
 
-    for start in coordinates_up_to_height(height):
+    starts = 0
+    for start in coordinates_up_to_height(height, _polynomial_rows(pair, height)):
+        starts += 1
         if start in preper_map:
             continue
         outcome, traj, hit = _walk(step, start, preper_map, max_iters, escape_height)
@@ -189,6 +260,7 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
         incomplete=bool(undecided),
         undecided=tuple(sorted((ProjPoint(x, y) for x, y in undecided),
                                key=point_sort_key)),
+        starts=starts,
     )
 
 

@@ -136,16 +136,21 @@ def point_sort_key(p: ProjPoint):
     return (0, Fraction(p.x, p.y))
 
 
-def coordinates_up_to_height(height: int):
+def coordinates_up_to_height(height: int, rows=None):
     """Yields the coprime (x, y) of every canonical point with max(|x|, y) <= height.
 
-    Infinity (1, 0) comes first, then rows of increasing y.
+    Infinity (1, 0) comes first, then rows of increasing y.  ``rows``, an
+    iterable of (y, x_bound) pairs, replaces the full rows: the finite points
+    are then those of each listed row with |x| <= x_bound.  The caller keeps
+    y and x_bound within ``height``.
     """
     if height < 1:
         raise ArithmeticInputError("height bound must be at least 1")
+    if rows is None:
+        rows = ((y, height) for y in range(1, height + 1))
     yield 1, 0
-    for y in range(1, height + 1):
-        for x in range(-height, height + 1):
+    for y, x_bound in rows:
+        for x in range(-x_bound, x_bound + 1):
             if math.gcd(x, y) == 1:
                 yield x, y
 

@@ -74,6 +74,40 @@ def naive_preperiodic_points(pair, height, max_iters, escape_height):
     return found
 
 
+def _naive_valuation(n, prime):
+    v = 0
+    while n % prime == 0:
+        n //= prime
+        v += 1
+    return v
+
+
+def naive_sieve_drops(pair, point):
+    """Whether rule (i) or (ii) of the polynomial sieve drops a start, as the rules are stated.
+
+    For b = (0, ..., 0, b_d) and A = sum of |a_i| over i >= 1, a finite start
+    [x : y] is dropped when |x|*|a_0| > max(|a_0|, A + |b_d|)*y, or when a
+    prime p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for every
+    i >= 1 with a_i != 0 and k*(d-1) > v_p(a_0) - v_p(b_d).
+    """
+    a, b, d = pair.a, pair.b, pair.degree
+    if any(b[:-1]) or point.y == 0:
+        return False
+    rest = sum(abs(c) for c in a[1:])
+    if abs(point.x) * abs(a[0]) > max(abs(a[0]), rest + abs(b[-1])) * point.y:
+        return True
+    for prime in range(2, point.y + 1):
+        if point.y % prime or any(prime % q == 0 for q in range(2, prime)):
+            continue
+        k = _naive_valuation(point.y, prime)
+        top = _naive_valuation(a[0], prime)
+        if (all(k * i > top - _naive_valuation(a[i], prime)
+                for i in range(1, d + 1) if a[i] != 0)
+                and k * (d - 1) > top - _naive_valuation(b[-1], prime)):
+            return True
+    return False
+
+
 def naive_distances_equal(p, q1, q2, prime):
     return log_distance(p, q1, prime) == log_distance(p, q2, prime)
 

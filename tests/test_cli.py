@@ -2,11 +2,16 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from p1dyn.cli import main
+from p1dyn.mapparse import parse_map
+from p1dyn.projline import parse_point
+
+from naive import naive_sieve_drops
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +128,30 @@ def test_analyze_incomplete_exits_3(capsys):
                  "--max-iters", "2"])
     assert code == 3
     assert "incomplete" in capsys.readouterr().out
+
+
+def test_analyze_incomplete_lists_only_starts_the_sieve_keeps(capsys):
+    code = main(["analyze", "--map", "z^2-29/16", "--height", "64",
+                 "--max-iters", "2"])
+    assert code == 3
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("incomplete: undecided starting points "))
+    undecided = [parse_point(t) for t in line.split(" points ", 1)[1].split(", ")]
+    pair = parse_map("z^2-29/16")
+    assert undecided and not any(naive_sieve_drops(pair, p) for p in undecided)
+
+
+def test_verify_gives_up_on_a_huge_cofactor_in_seconds(capsys):
+    # rho charges each iteration by the size of the 2,407-digit cofactor,
+    # and the error names it by its digit count
+    start = time.perf_counter()
+    code = main(["verify", "--map", "[X^2+2^8000*Y^2:X*Y]", "--height", "4"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and len(err[0]) < 200
+    assert "2407-digit" in err[0]
+    assert elapsed < 30
 
 
 def test_verify_all_clean_maps(capsys):

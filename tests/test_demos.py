@@ -30,8 +30,7 @@ def test_readme_and_demos_import_only_public_names():
     assert names and names <= set(p1dyn.__all__)
 
 
-# demo 06 is a long sweep; its imports are checked above
-@pytest.mark.parametrize("demo", [p.name for p in DEMOS if not p.name.startswith("06")])
+@pytest.mark.parametrize("demo", [p.name for p in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -82,6 +82,17 @@ def test_factorize_budget_exhaustion_is_loud():
     assert info.value.remaining % p == 0 or info.value.remaining % q == 0
 
 
+def test_errors_name_long_numbers_by_digit_count():
+    with pytest.raises(PrimalityRangeError, match="^a 157-digit number exceeds"):
+        is_prime(2**521 - 1)  # a Mersenne prime
+    with pytest.raises(FactorizationIncompleteError) as info:
+        factorize((2**521 - 1) * (2**607 - 1), rho_budget=1000)
+    assert str(info.value) == ("factoring budget exhausted on a 340-digit number; "
+                               "unfactored cofactor a 340-digit number")
+    with pytest.raises(FactorizationIncompleteError, match="cofactor 1000036000099$"):
+        factorize(1_000_003 * 1_000_033, trial_limit=100, rho_budget=1)
+
+
 def test_is_prime_matches_sympy():
     rng = random.Random(3)
     for _ in range(400):

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import classify_point, enumerate_preperiodic, tails_of
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
+from p1dyn.ratmap import make_pair
 
-from naive import all_points_up_to_height, naive_classify, naive_preperiodic_points
+from naive import (all_points_up_to_height, naive_classify, naive_preperiodic_points,
+                   naive_sieve_drops)
 
 
 def pts(*texts):
@@ -177,3 +181,42 @@ def test_inventory_walker_agrees_with_classify_point(map_text):
         elif kind in ("periodic", "tail"):
             assert p in inv.preper
     assert set(inv.undecided) <= undecided
+
+
+@st.composite
+def polynomial_pairs(draw):
+    degree = draw(st.integers(2, 4))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    lead = draw(coeff.filter(bool))
+    rest = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    return make_pair([lead] + rest, [0] * degree + [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_pairs(), st.integers(1, 20))
+def test_polynomial_sieve_agrees_with_full_scan(pair, height):
+    # the sieve walks exactly the starts rules (i) and (ii) keep, and every
+    # start it drops escapes in the full scan at the default budgets
+    inv = enumerate_preperiodic(pair, height)
+    assert inv.preper == naive_preperiodic_points(pair, height, 256, 10**6)
+    assert inv.undecided == ()
+    grid = all_points_up_to_height(height)
+    dropped = [p for p in grid if naive_sieve_drops(pair, p)]
+    assert inv.starts == len(grid) - len(dropped)
+    for p in dropped:
+        assert naive_classify(pair, p, 256, 10**6)[0] == "escaped"
+
+
+@pytest.mark.parametrize("map_text, height, starts", [
+    ("z^2-29/16", 1024, 24),  # y in {1, 2, 4}, |x/y| <= 45/16, and infinity
+    ("z^2-2", 64, 8),  # y = 1, |x| <= 3, and infinity
+])
+def test_polynomial_sieve_size(map_text, height, starts):
+    inv = enumerate_preperiodic(parse_map(map_text), height)
+    assert inv.starts <= starts
+    assert not inv.incomplete
+
+
+def test_non_polynomial_map_walks_the_whole_grid():
+    inv = enumerate_preperiodic(parse_map("[X^3+2*Y^3:X*Y^2]"), 24)
+    assert inv.starts == len(all_points_up_to_height(24))
