@@ -11,7 +11,10 @@ from p1dyn import (classify_point, enumerate_preperiodic, format_point,
 
 phi = parse_map("z^2-29/16")
 
-# classify_point walks a single orbit until it cycles or escapes.
+# classify_point walks a single orbit until it cycles or escapes.  Escaping
+# is a proof: every point of height above T = 45, this map's escape
+# threshold, has an image of larger height.  So the walk from 2 stops at
+# 761/256, its first point above T.
 for text in ("1/4", "3/4", "2"):
     c = classify_point(phi, parse_point(text))
     route = " -> ".join(format_point(q) for q in c.trajectory[:5])

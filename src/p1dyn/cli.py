@@ -70,8 +70,7 @@ def cmd_analyze(args) -> int:
             places = places.extended(_parse_s_extra(args.s_extra))
         inv = None
         if not pair.degree_below_2:
-            inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters,
-                                        escape_height=args.escape)
+            inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters)
         report = analysis_report(pair, profile, places, inv)
     except _INPUT_ERRORS as e:
         return _fail(str(e))
@@ -87,7 +86,7 @@ def cmd_verify(args) -> int:
     try:
         pair = parse_map(args.map)
         reports = run_suite(pair, args.suite, height=args.height,
-                            max_iters=args.max_iters, escape_height=args.escape)
+                            max_iters=args.max_iters)
     except _INPUT_ERRORS as e:
         return _fail(str(e))
     for r in reports:
@@ -122,12 +121,11 @@ def _within_q(s: int, count: int) -> bool:
 
 def _sweep_entry(task):
     """Inventory counts for one member of z^2 + c, plus the overall bound check."""
-    num, den, height, max_iters, escape = task
+    num, den, height, max_iters = task
     c = Fraction(num, den)
     pair = parse_map(f"z^2+{c}" if num >= 0 else f"z^2-{-c}")
     profile = reduction_profile(pair)
-    inv = enumerate_preperiodic(pair, height, max_iters=max_iters,
-                                escape_height=escape)
+    inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     if inv.incomplete:
         status = "SKIPPED"
     else:
@@ -147,9 +145,9 @@ def cmd_batch(args) -> int:
         return _fail("--c-num-max and --c-den-max must be at least 1")
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
-    if args.height < 1 or args.max_iters < 1 or args.escape < 1:
+    if args.height < 1 or args.max_iters < 1:
         return _fail("search limits must be positive")
-    tasks = [(num, den, args.height, args.max_iters, args.escape)
+    tasks = [(num, den, args.height, args.max_iters)
              for den in range(1, args.c_den_max + 1)
              for num in range(-args.c_num_max, args.c_num_max + 1)
              if gcd(num, den) == 1]
@@ -185,8 +183,6 @@ def _add_search_flags(sp, height_default: int) -> None:
                     help=f"height bound for the point search (default {height_default})")
     sp.add_argument("--max-iters", type=int, default=256, dest="max_iters",
                     help="iteration budget per starting point (default 256)")
-    sp.add_argument("--escape", type=int, default=10**6,
-                    help="height above which an orbit counts as escaped (default 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -213,13 +213,3 @@ def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
         stack.append(g)
         stack.append(m // g)
     return dict(sorted(found.items()))
-
-
-def fraction_support(q: Fraction) -> dict[int, int]:
-    """Primes with nonzero valuation in a nonzero rational, with valuations."""
-    if q == 0:
-        raise ArithmeticInputError("0 has no support")
-    support = {p: e for p, e in factorize(q.numerator).items()} if abs(q.numerator) != 1 else {}
-    for p, e in factorize(q.denominator).items() if q.denominator != 1 else ():
-        support[p] = support.get(p, 0) - e
-    return dict(sorted(support.items()))

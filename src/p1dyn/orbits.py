@@ -1,15 +1,16 @@
 """Orbit classification and height-bounded preperiodic point enumeration.
 
-Periodic and tail verdicts are exact (a repeat really occurred in the
-trajectory).  ESCAPED is a heuristic non-preperiodicity certificate: some
-trajectory coordinate exceeded the escape bound.  UNDECIDED means neither
+Every verdict is a proof.  PERIODIC, TAIL: a repeat occurred.  ESCAPED: a
+point passed the map's escape threshold T, above which every step raises the
+height, by the resultant certificate g1*F + g2*G = R_1*X^(2d-1),
+h1*F + h2*G = R_2*Y^(2d-1) (ratmap.escape_threshold).  UNDECIDED means none
 happened within the iteration budget; an inventory containing undecided
 candidates is flagged incomplete and never silently treated as finished.
 
-enumerate_preperiodic walks every canonical point up to the height bound,
-except for a polynomial pair, b = (0, ..., 0, b_d) with a_0 != 0, where
-phi(z) = F(z, 1)/b_d.  There, with A = sum of |a_i| over i >= 1, a start
-z = x/y (y >= 1) is dropped when
+Preperiodic points have height at most T.  enumerate_preperiodic walks every
+canonical point up to min(height, T), except for a polynomial pair,
+b = (0, ..., 0, b_d) with a_0 != 0, where phi(z) = F(z, 1)/b_d.  There, with
+A = sum of |a_i| over i >= 1, a start z = x/y (y >= 1) is dropped when
 
 (i)  |x|*|a_0| > max(|a_0|, A + |b_d|)*y.  Proof: |z| > 1 and
      |F(z, 1)| >= |z|^(d-1) (|a_0||z| - A) > |z|^(d-1) |b_d| >= |z| |b_d|,
@@ -24,7 +25,7 @@ z = x/y (y >= 1) is dropped when
 A strictly monotone |z| or v_p(z) never repeats, so no dropped start is
 preperiodic.  A walk of it could only have escaped or, with too small a
 ``max_iters``, stayed undecided; so the inventory is the one the full scan
-gives, except that such starts are no longer listed as undecided.
+gives, except that such starts, like those above T, are not listed as undecided.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 
 from .intarith import ArithmeticInputError, factorize, valuation
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
-from .ratmap import HomogPair, critical_points_rational, evaluate, step_kernel
+from .ratmap import HomogPair, critical_points_rational, escape_threshold, step_kernel
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,20 @@ class OrbitClassification:
     steps: Optional[int] = None
 
 
-def _check_limits(pair: HomogPair, max_iters: int, escape_height: int):
+def _check_limits(pair: HomogPair, max_iters: int):
     if pair.degree < 2:
         raise ArithmeticInputError("orbit analysis needs a map of degree at least 2")
     if max_iters < 1:
         raise ArithmeticInputError("max_iters must be positive")
-    if escape_height < 1:
-        raise ArithmeticInputError("escape_height must be positive")
 
 
-def _walk(step, start, known, max_iters: int, escape_height: int):
+def _walk(step, start, known, max_iters: int, threshold: int):
     """Follow the orbit of ``start`` for at most ``max_iters`` applications of ``step``.
 
     Returns (outcome, trajectory, hit), the trajectory starting at ``start``:
     "known" when the next point is in ``known`` (hit is that point), "cycle"
     when it repeats trajectory[hit], "escaped" when the last trajectory point
-    has a coordinate above ``escape_height``, and "undecided" otherwise.
+    has a coordinate above ``threshold``, and "undecided" otherwise.
     """
     traj = [start]
     seen = {start: 0}
@@ -75,18 +74,21 @@ def _walk(step, start, known, max_iters: int, escape_height: int):
         if cur in seen:
             return "cycle", traj, seen[cur]
         traj.append(cur)
-        if abs(cur[0]) > escape_height or cur[1] > escape_height:
+        if abs(cur[0]) > threshold or cur[1] > threshold:
             return "escaped", traj, None
         seen[cur] = len(traj) - 1
     return "undecided", traj, None
 
 
-def classify_point(pair: HomogPair, point: ProjPoint, *, max_iters: int = 256,
-                   escape_height: int = 10**6) -> OrbitClassification:
-    """Walk the forward orbit until a repeat, an escape, or budget exhaustion."""
-    _check_limits(pair, max_iters, escape_height)
+def classify_point(pair: HomogPair, point: ProjPoint, *,
+                   max_iters: int = 256) -> OrbitClassification:
+    """Walk the forward orbit until a repeat, an escape, or budget exhaustion.
+
+    An escape, a point above ``escape_threshold(pair)``, proves the orbit infinite.
+    """
+    _check_limits(pair, max_iters)
     outcome, traj, hit = _walk(step_kernel(pair.a, pair.b), (point.x, point.y), {},
-                               max_iters, escape_height)
+                               max_iters, escape_threshold(pair))
     points = tuple(ProjPoint(x, y) for x, y in traj)
     if outcome == "cycle":
         cycle = points[hit:]
@@ -101,7 +103,6 @@ class DynamicalInventory:
     pair: HomogPair
     search_height: int
     max_iters: int
-    escape_height: int
     preper: frozenset[ProjPoint]
     per: frozenset[ProjPoint]
     tail: frozenset[ProjPoint]
@@ -152,43 +153,37 @@ def _polynomial_rows(pair: HomogPair, height: int):
 
 
 def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
-                          max_iters: int = 256,
-                          escape_height: int = 10**6) -> DynamicalInventory:
+                          max_iters: int = 256) -> DynamicalInventory:
     """Classify every canonical point up to the height bound that can be preperiodic.
 
-    Each candidate from ``coordinates_up_to_height`` is walked until its orbit
-    reaches a point already known to be preperiodic, closes a new cycle,
-    escapes, or uses up ``max_iters``.  The returned preperiodic set also
-    contains all forward images of found preperiodic points, even above the
-    height bound.  Candidates left undecided are listed and make the
-    inventory incomplete; ``starts`` counts the candidates.
-
-    For a polynomial pair (b = (0, ..., 0, b_d)) the candidates skip the
-    starts x/y that provably have an infinite orbit (module docstring):
-    (i) |x|*|a_0| > max(|a_0|, sum_{i>=1} |a_i| + |b_d|)*y, where |phi(z)| >
-    |z| > 1 at every step; (ii) a prime p with k = v_p(y) >= 1,
-    k*i > v_p(a_0) - v_p(a_i) for every nonzero a_i (i >= 1) and
-    k*(d-1) > v_p(a_0) - v_p(b_d), where the leading term dominates and
-    v_p(phi(z)) < v_p(z) at every step.  A walk of such a start could only
-    escape or, with too small a ``max_iters``, stay undecided; so only the
-    ``undecided`` list can differ from the full scan.  Other pairs walk the
-    whole grid.
+    Above T = escape_threshold(pair) every step raises the height, so only the
+    candidates from ``coordinates_up_to_height`` at min(height, T) are walked;
+    a polynomial pair also skips the starts that its rules (i) and (ii) prove
+    to escape (module docstring).  Each walk runs until its orbit reaches a
+    point already known to be preperiodic, closes a new cycle, escapes (a
+    point above T, a proof), or uses up ``max_iters``.  The returned
+    preperiodic set also contains all forward images of found preperiodic
+    points, even above the height bound.  Candidates left undecided are listed
+    and make the inventory incomplete; ``starts`` counts the candidates.  Only
+    the ``undecided`` list can differ from a walk of the full grid.
     """
-    _check_limits(pair, max_iters, escape_height)
+    _check_limits(pair, max_iters)
     if height < 1:
         raise ArithmeticInputError("height must be positive")
     step = step_kernel(pair.a, pair.b)
+    threshold = escape_threshold(pair)
+    grid_height = min(height, threshold)
 
     cycles: list[tuple[tuple[int, int], ...]] = []
     preper_map: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (tail_len, cycle id)
     undecided: list[tuple[int, int]] = []
 
     starts = 0
-    for start in coordinates_up_to_height(height, _polynomial_rows(pair, height)):
+    for start in coordinates_up_to_height(grid_height, _polynomial_rows(pair, grid_height)):
         starts += 1
         if start in preper_map:
             continue
-        outcome, traj, hit = _walk(step, start, preper_map, max_iters, escape_height)
+        outcome, traj, hit = _walk(step, start, preper_map, max_iters, threshold)
         if outcome == "escaped":
             continue
         if outcome == "undecided":
@@ -242,13 +237,12 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
         for i, p in enumerate(cyc):
             image[p] = cyc[(i + 1) % len(cyc)]
     for p in tail:
-        image[p] = evaluate(pair, p)
+        image[p] = ProjPoint(*step(p.x, p.y))
 
     return DynamicalInventory(
         pair=pair,
         search_height=height,
         max_iters=max_iters,
-        escape_height=escape_height,
         preper=preper,
         per=per,
         tail=tail,

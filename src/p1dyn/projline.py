@@ -29,10 +29,6 @@ class ProjPoint:
         if math.gcd(self.x, self.y) != 1:
             raise ArithmeticInputError(f"[{self.x}:{self.y}] has a common factor")
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
     def as_fraction(self) -> Fraction:
         if self.y == 0:
             raise ArithmeticInputError("the point at infinity is not a rational number")

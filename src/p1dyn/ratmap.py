@@ -127,23 +127,54 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def _sylvester(pair: HomogPair) -> list[list[int]]:
+    """Rows X^(d-1-i) Y^i * F, then * G, in the basis X^(2d-1-k) Y^k (column k)."""
+    d = pair.degree
+    rows = []
+    for form in (pair.a, pair.b):
+        for i in range(d):
+            row = [0] * (2 * d)
+            row[i : i + d + 1] = form
+            rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def resultant(pair: HomogPair) -> int:
     """Determinant of the 2d x 2d Sylvester matrix of the pair."""
-    d = pair.degree
-    n = 2 * d
-    rows = []
-    for i in range(d):
-        row = [0] * n
-        for j, c in enumerate(pair.a):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [0] * n
-        for j, c in enumerate(pair.b):
-            row[i + j] = c
-        rows.append(row)
-    return _det_bareiss(rows)
+    return _det_bareiss(_sylvester(pair))
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r^k <= n, for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def escape_threshold(pair: HomogPair) -> int:
+    """A height T such that every point of height H > T has an image of height > H.
+
+    Rows 0 and 2d-1 of adj(Sylvester), over their contents c_i, give forms with
+    g1*F + g2*G = R_1*X^(2d-1) and h1*F + h2*G = R_2*Y^(2d-1), R_i = Res/c_i.
+    With G_i the sum of |coefficients| of row i and L = lcm(R_1, R_2), which
+    gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
+    for i the larger coordinate; so T is the integer (d-1)-th root of
+    max_i (L/R_i)*G_i = max_i S_i/gcd(c_1, c_2), S_i the sum of row i's |cofactors|.
+    Heights above T grow forever, so no point above T is preperiodic.
+    """
+    if pair.degree < 2:
+        raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
+    rows = _sylvester(pair)
+    sums, content = [], 0
+    for col in (0, len(rows) - 1):
+        sub = [r[:col] + r[col + 1:] for r in rows]
+        cofactors = [abs(_det_bareiss([r[:] for r in sub[:j] + sub[j + 1:]]))
+                     for j in range(len(sub))]
+        sums.append(sum(cofactors))
+        content = math.gcd(content, *cofactors)
+    return _iroot(max(sums) // content, pair.degree - 1)
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,8 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
             "search": {
                 "height": inv.search_height,
                 "max_iters": inv.max_iters,
-                "escape_height": inv.escape_height,
+                # retired: walks escape at the certified threshold; schema "1" keeps the key
+                "escape_height": 1000000,
             },
             "counts": {
                 "preper": len(inv.preper),

@@ -34,6 +34,7 @@ SKIPPED = "SKIPPED"
 
 #: Cap on stored confirmation witnesses so large suites stay readable.
 _WITNESS_CAP = 24
+_SAMPLE_HEIGHT = 4  # run_suite's point-set checks add every point up to this height
 
 
 class VerificationInputError(ValueError):
@@ -453,8 +454,7 @@ def _derived_chains(inv: DynamicalInventory):
 
 
 def run_suite(pair: HomogPair, suite: str = "all", *, height: int = 64,
-              max_iters: int = 256, escape_height: int = 10**6,
-              sample_height: int = 4) -> list[VerificationReport]:
+              max_iters: int = 256) -> list[VerificationReport]:
     """Run one named suite (or all of them) against a map.
 
     Point-set checks use the preperiodic inventory plus a small grid of
@@ -464,12 +464,11 @@ def run_suite(pair: HomogPair, suite: str = "all", *, height: int = 64,
     if suite not in SUITE_NAMES and suite != "all":
         raise VerificationInputError(f"unknown suite {suite!r}")
     profile = reduction_profile(pair)
-    inv = enumerate_preperiodic(pair, height, max_iters=max_iters,
-                                escape_height=escape_height)
+    inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     reports: list[VerificationReport] = []
     want = SUITE_NAMES if suite == "all" else (suite,)
     if "ultrametric" in want or "nonexpansion" in want:
-        points = set(points_up_to_height(sample_height)) | set(inv.preper)
+        points = set(points_up_to_height(_SAMPLE_HEIGHT)) | set(inv.preper)
         if "ultrametric" in want:
             reports.append(check_ultrametric(points))
         if "nonexpansion" in want:

@@ -18,7 +18,7 @@ from p1dyn.magnitude import digit_count, force_exact
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import classify_point, enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, log_distance, points_up_to_height
-from p1dyn.ratmap import PlaceSet, reduction_profile
+from p1dyn.ratmap import PlaceSet, escape_threshold, reduction_profile
 from p1dyn.verify import (PASS, check_chain_lemma, check_non_expansion,
                           check_ultrametric, four_point_set, three_point_set)
 
@@ -186,7 +186,7 @@ def test_criterion_7_randomized_property_suites(capsys):
         pair = parse_map(text)
         for point in all_points_up_to_height(30):
             ours = classify_point(pair, point)
-            ref = naive_classify(pair, point, 256, 10**6)
+            ref = naive_classify(pair, point, 256, escape_threshold(pair))
             assert (ours.kind, ours.trajectory, ours.period, ours.tail_length,
                     ours.cycle, ours.steps) == ref
             agree += 1

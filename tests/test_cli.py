@@ -181,6 +181,18 @@ def test_verify_unknown_suite_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--map", "z^2"],
+    ["verify", "--map", "z^2"],
+    ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"],
+])
+def test_retired_escape_flag_exits_2(argv):
+    # walks now escape at each map's certified threshold; the flag is gone
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--escape", "5"])
+    assert err.value.code == 2
+
+
 def test_bounds_rows(capsys):
     assert main(["bounds", "--d", "2", "--s", "1"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,6 @@ from p1dyn.intarith import (
     FactorizationIncompleteError,
     PrimalityRangeError,
     factorize,
-    fraction_support,
     is_prime,
     valuation,
 )
@@ -121,9 +120,3 @@ def test_is_prime_proves_compositeness_past_the_range():
         is_prime(2**89 - 1)
     assert is_prime(3 * (2**89 - 1)) is False
     assert is_prime(10**30 + 1) is False
-
-
-def test_fraction_support():
-    assert fraction_support(Fraction(5, 8)) == {2: -3, 5: 1}
-    assert fraction_support(Fraction(-29, 16)) == {2: -4, 29: 1}
-    assert fraction_support(Fraction(1)) == {}

@@ -6,7 +6,7 @@ from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import classify_point, enumerate_preperiodic, tails_of
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
-from p1dyn.ratmap import make_pair
+from p1dyn.ratmap import escape_threshold, make_pair
 
 from naive import (all_points_up_to_height, naive_classify, naive_preperiodic_points,
                    naive_sieve_drops)
@@ -17,10 +17,10 @@ def pts(*texts):
 
 
 def test_classify_escape_example():
+    # z^2 has escape threshold 1: the first point above it proves the escape
     res = classify_point(parse_map("z^2"), ProjPoint(2, 1))
     assert res.kind == "escaped"
-    assert [p.x for p in res.trajectory[:4]] == [2, 4, 16, 256]
-    assert res.trajectory[-1].x > 10**6
+    assert res.trajectory == (ProjPoint(2, 1), ProjPoint(4, 1))
 
 
 def test_classify_periodic_and_tail_examples():
@@ -38,6 +38,19 @@ def test_classify_periodic_and_tail_examples():
     assert fixed.kind == "periodic" and fixed.period == 1
 
 
+def test_classify_finds_a_two_cycle_above_a_million():
+    # the retired default escape bound 10^6 called this orbit escaped
+    res = classify_point(parse_map("z^2-1000003000003"), ProjPoint(1000001, 1))
+    assert res.kind == "periodic" and res.period == 2
+    assert res.cycle == (ProjPoint(1000001, 1), ProjPoint(-1000002, 1))
+
+
+def test_inventory_finds_a_two_cycle_of_height_1002():
+    inv = enumerate_preperiodic(parse_map("z^2-1003003"), 1002)
+    assert not inv.incomplete
+    assert (ProjPoint(-1002, 1), ProjPoint(1001, 1)) in inv.cycles
+
+
 def test_classify_undecided_when_budget_too_small():
     res = classify_point(parse_map("z^2-29/16"), parse_point("3/4"), max_iters=2)
     assert res.kind == "undecided"
@@ -49,8 +62,6 @@ def test_classify_validates_limits():
     with pytest.raises(ArithmeticInputError):
         classify_point(pair, INFINITY, max_iters=0)
     with pytest.raises(ArithmeticInputError):
-        classify_point(pair, INFINITY, escape_height=0)
-    with pytest.raises(ArithmeticInputError):
         classify_point(parse_map("z+1"), INFINITY)
 
 
@@ -60,7 +71,7 @@ def test_classify_agrees_with_naive_oracle_up_to_height_30(map_text):
     for p in all_points_up_to_height(30):
         mine = classify_point(pair, p, max_iters=64)
         kind, traj, period, tail_length, cycle, steps = naive_classify(
-            pair, p, max_iters=64, escape_height=10**6
+            pair, p, max_iters=64, escape_height=escape_threshold(pair)
         )
         assert mine.kind == kind
         assert mine.trajectory == traj
@@ -200,7 +211,7 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     inv = enumerate_preperiodic(pair, height)
     assert inv.preper == naive_preperiodic_points(pair, height, 256, 10**6)
     assert inv.undecided == ()
-    grid = all_points_up_to_height(height)
+    grid = all_points_up_to_height(min(height, escape_threshold(pair)))
     dropped = [p for p in grid if naive_sieve_drops(pair, p)]
     assert inv.starts == len(grid) - len(dropped)
     for p in dropped:
@@ -218,5 +229,6 @@ def test_polynomial_sieve_size(map_text, height, starts):
 
 
 def test_non_polynomial_map_walks_the_whole_grid():
+    # up to its escape threshold 2: infinity, -2..2 and +-1/2
     inv = enumerate_preperiodic(parse_map("[X^3+2*Y^3:X*Y^2]"), 24)
-    assert inv.starts == len(all_points_up_to_height(24))
+    assert inv.starts == len(all_points_up_to_height(2)) == 8

@@ -1,7 +1,10 @@
+import math
 import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import MapSyntaxError, parse_map
@@ -12,6 +15,7 @@ from p1dyn.ratmap import (
     PlaceSet,
     binary_form_rational_roots,
     critical_points_rational,
+    escape_threshold,
     evaluate,
     good_reduction,
     make_pair,
@@ -263,3 +267,69 @@ def test_binary_form_rational_roots_of_products_of_linear_factors():
         coeffs = tuple(int(poly.coeff_monomial(X ** (degree - i) * Y**i))
                        for i in range(degree + 1))
         assert set(binary_form_rational_roots(coeffs)) == roots
+
+
+def _sympy_escape_threshold(pair):
+    """T from the adjugate of a Sylvester matrix built and inverted by sympy."""
+    d = pair.degree
+    X, Y = sympy.symbols("X Y")
+    sylvester = sympy.Matrix(2 * d, 2 * d, lambda i, j: (
+        pair.a[j - i] if i < d and 0 <= j - i <= d else
+        pair.b[j - i + d] if i >= d and 0 <= j - i + d <= d else 0))
+    res = sylvester.det()
+    adjugate = sylvester.adjugate()
+    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
+    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
+    certificates = []
+    for row, target in ((adjugate.row(0), X), (adjugate.row(2 * d - 1), Y)):
+        content = math.gcd(*(int(e) for e in row))
+        coeffs = [int(e) // content for e in row]
+        g1 = sum(c * X ** (d - 1 - i) * Y**i for i, c in enumerate(coeffs[:d]))
+        g2 = sum(c * X ** (d - 1 - i) * Y**i for i, c in enumerate(coeffs[d:]))
+        r = int(res) // content
+        assert sympy.expand(g1 * f + g2 * g - r * target ** (2 * d - 1)) == 0
+        certificates.append((abs(r), sum(abs(c) for c in coeffs)))
+    lcm = math.lcm(*(r for r, _ in certificates))
+    bound = max(lcm // r * total for r, total in certificates)
+    return int(sympy.integer_nthroot(bound, d - 1)[0])
+
+
+@pytest.mark.parametrize("text, threshold", [
+    ("z^2-29/16", 45),
+    ("[X^3+2*Y^3:X*Y^2]", 2),
+    ("[X^2-Y^2:X*Y]", 2),
+    ("z^2-1003003", 1003004),
+])
+def test_escape_threshold_matches_sympy_adjugate(text, threshold):
+    pair = parse_map(text)
+    assert escape_threshold(pair) == _sympy_escape_threshold(pair) == threshold
+
+
+def test_escape_threshold_needs_degree_2():
+    with pytest.raises(ArithmeticInputError):
+        escape_threshold(parse_map("z+1"))
+
+
+@st.composite
+def small_pairs(draw):
+    d = draw(st.integers(2, 3))
+    coeffs = st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
+    try:
+        return make_pair(draw(coeffs), draw(coeffs))
+    except DegenerateMapError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pairs(), st.data())
+def test_heights_above_the_escape_threshold_grow(pair, data):
+    threshold = escape_threshold(pair)
+    height = threshold + data.draw(st.integers(1, 200))
+    other = data.draw(st.integers(-height, height))
+    if data.draw(st.booleans()):
+        point = (height if other >= 0 else -height, abs(other))
+    else:
+        point = (other, height)
+    assume(point[1] > 0 and math.gcd(*point) == 1)
+    image = naive_evaluate(pair, ProjPoint(*point))
+    assert max(abs(image.x), image.y) > height
