@@ -7,20 +7,25 @@ decimal digits into an Exact node, and max_of decides dominance once, when it
 is built; by Lindemann-Weierstrass any other node they build is irrational or
 past the ceiling, so only an Exact node ever materializes.  Nodes built by
 hand, bypassing the constructors, are outside this contract.  Everything else
-is compared through interval arithmetic on natural logarithms with exact
-dyadic rational endpoints, doubling the working precision until the
-comparison is decided.  A comparison that cannot be decided raises rather
-than guessing.
+is compared through interval arithmetic on natural logarithms with integer
+endpoints at scale 2^-(prec+16), doubling the working precision prec until
+the comparison is decided.  A comparison that cannot be decided raises
+rather than guessing.
 
-The logarithm intervals come from the atanh series
-ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point
-with directed rounding, so every endpoint is a true bound.
+Every endpoint is rounded outward (directed rounding), so it is a true
+bound.  The logarithms of integers come from the atanh series
+ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point.
+An interval is a single point only for Exact(1) and for an exponential with a
+dyadic exponent; beyond those, two constructor-built magnitudes compare EQUAL
+only when they are equal nodes.  A hand-built tree whose logarithm is a
+non-dyadic rational, such as Power(ExpOf(1/3), 3) against ExpOf(1), is outside
+the contract: it raises IndistinguishableError instead of answering EQUAL.
+Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -110,6 +115,8 @@ def exact(v: int) -> Magnitude:
 
 
 def exp_of(q) -> Magnitude:
+    if not isinstance(q, (int, Fraction)):
+        raise MagnitudeInputError("exponential magnitudes need an int or Fraction exponent")
     q = Fraction(q)
     if q < 0:
         raise MagnitudeInputError("exponential magnitudes need a nonnegative exponent")
@@ -119,7 +126,7 @@ def exp_of(q) -> Magnitude:
 
 
 def power(base: Magnitude, exponent: int) -> Magnitude:
-    if exponent < 0:
+    if not isinstance(exponent, int) or exponent < 0:
         raise MagnitudeInputError("powers need a nonnegative integer exponent")
     if exponent == 0:
         return Exact(1)
@@ -284,84 +291,54 @@ def _ln_int_fixed(n: int, width: int) -> tuple[int, int]:
     return 2 * at_lo + e * l2_lo, 2 * at_hi + e * l2_hi + 1
 
 
-def _ln_int_interval(n: int, prec: int) -> tuple[Fraction, Fraction]:
-    width = prec + _GUARD_BITS
-    lo, hi = _ln_int_fixed(n, width)
+def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
+    """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
+
+    Every rounding step widens the interval, never narrows it.
+    """
+    if isinstance(m, Exact):
+        return None if m.value == 0 else _ln_int_fixed(m.value, width)
+    if isinstance(m, ExpOf):
+        num, den = m.ln.numerator << width, m.ln.denominator
+        return num // den, -(-num // den)
+    if isinstance(m, Power):
+        lo, hi = _ln_fixed(m.base, width)
+        return lo * m.exponent, hi * m.exponent
+    if not isinstance(m, (Sum, Prod, MaxOf)):
+        raise MagnitudeInputError(f"not a magnitude: {m!r}")
+    ivs = [_ln_fixed(p, width) for p in m.parts]
+    if isinstance(m, Prod):
+        return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
+    lo_max, hi_max = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
+    if isinstance(m, MaxOf):
+        return lo_max, hi_max
+    star = max(range(len(ivs)), key=lambda i: ivs[i][1])
+    lo_star, hi_star = ivs[star]
+    others = ivs[:star] + ivs[star + 1:]
     unit = 1 << width
-    return Fraction(lo, unit), Fraction(hi, unit)
-
-
-def ln2_interval(prec: int) -> tuple[Fraction, Fraction]:
-    width = prec + _GUARD_BITS
-    lo, hi = _ln2_fixed(width)
-    unit = 1 << width
-    return Fraction(lo, unit), Fraction(hi, unit)
-
-
-def ln10_interval(prec: int) -> tuple[Fraction, Fraction]:
-    return _ln_int_interval(10, prec)
-
-
-def _exp_bounds(delta: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Bounds on e^delta for delta <= 0, as exact rationals."""
-    if delta == 0:
-        return Fraction(1), Fraction(1)
-    l2_lo, l2_hi = ln2_interval(prec)
-    cap = prec + 64
-    # e^delta <= 2^-m for any m <= (-delta)/ln2; ln2 <= l2_hi makes floor valid
-    m_hi = min(math.floor((-delta) / l2_hi), cap)
-    upper = Fraction(1, 1 << m_hi)
-    # e^delta >= 2^-m for any m >= (-delta)/ln2; ln2 >= l2_lo makes ceil valid
-    m_lo = math.ceil((-delta) / l2_lo)
-    lower = Fraction(0) if m_lo > cap else Fraction(1, 1 << m_lo)
-    return lower, upper
+    if any(lo_star - hi < unit for _, hi in others):
+        # heads too close to dominate: ln(max) <= ln(sum) <= ln(max) + ln(parts)
+        return lo_max, hi_max + (_ln_int_fixed(len(ivs), 48)[1] << (width - 48))
+    l2_lo, l2_hi = _ln2_fixed(width)
+    c_lo = c_hi = 0
+    for lo, hi in others:
+        # e^-x <= 2^-k for k <= x/ln2, rounded up to at least one ulp
+        k = (lo_star - hi) // l2_hi
+        c_hi += 1 << (width - k) if k < width else 1
+        # e^-x >= 2^-k for k >= x/ln2, rounded down to 0 past the width
+        k = -((lo - hi_star) // l2_lo)
+        c_lo += 1 << (width - k) if k <= width else 0
+    # x - x^2/2 <= ln(1 + x) <= x
+    return lo_star + c_lo * (2 * unit - c_lo) // (2 * unit), hi_star + c_hi
 
 
 def ln_interval(m: Magnitude, prec: int) -> Optional[tuple[Fraction, Fraction]]:
-    """Rigorous bounds on ln(m); None for the zero magnitude."""
-    if isinstance(m, Exact):
-        if m.value == 0:
-            return None
-        return _ln_int_interval(m.value, prec)
-    if isinstance(m, ExpOf):
-        return (m.ln, m.ln)
-    if isinstance(m, Power):
-        base = ln_interval(m.base, prec)
-        return (base[0] * m.exponent, base[1] * m.exponent)
-    if isinstance(m, Prod):
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for p in m.parts:
-            iv = ln_interval(p, prec)
-            lo += iv[0]
-            hi += iv[1]
-        return (lo, hi)
-    if isinstance(m, MaxOf):
-        ivs = [ln_interval(p, prec) for p in m.parts]
-        return (max(iv[0] for iv in ivs), max(iv[1] for iv in ivs))
-    if isinstance(m, Sum):
-        return _ln_sum_interval(m, prec)
-    raise MagnitudeInputError(f"not a magnitude: {m!r}")
-
-
-def _ln_sum_interval(m: Sum, prec: int) -> tuple[Fraction, Fraction]:
-    ivs = [ln_interval(p, prec) for p in m.parts]
-    star = max(range(len(ivs)), key=lambda i: ivs[i][1])
-    lo_star, hi_star = ivs[star]
-    others = [ivs[i] for i in range(len(ivs)) if i != star]
-    deltas_hi = [iv[1] - lo_star for iv in others]
-    if all(d <= -1 for d in deltas_hi):
-        c_hi = Fraction(0)
-        c_lo = Fraction(0)
-        for iv in others:
-            c_hi += _exp_bounds(iv[1] - lo_star, prec)[1]
-            c_lo += _exp_bounds(iv[0] - hi_star, prec)[0]
-        lower = lo_star + c_lo * (2 - c_lo) / 2  # ln(1+x) >= x - x^2/2
-        upper = hi_star + c_hi  # ln(1+x) <= x
-        return (lower, upper)
-    n = len(m.parts)
-    ln_n_hi = _ln_int_interval(n, 32)[1]
-    return (max(iv[0] for iv in ivs), max(iv[1] for iv in ivs) + ln_n_hi)
+    """Rigorous bounds on ln(m) as rationals; None for the zero magnitude."""
+    width = prec + _GUARD_BITS
+    iv = _ln_fixed(m, width)
+    if iv is None:
+        return None
+    return Fraction(iv[0], 1 << width), Fraction(iv[1], 1 << width)
 
 
 def force_exact(m: Magnitude) -> Optional[int]:
@@ -394,14 +371,15 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
         return Comparison.LESS if v1 < v2 else Comparison.GREATER
     prec = _PREC_START
     while prec <= _PREC_CEILING:
-        i1 = ln_interval(m1, prec)
-        i2 = ln_interval(m2, prec)
-        if i1[1] < i2[0]:
+        width = prec + _GUARD_BITS
+        lo1, hi1 = _ln_fixed(m1, width)
+        lo2, hi2 = _ln_fixed(m2, width)
+        if hi1 < lo2:
             return Comparison.LESS
-        if i1[0] > i2[1]:
+        if lo1 > hi2:
             return Comparison.GREATER
-        if i1[0] == i1[1] == i2[0] == i2[1]:
-            return Comparison.EQUAL  # both logs pinned to the same exact rational
+        if lo1 == hi1 == lo2 == hi2:
+            return Comparison.EQUAL  # both logs pinned to the same dyadic rational
         prec *= 2
     raise IndistinguishableError(
         f"magnitudes not separated at {_PREC_CEILING} bits of precision"
@@ -415,12 +393,11 @@ def digit_count(m: Magnitude) -> int:
         return int_digits(v)
     prec = _PREC_START
     while True:
-        iv = ln_interval(m, prec)
-        l10_lo, l10_hi = ln10_interval(prec)
-        d_lo = iv[0] / l10_hi
-        d_hi = iv[1] / l10_lo
-        f_lo = d_lo.numerator // d_lo.denominator
-        f_hi = d_hi.numerator // d_hi.denominator
+        width = prec + _GUARD_BITS
+        lo, hi = _ln_fixed(m, width)
+        l10_lo, l10_hi = _ln_int_fixed(10, width)
+        f_lo = lo // l10_hi
+        f_hi = hi // l10_lo
         if f_lo == f_hi:
             return f_lo + 1
         if prec >= _PREC_CEILING:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn.magnitude import (
@@ -21,6 +21,7 @@ from p1dyn.magnitude import (
     IndistinguishableError,
     MagnitudeInputError,
     Power,
+    Sum,
     compare,
     digit_count,
     exact,
@@ -77,6 +78,13 @@ def test_constructor_canonical_forms():
         exp_of(Fraction(-1, 2))
     with pytest.raises(MagnitudeInputError):
         power(exact(2), -3)
+    # exponents are exact: no float ever enters a magnitude
+    for bad_power in ((exp_of(3), 1.5), (exact(2), 2.5), (exact(2), Fraction(2))):
+        with pytest.raises(MagnitudeInputError):
+            power(*bad_power)
+    for bad_ln in (float("nan"), 2.5, "3"):
+        with pytest.raises(MagnitudeInputError):
+            exp_of(bad_ln)
 
 
 def test_ln_fixed_brackets_truth():
@@ -175,6 +183,49 @@ def test_max_of_decides_dominance_at_construction(parts, data):
     assert (force_exact(m) is not None) == isinstance(m, Exact)
 
 
+def _mp_value(m):
+    if isinstance(m, Exact):
+        return mp.mpf(m.value)
+    if isinstance(m, ExpOf):
+        return mp.exp(mp.mpf(m.ln.numerator) / m.ln.denominator)
+    if isinstance(m, Power):
+        return _mp_value(m.base) ** m.exponent
+    values = [_mp_value(p) for p in m.parts]
+    return mp.fsum(values) if isinstance(m, Sum) else mp.fprod(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_part, _part)
+# ln(1 + e^(-11/8)) = 0.2254 lies below e^(-11/8) = 0.2528: the lower
+# correction needs its -x^2/2 term here
+@example(sum_of(exact(1), exp_of(Fraction(11, 8))), exact(1))
+def test_kernel_agrees_with_mpmath(a, b):
+    with mp.workdps(80):
+        # slack far below every interval width the kernel produces, far above
+        # mpmath's own rounding at 80 digits
+        eps = mp.mpf(10) ** -60
+        va, vb = _mp_value(a), _mp_value(b)
+        if va == 0:
+            assert ln_interval(a, 64) is None and digit_count(a) == 1
+            return
+        truth = mp.ln(va)
+        for prec in (64, 256):
+            lo, hi = ln_interval(a, prec)
+            assert mp.mpf(lo.numerator) / lo.denominator - eps <= truth
+            assert truth <= mp.mpf(hi.numerator) / hi.denominator + eps
+        assert abs(digit_count(a) - (int(mp.floor(mp.log10(va))) + 1)) <= 1
+        try:
+            verdict = compare(a, b)
+        except IndistinguishableError:
+            return
+        if verdict is Comparison.LESS:
+            assert va <= vb * (1 + eps)
+        elif verdict is Comparison.GREATER:
+            assert vb <= va * (1 + eps)
+        else:
+            assert abs(va - vb) <= eps * va
+
+
 def test_compare_basic():
     assert compare(exact(3), exact(3)) is Comparison.EQUAL
     assert compare(exact(2), exact(5)) is Comparison.LESS
@@ -234,6 +285,16 @@ def test_digit_count_frozen_large_constants():
     # a dominated sum inherits the head's count
     s = sum_of(exp_of(30**15), prod_of(exact(6), exp_of(18**9)), exact(2191558))
     assert digit_count(s) == 6231651131442943472547
+
+
+def test_digit_count_at_the_precision_ceiling():
+    # ln lies in [22.6, 22.6 + ln 2], so log10 in [9.81, 10.12] at every
+    # precision: the count is 10 or 11 and the engine answers the upper one
+    assert digit_count(sum_of(exp_of(Fraction(45, 2)), exp_of(Fraction(113, 5)))) == 11
+    # twelve overlapping heads: ln in [23, 23 + ln 12] spans two decades
+    s = sum_of(*(exp_of(23 - Fraction(k, 100)) for k in range(12)))
+    with pytest.raises(IndistinguishableError):
+        digit_count(s)
 
 
 def test_digit_count_symbolic_power_matches_oracle():

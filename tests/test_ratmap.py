@@ -311,9 +311,9 @@ def test_escape_threshold_needs_degree_2():
 
 
 @st.composite
-def small_pairs(draw):
+def small_pairs(draw, coefficient=st.integers(-5, 5)):
     d = draw(st.integers(2, 3))
-    coeffs = st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
+    coeffs = st.lists(coefficient, min_size=d + 1, max_size=d + 1)
     try:
         return make_pair(draw(coeffs), draw(coeffs))
     except DegenerateMapError:
@@ -333,3 +333,9 @@ def test_heights_above_the_escape_threshold_grow(pair, data):
     assume(point[1] > 0 and math.gcd(*point) == 1)
     image = naive_evaluate(pair, ProjPoint(*point))
     assert max(abs(image.x), image.y) > height
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(st.fractions(-20, 20, max_denominator=12)))
+def test_parse_map_round_trips_the_printed_pair(pair):
+    assert parse_map(str(pair)) == pair
