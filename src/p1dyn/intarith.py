@@ -113,17 +113,34 @@ def valuation(x, p: int) -> int:
     if x == 0:
         raise ArithmeticInputError("valuation of 0 is infinite")
     if isinstance(x, Fraction):
-        return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-    return _int_valuation(int(x), p)
+        return _strip(x.numerator, p)[1] - _strip(x.denominator, p)[1]
+    return _strip(int(x), p)[1]
 
 
-def _int_valuation(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(m, e) with n = p^e * m and p not dividing m, for n != 0.
+
+    One division at a time for the first 32 factors, which covers the small
+    exponents of resultants and cross products; past that, n is divided by
+    p, p^2, p^4, ... while they divide and then by the same powers going
+    down, so a factor p^e costs about 2*log2(e) divisions instead of e.
+    """
+    e = 0
+    while e < 32 and n % p == 0:
         n //= p
-        v += 1
-    return v
+        e += 1
+    if e < 32:
+        return n, e
+    powers = [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for k in range(len(powers) - 2, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return n, e
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:
@@ -183,16 +200,14 @@ def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
     for p in _PRIMES_10K:
         if p > trial_limit or p * p > n:
             break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            n, found[p] = _strip(n, p)
     if n > 1 and _PRIMES_10K[-1] < trial_limit and _PRIMES_10K[-1] ** 2 <= n:
         p = _PRIMES_10K[-1] + 1
         p += p % 2 == 0
         while p <= trial_limit and p * p <= n:
-            while n % p == 0:
-                found[p] = found.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                n, found[p] = _strip(n, p)
             p += 2
     budget = [rho_budget]
     stack = [n] if n > 1 else []

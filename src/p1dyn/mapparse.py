@@ -10,12 +10,18 @@ multiplication is always explicit.  The affine form may be any rational
 expression; numerator and denominator sharing a polynomial factor are
 reduced before homogenization.  Homogeneous sides must be polynomials of
 one common degree (division by constants is allowed).
+
+All arithmetic is over Z: an affine expression evaluates to a numerator and
+a denominator in Z[z], whose common factor is the primitive gcd from
+pseudo-remainders, divided out exactly; a homogeneous side evaluates to a
+polynomial in Z[X, Y] over one integer denominator.  Powers are taken by
+square-and-multiply.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 
 from .ratmap import DegenerateMapError, HomogPair, make_pair
 
@@ -126,7 +132,7 @@ class _Parser:
             return node
         if tok[0] == "int":
             self.i += 1
-            return ("const", Fraction(tok[1]))
+            return ("const", tok[1])
         if tok[0] == "name":
             if tok[1] not in self.variables:
                 allowed = " or ".join(self.variables)
@@ -136,7 +142,19 @@ class _Parser:
         raise MapSyntaxError("expected a number, variable, or parenthesis", tok[2])
 
 
-# --- univariate polynomials over Q, coefficient lists by ascending degree ---
+def _power(base, exp: int, mul, one):
+    """base^exp by square-and-multiply."""
+    result = one
+    while exp:
+        if exp & 1:
+            result = mul(result, base)
+        exp >>= 1
+        if exp:
+            base = mul(base, base)
+    return result
+
+
+# --- univariate polynomials over Z, coefficient lists by ascending degree ---
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -145,9 +163,9 @@ def _poly_trim(p):
 
 
 def _poly_add(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
     for i, c in enumerate(q):
         out[i] += c
     return _poly_trim(out)
@@ -160,57 +178,72 @@ def _poly_neg(p):
 def _poly_mul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, c in enumerate(p):
         if c:
             for j, e in enumerate(q):
                 out[i + j] += c * e
-    return _poly_trim(out)
+    return out
 
 
-def _poly_divmod(p, q):
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(rem) >= len(q):
-        k = len(rem) - len(q)
-        factor = rem[-1] / lead
-        quot[k] = factor
-        for i, c in enumerate(q):
-            rem[k + i] -= factor * c
-        _poly_trim(rem)
-        if not rem:
-            break
-    return _poly_trim(quot), rem
+def _primitive(p):
+    """p over the gcd of its coefficients, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
 
 
 def _poly_gcd(p, q):
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    """The primitive gcd of integer polynomials p and q != 0, by a primitive PRS."""
+    if not p:
+        return _primitive(q)
+    a, b = _primitive(p), _primitive(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # pseudo-remainder of a by b: b's leading coefficient scales a before each step
+        lead = b[-1]
+        while len(a) >= len(b):
+            k = len(a) - len(b)
+            top = a[-1]
+            a = [c * lead for c in a]
+            for i, c in enumerate(b):
+                a[k + i] -= top * c
+            _poly_trim(a)
+        if not a:
+            return b
+        a, b = b, _primitive(a)
+    return [1]
+
+
+def _poly_exact_div(p, q):
+    """p / q for an integer polynomial q that divides p exactly."""
+    rem = list(p)
+    quot = [0] * (len(p) - len(q) + 1)
+    lead = q[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        factor = rem[k + len(q) - 1] // lead
+        quot[k] = factor
+        if factor:
+            for i, c in enumerate(q):
+                rem[k + i] -= factor * c
+    return quot
 
 
 def _eval_affine(node):
-    """Evaluate an AST to a rational function (num, den) in z."""
+    """Evaluate an AST to a rational function (num, den) of integer polynomials in z."""
     kind = node[0]
     if kind == "const":
-        return [node[1]] if node[1] else [], [Fraction(1)]
+        return [node[1]] if node[1] else [], [1]
     if kind == "var":
-        return [Fraction(0), Fraction(1)], [Fraction(1)]
+        return [0, 1], [1]
     if kind == "neg":
         n, d = _eval_affine(node[1])
         return _poly_neg(n), d
     if kind == "pow":
         n, d = _eval_affine(node[1])
-        rn, rd = [Fraction(1)], [Fraction(1)]
-        for _ in range(node[2]):
-            rn = _poly_mul(rn, n)
-            rd = _poly_mul(rd, d)
-        return rn, rd
+        return _power(n, node[2], _poly_mul, [1]), _power(d, node[2], _poly_mul, [1])
     n1, d1 = _eval_affine(node[1])
     n2, d2 = _eval_affine(node[2])
     if kind == "add":
@@ -226,13 +259,17 @@ def _eval_affine(node):
     raise AssertionError(kind)
 
 
-# --- bivariate polynomials as {(deg_X, deg_Y): coefficient} ---
+# --- bivariate polynomials as {(deg_X, deg_Y): coefficient} over one denominator ---
 
 def _bi_add(p, q):
     out = dict(p)
     for k, c in q.items():
-        out[k] = out.get(k, Fraction(0)) + c
+        out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+def _bi_scale(p, s):
+    return {k: c * s for k, c in p.items()}
 
 
 def _bi_mul(p, q):
@@ -240,39 +277,37 @@ def _bi_mul(p, q):
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
 def _eval_homog(node):
+    """Evaluate an AST to (poly, den): an integer polynomial in X, Y and a nonzero integer."""
     kind = node[0]
     if kind == "const":
-        return {(0, 0): node[1]} if node[1] else {}
+        return ({(0, 0): node[1]} if node[1] else {}), 1
     if kind == "var":
-        return {(1, 0) if node[1] == "X" else (0, 1): Fraction(1)}
+        return {(1, 0) if node[1] == "X" else (0, 1): 1}, 1
     if kind == "neg":
-        return {k: -c for k, c in _eval_homog(node[1]).items()}
+        p, d = _eval_homog(node[1])
+        return _bi_scale(p, -1), d
     if kind == "pow":
-        base = _eval_homog(node[1])
-        out = {(0, 0): Fraction(1)}
-        for _ in range(node[2]):
-            out = _bi_mul(out, base)
-        return out
-    p = _eval_homog(node[1])
-    q = _eval_homog(node[2])
+        p, d = _eval_homog(node[1])
+        return _power(p, node[2], _bi_mul, {(0, 0): 1}), d ** node[2]
+    p, d1 = _eval_homog(node[1])
+    q, d2 = _eval_homog(node[2])
     if kind == "add":
-        return _bi_add(p, q)
+        return _bi_add(_bi_scale(p, d2), _bi_scale(q, d1)), d1 * d2
     if kind == "sub":
-        return _bi_add(p, {k: -c for k, c in q.items()})
+        return _bi_add(_bi_scale(p, d2), _bi_scale(q, -d1)), d1 * d2
     if kind == "mul":
-        return _bi_mul(p, q)
+        return _bi_mul(p, q), d1 * d2
     if kind == "div":
         if not q:
             raise DegenerateMapError("division by an identically-zero expression")
         if set(q) != {(0, 0)}:
             raise DegenerateMapError("homogeneous sides may only be divided by constants")
-        inv = 1 / q[(0, 0)]
-        return {k: c * inv for k, c in p.items()}
+        return _bi_scale(p, d2), d1 * q[(0, 0)]
     raise AssertionError(kind)
 
 
@@ -299,31 +334,29 @@ def parse_map(text: str) -> HomogPair:
         parser.expect_op("]")
         if parser.peek()[0] != "end":
             raise MapSyntaxError("trailing input after the pair", parser.peek()[2])
-        f_poly = _eval_homog(f_ast)
-        g_poly = _eval_homog(g_ast)
+        f_poly, f_den = _eval_homog(f_ast)
+        g_poly, g_den = _eval_homog(g_ast)
         d1 = _homog_side_coeffs(f_poly, "first")
         d2 = _homog_side_coeffs(g_poly, "second")
         if d1 != d2:
             raise DegenerateMapError(f"sides have different degrees {d1} and {d2}")
-        a = [f_poly.get((d1 - i, i), Fraction(0)) for i in range(d1 + 1)]
-        b = [g_poly.get((d1 - i, i), Fraction(0)) for i in range(d1 + 1)]
+        a = [f_poly.get((d1 - i, i), 0) * g_den for i in range(d1 + 1)]
+        b = [g_poly.get((d1 - i, i), 0) * f_den for i in range(d1 + 1)]
         return make_pair(a, b, stripped)
     parser = _Parser(text, ("z",))
     ast = parser.expr()
     if parser.peek()[0] != "end":
         raise MapSyntaxError("trailing input after the expression", parser.peek()[2])
     num, den = _eval_affine(ast)
-    if not num and not den:
-        raise DegenerateMapError("the zero expression is not a map")
     common = _poly_gcd(num, den)
     if len(common) > 1:
-        num = _poly_divmod(num, common)[0]
-        den = _poly_divmod(den, common)[0]
+        num = _poly_exact_div(num, common)
+        den = _poly_exact_div(den, common)
     d = max(len(num), len(den)) - 1
     if d < 1:
         raise DegenerateMapError("constant expressions do not define a map")
-    num = num + [Fraction(0)] * (d + 1 - len(num))
-    den = den + [Fraction(0)] * (d + 1 - len(den))
+    num = num + [0] * (d + 1 - len(num))
+    den = den + [0] * (d + 1 - len(den))
     # a[i] is the X^(d-i) Y^i coefficient, i.e. the z^(d-i) coefficient
     a = [num[d - i] for i in range(d + 1)]
     b = [den[d - i] for i in range(d + 1)]

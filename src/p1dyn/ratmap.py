@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .intarith import ArithmeticInputError, factorize, is_prime
@@ -75,56 +74,73 @@ def _form_str(coeffs, d):
 
 
 def make_pair(a_coeffs, b_coeffs, source: str = "") -> HomogPair:
-    """Normalize fraction or integer coefficient vectors into a HomogPair.
+    """Normalize integer or Fraction coefficient vectors into a HomogPair.
 
     Scales both sides by the common denominator, divides out the content,
     fixes the sign, and rejects pairs with resultant zero.
     """
-    a = [Fraction(c) for c in a_coeffs]
-    b = [Fraction(c) for c in b_coeffs]
+    a, b = list(a_coeffs), list(b_coeffs)
     if len(a) != len(b) or not a:
         raise ArithmeticInputError("coefficient vectors must have equal positive length")
     scale = 1
     for c in a + b:
         scale = math.lcm(scale, c.denominator)
-    ai = [int(c * scale) for c in a]
-    bi = [int(c * scale) for c in b]
-    g = 0
-    for c in ai + bi:
-        g = math.gcd(g, c)
+    ai = [c.numerator * (scale // c.denominator) for c in a]
+    bi = [c.numerator * (scale // c.denominator) for c in b]
+    g = math.gcd(*ai, *bi)
     if g == 0:
         raise DegenerateMapError("both sides are identically zero")
-    ai = [c // g for c in ai]
-    bi = [c // g for c in bi]
     first = next(c for c in ai + bi if c != 0)
     if first < 0:
-        ai = [-c for c in ai]
-        bi = [-c for c in bi]
-    pair = HomogPair(len(a) - 1, tuple(ai), tuple(bi), source)
+        g = -g
+    pair = HomogPair(len(a) - 1, tuple(c // g for c in ai), tuple(c // g for c in bi), source)
     if resultant(pair) == 0:
         raise DegenerateMapError("the two forms share a projective root (resultant 0)")
     return pair
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """det(A) and the columns of adj(A)*B for an n x (n+k) integer matrix [A | B].
+
+    One fraction-free Bareiss pass (Bareiss, Math. Comp. 22, 1968) makes A
+    upper triangular with last pivot D = +-det(A); back-substitution then
+    solves A x = D b for each column b of B, every division exact because
+    D A^-1 b = +-adj(A) b is integral.  A singular A gives (0, []).
+    """
+    n, width = len(m), len(m[0])
+    sign, prev = 1, 1
+    for k in range(n):
+        row_k = m[k]
+        if row_k[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], row_k
+                    row_k = m[k]
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+                return 0, []
+        pivot = row_k[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            if lead:
+                for j in range(k + 1, width):
+                    row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+            elif pivot != prev:  # a zero lead only rescales the row; common in sparse S
+                for j in range(k + 1, width):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    columns = []
+    for c in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            total = prev * row[c]
+            for j in range(i + 1, n):
+                total -= row[j] * x[j]
+            x[i] = total // row[i]
+        columns.append([sign * v for v in x])
+    return sign * prev, columns
 
 
 def _sylvester(pair: HomogPair) -> list[list[int]]:
@@ -141,8 +157,11 @@ def _sylvester(pair: HomogPair) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def resultant(pair: HomogPair) -> int:
-    """Determinant of the 2d x 2d Sylvester matrix of the pair."""
-    return _det_bareiss(_sylvester(pair))
+    """Determinant of the 2d x 2d Sylvester matrix S of the pair.
+
+    The same elimination as ``escape_threshold``, with nothing to solve for.
+    """
+    return _eliminate(_sylvester(pair))[0]
 
 
 def _iroot(n: int, k: int) -> int:
@@ -156,8 +175,10 @@ def _iroot(n: int, k: int) -> int:
 def escape_threshold(pair: HomogPair) -> int:
     """A height T such that every point of height H > T has an image of height > H.
 
-    Rows 0 and 2d-1 of adj(Sylvester), over their contents c_i, give forms with
-    g1*F + g2*G = R_1*X^(2d-1) and h1*F + h2*G = R_2*Y^(2d-1), R_i = Res/c_i.
+    Rows 0 and 2d-1 of adj(S), S the Sylvester matrix, over their contents c_i,
+    give forms with g1*F + g2*G = R_1*X^(2d-1) and h1*F + h2*G = R_2*Y^(2d-1),
+    R_i = Res/c_i.  Both rows come from one elimination: S^T augmented by the
+    unit columns e_0 and e_(2d-1), solved for adj(S^T) e_i = (row i of adj(S)).
     With G_i the sum of |coefficients| of row i and L = lcm(R_1, R_2), which
     gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
     for i the larger coordinate; so T is the integer (d-1)-th root of
@@ -166,15 +187,14 @@ def escape_threshold(pair: HomogPair) -> int:
     """
     if pair.degree < 2:
         raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
-    rows = _sylvester(pair)
-    sums, content = [], 0
-    for col in (0, len(rows) - 1):
-        sub = [r[:col] + r[col + 1:] for r in rows]
-        cofactors = [abs(_det_bareiss([r[:] for r in sub[:j] + sub[j + 1:]]))
-                     for j in range(len(sub))]
-        sums.append(sum(cofactors))
-        content = math.gcd(content, *cofactors)
-    return _iroot(max(sums) // content, pair.degree - 1)
+    n = 2 * pair.degree
+    augmented = [list(column) + [int(k == 0), int(k == n - 1)]
+                 for k, column in enumerate(zip(*_sylvester(pair)))]
+    res, rows = _eliminate(augmented)
+    if res == 0:
+        raise DegenerateMapError("the two forms share a projective root (resultant 0)")
+    content = math.gcd(*rows[0], *rows[1])
+    return _iroot(max(sum(map(abs, row)) for row in rows) // content, pair.degree - 1)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,12 @@ def test_factorize_examples():
     assert factorize(9973) == {9973: 1}
 
 
+def test_factorize_strips_huge_prime_powers():
+    assert factorize(3**100000 * 7) == {3: 100000, 7: 1}
+    assert factorize(2 * 10007**3000) == {2: 1, 10007: 3000}
+    assert valuation(Fraction(5, 3**100000 * 7), 3) == -100000
+
+
 def test_factorize_zero_rejected():
     with pytest.raises(ArithmeticInputError):
         factorize(0)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn.intarith import ArithmeticInputError
@@ -54,6 +54,13 @@ def test_parse_reduces_common_polynomial_factor():
     assert pair.degree_below_2
     assert pair.a == (1, 0)
     assert pair.b == (0, 1)
+
+
+def test_parse_takes_powers_by_squaring():
+    assert parse_map("z^2+2^200000").a == (1, 0, 2**200000)
+    pair = parse_map("(z+1)^400/(z+1)^398")
+    assert pair.a == (1, 2, 1)
+    assert pair.b == (0, 0, 1)
 
 
 def test_parse_double_star_is_tolerated():
@@ -269,13 +276,18 @@ def test_binary_form_rational_roots_of_products_of_linear_factors():
         assert set(binary_form_rational_roots(coeffs)) == roots
 
 
+def _sympy_sylvester(pair):
+    d = pair.degree
+    return sympy.Matrix(2 * d, 2 * d, lambda i, j: (
+        pair.a[j - i] if i < d and 0 <= j - i <= d else
+        pair.b[j - i + d] if i >= d and 0 <= j - i + d <= d else 0))
+
+
 def _sympy_escape_threshold(pair):
     """T from the adjugate of a Sylvester matrix built and inverted by sympy."""
     d = pair.degree
     X, Y = sympy.symbols("X Y")
-    sylvester = sympy.Matrix(2 * d, 2 * d, lambda i, j: (
-        pair.a[j - i] if i < d and 0 <= j - i <= d else
-        pair.b[j - i + d] if i >= d and 0 <= j - i + d <= d else 0))
+    sylvester = _sympy_sylvester(pair)
     res = sylvester.det()
     adjugate = sylvester.adjugate()
     f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
@@ -339,3 +351,113 @@ def test_heights_above_the_escape_threshold_grow(pair, data):
 @given(small_pairs(st.fractions(-20, 20, max_denominator=12)))
 def test_parse_map_round_trips_the_printed_pair(pair):
     assert parse_map(str(pair)) == pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pairs())
+# zero pivots force row swaps: a[0] = 0 swaps the first pivot, and the other two
+# swap an odd number of times, so the resultant's sign depends on the swaps
+@example(parse_map("[X*Y+Y^2:X^2]"))
+@example(parse_map("[Y^3:X^3]"))
+@example(parse_map("[X^4+Y^4:X*Y^3]"))
+def test_escape_threshold_and_resultant_match_sympy(pair):
+    assert resultant(pair) == _sympy_sylvester(pair).det()
+    assert escape_threshold(pair) == _sympy_escape_threshold(pair)
+
+
+_z, _X, _Y = sympy.symbols("z X Y")
+
+_rationals = st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(
+    lambda pq: (f"({pq[0]}/{pq[1]})", sympy.Rational(*pq)))
+
+
+@st.composite
+def _affine_expressions(draw, depth=4):
+    """(text, value, divides_by_zero) for a random rational expression in z."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(st.just(("z", _z, False)),
+                              st.integers(0, 9).map(lambda n: (str(n), sympy.Integer(n), False)),
+                              _rationals.map(lambda r: (*r, False))))
+    kind = draw(st.sampled_from(["neg", "pow", "+", "-", "*", "/", "common"]))
+    text, value, bad = draw(_affine_expressions(depth - 1))
+    if kind == "neg":
+        return f"(-{text})", -value, bad
+    if kind == "pow":
+        k = draw(st.integers(0, 4))
+        return f"({text})^{k}", value**k, bad
+    text2, value2, bad2 = draw(_affine_expressions(depth - 1))
+    bad = bad or bad2
+    if kind == "common":  # a factor the parser must cancel
+        bad = bad or sympy.cancel(value2) == 0
+        return f"((({text})*({text2}))/({text2}))", value, bad
+    if kind == "/":
+        bad = bad or sympy.cancel(value2) == 0
+        value = sympy.S.Zero if bad else value / value2
+    else:
+        value = {"+": value + value2, "-": value - value2, "*": value * value2}[kind]
+    return f"({text}{kind}{text2})", value, bad
+
+
+@st.composite
+def _homogeneous_forms(draw, degree, depth=2):
+    """(text, value) for a random binary form in X, Y of the given degree."""
+    kind = draw(st.sampled_from(["terms", "+", "-", "*", "/", "^2"]))
+    if depth == 0 or kind == "terms" or (kind == "*" and degree == 0) or (kind == "^2" and degree % 2):
+        terms = [(f"{c}*X^{degree - i}*Y^{i}", v * _X ** (degree - i) * _Y**i)
+                 for i, (c, v) in enumerate(draw(st.lists(_rationals, min_size=degree + 1,
+                                                          max_size=degree + 1)))]
+        return "+".join(t for t, _ in terms), sum(v for _, v in terms)
+    if kind == "^2":
+        text, value = draw(_homogeneous_forms(degree // 2, depth - 1))
+        return f"({text})^2", value**2
+    if kind == "*":
+        k = draw(st.integers(1, degree))
+        (t1, v1), (t2, v2) = (draw(_homogeneous_forms(k, depth - 1)),
+                              draw(_homogeneous_forms(degree - k, depth - 1)))
+        return f"({t1})*({t2})", v1 * v2
+    t1, v1 = draw(_homogeneous_forms(degree, depth - 1))
+    if kind == "/":
+        text, c = draw(_rationals.filter(lambda r: r[1] != 0))
+        return f"({t1})/{text}", v1 / c
+    t2, v2 = draw(_homogeneous_forms(degree, depth - 1))
+    return f"({t1}){kind}({t2})", v1 + v2 if kind == "+" else v1 - v2
+
+
+@st.composite
+def _map_descriptions(draw):
+    """(text, expected): expected is (degree, a, b), or None where no map is defined."""
+    if draw(st.booleans()):
+        text, value, bad = draw(_affine_expressions())
+        if bad:
+            return text, None
+        num, den = (sympy.Poly(part, _z) for part in sympy.fraction(sympy.cancel(value)))
+        d = max(num.degree(), den.degree())
+        if d < 1:
+            return text, None
+        forms = [[p.coeff_monomial(_z ** (d - i)) for i in range(d + 1)] for p in (num, den)]
+    else:
+        d = draw(st.integers(1, 4))
+        (f_text, f), (g_text, g) = draw(_homogeneous_forms(d)), draw(_homogeneous_forms(d))
+        text = f"[{f_text} : {g_text}]"
+        f, g = sympy.Poly(f, _X, _Y), sympy.Poly(g, _X, _Y)
+        if f.is_zero or g.is_zero or sympy.gcd(f, g).total_degree() > 0:
+            return text, None
+        forms = [[p.coeff_monomial(_X ** (d - i) * _Y**i) for i in range(d + 1)] for p in (f, g)]
+    coeffs = [sympy.Rational(c) for c in forms[0] + forms[1]]
+    scale = math.lcm(*(c.q for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = math.gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
+    ints = [c // content for c in ints]
+    return text, (d, tuple(ints[:d + 1]), tuple(ints[d + 1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_descriptions())
+def test_parse_map_matches_sympy(description):
+    text, expected = description
+    if expected is None:
+        with pytest.raises(DegenerateMapError):
+            parse_map(text)
+    else:
+        pair = parse_map(text)
+        assert (pair.degree, pair.a, pair.b) == expected
