@@ -24,8 +24,8 @@ from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic
 from .ratmap import DegenerateMapError, reduction_profile
 from .report import (SCHEMA_VERSION, BOUND_ORDER, OutputSizeError, analysis_report,
-                     analysis_text, batch_rows_csv, bound_rows, report_json,
-                     verification_line, verification_to_dict)
+                     analysis_text, batch_rows_csv, bound_rows, map_coefficients,
+                     report_json, verification_line, verification_to_dict)
 from .verify import FAIL, SUITE_NAMES, run_suite
 
 _INPUT_ERRORS = (MapSyntaxError, DegenerateMapError, ArithmeticInputError,
@@ -64,6 +64,7 @@ def _write_file(path: str, text: str) -> bool:
 def cmd_analyze(args) -> int:
     try:
         pair = parse_map(args.map)
+        map_coefficients(pair)  # refuse an unprintable map before the heavy work
         profile = reduction_profile(pair)
         places = profile.places
         if args.s_extra:

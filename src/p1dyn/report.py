@@ -103,6 +103,15 @@ def verification_to_dict(r: VerificationReport) -> dict:
     }
 
 
+def map_coefficients(pair: HomogPair) -> tuple[list, list]:
+    """Decimal coefficients of the numerator and denominator forms.
+
+    A coefficient past the int-string limit raises OutputSizeError.
+    """
+    return ([_decimal(c, "coefficient") for c in pair.a],
+            [_decimal(c, "coefficient") for c in pair.b])
+
+
 def analysis_report(pair: HomogPair, profile: ReductionProfile,
                     places: PlaceSet, inventory: DynamicalInventory | None,
                     verifications=()) -> dict:
@@ -112,8 +121,7 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
     reduction data makes sense; the flag records why the rest is missing.
     An integer past the int-string limit raises OutputSizeError.
     """
-    numerator = [_decimal(c, "coefficient") for c in pair.a]
-    denominator = [_decimal(c, "coefficient") for c in pair.b]
+    numerator, denominator = map_coefficients(pair)
     report = {
         "schema_version": SCHEMA_VERSION,
         "map": {

@@ -8,6 +8,10 @@ cross products: a prime outside every support contributes distance zero to
 both sides, so finitely many primes settle the universal claim.  Each pair
 of points is factored once, and every δ_p is read from that support: a
 prime absent from it has distance zero.
+
+The ultrametric check runs prime by prime: at p the three inequalities of
+a trio hold iff the least of its three δ_p values occurs at least twice, so
+trios with at most one pair at p are counted, not walked.
 """
 
 from __future__ import annotations
@@ -76,35 +80,63 @@ def _delta(support, p: int):
     return INFINITE_DISTANCE if support is None else support.get(p, 0)
 
 
+def _ultrametric_failure(pts, p: int, sides):
+    """(trio, middle position, p, witness); ``sides`` maps each point to δ_p of the other two."""
+    i2 = min(sides, key=sides.get)
+    trio = tuple(sorted(sides))
+    i1, i3 = (i for i in trio if i != i2)
+    rhs = min(d for i, d in sides.items() if i != i2)
+    return (trio, trio.index(i2), p,
+            f"d_{p}({pts[i1]},{pts[i3]})={sides[i2]} < min over {pts[i2]} = {rhs}")
+
+
 def check_ultrametric(points) -> VerificationReport:
-    """Triangle inequality δ_p(P1,P3) >= min(δ_p(P1,P2), δ_p(P2,P3))."""
+    """Triangle inequality δ_p(P1,P3) >= min(δ_p(P1,P2), δ_p(P2,P3)).
+
+    At p the three inequalities of a trio (one per middle point) all hold
+    iff the least of its three δ_p values occurs at least twice.  Trios with
+    at most one pair at p are counted, not walked; ``checked`` is the count
+    of (trio, middle point, prime of the trio's three supports).
+    """
     pts = sorted(set(points), key=point_sort_key)
     if len(pts) < 3:
         raise VerificationInputError("ultrametric check needs at least three points")
     n = len(pts)
-    # sup[i][j] == sup[j][i]: the support of pts[i] against pts[j], factored once
-    sup = [[None] * n for _ in range(n)]
+    # adj[p][i] == {j: δ_p(pts[i], pts[j])} over the pairs whose support holds p;
+    # each pair is factored once, and an explicit 0 in a support still counts
+    adj: dict = {}
     for i, j in itertools.combinations(range(n), 2):
-        sup[i][j] = sup[j][i] = distance_support(pts[i], pts[j])
-    failures, confirmations = [], []
+        for p, d in distance_support(pts[i], pts[j]).items():
+            at_p = adj.setdefault(p, {})
+            at_p.setdefault(i, {})[j] = d
+            at_p.setdefault(j, {})[i] = d
+    found = []  # (trio, middle position, p, witness) of each failed inequality
     checked = 0
-    for trio in itertools.combinations(range(n), 3):
-        for mid_idx in range(3):
-            i2 = trio[mid_idx]
-            i1, i3 = (trio[k] for k in range(3) if k != mid_idx)
-            s13, s12, s23 = sup[i1][i3], sup[i1][i2], sup[i2][i3]
-            for p in sorted(s13.keys() | s12.keys() | s23.keys()):
-                lhs = s13.get(p, 0)
-                rhs = min(s12.get(p, 0), s23.get(p, 0))
-                checked += 1
-                if lhs < rhs:
-                    failures.append(
-                        f"d_{p}({pts[i1]},{pts[i3]})={lhs} < "
-                        f"min over {pts[i2]} = {rhs}"
-                    )
-    confirmations.append(f"{len(pts)} points, all ordered triples")
-    return _finish("ultrametric", failures, confirmations, checked,
-                   [("points", str(len(pts)))])
+    for p, at_p in adj.items():
+        edges = wedges = triangles = 0
+        for v, nbrs in at_p.items():
+            edges += len(nbrs)
+            wedges += len(nbrs) * (len(nbrs) - 1) // 2
+            for a, b in itertools.combinations(nbrs, 2):
+                if b in at_p[a]:
+                    if a < v or b < v:
+                        continue  # a triangle is met from each corner; take it at its least
+                    triangles += 1
+                    d_ab = at_p[a][b]
+                else:
+                    d_ab = 0
+                d_va, d_vb = nbrs[a], nbrs[b]
+                low = min(d_ab, d_va, d_vb)
+                if (d_ab == low) + (d_va == low) + (d_vb == low) == 1:
+                    # the one inequality that fails is at the point opposite the minimum
+                    found.append(_ultrametric_failure(pts, p, {v: d_ab, a: d_vb, b: d_va}))
+        # trios with a pair at p: each pair with each third point counts a trio
+        # once per pair at p, so take off its neighbour pairs (one for two
+        # pairs, three for a triangle) and give each triangle one back
+        checked += 3 * (edges // 2 * (n - 2) - wedges + triangles)
+    failures = [witness for *_, witness in sorted(found)]
+    return _finish("ultrametric", failures, [f"{n} points, all ordered triples"], checked,
+                   [("points", str(n))])
 
 
 def check_non_expansion(pair: HomogPair, profile: ReductionProfile,

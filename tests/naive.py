@@ -8,10 +8,12 @@ naive_evaluate, which shares no code with the library's step kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from p1dyn.intarith import factorize
-from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance
+from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
+from p1dyn.verify import FAIL, PASS, VerificationReport
 
 
 def _form_value(coeffs, x, y):
@@ -200,3 +202,39 @@ def naive_four_point_members(q1, q2, q3, q4, s_primes, height):
         if ok:
             members.append(p)
     return members
+
+
+def naive_ultrametric(points, support):
+    """check_ultrametric's report from a walk of every trio, middle point and prime.
+
+    ``support(a, b)`` gives the distance support of a pair; every ordered
+    triple is tested at each prime of its three supports, in the order
+    trio, middle position, prime.
+    """
+    pts = sorted(set(points), key=point_sort_key)
+    n = len(pts)
+    sup = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        sup[i][j] = sup[j][i] = support(pts[i], pts[j])
+    failures = []
+    checked = 0
+    for trio in itertools.combinations(range(n), 3):
+        for mid_idx in range(3):
+            i2 = trio[mid_idx]
+            i1, i3 = (trio[k] for k in range(3) if k != mid_idx)
+            s13, s12, s23 = sup[i1][i3], sup[i1][i2], sup[i2][i3]
+            for p in sorted(s13.keys() | s12.keys() | s23.keys()):
+                lhs = s13.get(p, 0)
+                rhs = min(s12.get(p, 0), s23.get(p, 0))
+                checked += 1
+                if lhs < rhs:
+                    failures.append(
+                        f"d_{p}({pts[i1]},{pts[i3]})={lhs} < "
+                        f"min over {pts[i2]} = {rhs}"
+                    )
+    if failures:
+        return VerificationReport("ultrametric", FAIL, reason="inequality violated",
+                                  witnesses=tuple(failures), parameters=(("points", str(n)),))
+    return VerificationReport("ultrametric", PASS,
+                              witnesses=(f"{n} points, all ordered triples",),
+                              parameters=(("points", str(n)), ("checked", str(checked))))

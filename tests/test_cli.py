@@ -110,6 +110,16 @@ def test_analyze_number_past_int_string_limit_exits_2(capsys, argv, err):
     assert capsys.readouterr().err == err
 
 
+def test_analyze_refuses_unprintable_coefficients_before_reduction(capsys, monkeypatch):
+    def no_reduction(pair):
+        raise AssertionError("reduction_profile ran on an unprintable map")
+
+    monkeypatch.setattr("p1dyn.cli.reduction_profile", no_reduction)
+    assert main(["analyze", "--map", "z^2+(1/3)^50000", "--height", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: coefficient of 23857 digits is too long to write in decimal\n")
+
+
 def test_analyze_s_extra_long_exact_bounds(capsys):
     # at s = 401 the exact L3 bound has 3864 digits, inside the limit
     assert main(["analyze", "--map", "z^2", "--height", "2",

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1dyn.intarith import (
     ArithmeticInputError,
@@ -51,6 +53,20 @@ def test_factorize_strips_huge_prime_powers():
     assert factorize(3**100000 * 7) == {3: 100000, 7: 1}
     assert factorize(2 * 10007**3000) == {2: 1, 10007: 3000}
     assert valuation(Fraction(5, 3**100000 * 7), 3) == -100000
+
+
+# the largest prime below each draw: between 10^6 and 2^28
+_BIG_PRIMES = st.integers(10**6 + 100, 2**28).map(sympy.prevprime)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_BIG_PRIMES, min_size=3, max_size=5).filter(
+    lambda ps: sympy.prod(ps) > 2**82))
+def test_factorize_products_of_large_primes(primes):
+    n = sympy.prod(primes)
+    got = factorize(n)
+    assert sympy.prod(p**e for p, e in got.items()) == n
+    assert all(sympy.isprime(p) for p in got)
 
 
 def test_factorize_zero_rejected():

@@ -5,11 +5,15 @@ which scans primes one at a time instead of factoring; frozen expectations
 were derived by hand before the implementation existed.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from naive import naive_four_point_members, naive_three_point_members
+from naive import naive_four_point_members, naive_three_point_members, naive_ultrametric
 from p1dyn import verify
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
@@ -58,6 +62,67 @@ def test_ultrametric_random_sets():
     for _ in range(20):
         sample = rng.sample(grid, 6)
         assert check_ultrametric(sample).status == "PASS"
+
+
+_GRID_9 = list(points_up_to_height(9))
+_FAULT_PRIMES = (2, 3, 5, 7, 13, 101)
+
+
+def _faulty_support(faults):
+    """distance_support with each listed pair's support changed by one fault.
+
+    ``faults`` maps a frozenset pair to (op, prime, k): "bump" adds k to the
+    prime's value (inserting it when absent), "delete" drops the support's
+    (k mod size)-th prime, "zero" stores an explicit 0 for the prime.
+    """
+    def faulty(a, b):
+        support = dict(distance_support(a, b))
+        fault = faults.get(frozenset((a, b)))
+        if fault is not None:
+            op, prime, k = fault
+            if op == "bump":
+                support[prime] = support.get(prime, 0) + k
+            elif op == "delete" and support:
+                del support[sorted(support)[k % len(support)]]
+            elif op == "zero":
+                support[prime] = 0
+        return support
+
+    return faulty
+
+
+@st.composite
+def _points_and_faults(draw):
+    pts = draw(st.lists(st.sampled_from(_GRID_9), min_size=3, max_size=30, unique=True))
+    fault = st.tuples(st.sampled_from(("bump", "delete", "zero")),
+                      st.sampled_from(_FAULT_PRIMES), st.integers(1, 4))
+    pairs = st.tuples(st.sampled_from(pts), st.sampled_from(pts)).filter(
+        lambda ab: ab[0] != ab[1]).map(frozenset)
+    return pts, draw(st.dictionaries(pairs, fault, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points_and_faults())
+def test_ultrametric_matches_naive_walk(case):
+    pts, faults = case
+    faulty = _faulty_support(faults)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "distance_support", faulty)
+        got = check_ultrametric(pts)
+    assert got == naive_ultrametric(pts, faulty)
+
+
+def test_run_suite_pins_verify_reference_counts():
+    # the maps and verdict lists of perfbench's verify-ref workload
+    expected = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text())["verify"]
+    assert len(expected) == 11
+    for text, verdicts in expected.items():
+        reports = run_suite(parse_map(text), "all", height=64)
+        assert [f"{r.status} {r.check_name}" for r in reports] == verdicts, text
+        # 28 sample points for these two, 24 for the others
+        want = "26490" if text in ("z^2-29/16", "z^2-21/16") else "15570"
+        assert params_dict(reports[0])["checked"] == want, text
 
 
 def test_non_expansion_example():
