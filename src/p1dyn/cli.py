@@ -22,7 +22,7 @@ from .intarith import ArithmeticInputError, FactorizationIncompleteError
 from .magnitude import Comparison, compare, exact
 from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic
-from .ratmap import DegenerateMapError, reduction_profile
+from .ratmap import DegenerateMapError, make_pair, reduction_profile
 from .report import (SCHEMA_VERSION, BOUND_ORDER, OutputSizeError, analysis_report,
                      analysis_text, batch_rows_csv, bound_rows, map_coefficients,
                      report_json, verification_line, verification_to_dict)
@@ -120,11 +120,16 @@ def _within_q(s: int, count: int) -> bool:
     return compare(exact(count), aggregate_bounds(2, s).preperiodic) is not Comparison.GREATER
 
 
+def _sweep_pair(c: Fraction):
+    """The pair parse_map gives for z^2 + c, source text included, built without parsing."""
+    return make_pair([1, 0, c], [0, 0, 1], f"z^2+{c}" if c >= 0 else f"z^2-{-c}")
+
+
 def _sweep_entry(task):
     """Inventory counts for one member of z^2 + c, plus the overall bound check."""
     num, den, height, max_iters = task
     c = Fraction(num, den)
-    pair = parse_map(f"z^2+{c}" if num >= 0 else f"z^2-{-c}")
+    pair = _sweep_pair(c)
     profile = reduction_profile(pair)
     inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     if inv.incomplete:
@@ -152,12 +157,14 @@ def cmd_batch(args) -> int:
              for den in range(1, args.c_den_max + 1)
              for num in range(-args.c_num_max, args.c_num_max + 1)
              if gcd(num, den) == 1]
-    if args.jobs == 1:
+    # a fork pool starts every worker at once, so never ask for more than the tasks
+    workers = min(args.jobs, len(tasks))
+    if workers == 1:
         rows = [_sweep_entry(t) for t in tasks]
     else:
         # map preserves task order, so the CSV is identical for any job count
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunk = max(1, len(tasks) // (8 * args.jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (8 * workers))
             rows = list(pool.map(_sweep_entry, tasks, chunksize=chunk))
     if args.csv:
         buf = io.StringIO()

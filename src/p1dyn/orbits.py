@@ -30,11 +30,10 @@ gives, except that such starts, like those above T, are not listed as undecided.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .intarith import ArithmeticInputError, factorize, valuation
+from .intarith import ArithmeticInputError, valuation
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
 from .ratmap import HomogPair, critical_points_rational, escape_threshold, step_kernel
 
@@ -128,28 +127,32 @@ def _escape_exponent(pair: HomogPair, p: int) -> int:
 
 
 def _polynomial_rows(pair: HomogPair, height: int):
-    """Rows (y, x bound) of the starts rules (i) and (ii) keep, or None if not a polynomial."""
+    """Rows (y, x bound) of the starts rules (i) and (ii) keep, or None if not a polynomial.
+
+    Rule (ii) drops every y with a prime factor p not dividing a_0, or with
+    v_p(y) >= ``_escape_exponent(pair, p)``; so the kept y are the products of
+    p^e over the primes p <= height of a_0, each e below its exponent, listed
+    directly in ascending order from one trial division of a_0.
+    """
     a, b = pair.a, pair.b
     if any(b[:-1]) or not a[0]:
         return None
     lead = abs(a[0])
     reach = max(lead, sum(abs(c) for c in a[1:]) + abs(b[-1]))
-    exponents: dict[int, int] = {}
-    rows = []
-    for y in range(1, height + 1):
-        rest = y
-        while (g := math.gcd(rest, lead)) > 1:
-            rest //= g
-        if rest > 1:  # a prime not dividing a_0 is dropped by rule (ii) at every k
-            continue
-        for p, k in factorize(y).items():
-            if p not in exponents:
-                exponents[p] = _escape_exponent(pair, p)
-            if k >= exponents[p]:
-                break
-        else:
-            rows.append((y, min(height, reach * y // lead)))
-    return rows
+    primes, rest, p = [], lead, 2
+    while p * p <= rest and p <= height:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if 1 < rest <= height:  # rest is 1, a prime, or has no prime factor <= height
+        primes.append(rest)
+    ys = [1]
+    for p in primes:  # p^e <= height needs e < height.bit_length()
+        powers = [p**e for e in range(min(_escape_exponent(pair, p), height.bit_length()))]
+        ys = [y * q for y in ys for q in powers if y * q <= height]
+    return [(y, min(height, reach * y // lead)) for y in sorted(ys)]
 
 
 def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,

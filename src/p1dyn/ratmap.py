@@ -155,15 +155,6 @@ def _sylvester(pair: HomogPair) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=None)
-def resultant(pair: HomogPair) -> int:
-    """Determinant of the 2d x 2d Sylvester matrix S of the pair.
-
-    The same elimination as ``escape_threshold``, with nothing to solve for.
-    """
-    return _eliminate(_sylvester(pair))[0]
-
-
 def _iroot(n: int, k: int) -> int:
     """The largest r with r^k <= n, for n >= 1, by Newton's method from above."""
     r = 1 << -(-n.bit_length() // k)
@@ -172,13 +163,40 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
+def _certificate(pair: HomogPair) -> tuple[int, int | None]:
+    """(Res, T) from one elimination of S^T augmented by e_0 and e_(2d-1).
+
+    S is the Sylvester matrix; det(S^T) = Res, and the two solved columns are
+    rows 0 and 2d-1 of adj(S), which ``escape_threshold`` turns into T.  T is
+    None when d < 2 or Res = 0.  Only the two integers are kept.
+    """
+    n = 2 * pair.degree
+    augmented = [list(column) + [int(k == 0), int(k == n - 1)]
+                 for k, column in enumerate(zip(*_sylvester(pair)))]
+    res, rows = _eliminate(augmented)
+    if pair.degree < 2 or res == 0:
+        return res, None
+    content = math.gcd(*rows[0], *rows[1])
+    return res, _iroot(max(sum(map(abs, row)) for row in rows) // content, pair.degree - 1)
+
+
+def resultant(pair: HomogPair) -> int:
+    """Determinant of the 2d x 2d Sylvester matrix S of the pair.
+
+    Read from the one elimination that also gives ``escape_threshold``.
+    """
+    return _certificate(pair)[0]
+
+
 def escape_threshold(pair: HomogPair) -> int:
     """A height T such that every point of height H > T has an image of height > H.
 
     Rows 0 and 2d-1 of adj(S), S the Sylvester matrix, over their contents c_i,
     give forms with g1*F + g2*G = R_1*X^(2d-1) and h1*F + h2*G = R_2*Y^(2d-1),
-    R_i = Res/c_i.  Both rows come from one elimination: S^T augmented by the
-    unit columns e_0 and e_(2d-1), solved for adj(S^T) e_i = (row i of adj(S)).
+    R_i = Res/c_i.  Both rows come from the elimination that gives Res: S^T
+    augmented by the unit columns e_0 and e_(2d-1), solved for
+    adj(S^T) e_i = (row i of adj(S)) (``_certificate``).
     With G_i the sum of |coefficients| of row i and L = lcm(R_1, R_2), which
     gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
     for i the larger coordinate; so T is the integer (d-1)-th root of
@@ -187,14 +205,10 @@ def escape_threshold(pair: HomogPair) -> int:
     """
     if pair.degree < 2:
         raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
-    n = 2 * pair.degree
-    augmented = [list(column) + [int(k == 0), int(k == n - 1)]
-                 for k, column in enumerate(zip(*_sylvester(pair)))]
-    res, rows = _eliminate(augmented)
+    res, threshold = _certificate(pair)
     if res == 0:
         raise DegenerateMapError("the two forms share a projective root (resultant 0)")
-    content = math.gcd(*rows[0], *rows[1])
-    return _iroot(max(sum(map(abs, row)) for row in rows) // content, pair.degree - 1)
+    return threshold
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from fractions import Fraction
+from math import gcd
+
+from p1dyn import cli
 from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
 from p1dyn.projline import parse_point
@@ -243,6 +247,60 @@ def test_batch_jobs_keep_order(tmp_path):
     assert main(base + ["--csv", str(one)]) == 0
     assert main(base + ["--jobs", "2", "--csv", str(two)]) == 0
     assert one.read_text() == two.read_text()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its sizes and maps in-process."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.calls.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        self.calls[-1]["chunksize"] = chunksize
+        return map(fn, tasks)
+
+
+def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    base = ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"]
+    assert main(base + ["--jobs", "100000"]) == 0  # 3 maps
+    assert "maps analyzed: 3" in capsys.readouterr().out
+    assert _RecordingPool.calls == [{"max_workers": 3, "chunksize": 1}]
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
+                 "--height", "4", "--jobs", "2"]) == 0  # 87 maps
+    assert _RecordingPool.calls[1] == {"max_workers": 2, "chunksize": 87 // 16}
+    capsys.readouterr()
+
+
+def test_batch_builds_members_without_parsing(monkeypatch, capsys):
+    def refuse(text):
+        raise AssertionError(f"batch parsed {text!r}")
+
+    monkeypatch.setattr(cli, "parse_map", refuse)
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "2",
+                 "--c-den-max", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_sweep_pair_equals_the_parsed_map():
+    for den in range(1, 9):
+        for num in range(-8, 9):
+            if gcd(num, den) != 1:
+                continue
+            c = Fraction(num, den)
+            text = f"z^2+{c}" if num >= 0 else f"z^2-{-c}"
+            built, parsed = cli._sweep_pair(c), parse_map(text)
+            assert (built.degree, built.a, built.b) == (parsed.degree, parsed.a, parsed.b)
+            assert str(built) == str(parsed) == text
 
 
 def test_batch_rejects_other_families(capsys):

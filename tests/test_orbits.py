@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import parse_map
-from p1dyn.orbits import classify_point, enumerate_preperiodic, tails_of
+from p1dyn.orbits import _polynomial_rows, classify_point, enumerate_preperiodic, tails_of
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
 from p1dyn.ratmap import escape_threshold, make_pair
 
@@ -194,17 +196,29 @@ def test_inventory_walker_agrees_with_classify_point(map_text):
     assert set(inv.undecided) <= undecided
 
 
+# common denominators of the lower coefficients, so a_0 gets prime powers or a prime
+# above every height drawn
+_DENOMINATORS = st.sampled_from([1, 1, 1, 2**5 * 3**2 * 7, 2**6, 3**4 * 5, 2**3 * 211, 1009])
+
+
 @st.composite
 def polynomial_pairs(draw):
     degree = draw(st.integers(2, 4))
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     lead = draw(coeff.filter(bool))
-    rest = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    den = draw(_DENOMINATORS)
+    if den == 1:
+        rest = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    else:
+        nums = st.lists(st.integers(-4 * den, 4 * den), min_size=degree, max_size=degree)
+        rest = [Fraction(n, den) for n in draw(nums)]
     return make_pair([lead] + rest, [0] * degree + [1])
 
 
 @settings(max_examples=60, deadline=None)
-@given(polynomial_pairs(), st.integers(1, 20))
+@given(polynomial_pairs(), st.integers(1, 200))
+@example(make_pair([1, 0, Fraction(-5, 2**5 * 3**2 * 7)], [0, 0, 1]), 200)
+@example(make_pair([1, 0, Fraction(-843, 211)], [0, 0, 1]), 200)  # 211 above the height
 def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     # the sieve walks exactly the starts rules (i) and (ii) keep, and every
     # start it drops escapes in the full scan at the default budgets
@@ -216,6 +230,11 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     assert inv.starts == len(grid) - len(dropped)
     for p in dropped:
         assert naive_classify(pair, p, 256, 10**6)[0] == "escaped"
+
+
+def test_polynomial_rows_of_z2_minus_29_16():
+    # a_0 = 16 and v_2(y) < 3: |x| <= 45*y//16 on y in {1, 2, 4}
+    assert _polynomial_rows(parse_map("z^2-29/16"), 1024) == [(1, 2), (2, 5), (4, 11)]
 
 
 @pytest.mark.parametrize("map_text, height, starts", [

@@ -6,8 +6,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from p1dyn import ratmap
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import MapSyntaxError, parse_map
+from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point
 from p1dyn.ratmap import (
     DegenerateMapError,
@@ -137,6 +139,18 @@ def test_resultant_matches_sympy_on_random_pairs():
         else:
             assert fa.degree() == d and ga.degree() == d
         assert resultant(pair) == expected
+
+
+def test_one_elimination_per_map(monkeypatch):
+    # Res and the escape threshold T come from one cached elimination
+    calls = []
+    eliminate = ratmap._eliminate
+    monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append(m) or eliminate(m))
+    ratmap._certificate.cache_clear()
+    pair = parse_map("z^2-1237/97")
+    reduction_profile(pair)
+    enumerate_preperiodic(pair, 64)
+    assert len(calls) == 1
 
 
 def test_reduction_profile_examples():
