@@ -6,6 +6,11 @@ batch (a sweep over the quadratic family z^2 + c).
 
 Exit codes: 0 success, 2 argument or parse error, 3 incomplete inventory,
 4 a verification check failed.
+
+main(argv) may be called repeatedly from Python: it builds its parser on the
+first call and keeps it for the life of the process (build_parser still
+returns a fresh one).  Each call parses into a new namespace, so nothing
+carries over from one call to the next.
 """
 
 import argparse
@@ -240,6 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import: importing the module stays cheap
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     return args.func(args)

@@ -15,6 +15,13 @@ rather than guessing.
 Every endpoint is rounded outward (directed rounding), so it is a true
 bound.  The logarithms of integers come from the atanh series
 ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point.
+A Sum whose head is at least 1 above every other part adds power-of-two
+bounds on e^(x - head) to the head's interval.  When heads are closer, each
+end is bounded in full: the lower end as m + ln(1 + sum of e^(lo_i - m))
+with m the largest lower end, the upper end the same way from the upper
+ends.  e^t comes from a fixed-point Taylor series after taking out a power
+of two, and ln(1 + C) from ln(2^width * (1 + C)) - width*ln(2), so such an
+interval narrows as the precision grows.
 An interval is a single point only for Exact(1) and for an exponential with a
 dyadic exponent; beyond those, two constructor-built magnitudes compare EQUAL
 only when they are equal nodes.  A hand-built tree whose logarithm is a
@@ -291,6 +298,48 @@ def _ln_int_fixed(n: int, width: int) -> tuple[int, int]:
     return 2 * at_lo + e * l2_lo, 2 * at_hi + e * l2_hi + 1
 
 
+def _exp_series(x: int, width: int) -> tuple[int, int]:
+    """Bounds on e^(x * 2^-width) * 2^width for 0 <= x <= 2^width (Taylor series)."""
+    lo = hi = t_lo = t_hi = 1 << width
+    k = 1
+    while t_hi > 1:
+        t_lo = t_lo * x // (k << width)
+        t_hi = -(-t_hi * x // (k << width))
+        lo += t_lo
+        hi += t_hi
+        k += 1
+    # each later term is at most half the one before, so the tail is below one ulp
+    return lo, hi + 1
+
+
+def _exp_neg_fixed(t: int, width: int) -> tuple[int, int]:
+    """Bounds on e^(-t * 2^-width) * 2^width for t >= 0."""
+    l2_lo, l2_hi = _ln2_fixed(width)
+    if t >= (width + 2) * l2_hi:
+        return 0, 1  # below 2^-(width+2)
+    # e^-x = 2^-k / e^r with r = x - k*ln2 in [0, 1): r is bracketed by the ends of ln2
+    k = t // l2_hi
+    r_lo, r_hi = t - k * l2_hi, t - k * l2_lo
+    square = 1 << (2 * width)
+    lo = (square // _exp_series(r_hi, width)[1]) >> k
+    hi = -(((-square) // _exp_series(r_lo, width)[0]) >> k)
+    return lo, hi
+
+
+def _ln_exp_sum(ends: list[int], width: int, side: int) -> int:
+    """A bound on ln(sum of e^(x * 2^-width) over x in ends) * 2^width.
+
+    The lower bound for side 0, the upper for side 1.  With m the largest
+    end, the sum is e^m * (1 + C) for C the sum of e^(x - m) over the other
+    ends, and ln(1 + C) = ln(2^width + C * 2^width) - width * ln 2.
+    """
+    ends = sorted(ends)
+    top = ends.pop()
+    c = sum(_exp_neg_fixed(top - x, width)[side] for x in ends)
+    return (top + _ln_int_fixed((1 << width) + c, width)[side]
+            - width * _ln2_fixed(width)[1 - side])
+
+
 def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
     """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
 
@@ -309,16 +358,16 @@ def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
     ivs = [_ln_fixed(p, width) for p in m.parts]
     if isinstance(m, Prod):
         return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
-    lo_max, hi_max = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
     if isinstance(m, MaxOf):
-        return lo_max, hi_max
+        return max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
     star = max(range(len(ivs)), key=lambda i: ivs[i][1])
     lo_star, hi_star = ivs[star]
     others = ivs[:star] + ivs[star + 1:]
     unit = 1 << width
     if any(lo_star - hi < unit for _, hi in others):
-        # heads too close to dominate: ln(max) <= ln(sum) <= ln(max) + ln(parts)
-        return lo_max, hi_max + (_ln_int_fixed(len(ivs), 48)[1] << (width - 48))
+        # heads too close to dominate: sum e^lo <= sum <= sum e^hi, each end in full
+        return (_ln_exp_sum([lo for lo, _ in ivs], width, 0),
+                _ln_exp_sum([hi for _, hi in ivs], width, 1))
     l2_lo, l2_hi = _ln2_fixed(width)
     c_lo = c_hi = 0
     for lo, hi in others:

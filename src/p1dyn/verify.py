@@ -7,7 +7,8 @@ the shape "for every prime outside S" are decided exhaustively by factoring
 cross products: a prime outside every support contributes distance zero to
 both sides, so finitely many primes settle the universal claim.  Each pair
 of points is factored once, and every δ_p is read from that support: a
-prime absent from it has distance zero.
+prime absent from it has distance zero.  run_suite builds one support table
+for its sample points, and the ultrametric and non-expansion checks share it.
 
 The ultrametric check runs prime by prime: at p the three inequalities of
 a trio hold iff the least of its three δ_p values occurs at least twice, so
@@ -90,6 +91,16 @@ def _ultrametric_failure(pts, p: int, sides):
             f"d_{p}({pts[i1]},{pts[i3]})={sides[i2]} < min over {pts[i2]} = {rhs}")
 
 
+def _sample_table(points):
+    """The distinct points in canonical order, and the support of each pair.
+
+    Supports are listed in ``itertools.combinations`` order of the points, so
+    both pair checks of one run read the same table and factor each pair once.
+    """
+    pts = sorted(set(points), key=point_sort_key)
+    return pts, [distance_support(a, b) for a, b in itertools.combinations(pts, 2)]
+
+
 def check_ultrametric(points) -> VerificationReport:
     """Triangle inequality δ_p(P1,P3) >= min(δ_p(P1,P2), δ_p(P2,P3)).
 
@@ -98,15 +109,18 @@ def check_ultrametric(points) -> VerificationReport:
     at most one pair at p are counted, not walked; ``checked`` is the count
     of (trio, middle point, prime of the trio's three supports).
     """
-    pts = sorted(set(points), key=point_sort_key)
-    if len(pts) < 3:
+    if len(set(points)) < 3:
         raise VerificationInputError("ultrametric check needs at least three points")
+    return _ultrametric(*_sample_table(points))
+
+
+def _ultrametric(pts, supports) -> VerificationReport:
     n = len(pts)
     # adj[p][i] == {j: δ_p(pts[i], pts[j])} over the pairs whose support holds p;
-    # each pair is factored once, and an explicit 0 in a support still counts
+    # an explicit 0 in a support still counts
     adj: dict = {}
-    for i, j in itertools.combinations(range(n), 2):
-        for p, d in distance_support(pts[i], pts[j]).items():
+    for (i, j), support in zip(itertools.combinations(range(n), 2), supports):
+        for p, d in support.items():
             at_p = adj.setdefault(p, {})
             at_p.setdefault(i, {})[j] = d
             at_p.setdefault(j, {})[i] = d
@@ -142,14 +156,17 @@ def check_ultrametric(points) -> VerificationReport:
 def check_non_expansion(pair: HomogPair, profile: ReductionProfile,
                         points) -> VerificationReport:
     """Good reduction never shrinks distances: δ_p(φP, φQ) >= δ_p(P, Q)."""
-    pts = sorted(set(points), key=point_sort_key)
+    return _non_expansion(pair, profile, *_sample_table(points))
+
+
+def _non_expansion(pair: HomogPair, profile: ReductionProfile,
+                   pts, supports) -> VerificationReport:
     image = {pt: evaluate(pair, pt) for pt in pts}
     bad = set(profile.bad_primes)
     failures, confirmations = [], []
     checked = 0
-    for p1, p2 in itertools.combinations(pts, 2):
+    for (p1, p2), s_before in zip(itertools.combinations(pts, 2), supports):
         i1, i2 = image[p1], image[p2]
-        s_before = distance_support(p1, p2)
         s_after = _support(i1, i2)
         for p in sorted((s_before.keys() | (s_after or {}).keys()) - bad):
             before = s_before.get(p, 0)
@@ -500,11 +517,12 @@ def run_suite(pair: HomogPair, suite: str = "all", *, height: int = 64,
     reports: list[VerificationReport] = []
     want = SUITE_NAMES if suite == "all" else (suite,)
     if "ultrametric" in want or "nonexpansion" in want:
-        points = set(points_up_to_height(_SAMPLE_HEIGHT)) | set(inv.preper)
+        # one support table for both checks: each sample pair is factored once
+        pts, supports = _sample_table([*points_up_to_height(_SAMPLE_HEIGHT), *inv.preper])
         if "ultrametric" in want:
-            reports.append(check_ultrametric(points))
+            reports.append(_ultrametric(pts, supports))
         if "nonexpansion" in want:
-            reports.append(check_non_expansion(pair, profile, points))
+            reports.append(_non_expansion(pair, profile, pts, supports))
     if "chain" in want:
         chains = _derived_chains(inv)
         if not chains:

@@ -220,6 +220,27 @@ def test_bounds_single_label(capsys):
     assert capsys.readouterr().out == "L1 = 131075\n"
 
 
+def test_repeated_main_calls_share_nothing_between_parses(capsys):
+    # main keeps one parser per process; no option or error may leak into the next call
+    assert main(["bounds", "--d", "2", "--s", "1"]) == 0
+    first = capsys.readouterr().out
+    assert len(first.splitlines()) == 13
+    assert main(["bounds", "--d", "3", "--s", "2", "--which", "Q"]) == 0
+    assert capsys.readouterr().out.startswith("Q = ")
+    bad = ["bounds", "--d", "2", "--s", "3", "--which", "q"]
+    with pytest.raises(SystemExit) as err:
+        main(bad)
+    assert err.value.code == 2
+    shared_error = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(bad)
+    assert capsys.readouterr().err == shared_error
+    assert main(["analyze", "--map", "z^^2"]) == 2
+    capsys.readouterr()
+    assert main(["bounds", "--d", "2", "--s", "1"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_bounds_bad_parameters(capsys):
     assert main(["bounds", "--d", "1", "--s", "1"]) == 2
     assert main(["bounds", "--d", "2", "--s", "0"]) == 2

@@ -288,13 +288,34 @@ def test_digit_count_frozen_large_constants():
 
 
 def test_digit_count_at_the_precision_ceiling():
-    # ln lies in [22.6, 22.6 + ln 2], so log10 in [9.81, 10.12] at every
-    # precision: the count is 10 or 11 and the engine answers the upper one
-    assert digit_count(sum_of(exp_of(Fraction(45, 2)), exp_of(Fraction(113, 5)))) == 11
-    # twelve overlapping heads: ln in [23, 23 + ln 12] spans two decades
-    s = sum_of(*(exp_of(23 - Fraction(k, 100)) for k in range(12)))
+    # heads exactly 1 apart take the far-heads bound, whose correction snaps
+    # to powers of two: log10 lies in [9.92, 10.05] at every precision, the
+    # true count is 10 (log10 = 9.962) and the engine answers the upper one
+    assert digit_count(sum_of(exp_of(Fraction(181, 8)), exp_of(Fraction(173, 8)))) == 11
+    # the twentieth power of such a sum spans more than two decades
     with pytest.raises(IndistinguishableError):
-        digit_count(s)
+        digit_count(power(sum_of(exp_of(10), exp_of(9)), 20))
+
+
+def test_close_head_sums_pin_their_digit_counts():
+    # heads less than 1 apart: both ends are bounded in full, so the interval
+    # narrows as the precision grows and the count is pinned
+    probe = power(sum_of(exp_of(Fraction(215, 4)), exp_of(Fraction(382, 7))), 4)
+    ends = (Fraction(215, 4), Fraction(382, 7))
+    with mp.workdps(80):
+        truth = 4 * mp.ln(mp.fsum(mp.exp(mp.mpf(q.numerator) / q.denominator) for q in ends))
+        assert int(mp.floor(truth / mp.ln(10))) + 1 == 96  # log10 = 95.4335
+        widths = []
+        for prec in (64, 256, 1024):
+            lo, hi = ln_interval(probe, prec)
+            assert mp.mpf(lo.numerator) / lo.denominator <= truth
+            assert truth <= mp.mpf(hi.numerator) / hi.denominator
+            widths.append(hi - lo)
+    assert widths[2] < widths[1] < widths[0] < Fraction(1, 2**40)
+    assert digit_count(probe) == 96
+    # frozen from mpmath at 60 digits: log10 = 10.095 and 11.044
+    assert digit_count(sum_of(exp_of(Fraction(45, 2)), exp_of(Fraction(113, 5)))) == 11
+    assert digit_count(sum_of(*(exp_of(23 - Fraction(k, 100)) for k in range(12)))) == 12
 
 
 def test_digit_count_symbolic_power_matches_oracle():
