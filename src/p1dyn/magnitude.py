@@ -15,13 +15,12 @@ rather than guessing.
 Every endpoint is rounded outward (directed rounding), so it is a true
 bound.  The logarithms of integers come from the atanh series
 ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point.
-A Sum whose head is at least 1 above every other part adds power-of-two
-bounds on e^(x - head) to the head's interval.  When heads are closer, each
-end is bounded in full: the lower end as m + ln(1 + sum of e^(lo_i - m))
-with m the largest lower end, the upper end the same way from the upper
-ends.  e^t comes from a fixed-point Taylor series after taking out a power
-of two, and ln(1 + C) from ln(2^width * (1 + C)) - width*ln(2), so such an
-interval narrows as the precision grows.
+Every Sum is bounded by one rule, each end in full: the lower end as
+m + ln(1 + sum of e^(lo_i - m)) with m the largest lower end, the upper end
+the same way from the upper ends.  e^t comes from a fixed-point Taylor series
+after taking out a power of two, and ln(1 + C) from
+ln(2^width * (1 + C)) - width*ln(2), so every interval narrows as the
+precision grows.
 An interval is a single point only for Exact(1) and for an exponential with a
 dyadic exponent; beyond those, two constructor-built magnitudes compare EQUAL
 only when they are equal nodes.  A hand-built tree whose logarithm is a
@@ -314,6 +313,8 @@ def _exp_series(x: int, width: int) -> tuple[int, int]:
 
 def _exp_neg_fixed(t: int, width: int) -> tuple[int, int]:
     """Bounds on e^(-t * 2^-width) * 2^width for t >= 0."""
+    if t == 0:
+        return 1 << width, 1 << width  # exact, so a lone top end costs no series
     l2_lo, l2_hi = _ln2_fixed(width)
     if t >= (width + 2) * l2_hi:
         return 0, 1  # below 2^-(width+2)
@@ -326,18 +327,22 @@ def _exp_neg_fixed(t: int, width: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _ln_exp_sum(ends: list[int], width: int, side: int) -> int:
-    """A bound on ln(sum of e^(x * 2^-width) over x in ends) * 2^width.
+def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
+    """Bounds on ln(sum of e^(x * 2^-width)) * 2^width, each x within its (lo, hi).
 
-    The lower bound for side 0, the upper for side 1.  With m the largest
-    end, the sum is e^m * (1 + C) for C the sum of e^(x - m) over the other
-    ends, and ln(1 + C) = ln(2^width + C * 2^width) - width * ln 2.
+    The rule for every Sum.  With m the largest end on a side, the sum is
+    e^m * (1 + C) for C the sum of e^(x - m) over the other ends, and
+    ln(1 + C) = ln(2^width * (1 + C)) - width * ln 2.
     """
-    ends = sorted(ends)
-    top = ends.pop()
-    c = sum(_exp_neg_fixed(top - x, width)[side] for x in ends)
-    return (top + _ln_int_fixed((1 << width) + c, width)[side]
-            - width * _ln2_fixed(width)[1 - side])
+    l2_lo, l2_hi = _ln2_fixed(width)
+    top_lo = max(lo for lo, _ in ivs)
+    top_hi = max(hi for _, hi in ivs)
+    s_lo = s_hi = 0  # 2^width * (1 + C) on each side, the top end included
+    for lo, hi in ivs:
+        s_lo += _exp_neg_fixed(top_lo - lo, width)[0]
+        s_hi += _exp_neg_fixed(top_hi - hi, width)[1]
+    return (top_lo + _ln_int_fixed(s_lo, width)[0] - width * l2_hi,
+            top_hi + _ln_int_fixed(s_hi, width)[1] - width * l2_lo)
 
 
 def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
@@ -360,25 +365,7 @@ def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
         return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
     if isinstance(m, MaxOf):
         return max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
-    star = max(range(len(ivs)), key=lambda i: ivs[i][1])
-    lo_star, hi_star = ivs[star]
-    others = ivs[:star] + ivs[star + 1:]
-    unit = 1 << width
-    if any(lo_star - hi < unit for _, hi in others):
-        # heads too close to dominate: sum e^lo <= sum <= sum e^hi, each end in full
-        return (_ln_exp_sum([lo for lo, _ in ivs], width, 0),
-                _ln_exp_sum([hi for _, hi in ivs], width, 1))
-    l2_lo, l2_hi = _ln2_fixed(width)
-    c_lo = c_hi = 0
-    for lo, hi in others:
-        # e^-x <= 2^-k for k <= x/ln2, rounded up to at least one ulp
-        k = (lo_star - hi) // l2_hi
-        c_hi += 1 << (width - k) if k < width else 1
-        # e^-x >= 2^-k for k >= x/ln2, rounded down to 0 past the width
-        k = -((lo - hi_star) // l2_lo)
-        c_lo += 1 << (width - k) if k <= width else 0
-    # x - x^2/2 <= ln(1 + x) <= x
-    return lo_star + c_lo * (2 * unit - c_lo) // (2 * unit), hi_star + c_hi
+    return _ln_exp_sum(ivs, width)
 
 
 def ln_interval(m: Magnitude, prec: int) -> Optional[tuple[Fraction, Fraction]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ratmap import DegenerateMapError, HomogPair, make_pair
+from .ratmap import DegenerateMapError, HomogPair, _poly_mul, make_pair
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>\*\*|[-+*/^()\[\]:]))"
@@ -173,17 +173,6 @@ def _poly_add(p, q):
 
 def _poly_neg(p):
     return [-c for c in p]
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, e in enumerate(q):
-                out[i + j] += c * e
-    return out
 
 
 def _primitive(p):

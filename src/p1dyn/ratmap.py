@@ -291,13 +291,15 @@ def _form_derivative_y(coeffs, d):
     return tuple(coeffs[i + 1] * (i + 1) for i in range(d))
 
 
-def _form_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        for j, e in enumerate(g):
-            out[i + j] += c * e
+def _poly_mul(p, q):
+    """The product of two coefficient lists: polynomials in z or binary forms alike."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, e in enumerate(q):
+                out[i + j] += c * e
     return out
 
 
@@ -308,8 +310,8 @@ def wronskian(pair: HomogPair) -> tuple[int, ...]:
     fy = _form_derivative_y(pair.a, d)
     gx = _form_derivative_x(pair.b, d)
     gy = _form_derivative_y(pair.b, d)
-    lhs = _form_mul(fx, gy)
-    rhs = _form_mul(fy, gx)
+    lhs = _poly_mul(fx, gy)
+    rhs = _poly_mul(fy, gx)
     return tuple(l - r for l, r in zip(lhs, rhs))
 
 

@@ -7,7 +7,6 @@ decimal string.
 """
 
 import json
-from fractions import Fraction
 
 from .bounds import bound_table
 from .magnitude import ExpOf, digit_count, force_exact, int_digits

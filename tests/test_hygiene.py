@@ -1,0 +1,33 @@
+"""Source hygiene checks over the p1dyn package."""
+
+import ast
+from pathlib import Path
+
+import p1dyn
+
+SRC = Path(p1dyn.__file__).resolve().parent
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    # __init__.py imports names only to re-export them
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {}
+    for path in modules:
+        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn.magnitude import (
@@ -119,8 +119,9 @@ def test_ln_interval_dominated_sum_brackets_truth():
     lo = mp.mpf(iv[0].numerator) / iv[0].denominator
     hi = mp.mpf(iv[1].numerator) / iv[1].denominator
     assert lo <= truth <= hi
-    # corrections snap to powers of two, so expect coarse but bounded width
     assert iv[1] - iv[0] < Fraction(1, 2**8)
+    widths = [hi - lo for lo, hi in (ln_interval(s, prec) for prec in (64, 256, 1024))]
+    assert widths[2] < widths[1] < widths[0]
 
 
 def test_ln_interval_overlapping_sum_falls_back():
@@ -196,8 +197,7 @@ def _mp_value(m):
 
 @settings(max_examples=150, deadline=None)
 @given(_part, _part)
-# ln(1 + e^(-11/8)) = 0.2254 lies below e^(-11/8) = 0.2528: the lower
-# correction needs its -x^2/2 term here
+# ln(1 + e^(-11/8)) = 0.2254 lies below e^(-11/8) = 0.2528
 @example(sum_of(exact(1), exp_of(Fraction(11, 8))), exact(1))
 def test_kernel_agrees_with_mpmath(a, b):
     with mp.workdps(80):
@@ -287,14 +287,10 @@ def test_digit_count_frozen_large_constants():
     assert digit_count(s) == 6231651131442943472547
 
 
-def test_digit_count_at_the_precision_ceiling():
-    # heads exactly 1 apart take the far-heads bound, whose correction snaps
-    # to powers of two: log10 lies in [9.92, 10.05] at every precision, the
-    # true count is 10 (log10 = 9.962) and the engine answers the upper one
-    assert digit_count(sum_of(exp_of(Fraction(181, 8)), exp_of(Fraction(173, 8)))) == 11
-    # the twentieth power of such a sum spans more than two decades
-    with pytest.raises(IndistinguishableError):
-        digit_count(power(sum_of(exp_of(10), exp_of(9)), 20))
+def test_far_head_sums_pin_their_digit_counts():
+    # heads 1 apart; frozen from mpmath at 60 digits: log10 = 9.962 and 89.58
+    assert digit_count(sum_of(exp_of(Fraction(181, 8)), exp_of(Fraction(173, 8)))) == 10
+    assert digit_count(power(sum_of(exp_of(10), exp_of(9)), 20)) == 90
 
 
 def test_close_head_sums_pin_their_digit_counts():
@@ -316,6 +312,23 @@ def test_close_head_sums_pin_their_digit_counts():
     # frozen from mpmath at 60 digits: log10 = 10.095 and 11.044
     assert digit_count(sum_of(exp_of(Fraction(45, 2)), exp_of(Fraction(113, 5)))) == 11
     assert digit_count(sum_of(*(exp_of(23 - Fraction(k, 100)) for k in range(12)))) == 12
+
+
+_exp_leaf = st.builds(Fraction, st.integers(0, 800), st.integers(1, 16)).map(exp_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exp_leaf, min_size=2, max_size=4), st.integers(0, 10**40), st.integers(1, 24))
+@example([exp_of(Fraction(181, 8)), exp_of(Fraction(173, 8))], 0, 1)
+@example([exp_of(10), exp_of(9)], 0, 20)
+def test_sum_digit_counts_match_mpmath(leaves, extra, k):
+    # every sum is bounded from both ends, so its count is exact, not within 1
+    parts = leaves + [exact(extra)]
+    with mp.workdps(80):
+        log10 = k * mp.log10(mp.fsum(_mp_value(p) for p in parts))
+        assume(abs(log10 - mp.nint(log10)) > mp.mpf(10) ** -30)
+        want = int(mp.floor(log10)) + 1
+    assert digit_count(power(sum_of(*parts), k)) == want
 
 
 def test_digit_count_symbolic_power_matches_oracle():
