@@ -26,6 +26,10 @@ A strictly monotone |z| or v_p(z) never repeats, so no dropped start is
 preperiodic.  A walk of it could only have escaped or, with too small a
 ``max_iters``, stayed undecided; so the inventory is the one the full scan
 gives, except that such starts, like those above T, are not listed as undecided.
+
+The Wronskian W = F_X*G_Y - F_Y*G_X (ratmap.wronskian) vanishes exactly at the
+critical points, so a cycle is critical, its points in ``per0``, when W is 0
+at the coprime coordinates of one of its points.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Optional
 
 from .intarith import ArithmeticInputError, valuation
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
-from .ratmap import HomogPair, critical_points_rational, escape_threshold, step_kernel
+from .ratmap import HomogPair, escape_threshold, step_kernel, wronskian
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ def classify_point(pair: HomogPair, point: ProjPoint, *,
 
 @dataclass(frozen=True)
 class DynamicalInventory:
+    """Points found by cycle and tail; ``per0``: the cycles with a zero of the Wronskian."""
+
     pair: HomogPair
     search_height: int
     max_iters: int
@@ -153,6 +159,12 @@ def _polynomial_rows(pair: HomogPair, height: int):
         powers = [p**e for e in range(min(_escape_exponent(pair, p), height.bit_length()))]
         ys = [y * q for y in ys for q in powers if y * q <= height]
     return [(y, min(height, reach * y // lead)) for y in sorted(ys)]
+
+
+def _vanishes(form, point: ProjPoint) -> bool:
+    """Whether the binary form, coefficient i on X^(D-i) Y^i, is 0 at the point."""
+    top = len(form) - 1
+    return sum(c * point.x ** (top - i) * point.y ** i for i, c in enumerate(form)) == 0
 
 
 def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
@@ -222,9 +234,9 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     tail = preper - per
     tail_lengths = {p: tl for p, (tl, _) in preper_pts.items() if tl > 0}
 
-    crit = set(critical_points_rational(pair))
-    per0_cycles = [cyc for cyc in final_cycles if crit.intersection(cyc)]
-    per0 = frozenset(p for cyc in per0_cycles for p in cyc)
+    w = wronskian(pair)
+    per0 = frozenset(p for cyc in final_cycles if any(_vanishes(w, q) for q in cyc)
+                     for p in cyc)
 
     tails_by: dict[ProjPoint, list[ProjPoint]] = {p: [] for p in per}
     for p, (tl, cid) in preper_pts.items():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .intarith import ArithmeticInputError, factorize, is_prime
-from .projline import INFINITY, ProjPoint, point_sort_key
+from .projline import ProjPoint
 
 
 class DegenerateMapError(ValueError):
@@ -313,47 +313,3 @@ def wronskian(pair: HomogPair) -> tuple[int, ...]:
     lhs = _poly_mul(fx, gy)
     rhs = _poly_mul(fy, gx)
     return tuple(l - r for l, r in zip(lhs, rhs))
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return out
-
-
-def binary_form_rational_roots(w) -> list[ProjPoint]:
-    """All rational projective roots of a nonzero integer binary form."""
-    if all(c == 0 for c in w):
-        raise ArithmeticInputError("the zero form vanishes everywhere")
-    roots = []
-    if w[0] == 0:
-        roots.append(INFINITY)
-    if w[-1] == 0:
-        roots.append(ProjPoint(0, 1))
-    u = list(reversed(w))  # univariate coefficients by ascending degree
-    lo = 0
-    while u[lo] == 0:
-        lo += 1
-    hi = len(u) - 1
-    while u[hi] == 0:
-        hi -= 1
-    core = u[lo : hi + 1]
-    if len(core) > 1:
-        # [w : Y^D] sends [x : den] with den > 0 to [0 : 1] exactly when w(x, den) = 0
-        vanishes_at = step_kernel(w, (0,) * (len(w) - 1) + (1,))
-        for num in _divisors(abs(core[0])):
-            for den in _divisors(abs(core[-1])):
-                if math.gcd(num, den) != 1:
-                    continue
-                for x in (num, -num):
-                    if vanishes_at(x, den) == (0, 1):
-                        roots.append(ProjPoint(x, den))
-    return sorted(set(roots), key=point_sort_key)
-
-
-def critical_points_rational(pair: HomogPair) -> list[ProjPoint]:
-    """Rational critical points, from linear factors of the Wronskian."""
-    if pair.degree < 2:
-        raise ArithmeticInputError("critical points are only defined for degree >= 2")
-    return binary_form_rational_roots(wronskian(pair))

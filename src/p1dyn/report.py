@@ -137,7 +137,6 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
     if inventory is not None:
         inv = inventory
         cycle_strs = [[format_point(p) for p in cyc] for cyc in inv.cycles]
-        per0 = set(inv.per0)
         targets = sorted(inv.tails_by_target, key=point_sort_key)
         report.update({
             "search": {
@@ -154,7 +153,7 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
             },
             "preper": _point_list(inv.preper),
             "cycles": [
-                {"points": pts, "length": len(pts), "critical": inv.cycles[i][0] in per0}
+                {"points": pts, "length": len(pts), "critical": inv.cycles[i][0] in inv.per0}
                 for i, pts in enumerate(cycle_strs)
             ],
             "tails_by_target": {
@@ -203,12 +202,10 @@ def analysis_text(report: dict) -> str:
             mark = ", critical" if cyc["critical"] else ""
             lines.append(f"  cycle: {' -> '.join(cyc['points'])} "
                          f"(period {cyc['length']}{mark})")
-        listed = set()
         for cyc in report["cycles"]:
             rep = cyc["points"][0]
             tails = report["tails_by_target"].get(rep, [])
-            if tails and rep not in listed:
-                listed.add(rep)
+            if tails:
                 lines.append(f"  tails into cycle of {rep}: {', '.join(tails)}")
         lines.append(f"bounds (d = {m['degree']}, s = {report['s']}):")
         for label in BOUND_ORDER:

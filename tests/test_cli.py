@@ -13,6 +13,7 @@ from math import gcd
 from p1dyn import cli
 from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
+from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import parse_point
 
 from naive import naive_sieve_drops
@@ -90,6 +91,31 @@ def test_analyze_factors_resultant_past_the_primality_range(capsys):
                  "--height", "4"])
     assert code == 0
     assert "bad primes: 1000000000039, 10000000000037" in capsys.readouterr().out
+
+
+_LARGE_PRIME_WRONSKIAN_MAP = "[X^2+1000000000000000000000000000057*X*Y:Y^2+X*Y]"
+
+
+def test_analyze_accepts_a_large_prime_in_the_wronskian(capsys):
+    # the Wronskian coefficient 2*(10^30+57) is past the primality range; no
+    # critical point needs it factored, only evaluated at the cycle points
+    code = main(["analyze", "--map", _LARGE_PRIME_WRONSKIAN_MAP, "--height", "16"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "bad primes: 2, 3, 79043, 3998741, 290240017, 454197539\n" in out
+    assert "(2 periodic, 1 tail, 0 on critical cycles)" in out
+
+
+@pytest.mark.parametrize("text", [_LARGE_PRIME_WRONSKIAN_MAP, "z^2-1", "[X^3+2*Y^3:X*Y^2]"])
+def test_enumerate_preperiodic_never_factors(monkeypatch, text):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("p1dyn.ratmap.factorize", refuse)
+    monkeypatch.setattr("p1dyn.intarith.factorize", refuse)
+    inv = enumerate_preperiodic(parse_map(text), 64)
+    monkeypatch.undo()
+    assert inv == enumerate_preperiodic(parse_map(text), 64)
 
 
 def _odd_primes(count):

@@ -31,3 +31,27 @@ def test_every_import_is_used():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _names_used(node) -> set[str]:
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_every_private_helper_is_referenced():
+    # a private top-level function or class that only its own body names is dead
+    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    orphans = []
+    for name, node in statements:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            if not any(node.name in _names_used(other)
+                       for _, other in statements if other is not node):
+                orphans.append(f"{name}: {node.name}")
+    assert orphans == []

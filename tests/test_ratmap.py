@@ -10,13 +10,11 @@ from p1dyn import ratmap
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import MapSyntaxError, parse_map
 from p1dyn.orbits import enumerate_preperiodic
-from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point
+from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point, points_up_to_height
 from p1dyn.ratmap import (
     DegenerateMapError,
     HomogPair,
     PlaceSet,
-    binary_form_rational_roots,
-    critical_points_rational,
     escape_threshold,
     evaluate,
     good_reduction,
@@ -210,14 +208,19 @@ def test_evaluate_respects_scaling_of_inputs():
                 assert image.as_fraction() == expect
 
 
+def _wronskian_zeros_on_grid(pair, height=8):
+    w = wronskian(pair)
+    top = len(w) - 1
+    return {p for p in points_up_to_height(height)
+            if sum(c * p.x ** (top - i) * p.y**i for i, c in enumerate(w)) == 0}
+
+
 def test_wronskian_and_critical_points():
     assert wronskian(parse_map("z^2")) == (0, 4, 0)
-    assert critical_points_rational(parse_map("z^2")) == sorted(
-        [ProjPoint(0, 1), INFINITY], key=lambda p: (p.y, p.x)
-    ) or critical_points_rational(parse_map("z^2")) == [ProjPoint(0, 1), INFINITY]
+    assert _wronskian_zeros_on_grid(parse_map("z^2")) == {ProjPoint(0, 1), INFINITY}
     assert wronskian(parse_map("z^2-29/16")) == (0, 1024, 0)
-    assert set(critical_points_rational(parse_map("z^2-29/16"))) == {ProjPoint(0, 1), INFINITY}
-    assert set(critical_points_rational(parse_map("(z^2+1)/(2*z)"))) == {
+    assert _wronskian_zeros_on_grid(parse_map("z^2-29/16")) == {ProjPoint(0, 1), INFINITY}
+    assert _wronskian_zeros_on_grid(parse_map("(z^2+1)/(2*z)")) == {
         ProjPoint(1, 1),
         ProjPoint(-1, 1),
     }
@@ -225,17 +228,7 @@ def test_wronskian_and_critical_points():
 
 def test_critical_points_of_cubic_with_no_rational_ones():
     # derivative 3z^2+3 has no rational roots; only infinity is critical and fixed
-    pair = parse_map("z^3+3*z")
-    pts = critical_points_rational(pair)
-    assert pts == [INFINITY]
-
-
-def test_binary_form_rational_roots_direct():
-    # (2X - Y)(X + 3Y) = 2X^2 + 5XY - 3Y^2
-    roots = binary_form_rational_roots((2, 5, -3))
-    assert set(roots) == {ProjPoint(1, 2), ProjPoint(-3, 1)}
-    with pytest.raises(ArithmeticInputError):
-        binary_form_rational_roots((0, 0, 0))
+    assert _wronskian_zeros_on_grid(parse_map("z^3+3*z")) == {INFINITY}
 
 
 def test_pair_normalization_and_validation():
@@ -270,24 +263,6 @@ def test_evaluate_matches_naive_monomial_sums():
                 continue
             p = canonicalize(x, y)
             assert evaluate(pair, p) == naive_evaluate(pair, p)
-
-
-def test_binary_form_rational_roots_of_products_of_linear_factors():
-    rng = random.Random(5)
-    X, Y = sympy.symbols("X Y")
-    for _ in range(30):
-        roots = {canonicalize(rng.randint(-9, 9), rng.randint(0, 9) or 1)
-                 for _ in range(rng.randint(1, 4))}
-        if rng.random() < 0.3:
-            roots.add(INFINITY)
-        form = X**2 + 3 * Y**2  # no rational roots of its own
-        for r in roots:
-            form *= r.y * X - r.x * Y
-        degree = len(roots) + 2
-        poly = sympy.Poly(sympy.expand(form), X, Y)
-        coeffs = tuple(int(poly.coeff_monomial(X ** (degree - i) * Y**i))
-                       for i in range(degree + 1))
-        assert set(binary_form_rational_roots(coeffs)) == roots
 
 
 def _sympy_sylvester(pair):
@@ -337,8 +312,8 @@ def test_escape_threshold_needs_degree_2():
 
 
 @st.composite
-def small_pairs(draw, coefficient=st.integers(-5, 5)):
-    d = draw(st.integers(2, 3))
+def small_pairs(draw, coefficient=st.integers(-5, 5), degrees=st.integers(2, 3)):
+    d = draw(degrees)
     coeffs = st.lists(coefficient, min_size=d + 1, max_size=d + 1)
     try:
         return make_pair(draw(coeffs), draw(coeffs))
@@ -377,6 +352,34 @@ def test_parse_map_round_trips_the_printed_pair(pair):
 def test_escape_threshold_and_resultant_match_sympy(pair):
     assert resultant(pair) == _sympy_sylvester(pair).det()
     assert escape_threshold(pair) == _sympy_escape_threshold(pair)
+
+
+def _sympy_rational_critical_points(pair):
+    """Roots of the linear factors over Q of a Wronskian built by sympy, and
+    infinity when its X^(2d-2) coefficient is 0."""
+    d = pair.degree
+    X, Y = sympy.symbols("X Y")
+    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
+    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
+    w = sympy.Poly(sympy.diff(f, X) * sympy.diff(g, Y) - sympy.diff(f, Y) * sympy.diff(g, X),
+                   X, Y)
+    roots = {INFINITY} if w.coeff_monomial(X ** (2 * d - 2)) == 0 else set()
+    for factor, _ in sympy.factor_list(w.as_expr(), X, Y)[1]:
+        linear = sympy.Poly(factor, X, Y)
+        if linear.total_degree() == 1:  # a*X + b*Y vanishes at [-b : a]
+            a, b = (int(linear.coeff_monomial(m)) for m in (X, Y))
+            roots.add(canonicalize(-b, a))
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(degrees=st.integers(2, 4)))
+@example(parse_map("z^2-1"))  # the critical 2-cycle {0, -1}, and infinity
+@example(parse_map("[X^2-Y^2:X*Y]"))  # W = (2, 0, 2): no rational critical point
+def test_per0_is_the_cycles_through_rational_critical_points(pair):
+    critical = _sympy_rational_critical_points(pair)
+    inv = enumerate_preperiodic(pair, 16)
+    assert inv.per0 == {p for cyc in inv.cycles if critical.intersection(cyc) for p in cyc}
 
 
 _z, _X, _Y = sympy.symbols("z X Y")
