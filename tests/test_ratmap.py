@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from p1dyn import ratmap
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import MapSyntaxError, parse_map
-from p1dyn.orbits import enumerate_preperiodic
+from p1dyn.orbits import _vanishes, enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point, points_up_to_height
 from p1dyn.ratmap import (
     DegenerateMapError,
@@ -231,6 +231,16 @@ def test_critical_points_of_cubic_with_no_rational_ones():
     assert _wronskian_zeros_on_grid(parse_map("z^3+3*z")) == {INFINITY}
 
 
+def _zeros_on_grid(form, height=9):
+    return {p for p in points_up_to_height(height) if _vanishes(form, p)}
+
+
+def test_binary_form_rational_roots_direct():
+    # (2X - Y)(X + 3Y) = 2X^2 + 5XY - 3Y^2
+    assert _zeros_on_grid((2, 5, -3)) == {ProjPoint(1, 2), ProjPoint(-3, 1)}
+    assert _zeros_on_grid((0, 0, 0)) == set(points_up_to_height(9))
+
+
 def test_pair_normalization_and_validation():
     pair = make_pair([-1, 0, 1], [0, 0, -1])
     assert pair.a == (1, 0, -1) and pair.b == (0, 0, 1)
@@ -263,6 +273,24 @@ def test_evaluate_matches_naive_monomial_sums():
                 continue
             p = canonicalize(x, y)
             assert evaluate(pair, p) == naive_evaluate(pair, p)
+
+
+def test_binary_form_rational_roots_of_products_of_linear_factors():
+    rng = random.Random(5)
+    X, Y = sympy.symbols("X Y")
+    for _ in range(30):
+        roots = {canonicalize(rng.randint(-9, 9), rng.randint(0, 9) or 1)
+                 for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.3:
+            roots.add(INFINITY)
+        form = X**2 + 3 * Y**2  # no rational roots of its own
+        for r in roots:
+            form *= r.y * X - r.x * Y
+        degree = len(roots) + 2
+        poly = sympy.Poly(sympy.expand(form), X, Y)
+        coeffs = tuple(int(poly.coeff_monomial(X ** (degree - i) * Y**i))
+                       for i in range(degree + 1))
+        assert _zeros_on_grid(coeffs) == roots
 
 
 def _sympy_sylvester(pair):
