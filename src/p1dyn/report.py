@@ -112,8 +112,7 @@ def map_coefficients(pair: HomogPair) -> tuple[list, list]:
 
 
 def analysis_report(pair: HomogPair, profile: ReductionProfile,
-                    places: PlaceSet, inventory: DynamicalInventory | None,
-                    verifications=()) -> dict:
+                    places: PlaceSet, inventory: DynamicalInventory | None) -> dict:
     """Assemble the full analysis document.
 
     ``inventory`` is None for maps of degree below 2, where only the static
@@ -169,7 +168,7 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
                 for label, m in bound_table(pair.degree, places.size).items()
             },
         })
-    report["verifications"] = [verification_to_dict(r) for r in verifications]
+    report["verifications"] = []  # schema "1" keeps the key; analyze runs no checks
     report["flags"] = {
         "degree_below_2": pair.degree_below_2,
         "incomplete": inventory.incomplete if inventory is not None else False,
@@ -218,26 +217,22 @@ def analysis_text(report: dict) -> str:
     if flags["incomplete"]:
         und = ", ".join(flags["undecided"])
         lines.append(f"incomplete: undecided starting points {und}")
-    for v in report["verifications"]:
-        lines.append(verification_line(v))
     return "\n".join(lines) + "\n"
 
 
-def verification_line(v) -> str:
+def verification_line(r: VerificationReport) -> str:
     """One-line (plus witnesses on failure) rendering of a check report."""
-    if isinstance(v, VerificationReport):
-        v = verification_to_dict(v)
-    head = f"[{v['status']}] {v['check']}"
+    head = f"[{r.status}] {r.check_name}"
     notes = []
-    if v["reason"]:
-        notes.append(v["reason"])
-    checked = v["parameters"].get("checked")
+    if r.reason:
+        notes.append(r.reason)
+    checked = dict(r.parameters).get("checked")
     if checked is not None:
         notes.append(f"checked {checked}")
     if notes:
         head += ": " + "; ".join(notes)
-    if v["status"] == FAIL:
-        head += "".join(f"\n    {w}" for w in v["witnesses"][:8])
+    if r.status == FAIL:
+        head += "".join(f"\n    {w}" for w in r.witnesses[:8])
     return head
 
 

@@ -5,10 +5,11 @@ status is PASS (or SKIPPED when a hypothesis is not met); a FAIL means the
 implementation, not the mathematics, is broken.  All distance conditions of
 the shape "for every prime outside S" are decided exhaustively by factoring
 cross products: a prime outside every support contributes distance zero to
-both sides, so finitely many primes settle the universal claim.  Each pair
-of points is factored once, and every δ_p is read from that support: a
-prime absent from it has distance zero.  run_suite builds one support table
-for its sample points, and the ultrametric and non-expansion checks share it.
+both sides, so finitely many primes settle the universal claim.  run_suite
+factors each pair of its sample points once, into one support table that the
+ultrametric and non-expansion checks share.  Non-expansion can fail only at
+the primes of the source pair's support, where image distances are read by
+valuation: image cross products are never factored.
 
 The ultrametric check runs prime by prime: at p the three inequalities of
 a trio hold iff the least of its three δ_p values occurs at least twice, so
@@ -21,12 +22,13 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import aggregate_bounds, tail_bounds, unit_equation_bounds
-from .intarith import is_prime
+from .intarith import is_prime, valuation
 from .magnitude import Comparison, compare, exact, force_exact, sum_of
 from .orbits import DynamicalInventory, enumerate_preperiodic
 from .projline import (
     INFINITE_DISTANCE,
     ProjPoint,
+    cross_product,
     distance_support,
     point_sort_key,
     points_up_to_height,
@@ -155,7 +157,10 @@ def _ultrametric(pts, supports) -> VerificationReport:
 
 def check_non_expansion(pair: HomogPair, profile: ReductionProfile,
                         points) -> VerificationReport:
-    """Good reduction never shrinks distances: δ_p(φP, φQ) >= δ_p(P, Q)."""
+    """Good reduction never shrinks distances: δ_p(φP, φQ) >= δ_p(P, Q).
+
+    ``checked`` counts each pair with each good prime of its own support.
+    """
     return _non_expansion(pair, profile, *_sample_table(points))
 
 
@@ -167,10 +172,10 @@ def _non_expansion(pair: HomogPair, profile: ReductionProfile,
     checked = 0
     for (p1, p2), s_before in zip(itertools.combinations(pts, 2), supports):
         i1, i2 = image[p1], image[p2]
-        s_after = _support(i1, i2)
-        for p in sorted((s_before.keys() | (s_after or {}).keys()) - bad):
-            before = s_before.get(p, 0)
-            after = _delta(s_after, p)
+        c = cross_product(i1, i2)
+        for p in sorted(s_before.keys() - bad):
+            before = s_before[p]
+            after = INFINITE_DISTANCE if c == 0 else valuation(c, p)
             checked += 1
             if after < before:
                 failures.append(

@@ -238,3 +238,41 @@ def naive_ultrametric(points, support):
     return VerificationReport("ultrametric", PASS,
                               witnesses=(f"{n} points, all ordered triples",),
                               parameters=(("points", str(n)), ("checked", str(checked))))
+
+
+def naive_non_expansion(points, image, bad):
+    """check_non_expansion's report under the union rule, and its source-prime count.
+
+    ``image(point)`` gives a point's image.  Every good prime dividing the
+    cross product of a pair or of its two images is tested, prime by prime,
+    in the order pair, prime.  Returns the report, whose ``checked`` counts
+    every test, and the number of tests at primes dividing the pair's own
+    cross product.
+    """
+    pts = sorted(set(points), key=point_sort_key)
+    failures = []
+    checked = source_checked = 0
+    for a, b in itertools.combinations(pts, 2):
+        ia, ib = image(a), image(b)
+        c_before = a.x * b.y - b.x * a.y
+        c_after = ia.x * ib.y - ib.x * ia.y
+        primes = set()
+        for c in (c_before, c_after):
+            if abs(c) > 1:
+                primes.update(factorize(c))
+        for p in sorted(primes - set(bad)):
+            before = _naive_valuation(c_before, p)
+            after = INFINITE_DISTANCE if c_after == 0 else _naive_valuation(c_after, p)
+            checked += 1
+            source_checked += before > 0
+            if after < before:
+                failures.append(f"d_{p}({ia},{ib})={after} < d_{p}({a},{b})={before}")
+    n = str(len(pts))
+    if failures:
+        report = VerificationReport("non_expansion", FAIL, reason="inequality violated",
+                                    witnesses=tuple(failures), parameters=(("points", n),))
+    else:
+        report = VerificationReport("non_expansion", PASS,
+                                    witnesses=(f"{n} points, all pairs, good primes only",),
+                                    parameters=(("points", n), ("checked", str(checked))))
+    return report, source_checked

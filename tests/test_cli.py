@@ -181,17 +181,19 @@ def test_analyze_incomplete_lists_only_starts_the_sieve_keeps(capsys):
     assert undecided and not any(naive_sieve_drops(pair, p) for p in undecided)
 
 
-def test_verify_gives_up_on_a_huge_cofactor_in_seconds(capsys):
-    # rho charges each iteration by the size of the 2,407-digit cofactor,
-    # and the error names it by its digit count
+def test_verify_accepts_a_huge_image_cofactor_in_seconds(capsys):
+    # an image cross product here has a 2,407-digit cofactor; non-expansion
+    # reads image distances by valuation at the source pair's primes only
     start = time.perf_counter()
     code = main(["verify", "--map", "[X^2+2^8000*Y^2:X*Y]", "--height", "4"])
     elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert len(err) == 1 and len(err[0]) < 200
-    assert "2407-digit" in err[0]
-    assert elapsed < 30
+    assert code == 0
+    assert "[PASS] non_expansion" in capsys.readouterr().out
+    assert elapsed < 5
+
+
+def test_verify_accepts_a_large_prime_in_the_wronskian():
+    assert main(["verify", "--map", _LARGE_PRIME_WRONSKIAN_MAP, "--height", "16"]) == 0
 
 
 def test_verify_all_clean_maps(capsys):

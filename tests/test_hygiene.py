@@ -55,3 +55,37 @@ def test_every_private_helper_is_referenced():
                        for _, other in statements if other is not node):
                 orphans.append(f"{name}: {node.name}")
     assert orphans == []
+
+
+# the exact math functions, and math.inf, the sentinel behind INFINITE_DISTANCE
+_EXACT_MATH = {"gcd", "lcm", "isqrt", "inf"}
+
+
+def _float_arithmetic(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"true division (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"float() (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in _EXACT_MATH):
+            found.append(f"math.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend(f"math.{alias.name} (line {node.lineno})"
+                         for alias in node.names if alias.name not in _EXACT_MATH)
+    return found
+
+
+def test_no_float_arithmetic():
+    probe = "x = 1.0 / float(y)\nx /= math.log(2)\nfrom math import sqrt"
+    assert len(_float_arithmetic(ast.parse(probe))) == 6
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = _float_arithmetic(ast.parse(path.read_text(), filename=str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}

@@ -5,21 +5,24 @@ which scans primes one at a time instead of factoring; frozen expectations
 were derived by hand before the implementation existed.
 """
 
+import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from naive import naive_four_point_members, naive_three_point_members, naive_ultrametric
+from naive import (naive_evaluate, naive_four_point_members, naive_non_expansion,
+                   naive_three_point_members, naive_ultrametric)
 from p1dyn import verify
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import (INFINITY, ProjPoint, distance_support, from_rational,
                              points_up_to_height)
-from p1dyn.ratmap import PlaceSet, reduction_profile
+from p1dyn.ratmap import DegenerateMapError, PlaceSet, make_pair, reduction_profile
 from p1dyn.report import verification_line
 from p1dyn.verify import (
     VerificationInputError,
@@ -112,17 +115,80 @@ def test_ultrametric_matches_naive_walk(case):
     assert got == naive_ultrametric(pts, faulty)
 
 
+# non-expansion tests at the verify-ref maps: (pair, good prime of the pair's support)
+_NON_EXPANSION_CHECKED = {
+    "[X^2-Y^2:X*Y]": "269", "[X^3+2*Y^3:X*Y^2]": "182", "z^2-1": "269", "z^2+1": "269",
+    "z^2-21/16": "262", "z^2-2": "269", "z^3-z": "269", "z^2-29/16": "262", "z^2": "269",
+    "[2*X^2-Y^2:X^2+Y^2]": "207", "z^2-3/4": "182",
+}
+
+
 def test_run_suite_pins_verify_reference_counts():
     # the maps and verdict lists of perfbench's verify-ref workload
     expected = json.loads(
         (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text())["verify"]
-    assert len(expected) == 11
+    assert expected.keys() == _NON_EXPANSION_CHECKED.keys()
     for text, verdicts in expected.items():
         reports = run_suite(parse_map(text), "all", height=64)
         assert [f"{r.status} {r.check_name}" for r in reports] == verdicts, text
         # 28 sample points for these two, 24 for the others
         want = "26490" if text in ("z^2-29/16", "z^2-21/16") else "15570"
         assert params_dict(reports[0])["checked"] == want, text
+        assert params_dict(reports[1])["checked"] == _NON_EXPANSION_CHECKED[text], text
+
+
+@st.composite
+def _maps_points_images(draw):
+    """A map of degree 2 or 3, sample points, and their images, some replaced by wrong ones."""
+    d = draw(st.integers(2, 3))
+    coeffs = st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
+    try:
+        pair = make_pair(draw(coeffs), draw(coeffs))
+    except DegenerateMapError:
+        reject()
+    pts = draw(st.lists(st.sampled_from(_GRID_9), min_size=3, max_size=12, unique=True))
+    images = {q: naive_evaluate(pair, q) for q in pts}
+    seed = draw(st.none() | st.integers(0, 2**32))
+    if seed is not None:
+        rng = random.Random(seed)
+        for q in rng.sample(pts, rng.randint(1, 3)):
+            # half of the wrong images coincide with another point's image
+            images[q] = rng.choice((images[rng.choice(pts)], rng.choice(_GRID_9)))
+    return pair, pts, images, seed is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps_points_images())
+def test_non_expansion_matches_naive_union_rule(case):
+    pair, pts, images, wrong = case
+    profile = reduction_profile(pair)
+    with pytest.MonkeyPatch.context() as mp:
+        if wrong:
+            mp.setattr(verify, "evaluate", lambda _pair, q: images[q])
+        got = check_non_expansion(pair, profile, pts)
+    want, source_checked = naive_non_expansion(pts, images.__getitem__, profile.bad_primes)
+    assert (got.status, got.witnesses) == (want.status, want.witnesses)
+    if got.status == "PASS":
+        assert params_dict(got)["checked"] == str(source_checked)
+
+
+@pytest.mark.parametrize("text", ["z^2-29/16", "[X^2+2^8000*Y^2:X*Y]"])
+def test_non_expansion_factors_only_source_pairs(monkeypatch, text):
+    calls = []
+
+    def counting(a, b):
+        calls.append(frozenset((a, b)))
+        return distance_support(a, b)
+
+    monkeypatch.setattr(verify, "distance_support", counting)
+    pair = parse_map(text)
+    pts = list(points_up_to_height(4))
+    check_non_expansion(pair, reduction_profile(pair), pts)
+    assert len(calls) == math.comb(len(pts), 2)
+    assert set(calls) == {frozenset(ab) for ab in itertools.combinations(pts, 2)}
+    calls.clear()
+    report, = run_suite(pair, "nonexpansion", height=16)
+    assert len(calls) == len(set(calls)) == math.comb(int(params_dict(report)["points"]), 2)
 
 
 def test_non_expansion_example():
