@@ -11,13 +11,19 @@ main(argv) may be called repeatedly from Python: it builds its parser on the
 first call and keeps it for the life of the process (build_parser still
 returns a fresh one).  Each call parses into a new namespace, so nothing
 carries over from one call to the next.
+
+batch --jobs N forks min(N, maps, CPUs) - 1 worker processes directly (no
+pool) and sends rows back with marshal; where os.fork does not exist every
+slice runs in-process.  Either way the rows, and so the CSV, come out in
+task order, byte-identical for any job count.
 """
 
 import argparse
 import csv
 import io
+import marshal
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -148,6 +154,54 @@ def _sweep_entry(task):
             "incomplete": inv.incomplete, "count_le_Q": status}
 
 
+def _fork_slice(fn, part):
+    """(pid, read fd) of a forked child that sends back marshal.dumps([fn(t) for t in part])."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        code = 1
+        try:
+            data = marshal.dumps([fn(t) for t in part])
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            # leave at once: no exception report, atexit hooks or stdio flushes here
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _collect(pid: int, r: int):
+    """The child's rows, or None if it did not exit 0."""
+    with open(r, "rb") as fh:
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], split into the strided slices tasks[i::workers].
+
+    Slice 0 runs here and slices 1.. in forked children, read back after it.
+    A slice whose child failed runs again here, so its exception is raised
+    as it would be in-process; without os.fork every slice runs here.
+    """
+    children = ([_fork_slice(fn, tasks[i::workers]) for i in range(1, workers)]
+                if hasattr(os, "fork") else [])
+    rows = [None] * len(tasks)
+    try:
+        rows[::workers] = [fn(t) for t in tasks[::workers]]
+    finally:
+        # reap every child, also when slice 0 raised
+        sent = [_collect(pid, r) for pid, r in children]
+    for i in range(1, workers):
+        part = sent[i - 1] if sent else None
+        rows[i::workers] = [fn(t) for t in tasks[i::workers]] if part is None else part
+    return rows
+
+
 def cmd_batch(args) -> int:
     family = args.family.replace(" ", "")
     if family not in ("z^2+c", "z**2+c"):
@@ -162,15 +216,9 @@ def cmd_batch(args) -> int:
              for den in range(1, args.c_den_max + 1)
              for num in range(-args.c_num_max, args.c_num_max + 1)
              if gcd(num, den) == 1]
-    # a fork pool starts every worker at once, so never ask for more than the tasks
-    workers = min(args.jobs, len(tasks))
-    if workers == 1:
-        rows = [_sweep_entry(t) for t in tasks]
-    else:
-        # map preserves task order, so the CSV is identical for any job count
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            rows = list(pool.map(_sweep_entry, tasks, chunksize=chunk))
+    # every worker starts at once, so never more than the maps or the CPUs
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    rows = _fork_map(_sweep_entry, tasks, workers)
     if args.csv:
         buf = io.StringIO()
         csv.writer(buf).writerows(batch_rows_csv(rows))

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intarith import ArithmeticInputError, valuation
+from .intarith import ArithmeticInputError, _strip
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
 from .ratmap import HomogPair, escape_threshold, step_kernel, wronskian
 
@@ -122,13 +122,13 @@ class DynamicalInventory:
 
 
 def _escape_exponent(pair: HomogPair, p: int) -> int:
-    """Least k >= 1 for which rule (ii) drops every start with v_p(y) >= k."""
+    """Least k >= 1 for which rule (ii) drops every start with v_p(y) >= k; p is prime."""
     a, d = pair.a, pair.degree
-    top = valuation(a[0], p)
-    k = max(1, (top - valuation(pair.b[-1], p)) // (d - 1) + 1)
+    top = _strip(a[0], p)[1]
+    k = max(1, (top - _strip(pair.b[-1], p)[1]) // (d - 1) + 1)
     for i in range(1, d + 1):
         if a[i]:
-            k = max(k, (top - valuation(a[i], p)) // i + 1)
+            k = max(k, (top - _strip(a[i], p)[1]) // i + 1)
     return k
 
 

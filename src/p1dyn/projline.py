@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intarith import ArithmeticInputError, factorize, is_prime, valuation
+from .intarith import ArithmeticInputError, _strip, factorize, is_prime
 
 #: Distance value for a point compared with itself (v_p(0), conventionally).
 INFINITE_DISTANCE = math.inf
@@ -81,7 +81,7 @@ def log_distance(p1: ProjPoint, p2: ProjPoint, p: int):
     c = cross_product(p1, p2)
     if c == 0:
         return INFINITE_DISTANCE
-    return valuation(c, p)
+    return _strip(c, p)[1]
 
 
 def distance_support(p1: ProjPoint, p2: ProjPoint) -> dict[int, int]:

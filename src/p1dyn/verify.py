@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import aggregate_bounds, tail_bounds, unit_equation_bounds
-from .intarith import is_prime, valuation
+from .intarith import _strip, is_prime
 from .magnitude import Comparison, compare, exact, force_exact, sum_of
 from .orbits import DynamicalInventory, enumerate_preperiodic
 from .projline import (
@@ -175,7 +175,8 @@ def _non_expansion(pair: HomogPair, profile: ReductionProfile,
         c = cross_product(i1, i2)
         for p in sorted(s_before.keys() - bad):
             before = s_before[p]
-            after = INFINITE_DISTANCE if c == 0 else valuation(c, p)
+            # p comes from factorize, so it needs no second primality proof
+            after = INFINITE_DISTANCE if c == 0 else _strip(c, p)[1]
             checked += 1
             if after < before:
                 failures.append(

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -106,13 +107,16 @@ def test_analyze_accepts_a_large_prime_in_the_wronskian(capsys):
     assert "(2 periodic, 1 tail, 0 on critical cycles)" in out
 
 
-@pytest.mark.parametrize("text", [_LARGE_PRIME_WRONSKIAN_MAP, "z^2-1", "[X^3+2*Y^3:X*Y^2]"])
+@pytest.mark.parametrize("text", [_LARGE_PRIME_WRONSKIAN_MAP, "z^2-1", "[X^3+2*Y^3:X*Y^2]",
+                                  "z^2-29/16"])
 def test_enumerate_preperiodic_never_factors(monkeypatch, text):
     def refuse(n):
-        raise AssertionError(f"factorize({n}) called")
+        raise AssertionError(f"factorize or is_prime({n}) called")
 
     monkeypatch.setattr("p1dyn.ratmap.factorize", refuse)
     monkeypatch.setattr("p1dyn.intarith.factorize", refuse)
+    # the sieve's primes come from its own trial division, so none is proved again
+    monkeypatch.setattr("p1dyn.intarith.is_prime", refuse)
     inv = enumerate_preperiodic(parse_map(text), 64)
     monkeypatch.undo()
     assert inv == enumerate_preperiodic(parse_map(text), 64)
@@ -298,36 +302,72 @@ def test_batch_jobs_keep_order(tmp_path):
     assert one.read_text() == two.read_text()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its sizes and maps in-process."""
+def _record_workers(monkeypatch, cpus):
+    """Replaces the fork map by an in-process one; returns the worker counts it is given."""
+    workers = []
 
-    calls = []
+    def record(fn, tasks, count):
+        workers.append(count)
+        return [fn(t) for t in tasks]
 
-    def __init__(self, max_workers):
-        self.calls.append({"max_workers": max_workers})
+    monkeypatch.setattr(cli, "_fork_map", record)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return workers
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        self.calls[-1]["chunksize"] = chunksize
-        return map(fn, tasks)
+_BOX_1 = ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"]  # 3 maps
+_BOX_8 = ["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
+          "--height", "4"]  # 87 maps
 
 
 def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "calls", [])
-    base = ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"]
-    assert main(base + ["--jobs", "100000"]) == 0  # 3 maps
+    workers = _record_workers(monkeypatch, 64)
+    assert main(_BOX_1 + ["--jobs", "100000"]) == 0
     assert "maps analyzed: 3" in capsys.readouterr().out
-    assert _RecordingPool.calls == [{"max_workers": 3, "chunksize": 1}]
-    assert main(["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
-                 "--height", "4", "--jobs", "2"]) == 0  # 87 maps
-    assert _RecordingPool.calls[1] == {"max_workers": 2, "chunksize": 87 // 16}
+    assert main(_BOX_8 + ["--jobs", "2"]) == 0
+    assert workers == [3, 2]
     capsys.readouterr()
+
+
+def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys):
+    outputs = []
+    for cpus, jobs in ((None, 1), (64, 5), (2, 100000), (None, 100000)):
+        workers = _record_workers(monkeypatch, cpus)
+        assert main(_BOX_8 + ["--jobs", str(jobs)]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert workers == [min(jobs, cpus or 1)]
+    assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
+
+
+@pytest.mark.parametrize("count, workers", [(7, 3), (2, 2)])
+def test_fork_map_returns_slices_in_task_order(count, workers):
+    rows = cli._fork_map(lambda t: (t * t, os.getpid()), list(range(count)), workers)
+    assert [square for square, _ in rows] == [t * t for t in range(count)]
+    # slice 0 runs here, every other slice in a child of its own
+    pids = [pid for _, pid in rows]
+    assert pids[::workers] == [os.getpid()] * len(pids[::workers])
+    children = {pid for pid in pids if pid != os.getpid()}
+    assert len(children) == workers - 1 <= 2
+
+
+def test_fork_map_raises_a_child_s_exception_here():
+    def square(t):
+        if t == 4:
+            raise ValueError(f"task {t} refused")
+        return t * t
+
+    # task 4 sits in slice 1, which a child runs first and this process runs again
+    with pytest.raises(ValueError, match=r"^task 4 refused$"):
+        cli._fork_map(square, list(range(7)), 3)
+
+
+def test_batch_without_fork_matches_one_job(monkeypatch, tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(_BOX_8 + ["--csv", str(one)]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert main(_BOX_8 + ["--jobs", "3", "--csv", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_batch_builds_members_without_parsing(monkeypatch, capsys):

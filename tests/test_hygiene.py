@@ -1,6 +1,9 @@
 """Source hygiene checks over the p1dyn package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import p1dyn
@@ -31,6 +34,17 @@ def test_every_import_is_used():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # only batch --jobs forks, and it needs none of these: the CLI starts without them
+    probe = "import sys, p1dyn.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "p1dyn.cli" in loaded
+    assert loaded & {"concurrent", "multiprocessing", "subprocess", "socket", "pickle"} == set()
 
 
 def _names_used(node) -> set[str]:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from naive import _naive_distance
-from p1dyn.intarith import ArithmeticInputError
+from p1dyn.intarith import ArithmeticInputError, is_prime
 from p1dyn.projline import (
     INFINITE_DISTANCE,
     INFINITY,
@@ -69,6 +69,19 @@ def test_log_distance_examples():
     assert log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 5) == 0
     assert log_distance(ProjPoint(0, 1), INFINITY, 7) == 0
     assert log_distance(ProjPoint(2, 1), ProjPoint(2, 1), 3) == INFINITE_DISTANCE
+
+
+def test_log_distance_proves_its_prime_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("p1dyn.intarith.is_prime", counting)
+    monkeypatch.setattr("p1dyn.projline.is_prime", counting)
+    assert log_distance(ProjPoint(1, 1), ProjPoint(9, 1), 2) == 3
+    assert calls == [2]
 
 
 def test_log_distance_symmetry_and_reduction_meaning():

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from naive import (naive_evaluate, naive_four_point_members, naive_non_expansion,
                    naive_three_point_members, naive_ultrametric)
-from p1dyn import verify
+from p1dyn import intarith, verify
+from p1dyn.intarith import is_prime
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import (INFINITY, ProjPoint, distance_support, from_rational,
@@ -189,6 +190,26 @@ def test_non_expansion_factors_only_source_pairs(monkeypatch, text):
     calls.clear()
     report, = run_suite(pair, "nonexpansion", height=16)
     assert len(calls) == len(set(calls)) == math.comb(int(params_dict(report)["points"]), 2)
+
+
+def test_non_expansion_proves_no_prime_twice(monkeypatch):
+    # the primes non-expansion reads come from factorize, which proved them
+    pair = parse_map("z^2-29/16")
+    profile = reduction_profile(pair)
+    pts = list(points_up_to_height(4))
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(intarith, "is_prime", counting)
+    for a, b in itertools.combinations(pts, 2):
+        distance_support(a, b)
+    by_support = len(calls)
+    calls.clear()
+    check_non_expansion(pair, profile, pts)
+    assert len(calls) == by_support
 
 
 def test_non_expansion_example():
