@@ -9,11 +9,10 @@ Labels in bound_table follow the customary single letters so reports
 stay recognizable.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .magnitude import Magnitude, exact, exp_of, max_of, power, prod_of, sum_of
+from .record import Record, _set
 
 
 class BoundInputError(ValueError):
@@ -27,32 +26,42 @@ def _check(d: int, s: int) -> None:
         raise BoundInputError("place count must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class UnitEquationBounds:
+class UnitEquationBounds(Record):
     """Bounds for S-unit equations: two_term for a+b=1, n_term for n summands."""
 
-    two_term: Magnitude
-    n_term: Magnitude
+    __slots__ = ("two_term", "n_term")
+
+    def __init__(self, two_term: Magnitude, n_term: Magnitude):
+        _set(self, "two_term", two_term)
+        _set(self, "n_term", n_term)
 
 
-@dataclass(frozen=True)
-class TailBounds:
+class TailBounds(Record):
     """Caps on tail points entering cycles of period one, two, and three."""
 
-    fixed_cycle: Magnitude
-    two_cycle: Magnitude
-    three_cycle: Magnitude
-    fixed_and_double: Magnitude
+    __slots__ = ("fixed_cycle", "two_cycle", "three_cycle", "fixed_and_double")
+
+    def __init__(self, fixed_cycle: Magnitude, two_cycle: Magnitude,
+                 three_cycle: Magnitude, fixed_and_double: Magnitude):
+        _set(self, "fixed_cycle", fixed_cycle)
+        _set(self, "two_cycle", two_cycle)
+        _set(self, "three_cycle", three_cycle)
+        _set(self, "fixed_and_double", fixed_and_double)
 
 
-@dataclass(frozen=True)
-class AggregateBounds:
-    critical_overlap: Magnitude
-    tail_given_four_periodic: Magnitude
-    periodic_via_three_points: Magnitude
-    periodic_via_four_points: Magnitude
-    preperiodic_long_cycle: Magnitude
-    preperiodic: Magnitude
+class AggregateBounds(Record):
+    __slots__ = ("critical_overlap", "tail_given_four_periodic", "periodic_via_three_points",
+                 "periodic_via_four_points", "preperiodic_long_cycle", "preperiodic")
+
+    def __init__(self, critical_overlap: Magnitude, tail_given_four_periodic: Magnitude,
+                 periodic_via_three_points: Magnitude, periodic_via_four_points: Magnitude,
+                 preperiodic_long_cycle: Magnitude, preperiodic: Magnitude):
+        _set(self, "critical_overlap", critical_overlap)
+        _set(self, "tail_given_four_periodic", tail_given_four_periodic)
+        _set(self, "periodic_via_three_points", periodic_via_three_points)
+        _set(self, "periodic_via_four_points", periodic_via_four_points)
+        _set(self, "preperiodic_long_cycle", preperiodic_long_cycle)
+        _set(self, "preperiodic", preperiodic)
 
 
 def unit_equation_bounds(n: int, s: int) -> UnitEquationBounds:
@@ -61,7 +70,7 @@ def unit_equation_bounds(n: int, s: int) -> UnitEquationBounds:
     if not isinstance(s, int) or s < 1:
         raise BoundInputError("place count must be an integer >= 1")
     two = power(exact(2), 16 * s)
-    ln_n = Fraction((6 * n) ** (3 * n) * (n * s + 1 - n))
+    ln_n = (6 * n) ** (3 * n) * (n * s + 1 - n)
     return UnitEquationBounds(two_term=two, n_term=exp_of(ln_n))
 
 

@@ -32,19 +32,16 @@ Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
 
 from .intarith import int_digits
+from .record import Record, _set
 
 EXACT_DIGIT_CEILING = 10**6
 _PREC_START = 64
 _PREC_CEILING = 1 << 13
 _GUARD_BITS = 16
-
-Magnitude = Union["Exact", "ExpOf", "Power", "Sum", "Prod", "MaxOf"]
 
 
 class Comparison(enum.Enum):
@@ -61,35 +58,50 @@ class MagnitudeInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Exact:
-    value: int
+class Exact(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ExpOf:
-    ln: Fraction
+class ExpOf(Record):
+    __slots__ = ("ln",)
+
+    def __init__(self, ln: Fraction):
+        _set(self, "ln", ln)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: Magnitude
-    exponent: int
+class Power(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Magnitude, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
+class Sum(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Prod:
-    parts: tuple
+class Prod(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class MaxOf:
-    parts: tuple
+class MaxOf(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
+
+
+Magnitude = Exact | ExpOf | Power | Sum | Prod | MaxOf
 
 
 def _key(m):
@@ -345,7 +357,7 @@ def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
             top_hi + _ln_int_fixed(s_hi, width)[1] - width * l2_lo)
 
 
-def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
+def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
     """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
 
     Every rounding step widens the interval, never narrows it.
@@ -368,7 +380,7 @@ def _ln_fixed(m: Magnitude, width: int) -> Optional[tuple[int, int]]:
     return _ln_exp_sum(ivs, width)
 
 
-def ln_interval(m: Magnitude, prec: int) -> Optional[tuple[Fraction, Fraction]]:
+def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:
     """Rigorous bounds on ln(m) as rationals; None for the zero magnitude."""
     width = prec + _GUARD_BITS
     iv = _ln_fixed(m, width)
@@ -377,7 +389,7 @@ def ln_interval(m: Magnitude, prec: int) -> Optional[tuple[Fraction, Fraction]]:
     return Fraction(iv[0], 1 << width), Fraction(iv[1], 1 << width)
 
 
-def force_exact(m: Magnitude) -> Optional[int]:
+def force_exact(m: Magnitude) -> int | None:
     """The value of an Exact node within the digit ceiling; None for any other node.
 
     A leaf check: no other node the constructors build could materialize (the

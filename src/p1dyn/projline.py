@@ -9,25 +9,25 @@ x1*y2 - x2*y1, which is what everything here computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intarith import ArithmeticInputError, _strip, factorize, is_prime
+from .record import Record, _set
 
 #: Distance value for a point compared with itself (v_p(0), conventionally).
 INFINITE_DISTANCE = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class ProjPoint:
-    x: int
-    y: int
+class ProjPoint(Record):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.y < 0 or (self.y == 0 and self.x != 1):
-            raise ArithmeticInputError(f"[{self.x}:{self.y}] is not canonical")
-        if math.gcd(self.x, self.y) != 1:
-            raise ArithmeticInputError(f"[{self.x}:{self.y}] has a common factor")
+    def __init__(self, x: int, y: int):
+        if y < 0 or (y == 0 and x != 1):
+            raise ArithmeticInputError(f"[{x}:{y}] is not canonical")
+        if math.gcd(x, y) != 1:
+            raise ArithmeticInputError(f"[{x}:{y}] has a common factor")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def as_fraction(self) -> Fraction:
         if self.y == 0:

@@ -10,32 +10,30 @@ resultant is what makes it an actual endomorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .intarith import ArithmeticInputError, factorize, is_prime
 from .projline import ProjPoint
+from .record import Record, _set
 
 
 class DegenerateMapError(ValueError):
     """The input does not define an endomorphism of the line."""
 
 
-@dataclass(frozen=True)
-class HomogPair:
-    degree: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    source: str = field(default="", compare=False)
+class HomogPair(Record):
+    """The forms' coefficients; ``source``, the text the map was read from, is not compared."""
 
-    def __post_init__(self):
-        d = self.degree
-        if d < 1:
+    __slots__ = ("degree", "a", "b", "source")
+    _compared = ("degree", "a", "b")
+
+    def __init__(self, degree: int, a: tuple[int, ...], b: tuple[int, ...], source: str = ""):
+        if degree < 1:
             raise DegenerateMapError("degree must be at least 1")
-        if len(self.a) != d + 1 or len(self.b) != d + 1:
+        if len(a) != degree + 1 or len(b) != degree + 1:
             raise ArithmeticInputError("coefficient vectors must have length degree+1")
-        coeffs = self.a + self.b
-        if all(c == 0 for c in self.a) or all(c == 0 for c in self.b):
+        coeffs = a + b
+        if all(c == 0 for c in a) or all(c == 0 for c in b):
             raise DegenerateMapError("one side of the pair is identically zero")
         g = 0
         for c in coeffs:
@@ -45,6 +43,10 @@ class HomogPair:
         first = next(c for c in coeffs if c != 0)
         if first < 0:
             raise ArithmeticInputError("pair is not sign-normalized")
+        _set(self, "degree", degree)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "source", source)
 
     @property
     def degree_below_2(self) -> bool:
@@ -211,11 +213,13 @@ def escape_threshold(pair: HomogPair) -> int:
     return threshold
 
 
-@dataclass(frozen=True)
-class PlaceSet:
+class PlaceSet(Record):
     """A finite set of primes together with the archimedean place."""
 
-    finite: frozenset[int]
+    __slots__ = ("finite",)
+
+    def __init__(self, finite: frozenset[int]):
+        _set(self, "finite", finite)
 
     @property
     def size(self) -> int:
@@ -233,11 +237,13 @@ class PlaceSet:
         return "{" + ", ".join(["inf"] + [str(p) for p in sorted(self.finite)]) + "}"
 
 
-@dataclass(frozen=True)
-class ReductionProfile:
-    resultant: int
-    bad_primes: tuple[int, ...]
-    places: PlaceSet
+class ReductionProfile(Record):
+    __slots__ = ("resultant", "bad_primes", "places")
+
+    def __init__(self, resultant: int, bad_primes: tuple[int, ...], places: PlaceSet):
+        _set(self, "resultant", resultant)
+        _set(self, "bad_primes", bad_primes)
+        _set(self, "places", places)
 
 
 def reduction_profile(pair: HomogPair) -> ReductionProfile:

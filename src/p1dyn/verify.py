@@ -19,7 +19,6 @@ trios with at most one pair at p are counted, not walked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .bounds import aggregate_bounds, tail_bounds, unit_equation_bounds
 from .intarith import _strip, is_prime
@@ -34,6 +33,7 @@ from .projline import (
     points_up_to_height,
 )
 from .ratmap import HomogPair, PlaceSet, ReductionProfile, evaluate, reduction_profile
+from .record import Record, _set
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -48,13 +48,16 @@ class VerificationInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check_name: str
-    status: str
-    reason: str = ""
-    witnesses: tuple = ()
-    parameters: tuple = ()
+class VerificationReport(Record):
+    __slots__ = ("check_name", "status", "reason", "witnesses", "parameters")
+
+    def __init__(self, check_name: str, status: str, reason: str = "",
+                 witnesses: tuple = (), parameters: tuple = ()):
+        _set(self, "check_name", check_name)
+        _set(self, "status", status)
+        _set(self, "reason", reason)
+        _set(self, "witnesses", witnesses)
+        _set(self, "parameters", parameters)
 
     @property
     def ok(self) -> bool:

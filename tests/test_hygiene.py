@@ -36,15 +36,28 @@ def test_every_import_is_used():
     assert unused == {}
 
 
-def test_importing_the_cli_loads_no_process_machinery():
-    # only batch --jobs forks, and it needs none of these: the CLI starts without them
+def _modules_after_importing_the_cli(*flags: str) -> set[str]:
+    """sys.modules of a fresh interpreter, started with ``flags``, once p1dyn.cli is imported."""
     probe = "import sys, p1dyn.cli; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     loaded = set(out.split())
     assert "p1dyn.cli" in loaded
+    return loaded
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # only batch --jobs forks, and it needs none of these: the CLI starts without them
+    loaded = _modules_after_importing_the_cli()
     assert loaded & {"concurrent", "multiprocessing", "subprocess", "socket", "pickle"} == set()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_typing():
+    # records are slotted classes, so nothing generates code at import; -S keeps
+    # site and its .pth hooks, which may load typing themselves, out of the probe
+    loaded = _modules_after_importing_the_cli("-S")
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} == set()
 
 
 def _names_used(node) -> set[str]:
