@@ -64,6 +64,10 @@ class AggregateBounds(Record):
         _set(self, "preperiodic", preperiodic)
 
 
+# a bound table asks for the same B, C3 and C5 eight times, and the (d, s)
+# grid of 2..33 x 1..16 holds 48 distinct (n, s): one node each keeps its
+# intervals.  typed, so 2.0 never finds the entry of 2 and skips the checks
+@lru_cache(maxsize=64, typed=True)
 def unit_equation_bounds(n: int, s: int) -> UnitEquationBounds:
     if not isinstance(n, int) or n < 2:
         raise BoundInputError("unit equation needs an integer term count >= 2")
@@ -74,7 +78,9 @@ def unit_equation_bounds(n: int, s: int) -> UnitEquationBounds:
     return UnitEquationBounds(two_term=two, n_term=exp_of(ln_n))
 
 
-@lru_cache(maxsize=256)
+# one table reads its tails twice (aggregate_bounds, then bound_table), and a
+# sweep asks for Q(2, s) at few s; more entries would keep dead tables' intervals
+@lru_cache(maxsize=16, typed=True)
 def tail_bounds(d: int, s: int) -> TailBounds:
     _check(d, s)
     b = unit_equation_bounds(2, s).two_term
@@ -90,7 +96,7 @@ def tail_bounds(d: int, s: int) -> TailBounds:
     return TailBounds(fixed_cycle=l1, two_cycle=l2, three_cycle=l3, fixed_and_double=l4)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16, typed=True)
 def aggregate_bounds(d: int, s: int) -> AggregateBounds:
     _check(d, s)
     b = unit_equation_bounds(2, s).two_term

@@ -27,6 +27,14 @@ only when they are equal nodes.  A hand-built tree whose logarithm is a
 non-dyadic rational, such as Power(ExpOf(1/3), 3) against ExpOf(1), is outside
 the contract: it raises IndistinguishableError instead of answering EQUAL.
 Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
+
+Beyond its fields, every node stores its canonical sort key and its hash,
+both made once in its constructor from its children's stored ones, and the
+last interval _ln_fixed gave it, with that interval's width.  Nodes are
+immutable and _ln_fixed is deterministic at a given width, so none of these
+goes stale.  The constructors' canonical sorts, equality and hashing read the
+stored key and hash, and every comparison and digit count at one width that
+meets a node, in max_of or later, computes its interval once.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .intarith import int_digits
 from .record import Record, _set
@@ -58,64 +67,87 @@ class MagnitudeInputError(ValueError):
     pass
 
 
-class Exact(Record):
+class _Node(Record):
+    """The memo slots of every node (the module docstring says why they are sound).
+
+    ``_key`` and ``_hash`` are set in ``__init__``, and ``_ln`` holds the last
+    ``_ln_fixed`` result as ``(width, (lo, hi))``.  Equality reads the key.
+    """
+
+    __slots__ = ("_key", "_hash", "_ln")
+
+    def __eq__(self, other):
+        if isinstance(other, _Node):
+            return self._hash == other._hash and self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+
+def _seal(node: _Node, key: tuple, digest: int) -> None:
+    _set(node, "_key", key)
+    _set(node, "_hash", digest)
+    _set(node, "_ln", None)
+
+
+def _seal_parts(node: _Node, tag: int, parts: tuple) -> None:
+    _seal(node, (tag, tuple(p._key for p in parts)), hash((tag, tuple(p._hash for p in parts))))
+
+
+class Exact(_Node):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
         _set(self, "value", value)
+        key = (0, value)
+        _seal(self, key, hash(key))
 
 
-class ExpOf(Record):
+class ExpOf(_Node):
     __slots__ = ("ln",)
 
     def __init__(self, ln: Fraction):
         _set(self, "ln", ln)
+        key = (1, ln)
+        _seal(self, key, hash(key))
 
 
-class Power(Record):
+class Power(_Node):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Magnitude, exponent: int):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
+        _seal(self, (2, base._key, exponent), hash((2, base._hash, exponent)))
 
 
-class Sum(Record):
+class Sum(_Node):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
+        _seal_parts(self, 3, parts)
 
 
-class Prod(Record):
+class Prod(_Node):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
+        _seal_parts(self, 4, parts)
 
 
-class MaxOf(Record):
+class MaxOf(_Node):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
+        _seal_parts(self, 5, parts)
 
 
 Magnitude = Exact | ExpOf | Power | Sum | Prod | MaxOf
-
-
-def _key(m):
-    if isinstance(m, Exact):
-        return (0, m.value)
-    if isinstance(m, ExpOf):
-        return (1, m.ln)
-    if isinstance(m, Power):
-        return (2, _key(m.base), m.exponent)
-    if isinstance(m, Sum):
-        return (3, tuple(_key(p) for p in m.parts))
-    if isinstance(m, Prod):
-        return (4, tuple(_key(p) for p in m.parts))
-    return (5, tuple(_key(p) for p in m.parts))
+_canonical = attrgetter("_key")
 
 
 def _digits_at_most(v: int, ceiling: int) -> bool:
@@ -198,7 +230,7 @@ def prod_of(*parts: Magnitude) -> Magnitude:
             powers[p.base] = powers.get(p.base, 0) + p.exponent
         else:
             rest.append(p)
-    for base, e in sorted(powers.items(), key=lambda kv: _key(kv[0])):
+    for base, e in sorted(powers.items(), key=lambda kv: kv[0]._key):
         rest.append(power(base, e))
     if acc_ln:
         rest.append(ExpOf(acc_ln))
@@ -208,7 +240,7 @@ def prod_of(*parts: Magnitude) -> Magnitude:
         return Exact(acc_exact)
     if len(rest) == 1:
         return rest[0]
-    return Prod(tuple(sorted(rest, key=_key)))
+    return Prod(tuple(sorted(rest, key=_canonical)))
 
 
 def sum_of(*parts: Magnitude) -> Magnitude:
@@ -223,7 +255,7 @@ def sum_of(*parts: Magnitude) -> Magnitude:
     counts: dict = {}
     for p in rest:
         counts[p] = counts.get(p, 0) + 1
-    for p, k in sorted(counts.items(), key=lambda kv: _key(kv[0])):
+    for p, k in sorted(counts.items(), key=lambda kv: kv[0]._key):
         grouped.append(p if k == 1 else prod_of(Exact(k), p))
     if acc_exact:
         grouped.append(Exact(acc_exact))
@@ -231,7 +263,7 @@ def sum_of(*parts: Magnitude) -> Magnitude:
         return Exact(acc_exact)
     if len(grouped) == 1:
         return grouped[0]
-    return Sum(tuple(sorted(grouped, key=_key)))
+    return Sum(tuple(sorted(grouped, key=_canonical)))
 
 
 def max_of(*parts: Magnitude) -> Magnitude:
@@ -243,7 +275,7 @@ def max_of(*parts: Magnitude) -> Magnitude:
     MaxOf of the parts no comparison could separate.
     """
     kept: list[Magnitude] = []
-    for p in sorted(set(_flatten(parts, MaxOf)), key=_key):
+    for p in sorted(set(_flatten(parts, MaxOf)), key=_canonical):
         verdicts = []
         for q in kept:
             try:
@@ -360,24 +392,34 @@ def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
 def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
     """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
 
-    Every rounding step widens the interval, never narrows it.
+    Every rounding step widens the interval, never narrows it.  The node
+    keeps the result for its width, so a tree asked again at that width, or
+    a tree that shares the node, reads it instead of walking it.
     """
+    try:
+        memo = m._ln
+    except AttributeError:
+        raise MagnitudeInputError(f"not a magnitude: {m!r}") from None
+    if memo is not None and memo[0] == width:
+        return memo[1]
     if isinstance(m, Exact):
-        return None if m.value == 0 else _ln_int_fixed(m.value, width)
-    if isinstance(m, ExpOf):
+        iv = None if m.value == 0 else _ln_int_fixed(m.value, width)
+    elif isinstance(m, ExpOf):
         num, den = m.ln.numerator << width, m.ln.denominator
-        return num // den, -(-num // den)
-    if isinstance(m, Power):
+        iv = num // den, -(-num // den)
+    elif isinstance(m, Power):
         lo, hi = _ln_fixed(m.base, width)
-        return lo * m.exponent, hi * m.exponent
-    if not isinstance(m, (Sum, Prod, MaxOf)):
-        raise MagnitudeInputError(f"not a magnitude: {m!r}")
-    ivs = [_ln_fixed(p, width) for p in m.parts]
-    if isinstance(m, Prod):
-        return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
-    if isinstance(m, MaxOf):
-        return max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
-    return _ln_exp_sum(ivs, width)
+        iv = lo * m.exponent, hi * m.exponent
+    else:
+        ivs = [_ln_fixed(p, width) for p in m.parts]
+        if isinstance(m, Prod):
+            iv = sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
+        elif isinstance(m, MaxOf):
+            iv = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
+        else:
+            iv = _ln_exp_sum(ivs, width)
+    _set(m, "_ln", (width, iv))
+    return iv
 
 
 def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:

@@ -12,6 +12,7 @@ import itertools
 import math
 
 from p1dyn.intarith import factorize
+from p1dyn.magnitude import Exact, ExpOf, Power, Prod, Sum
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
 from p1dyn.verify import FAIL, PASS, VerificationReport
 
@@ -276,3 +277,18 @@ def naive_non_expansion(points, image, bad):
                                     witnesses=(f"{n} points, all pairs, good primes only",),
                                     parameters=(("points", n), ("checked", str(checked))))
     return report, source_checked
+
+
+def naive_key(m):
+    """The canonical sort key of a magnitude node, rebuilt from its fields all the way down."""
+    if isinstance(m, Exact):
+        return (0, m.value)
+    if isinstance(m, ExpOf):
+        return (1, m.ln)
+    if isinstance(m, Power):
+        return (2, naive_key(m.base), m.exponent)
+    if isinstance(m, Sum):
+        return (3, tuple(naive_key(p) for p in m.parts))
+    if isinstance(m, Prod):
+        return (4, tuple(naive_key(p) for p in m.parts))
+    return (5, tuple(naive_key(p) for p in m.parts))

@@ -169,3 +169,8 @@ def test_input_validation():
         unit_equation_bounds(1, 1)
     with pytest.raises(BoundInputError):
         unit_equation_bounds(3, 0)
+    # a cached table of (2, 1) must not answer for (2.0, 1)
+    unit_equation_bounds(2, 1), tail_bounds(2, 1), aggregate_bounds(2, 1)
+    for build in (unit_equation_bounds, tail_bounds, aggregate_bounds):
+        with pytest.raises(BoundInputError):
+            build(2.0, 1)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from p1dyn import cli
+from p1dyn.bounds import aggregate_bounds
 from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
@@ -337,6 +338,19 @@ def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
         assert workers == [min(jobs, cpus or 1)]
     assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
+
+
+def test_batch_builds_each_q_table_once_per_place_count(tmp_path, capsys):
+    # --jobs 1 runs every map here, so the caches it fills are this process's
+    cli._within_q.cache_clear()
+    aggregate_bounds.cache_clear()
+    out = tmp_path / "box8.csv"
+    assert main(_BOX_8 + ["--csv", str(out)]) == 0
+    assert "maps analyzed: 87" in capsys.readouterr().out
+    with out.open(newline="") as fh:
+        checked = {row["s"] for row in csv.DictReader(fh) if row["count_le_Q"] != "SKIPPED"}
+    info = aggregate_bounds.cache_info()
+    assert len(checked) > 1 and info.misses == len(checked)
 
 
 @pytest.mark.parametrize("count, workers", [(7, 3), (2, 2)])

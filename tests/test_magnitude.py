@@ -8,19 +8,23 @@ direct integer arithmetic) before the engine existed.
 import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from p1dyn import magnitude
 from p1dyn.magnitude import (
     Comparison,
     Exact,
     ExpOf,
     IndistinguishableError,
     MagnitudeInputError,
+    MaxOf,
     Power,
+    Prod,
     Sum,
     compare,
     digit_count,
@@ -33,8 +37,11 @@ from p1dyn.magnitude import (
     power,
     prod_of,
     sum_of,
+    _ln_fixed,
     _ln_int_fixed,
 )
+
+from naive import naive_key
 
 
 def test_int_digits_matches_str():
@@ -363,3 +370,108 @@ def test_random_trees_against_integer_arithmetic():
             else Comparison.EQUAL
         )
         assert compare(m, exact(other)) is want
+
+
+def _rebuild(m, flip=False):
+    """The same tree from new nodes with empty memos; flip reverses every parts tuple."""
+    if isinstance(m, Exact):
+        return Exact(m.value)
+    if isinstance(m, ExpOf):
+        return ExpOf(m.ln)
+    if isinstance(m, Power):
+        return Power(_rebuild(m.base, flip), m.exponent)
+    parts = tuple(_rebuild(p, flip) for p in m.parts)
+    return type(m)(parts[::-1] if flip else parts)
+
+
+def _nodes(m):
+    yield m
+    if isinstance(m, Power):
+        yield from _nodes(m.base)
+    elif isinstance(m, (Sum, Prod, MaxOf)):
+        for p in m.parts:
+            yield from _nodes(p)
+
+
+def _built_from(children):
+    parts = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        parts.map(lambda ps: sum_of(*ps)),
+        parts.map(lambda ps: prod_of(*ps)),
+        parts.map(lambda ps: max_of(*ps)),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: power(*t)),
+    )
+
+
+def _by_hand_from(children):
+    # every node exceeds each of its parts but MaxOf's largest, and no
+    # constructor runs above a hand-built node: a pair of different keys and
+    # equal values, which escalates compare to its ceiling, is rare
+    parts = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        st.tuples(children, st.integers(2, 3)).map(lambda t: Power(*t)),
+        parts.map(Sum),
+        parts.map(Prod),
+        parts.map(MaxOf),
+    )
+
+
+_leaf_above_one = st.one_of(
+    st.integers(2, 10**6).map(exact),
+    st.fractions(min_value=0, max_value=60, max_denominator=8).filter(bool).map(exp_of),
+)
+_built = st.recursive(_leaf_above_one, _built_from, max_leaves=6)
+_one_by_hand = st.one_of(_built, _by_hand_from(_built))
+_tree = st.one_of(_one_by_hand, _by_hand_from(_one_by_hand))  # up to two hand-built levels
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree, _tree, st.data())
+def test_stored_keys_match_the_naive_oracle(a, b, data):
+    twin, mirror = _rebuild(a), _rebuild(a, flip=True)
+    for m in (a, b, twin, mirror):
+        for node in _nodes(m):
+            assert node._key == naive_key(node)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    for m, n in ((a, b), (a, mirror), (b, mirror)):
+        assert (m == n) == (naive_key(m) == naive_key(n))
+        if m == n:
+            assert hash(m) == hash(n)
+    parts = [a, b, twin]
+    # max_of visits its parts in canonical order, so its answer is order-free
+    # at any precision ceiling; a low one keeps undecided comparisons cheap
+    with mock.patch.object(magnitude, "_PREC_CEILING", 256):
+        for build in (sum_of, prod_of, max_of):
+            m = build(*parts)
+            assert m._key == naive_key(m)
+            assert build(*data.draw(st.permutations(parts))) == m
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except IndistinguishableError:
+        return IndistinguishableError
+
+
+# heads less than 1 apart; 10^95 against 10^95 + 1, so compare escalates to 512 bits
+_CLOSE_HEADS = power(sum_of(exp_of(Fraction(215, 4)), exp_of(Fraction(382, 7))), 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_built, st.one_of(st.none(), _built), st.permutations(range(3)))
+@example(_CLOSE_HEADS, None, [0, 1, 2])
+@example(_CLOSE_HEADS, None, [2, 1, 0])
+@example(_CLOSE_HEADS, None, [1, 2, 0])
+def test_memo_never_changes_an_answer(a, b, order):
+    if b is None:
+        b = sum_of(a, exact(1))  # the larger a, the further compare escalates
+    steps = [(compare, a, b), (digit_count, a), (ln_interval, a, 256)]
+    answers = {i: _answer(*steps[i]) for i in order}  # each fills the memos its own way
+    assert answers[0] == _answer(compare, _rebuild(a), _rebuild(b))
+    assert answers[1] == _answer(digit_count, _rebuild(a))
+    assert answers[2] == ln_interval(_rebuild(a), 256)
+    for width in (80, 144, 1040, 144, 80):
+        for m in (a, b):
+            assert _ln_fixed(m, width) == _ln_fixed(_rebuild(m), width)
+            assert m._ln == (width, _ln_fixed(m, width))

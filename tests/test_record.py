@@ -2,13 +2,14 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from p1dyn import ratmap
 from p1dyn.bounds import tail_bounds
-from p1dyn.magnitude import (MaxOf, Prod, Sum, exact, exp_of, max_of, power, prod_of,
-                             sum_of)
+from p1dyn.magnitude import (MaxOf, Prod, Sum, digit_count, exact, exp_of, ln_interval,
+                             max_of, power, prod_of, sum_of)
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import OrbitClassification, classify_point, enumerate_preperiodic
 from p1dyn.projline import ProjPoint
@@ -80,3 +81,28 @@ def test_defaults_repr_and_copies():
     for record in (profile, report, orbit, sum_of(exp_of(3), exact(2))):
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_memo_slots_stay_out_of_the_fields():
+    five = exact(5)
+    parts = (exp_of(3), power(exact(10), 2 * 10**6))
+    nodes = [five, exp_of(Fraction(7, 2)), power(sum_of(*parts), 3), Sum(parts), Prod(parts),
+             MaxOf(parts)]
+    for m in nodes:
+        digit_count(m)
+        ln_interval(m, 64)  # fills the memo of m and of every node below it
+        assert m._ln is not None
+    assert repr(five) == "Exact(value=5)"
+    for i, m in enumerate(nodes):
+        assert not any(slot in repr(m) for slot in ("_key", "_hash", "_ln"))
+        # rebuilt through __init__: equal, with an empty memo
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin is not m and twin == m and hash(twin) == hash(m)
+            assert twin._ln is None
+        for name in (*type(m).__slots__, "_key", "_hash", "_ln"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        for j, n in enumerate(nodes):
+            assert (m == n) == (i == j)
