@@ -7,10 +7,13 @@ batch (a sweep over the quadratic family z^2 + c).
 Exit codes: 0 success, 2 argument or parse error, 3 incomplete inventory,
 4 a verification check failed.
 
-main(argv) may be called repeatedly from Python: it builds its parser on the
-first call and keeps it for the life of the process (build_parser still
-returns a fresh one).  Each call parses into a new namespace, so nothing
-carries over from one call to the next.
+One constant table, _COMMANDS, gives each command its handler, help line
+and flags, and one loop reads argv against it; the --help text is made from
+the same table.  Flags are exact names, written --flag value or
+--flag=value.  An argv mistake prints one "error: ..." line on stderr and
+raises SystemExit(2).  main(argv) may be called repeatedly from Python;
+each call reads its argv into a new namespace, so nothing carries over
+from one call to the next.
 
 batch --jobs N forks min(N, maps, CPUs) - 1 worker processes directly (no
 pool) and sends rows back with marshal; where os.fork does not exist every
@@ -18,7 +21,6 @@ slice runs in-process.  Either way the rows, and so the CSV, come out in
 task order, byte-identical for any job count.
 """
 
-import argparse
 import csv
 import io
 import marshal
@@ -27,6 +29,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import SimpleNamespace
 
 from .bounds import BoundInputError, aggregate_bounds
 from .intarith import ArithmeticInputError, FactorizationIncompleteError
@@ -239,66 +242,124 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _add_search_flags(sp, height_default: int) -> None:
-    sp.add_argument("--height", type=int, default=height_default,
-                    help=f"height bound for the point search (default {height_default})")
-    sp.add_argument("--max-iters", type=int, default=256, dest="max_iters",
-                    help="iteration budget per starting point (default 256)")
+_REQUIRED = object()
+
+_MAX_ITERS = ("--max-iters", int, 256, "iteration budget per starting point")
+
+# command: (handler, help line, flags); a flag is (name, kind, default, help line),
+# where kind is str, int or a tuple of the accepted values, and its dest is the
+# name without the dashes, "-" read as "_"
+_COMMANDS = {
+    "analyze": (cmd_analyze, "reduction data, preperiodic inventory, bound table", (
+        ("--map", str, _REQUIRED, "rational map, e.g. 'z^2-29/16' or '[X^3+2*Y^3:X*Y^2]'"),
+        ("--height", int, 1024, "height bound for the point search"),
+        _MAX_ITERS,
+        ("--s-extra", str, "", "comma separated primes to add to the place set S"),
+        ("--json", str, "", "also write the JSON document to this path"),
+    )),
+    "verify": (cmd_verify, "run proposition and counting checks against a map", (
+        ("--map", str, _REQUIRED, "rational map"),
+        ("--suite", ("all",) + SUITE_NAMES, "all", "the checks to run"),
+        ("--height", int, 64, "height bound for the point search"),
+        _MAX_ITERS,
+        ("--json", str, "", "also write the JSON document to this path"),
+    )),
+    "bounds": (cmd_bounds, "print the preperiodic count bound table", (
+        ("--d", int, _REQUIRED, "degree of the map, at least 2"),
+        ("--s", int, _REQUIRED, "number of places in S including infinity, at least 1"),
+        ("--which", BOUND_ORDER, None, "print a single labelled bound"),
+    )),
+    "batch": (cmd_batch, "sweep the quadratic family z^2 + c", (
+        ("--family", str, _REQUIRED, "only 'z^2+c' is supported"),
+        ("--c-num-max", int, _REQUIRED, "range bound for the numerator of c"),
+        ("--c-den-max", int, _REQUIRED, "range bound for the denominator of c"),
+        ("--height", int, 64, "height bound for the point search"),
+        _MAX_ITERS,
+        ("--jobs", int, 1, "worker processes"),
+        ("--csv", str, "", "write per-map rows to this path"),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="p1dyn",
-        description="Exact arithmetic dynamics on the projective line over Q")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    a = sub.add_parser("analyze",
-                       help="reduction data, preperiodic inventory, bound table")
-    a.add_argument("--map", required=True,
-                   help="rational map, e.g. 'z^2-29/16' or '[X^3+2*Y^3:X*Y^2]'")
-    _add_search_flags(a, 1024)
-    a.add_argument("--s-extra", default="", dest="s_extra",
-                   help="comma separated primes to add to the place set S")
-    a.add_argument("--json", default="",
-                   help="also write the JSON document to this path")
-    a.set_defaults(func=cmd_analyze)
-
-    v = sub.add_parser("verify",
-                       help="run proposition and counting checks against a map")
-    v.add_argument("--map", required=True)
-    v.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
-    _add_search_flags(v, 64)
-    v.add_argument("--json", default="")
-    v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bounds", help="print the preperiodic count bound table")
-    b.add_argument("--d", type=int, required=True, help="degree of the map, at least 2")
-    b.add_argument("--s", type=int, required=True,
-                   help="number of places in S including infinity, at least 1")
-    b.add_argument("--which", choices=BOUND_ORDER, default=None,
-                   help="print a single labelled bound")
-    b.set_defaults(func=cmd_bounds)
-
-    bt = sub.add_parser("batch", help="sweep the quadratic family z^2 + c")
-    bt.add_argument("--family", required=True, help="only 'z^2+c' is supported")
-    bt.add_argument("--c-num-max", type=int, required=True, dest="c_num_max",
-                    help="range bound for the numerator of c")
-    bt.add_argument("--c-den-max", type=int, required=True, dest="c_den_max",
-                    help="range bound for the denominator of c")
-    _add_search_flags(bt, 64)
-    bt.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default 1)")
-    bt.add_argument("--csv", default="", help="write per-map rows to this path")
-    bt.set_defaults(func=cmd_batch)
-    return ap
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-@lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    # built on first use, not at import: importing the module stays cheap
-    return build_parser()
+def _usage(command=None) -> str:
+    """Help text, from _COMMANDS: the command list, or one command's flags."""
+    if command is None:
+        lines = ["usage: p1dyn COMMAND [FLAGS]", "",
+                 "Exact arithmetic dynamics on the projective line over Q", "", "commands:"]
+        lines += [f"  {name:<9} {entry[1]}" for name, entry in _COMMANDS.items()]
+        lines += ["", "p1dyn COMMAND --help lists the flags of a command."]
+        return "\n".join(lines) + "\n"
+    _, about, flags = _COMMANDS[command]
+    rows = []
+    for flag, kind, default, about_flag in flags:
+        if isinstance(kind, tuple):
+            about_flag += "; one of " + ", ".join(kind)
+        if default is _REQUIRED:
+            about_flag += " (required)"
+        elif default not in ("", None):
+            about_flag += f" (default {default})"
+        rows.append((f"{flag} {_dest(flag).upper()}", about_flag))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"usage: p1dyn {command} [FLAGS]", "", about, "", "flags:"]
+    lines += [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_argv(argv):
+    """(handler, namespace) for argv, the arguments after the program name.
+
+    The token after a flag is always its value, so a value may start with
+    "-"; a repeated flag keeps its last value.  -h or --help prints the
+    usage and raises SystemExit(0).
+    """
+    if not argv:
+        raise SystemExit(_fail("a command is required: " + ", ".join(_COMMANDS)))
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        sys.stdout.write(_usage())
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        choices = ", ".join(_COMMANDS)
+        raise SystemExit(_fail(f"unknown command {command!r}; choose from {choices}"))
+    handler, _, flags = _COMMANDS[command]
+    by_name = {flag[0]: flag for flag in flags}
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage(command))
+            raise SystemExit(0)
+        name, eq, text = token.partition("=")
+        if name not in by_name:
+            raise SystemExit(_fail(f"{command}: unrecognized argument {token!r}"))
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise SystemExit(_fail(f"{command}: argument {name} expects a value"))
+        kind = by_name[name][1]
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                raise SystemExit(_fail(f"{command}: argument {name}: invalid int value {text!r}"))
+        elif kind is not str and text not in kind:
+            choices = ", ".join(kind)
+            raise SystemExit(_fail(f"{command}: argument {name}: invalid choice {text!r} "
+                                   f"(choose from {choices})"))
+        values[_dest(name)] = text
+    missing = ", ".join(flag for flag, _, default, _ in flags
+                        if default is _REQUIRED and _dest(flag) not in values)
+    if missing:
+        raise SystemExit(_fail(f"{command}: the following arguments are required: {missing}"))
+    for flag, _, default, _ in flags:
+        values.setdefault(_dest(flag), default)
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
-    return args.func(args)
+    handler, args = _read_argv(sys.argv[1:] if argv is None else argv)
+    return handler(args)

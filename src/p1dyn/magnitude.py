@@ -213,17 +213,24 @@ def _flatten(parts, node_type) -> list:
     return flat
 
 
+def _folded(exacts: list, value) -> Exact:
+    """The constant part folded to value: the one Exact part itself when only one was seen."""
+    return exacts[0] if len(exacts) == 1 else Exact(value)
+
+
 def prod_of(*parts: Magnitude) -> Magnitude:
     flat = _flatten(parts, Prod)
     if any(_is_zero(p) for p in flat):
         return Exact(0)
     acc_exact = 1
+    exacts: list[Exact] = []
     acc_ln = Fraction(0)
     powers: dict = {}
     rest: list[Magnitude] = []
     for p in flat:
         if isinstance(p, Exact):
             acc_exact *= p.value
+            exacts.append(p)
         elif isinstance(p, ExpOf):
             acc_ln += p.ln
         elif isinstance(p, Power):
@@ -235,9 +242,9 @@ def prod_of(*parts: Magnitude) -> Magnitude:
     if acc_ln:
         rest.append(ExpOf(acc_ln))
     if acc_exact != 1:
-        rest.append(Exact(acc_exact))
+        rest.append(_folded(exacts, acc_exact))
     if not rest:
-        return Exact(acc_exact)
+        return _folded(exacts, acc_exact)
     if len(rest) == 1:
         return rest[0]
     return Prod(tuple(sorted(rest, key=_canonical)))
@@ -245,10 +252,12 @@ def prod_of(*parts: Magnitude) -> Magnitude:
 
 def sum_of(*parts: Magnitude) -> Magnitude:
     acc_exact = 0
+    exacts: list[Exact] = []
     rest: list[Magnitude] = []
     for p in _flatten(parts, Sum):
         if isinstance(p, Exact):
             acc_exact += p.value
+            exacts.append(p)
         else:
             rest.append(p)
     grouped: list[Magnitude] = []
@@ -258,9 +267,9 @@ def sum_of(*parts: Magnitude) -> Magnitude:
     for p, k in sorted(counts.items(), key=lambda kv: kv[0]._key):
         grouped.append(p if k == 1 else prod_of(Exact(k), p))
     if acc_exact:
-        grouped.append(Exact(acc_exact))
+        grouped.append(_folded(exacts, acc_exact))
     if not grouped:
-        return Exact(acc_exact)
+        return _folded(exacts, acc_exact)
     if len(grouped) == 1:
         return grouped[0]
     return Sum(tuple(sorted(grouped, key=_canonical)))

@@ -8,13 +8,16 @@ naive_evaluate, which shares no code with the library's step kernel.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 
+from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
 from p1dyn.magnitude import Exact, ExpOf, Power, Prod, Sum
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
-from p1dyn.verify import FAIL, PASS, VerificationReport
+from p1dyn.report import BOUND_ORDER
+from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
 
 
 def _form_value(coeffs, x, y):
@@ -292,3 +295,58 @@ def naive_key(m):
     if isinstance(m, Prod):
         return (4, tuple(naive_key(p) for p in m.parts))
     return (5, tuple(naive_key(p) for p in m.parts))
+
+
+def _add_search_flags(sp, height_default: int) -> None:
+    sp.add_argument("--height", type=int, default=height_default,
+                    help=f"height bound for the point search (default {height_default})")
+    sp.add_argument("--max-iters", type=int, default=256, dest="max_iters",
+                    help="iteration budget per starting point (default 256)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once used: the oracle for cli's argv reader."""
+    ap = argparse.ArgumentParser(
+        prog="p1dyn",
+        description="Exact arithmetic dynamics on the projective line over Q")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    a = sub.add_parser("analyze",
+                       help="reduction data, preperiodic inventory, bound table")
+    a.add_argument("--map", required=True,
+                   help="rational map, e.g. 'z^2-29/16' or '[X^3+2*Y^3:X*Y^2]'")
+    _add_search_flags(a, 1024)
+    a.add_argument("--s-extra", default="", dest="s_extra",
+                   help="comma separated primes to add to the place set S")
+    a.add_argument("--json", default="",
+                   help="also write the JSON document to this path")
+    a.set_defaults(func=cmd_analyze)
+
+    v = sub.add_parser("verify",
+                       help="run proposition and counting checks against a map")
+    v.add_argument("--map", required=True)
+    v.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
+    _add_search_flags(v, 64)
+    v.add_argument("--json", default="")
+    v.set_defaults(func=cmd_verify)
+
+    b = sub.add_parser("bounds", help="print the preperiodic count bound table")
+    b.add_argument("--d", type=int, required=True, help="degree of the map, at least 2")
+    b.add_argument("--s", type=int, required=True,
+                   help="number of places in S including infinity, at least 1")
+    b.add_argument("--which", choices=BOUND_ORDER, default=None,
+                   help="print a single labelled bound")
+    b.set_defaults(func=cmd_bounds)
+
+    bt = sub.add_parser("batch", help="sweep the quadratic family z^2 + c")
+    bt.add_argument("--family", required=True, help="only 'z^2+c' is supported")
+    bt.add_argument("--c-num-max", type=int, required=True, dest="c_num_max",
+                    help="range bound for the numerator of c")
+    bt.add_argument("--c-den-max", type=int, required=True, dest="c_den_max",
+                    help="range bound for the denominator of c")
+    _add_search_flags(bt, 64)
+    bt.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (default 1)")
+    bt.add_argument("--csv", default="", help="write per-map rows to this path")
+    bt.set_defaults(func=cmd_batch)
+    return ap

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 from math import gcd
@@ -18,7 +22,7 @@ from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import parse_point
 
-from naive import naive_sieve_drops
+from naive import build_parser, naive_sieve_drops
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -254,24 +258,125 @@ def test_bounds_single_label(capsys):
 
 
 def test_repeated_main_calls_share_nothing_between_parses(capsys):
-    # main keeps one parser per process; no option or error may leak into the next call
+    # each call reads its own argv; no option or error may leak into the next call
     assert main(["bounds", "--d", "2", "--s", "1"]) == 0
     first = capsys.readouterr().out
     assert len(first.splitlines()) == 13
     assert main(["bounds", "--d", "3", "--s", "2", "--which", "Q"]) == 0
     assert capsys.readouterr().out.startswith("Q = ")
     bad = ["bounds", "--d", "2", "--s", "3", "--which", "q"]
-    with pytest.raises(SystemExit) as err:
-        main(bad)
-    assert err.value.code == 2
-    shared_error = capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(bad)
-    assert capsys.readouterr().err == shared_error
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
     assert main(["analyze", "--map", "z^^2"]) == 2
     capsys.readouterr()
     assert main(["bounds", "--d", "2", "--s", "1"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_maps_starting_with_minus_are_accepted(capsys):
+    # the token after a flag is its value, even when it starts with "-"
+    assert main(["analyze", "--map", "-z^2+1", "--height", "16"]) == 0
+    assert capsys.readouterr().out.startswith("map: -z^2+1 (degree 2)\n")
+    assert main(["verify", "--map", "-z^2", "--height", "16"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["bounds", "--d", "2", "--s", "1", "--bogus", "1"],
+    ["bounds", "--d", "2", "--s", "1", "2"],
+    ["analyze", "--map", "z^2", "--escape", "5"],
+    ["analyze", "--map", "z^2", "--height"],
+    ["analyze", "--map", "z^2", "--height", "x"],
+    ["analyze", "--map", "z^2", "--hei", "16"],
+    ["verify", "--map", "z^2", "--suite", "nosuch"],
+    ["bounds", "--d", "2", "--s", "1", "--which", "q"],
+    ["analyze", "--height", "16"],
+    ["batch", "--c-num-max", "1", "--c-den-max", "1"],
+    ["bounds", "--s", "1"],
+    ["bounds", "--d", "2"],
+])
+def test_argv_mistakes_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    lines = err_text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_the_commands_and_their_flags(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main([flag])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"  {name} " in out for name in ("analyze", "verify", "bounds", "batch"))
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--map", "z^2", flag])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("--map", "--height", "--max-iters", "--s-extra", "--json"):
+        assert f"  {name} " in out
+    assert "(default 1024)" in out
+
+
+# values the two readers take alike: non-empty and not starting with "-"
+# (argparse refuses such a value after a flag; the CLI takes it)
+_VALUES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda text: not text.startswith("-"))
+
+
+def _value(kind):
+    if kind is int:
+        return st.one_of(st.integers(0, 10**6).map(str), _VALUES)
+    if kind is str:
+        return _VALUES
+    return st.one_of(st.sampled_from(kind), _VALUES)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv over one command's exact flag names, in any order, repeats allowed."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][2]
+    # a required flag is mostly present, so most argvs reach the values
+    chosen = [f for f in flags if f[2] is cli._REQUIRED and draw(st.integers(0, 7))]
+    chosen = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(flags), max_size=6))))
+    argv = [command]
+    for flag, kind, _, _ in chosen:
+        value = draw(_value(kind))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _quietly(read):
+    """read()'s result, or the SystemExit code it raised, with stderr discarded."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return read()
+    except SystemExit as e:
+        return e.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_argv_reader_agrees_with_argparse(argv):
+    dests = [flag[2:].replace("-", "_") for flag, *_ in cli._COMMANDS[argv[0]][2]]
+    ours = _quietly(lambda: cli._read_argv(argv))
+    oracle = _quietly(lambda: build_parser().parse_args(argv))
+    if ours == 2 or oracle == 2:
+        assert ours == oracle == 2
+        return
+    handler, args = ours
+    assert handler is oracle.func
+    assert {d: getattr(args, d) for d in dests} == {d: getattr(oracle, d) for d in dests}
 
 
 def test_bounds_bad_parameters(capsys):
@@ -425,3 +530,5 @@ def test_module_entrypoint_missing_map():
     done = subprocess.run([sys.executable, "-m", "p1dyn", "analyze"],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: analyze: the following arguments are required: --map\n"

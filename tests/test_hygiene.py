@@ -36,13 +36,14 @@ def test_every_import_is_used():
     assert unused == {}
 
 
-def _modules_after_importing_the_cli(*flags: str) -> set[str]:
-    """sys.modules of a fresh interpreter, started with ``flags``, once p1dyn.cli is imported."""
-    probe = "import sys, p1dyn.cli; print(' '.join(sys.modules))"
+def _modules_after_importing_the_cli(*flags: str, then: str = "pass") -> set[str]:
+    """sys.modules of a fresh interpreter, started with ``flags``, once p1dyn.cli is
+    imported and the statement ``then`` has run after it."""
+    probe = f"import sys, p1dyn.cli; {then}; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    loaded = set(out.split())
+    loaded = set(out.splitlines()[-1].split())
     assert "p1dyn.cli" in loaded
     return loaded
 
@@ -58,6 +59,13 @@ def test_importing_the_cli_loads_no_dataclasses_or_typing():
     # site and its .pth hooks, which may load typing themselves, out of the probe
     loaded = _modules_after_importing_the_cli("-S")
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} == set()
+
+
+def test_a_cli_call_loads_no_argparse_gettext_or_locale():
+    # argv is read against the CLI's own command table, so no call pays for these
+    loaded = _modules_after_importing_the_cli(
+        then="p1dyn.cli.main(['bounds', '--d', '2', '--s', '1'])")
+    assert loaded & {"argparse", "gettext", "locale"} == set()
 
 
 def _names_used(node) -> set[str]:

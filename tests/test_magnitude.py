@@ -94,6 +94,18 @@ def test_constructor_canonical_forms():
             exp_of(bad_ln)
 
 
+def test_sum_and_product_keep_a_lone_constant_part():
+    # one Exact part passes through as the same node, with its stored key and memo
+    e, x = exact(7), power(exact(3), 2**80)
+    assert sum_of(e) is e and prod_of(e) is e
+    assert any(p is e for p in sum_of(e, x).parts)
+    assert any(p is e for p in prod_of(e, x).parts)
+    assert any(p is e for p in sum_of(x, sum_of(e, exp_of(3))).parts)
+    # two constants still fold to one new node
+    folded = prod_of(e, exact(2), x)
+    assert folded == prod_of(exact(14), x) and not any(p is e for p in folded.parts)
+
+
 def test_ln_fixed_brackets_truth():
     mp.mp.dps = 120
     rng = random.Random(23)
