@@ -31,15 +31,15 @@ from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 
-from .bounds import BoundInputError, aggregate_bounds
-from .intarith import ArithmeticInputError, FactorizationIncompleteError
+from .bounds import BOUND_ORDER, BoundInputError, aggregate_bounds
+from .intarith import ArithmeticInputError, FactorizationIncompleteError, is_prime
 from .magnitude import Comparison, compare, exact
 from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic
 from .ratmap import DegenerateMapError, make_pair, reduction_profile
-from .report import (SCHEMA_VERSION, BOUND_ORDER, OutputSizeError, analysis_report,
-                     analysis_text, batch_rows_csv, bound_rows, map_coefficients,
-                     report_json, verification_line, verification_to_dict)
+from .report import (SCHEMA_VERSION, OutputSizeError, analysis_report, analysis_text,
+                     batch_rows_csv, bound_rows, map_coefficients, report_json,
+                     verification_line, verification_to_dict)
 from .verify import FAIL, SUITE_NAMES, run_suite
 
 _INPUT_ERRORS = (MapSyntaxError, DegenerateMapError, ArithmeticInputError,
@@ -58,9 +58,12 @@ def _parse_s_extra(text: str) -> list[int]:
         if not tok:
             continue
         try:
-            primes.append(int(tok))
+            p = int(tok)
         except ValueError:
             raise ArithmeticInputError(f"--s-extra: {tok!r} is not an integer")
+        if p < 2 or not is_prime(p):
+            raise ArithmeticInputError(f"--s-extra: {p} is not prime")
+        primes.append(p)
     return primes
 
 
@@ -131,7 +134,7 @@ def cmd_bounds(args) -> int:
 @lru_cache(maxsize=None)
 def _within_q(s: int, count: int) -> bool:
     """Whether count <= Q(2, s); the sweep asks this of few distinct (s, count)."""
-    return compare(exact(count), aggregate_bounds(2, s).preperiodic) is not Comparison.GREATER
+    return compare(exact(count), aggregate_bounds(2, s)["Q"]) is not Comparison.GREATER
 
 
 def _sweep_pair(c: Fraction):

@@ -8,7 +8,7 @@ decimal string.
 
 import json
 
-from .bounds import bound_table
+from .bounds import BOUND_ORDER, bound_table
 from .magnitude import ExpOf, digit_count, force_exact, int_digits
 from .orbits import DynamicalInventory
 from .projline import format_point, point_sort_key
@@ -16,9 +16,6 @@ from .ratmap import HomogPair, PlaceSet, ReductionProfile
 from .verify import FAIL, VerificationReport
 
 SCHEMA_VERSION = "1"
-
-BOUND_ORDER = ("B", "C3", "C5", "L1", "L2", "L3", "L4",
-               "CV", "T", "TPLA", "FPLA", "L", "Q")
 
 # exact values longer than this are summarized by their digit count
 _EXACT_DISPLAY_DIGITS = 40

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bounds import aggregate_bounds, tail_bounds, unit_equation_bounds
+from .bounds import aggregate_bounds, unit_equation_bound
 from .intarith import _strip, is_prime
 from .magnitude import Comparison, compare, exact, force_exact, sum_of
 from .orbits import DynamicalInventory, enumerate_preperiodic
@@ -349,7 +349,7 @@ def three_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint,
             if all(s is not None and s == w for s, w in zip(sups, wanted)):
                 result.add(cand)
     # trivially wide cardinality cap; a violation would mean an enumeration bug
-    assert _le(len(result), unit_equation_bounds(2, places.size).two_term)
+    assert _le(len(result), unit_equation_bound(2, places.size))
     return result
 
 
@@ -371,7 +371,7 @@ def four_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint,
         if s3 is None or s4 is None or s3 != s4:
             continue
         result.add(cand)
-    cap = sum_of(unit_equation_bounds(3, places.size).n_term, exact(2))
+    cap = sum_of(unit_equation_bound(3, places.size), exact(2))
     assert _le(len(result), cap)
     return result
 
@@ -388,9 +388,7 @@ def check_tail_count_lemmas(inv: DynamicalInventory,
         return VerificationReport(name, SKIPPED, reason="inventory incomplete")
     d = inv.pair.degree
     s = profile.places.size
-    caps = tail_bounds(d, s)
-    by_period = {1: ("L1", caps.fixed_cycle), 2: ("L2", caps.two_cycle),
-                 3: ("L3", caps.three_cycle)}
+    table = aggregate_bounds(d, s)
     has_fixed = any(len(c) == 1 for c in inv.cycles)
     has_two = any(len(c) == 2 for c in inv.cycles)
     failures, confirmations = [], []
@@ -398,10 +396,10 @@ def check_tail_count_lemmas(inv: DynamicalInventory,
     for cycle in inv.cycles:
         n = len(cycle)
         count = len(inv.tails_by_target[cycle[0]])
-        if n in by_period:
-            label, cap = by_period[n]
+        if n <= 3:
+            label = f"L{n}"
             checked += 1
-            if _le(count, cap):
+            if _le(count, table[label]):
                 confirmations.append(
                     f"period {n} cycle at {cycle[0]}: {count} tail points <= {label}({d},{s})"
                 )
@@ -411,7 +409,7 @@ def check_tail_count_lemmas(inv: DynamicalInventory,
                 )
         if n == 1 and has_fixed and has_two:
             checked += 1
-            if _le(count, caps.fixed_and_double):
+            if _le(count, table["L4"]):
                 confirmations.append(
                     f"fixed point {cycle[0]} with a 2-cycle present: "
                     f"{count} <= L4({d},{s})"
@@ -444,7 +442,7 @@ def check_main_theorems(inv: DynamicalInventory,
                                "per_bound_three_tailish", "tail_bound_four_periodic"))
     d = inv.pair.degree
     s = profile.places.size
-    agg = aggregate_bounds(d, s)
+    table = aggregate_bounds(d, s)
     params = (("d", str(d)), ("s", str(s)))
 
     def verdict(name, ok, text):
@@ -455,13 +453,13 @@ def check_main_theorems(inv: DynamicalInventory,
                                   parameters=params)
 
     n_preper = len(inv.preper)
-    ok = _le(n_preper, agg.preperiodic)
+    ok = _le(n_preper, table["Q"])
     rel = "<=" if ok else ">"
     reports = [verdict("preper_bound_Q", ok,
                        f"{n_preper} preperiodic points {rel} Q({d},{s})")]
 
     if any(len(c) >= 2 for c in inv.cycles):
-        ok = _le(n_preper, agg.preperiodic_long_cycle)
+        ok = _le(n_preper, table["L"])
         rel = "<=" if ok else ">"
         reports.append(verdict("preper_bound_L", ok,
                                f"{n_preper} preperiodic points {rel} L({d},{s})"))
@@ -470,7 +468,7 @@ def check_main_theorems(inv: DynamicalInventory,
 
     tailish = inv.tail | inv.per0
     if len(tailish) >= 3:
-        cap = force_exact(agg.periodic_via_three_points) + 3
+        cap = force_exact(table["TPLA"]) + 3
         n_per = len(inv.per)
         reports.append(verdict("per_bound_three_tailish", n_per <= cap,
                                f"{n_per} periodic points vs 3*7^(4s)+3 = {cap}"))
@@ -479,7 +477,7 @@ def check_main_theorems(inv: DynamicalInventory,
                                f"only {len(tailish)} tail-or-critical-cycle points"))
 
     if len(inv.per) >= 4:
-        cap = force_exact(agg.tail_given_four_periodic)
+        cap = force_exact(table["T"])
         n_tailish = len(inv.tail) + len(inv.per0)
         reports.append(verdict(
             "tail_bound_four_periodic", n_tailish <= cap,

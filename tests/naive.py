@@ -12,11 +12,11 @@ import argparse
 import itertools
 import math
 
+from p1dyn.bounds import BOUND_ORDER
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
 from p1dyn.magnitude import Exact, ExpOf, Power, Prod, Sum
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
-from p1dyn.report import BOUND_ORDER
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from p1dyn.bounds import bound_table, tail_bounds, unit_equation_bounds
+from p1dyn.bounds import bound_table, unit_equation_bound
 from p1dyn.cli import main
 from p1dyn.magnitude import digit_count, force_exact
 from p1dyn.mapparse import parse_map
@@ -89,13 +89,13 @@ def test_criterion_2_golden_inventories_small_quadratics(capsys):
 
 
 def test_criterion_3_bound_values(capsys):
-    assert force_exact(unit_equation_bounds(2, 1).two_term) == 65536
+    assert force_exact(unit_equation_bound(2, 1)) == 65536
     table1 = bound_table(2, 1)
     assert force_exact(table1["T"]) == 28812
     assert force_exact(bound_table(2, 2)["T"]) == 69177612
-    assert force_exact(tail_bounds(2, 1).fixed_cycle) == 131075
-    c3 = unit_equation_bounds(3, 1).n_term
-    c5 = unit_equation_bounds(5, 1).n_term
+    assert force_exact(table1["L1"]) == 131075
+    c3 = unit_equation_bound(3, 1)
+    c5 = unit_equation_bound(5, 1)
     assert c3.ln == Fraction(198359290368)
     assert c3.ln == Fraction(18**9)
     assert c5.ln == Fraction(30**15)

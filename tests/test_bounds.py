@@ -11,11 +11,11 @@ import mpmath as mp
 import pytest
 
 from p1dyn.bounds import (
+    BOUND_ORDER,
     BoundInputError,
     aggregate_bounds,
     bound_table,
-    tail_bounds,
-    unit_equation_bounds,
+    unit_equation_bound,
 )
 from p1dyn.magnitude import (
     Comparison,
@@ -32,44 +32,44 @@ from p1dyn.magnitude import (
 
 
 def test_two_term_values():
-    assert force_exact(unit_equation_bounds(2, 1).two_term) == 65536
-    assert force_exact(unit_equation_bounds(2, 2).two_term) == 2**32
-    assert force_exact(unit_equation_bounds(2, 5).two_term) == 2**80
+    assert force_exact(unit_equation_bound(2, 1)) == 65536
+    assert force_exact(unit_equation_bound(2, 2)) == 2**32
+    assert force_exact(unit_equation_bound(2, 5)) == 2**80
 
 
 def test_n_term_exponents_are_exact():
     # ln C(3, 1) = 18^9 * 1 and ln C(5, 1) = 30^15 * 1, exactly
-    c3 = unit_equation_bounds(3, 1).n_term
+    c3 = unit_equation_bound(3, 1)
     assert isinstance(c3, ExpOf)
     assert c3.ln == Fraction(18**9)
     assert c3.ln == 198359290368
-    c5 = unit_equation_bounds(5, 1).n_term
+    c5 = unit_equation_bound(5, 1)
     assert c5.ln == Fraction(30**15)
     # s = 2 doubles the linear factor n*s+1-n from 1 to n+1-n+n = 1+n
-    assert unit_equation_bounds(3, 2).n_term.ln == 18**9 * 4
-    assert unit_equation_bounds(5, 2).n_term.ln == 30**15 * 6
+    assert unit_equation_bound(3, 2).ln == 18**9 * 4
+    assert unit_equation_bound(5, 2).ln == 30**15 * 6
 
 
 def test_n_term_digit_counts_frozen():
-    assert digit_count(unit_equation_bounds(3, 1).n_term) == 86146345242
-    assert digit_count(unit_equation_bounds(5, 1).n_term) == 6231651131442943472547
+    assert digit_count(unit_equation_bound(3, 1)) == 86146345242
+    assert digit_count(unit_equation_bound(5, 1)) == 6231651131442943472547
 
 
 def test_tail_bound_fixed_cycle():
     # d=2, s=1: (2-1)*(1 + 2*(1+65536)) = 131075
-    assert force_exact(tail_bounds(2, 1).fixed_cycle) == 131075
+    assert force_exact(bound_table(2, 1)["L1"]) == 131075
     # d=3, s=1: 2*(1 + 3*65537) = 393224
-    assert force_exact(tail_bounds(3, 1).fixed_cycle) == 393224
+    assert force_exact(bound_table(3, 1)["L1"]) == 393224
 
 
 def test_tail_bound_three_cycle():
     # ((1+3*65536)*65536+1)*(2-1), worked out by hand
-    assert force_exact(tail_bounds(2, 1).three_cycle) == 12884967425
-    assert force_exact(tail_bounds(3, 1).three_cycle) == 2 * 12884967425
+    assert force_exact(bound_table(2, 1)["L3"]) == 12884967425
+    assert force_exact(bound_table(3, 1)["L3"]) == 2 * 12884967425
 
 
 def test_tail_bound_two_cycle_structure():
-    l2 = tail_bounds(2, 1).two_cycle
+    l2 = bound_table(2, 1)["L2"]
     # both branches carry e^(18^9); the B*(B+C3+3) branch dominates
     mp.mp.dps = 40
     iv = ln_interval(l2, 64)
@@ -78,26 +78,26 @@ def test_tail_bound_two_cycle_structure():
     hi = mp.mpf(iv[1].numerator) / iv[1].denominator
     assert lo <= want <= hi + 1  # within the coarse dyadic corrections
     # log10(L2) = 18^9/ln10 + 16 log10 2 = ...241.089 + 4.816, so four more digits
-    assert digit_count(l2) == digit_count(unit_equation_bounds(3, 1).n_term) + 4
+    assert digit_count(l2) == digit_count(unit_equation_bound(3, 1)) + 4
 
 
 def test_tail_bound_fixed_and_double():
-    l4 = tail_bounds(2, 1).fixed_and_double
-    c3 = unit_equation_bounds(3, 1).n_term
+    l4 = bound_table(2, 1)["L4"]
+    c3 = unit_equation_bound(3, 1)
     # L4 = (C3+3)*(d-1) = C3+3 for d=2: same digit count as C3 within 1
     assert abs(digit_count(l4) - digit_count(c3)) <= 1
 
 
 def test_periodic_bounds_materialize():
-    agg = aggregate_bounds(2, 1)
-    assert force_exact(agg.tail_given_four_periodic) == 28812
-    assert force_exact(agg.periodic_via_three_points) == 7203
-    assert force_exact(aggregate_bounds(2, 2).tail_given_four_periodic) == 12 * 7**8
-    assert force_exact(aggregate_bounds(2, 2).tail_given_four_periodic) == 69177612
+    table = bound_table(2, 1)
+    assert force_exact(table["T"]) == 28812
+    assert force_exact(table["TPLA"]) == 7203
+    assert force_exact(bound_table(2, 2)["T"]) == 12 * 7**8
+    assert force_exact(bound_table(2, 2)["T"]) == 69177612
 
 
 def test_four_point_bound_stays_symbolic():
-    fpla = aggregate_bounds(2, 1).periodic_via_four_points
+    fpla = bound_table(2, 1)["FPLA"]
     assert force_exact(fpla) is None
     # dominated by 2^(2^77): digits = floor(2^77 * log10 2) + 1
     mp.mp.dps = 50
@@ -106,17 +106,17 @@ def test_four_point_bound_stays_symbolic():
 
 
 def test_preperiodic_bound_dominated_by_c5():
-    q = aggregate_bounds(2, 1).preperiodic
+    q = bound_table(2, 1)["Q"]
     assert digit_count(q) == 6231651131442943472547
     assert compare(q, exact(9)) is Comparison.GREATER
-    lng = aggregate_bounds(2, 1).preperiodic_long_cycle
+    lng = bound_table(2, 1)["L"]
     assert digit_count(lng) == 6231651131442943472547
 
 
 def test_monotone_in_place_count():
     # every bound grows when s does; d-growth is additively buried under
     # e^(30^15) for the aggregates, so only log-separable cases are checked
-    for label in ("B", "C3", "C5", "L1", "L2", "L3", "L4", "CV", "T", "TPLA", "FPLA", "L", "Q"):
+    for label in BOUND_ORDER:
         a = bound_table(2, 1)[label]
         b = bound_table(2, 2)[label]
         assert compare(a, b) is Comparison.LESS, label
@@ -157,20 +157,28 @@ def test_table_labels():
     assert sorted(table) == [
         "B", "C3", "C5", "CV", "FPLA", "L", "L1", "L2", "L3", "L4", "Q", "T", "TPLA",
     ]
+    # the JSON bounds object lists its keys in the table's order
+    assert list(table) == list(BOUND_ORDER)
+    with pytest.raises(TypeError):
+        aggregate_bounds(2, 1)["Q"] = exact(0)
+    table["Q"] = exact(0)
+    del table["B"]
+    assert bound_table(2, 1) == dict(aggregate_bounds(2, 1))
+    assert list(bound_table(2, 1)) == list(BOUND_ORDER)
 
 
 def test_input_validation():
     for bad in ((1, 1), (2, 0), (0, 3)):
         with pytest.raises(BoundInputError):
-            tail_bounds(*bad)
-        with pytest.raises(BoundInputError):
             aggregate_bounds(*bad)
+        with pytest.raises(BoundInputError):
+            bound_table(*bad)
     with pytest.raises(BoundInputError):
-        unit_equation_bounds(1, 1)
+        unit_equation_bound(1, 1)
     with pytest.raises(BoundInputError):
-        unit_equation_bounds(3, 0)
+        unit_equation_bound(3, 0)
     # a cached table of (2, 1) must not answer for (2.0, 1)
-    unit_equation_bounds(2, 1), tail_bounds(2, 1), aggregate_bounds(2, 1)
-    for build in (unit_equation_bounds, tail_bounds, aggregate_bounds):
+    unit_equation_bound(2, 1), aggregate_bounds(2, 1), bound_table(2, 1)
+    for build in (unit_equation_bound, aggregate_bounds, bound_table):
         with pytest.raises(BoundInputError):
             build(2.0, 1)

@@ -171,6 +171,19 @@ def test_analyze_s_extra_rejects_composites(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, err", [
+    ("-5", "error: --s-extra: -5 is not prime\n"),
+    ("0", "error: --s-extra: 0 is not prime\n"),
+    ("1", "error: --s-extra: 1 is not prime\n"),
+    ("4", "error: --s-extra: 4 is not prime\n"),
+    ("2,-3", "error: --s-extra: -3 is not prime\n"),
+    ("x", "error: --s-extra: 'x' is not an integer\n"),
+])
+def test_analyze_s_extra_names_the_flag_and_the_value(capsys, value, err):
+    assert main(["analyze", "--map", "z^2", "--height", "2", "--s-extra", value]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_analyze_incomplete_exits_3(capsys):
     # two iterations cannot close a 3-cycle, so starts stay undecided
     code = main(["analyze", "--map", "z^2-29/16", "--height", "64",

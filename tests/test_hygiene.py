@@ -1,6 +1,7 @@
 """Source hygiene checks over the p1dyn package."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -124,3 +125,23 @@ def test_no_float_arithmetic():
         if hits:
             found[path.name] = hits
     assert found == {}
+
+
+def test_every_name_the_benchmark_takes_from_p1dyn_exists():
+    # perfbench/worker.py wraps TRACED_FUNCTIONS by name and imports the replay's
+    # functions, but only a traced or replayed run executes either
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    tree = ast.parse(worker.read_text(), filename=str(worker))
+    wanted = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED_FUNCTIONS"
+                        for t in node.targets)):
+            for key, names in zip(node.value.keys, node.value.values):
+                wanted.update((f"p1dyn.{key.value}", n.value) for n in names.elts)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("p1dyn."):
+            wanted.update((node.module, alias.name) for alias in node.names)
+    assert ("p1dyn.bounds", "aggregate_bounds") in wanted
+    missing = [f"{module}.{name}" for module, name in sorted(wanted)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

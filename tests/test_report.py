@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1dyn.bounds import aggregate_bounds, bound_table
+from p1dyn.bounds import bound_table
 from p1dyn.magnitude import exact, exp_of, power
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
@@ -26,7 +26,7 @@ def test_render_magnitude_exp():
 
 
 def test_render_magnitude_astronomical():
-    r = render_magnitude(aggregate_bounds(2, 1).periodic_via_four_points)
+    r = render_magnitude(bound_table(2, 1)["FPLA"])
     assert r["kind"] == "astronomical"
     assert r["digits"] == "45490366779583341627641"
 
