@@ -15,10 +15,10 @@ raises SystemExit(2).  main(argv) may be called repeatedly from Python;
 each call reads its argv into a new namespace, so nothing carries over
 from one call to the next.
 
-batch --jobs N forks min(N, maps, CPUs) - 1 worker processes directly (no
-pool) and sends rows back with marshal; where os.fork does not exist every
-slice runs in-process.  Either way the rows, and so the CSV, come out in
-task order, byte-identical for any job count.
+batch --jobs N forks min(N, maps, usable CPUs) - 1 worker processes directly
+(no pool) and sends rows back with marshal; where os.fork does not exist
+every slice runs in-process.  Either way the rows, and so the CSV, come out
+in task order, byte-identical for any job count.
 """
 
 import csv
@@ -32,10 +32,11 @@ from math import gcd
 from types import SimpleNamespace
 
 from .bounds import BOUND_ORDER, BoundInputError, aggregate_bounds
-from .intarith import ArithmeticInputError, FactorizationIncompleteError, is_prime
+from .intarith import (ArithmeticInputError, FactorizationIncompleteError,
+                       PrimalityRangeError, is_prime)
 from .magnitude import Comparison, compare, exact
 from .mapparse import MapSyntaxError, parse_map
-from .orbits import enumerate_preperiodic
+from .orbits import enumerate_preperiodic, preperiodic_counts
 from .ratmap import DegenerateMapError, make_pair, reduction_profile
 from .report import (SCHEMA_VERSION, OutputSizeError, analysis_report, analysis_text,
                      batch_rows_csv, bound_rows, map_coefficients, report_json,
@@ -61,8 +62,11 @@ def _parse_s_extra(text: str) -> list[int]:
             p = int(tok)
         except ValueError:
             raise ArithmeticInputError(f"--s-extra: {tok!r} is not an integer")
-        if p < 2 or not is_prime(p):
-            raise ArithmeticInputError(f"--s-extra: {p} is not prime")
+        try:
+            if p < 2 or not is_prime(p):
+                raise ArithmeticInputError(f"--s-extra: {p} is not prime")
+        except PrimalityRangeError as e:
+            raise ArithmeticInputError(f"--s-extra: {e}")
         primes.append(p)
     return primes
 
@@ -143,21 +147,20 @@ def _sweep_pair(c: Fraction):
 
 
 def _sweep_entry(task):
-    """Inventory counts for one member of z^2 + c, plus the overall bound check."""
+    """Preperiodic counts for one member of z^2 + c, plus the overall bound check."""
     num, den, height, max_iters = task
     c = Fraction(num, den)
     pair = _sweep_pair(c)
     profile = reduction_profile(pair)
-    inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
-    if inv.incomplete:
+    preper, per, tail, per0, incomplete = preperiodic_counts(pair, height, max_iters=max_iters)
+    if incomplete:
         status = "SKIPPED"
     else:
-        status = "PASS" if _within_q(profile.places.size, len(inv.preper)) else FAIL
+        status = "PASS" if _within_q(profile.places.size, preper) else FAIL
     return {"c": str(c), "s": profile.places.size,
             "bad_primes": list(profile.bad_primes),
-            "preper": len(inv.preper), "per": len(inv.per),
-            "tail": len(inv.tail), "per0": len(inv.per0),
-            "incomplete": inv.incomplete, "count_le_Q": status}
+            "preper": preper, "per": per, "tail": tail, "per0": per0,
+            "incomplete": incomplete, "count_le_Q": status}
 
 
 def _fork_slice(fn, part):
@@ -208,6 +211,13 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     return rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_batch(args) -> int:
     family = args.family.replace(" ", "")
     if family not in ("z^2+c", "z**2+c"):
@@ -223,7 +233,7 @@ def cmd_batch(args) -> int:
              for num in range(-args.c_num_max, args.c_num_max + 1)
              if gcd(num, den) == 1]
     # every worker starts at once, so never more than the maps or the CPUs
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), _usable_cpus())
     rows = _fork_map(_sweep_entry, tasks, workers)
     if args.csv:
         buf = io.StringIO()

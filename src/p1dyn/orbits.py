@@ -30,6 +30,10 @@ gives, except that such starts, like those above T, are not listed as undecided.
 The Wronskian W = F_X*G_Y - F_Y*G_X (ratmap.wronskian) vanishes exactly at the
 critical points, so a cycle is critical, its points in ``per0``, when W is 0
 at the coprime coordinates of one of its points.
+
+One walk serves two callers: enumerate_preperiodic builds the inventory that
+``analyze`` and ``verify`` read, and preperiodic_counts returns only the five
+counts of a ``batch`` row.
 """
 
 from __future__ import annotations
@@ -173,27 +177,14 @@ def _polynomial_rows(pair: HomogPair, height: int):
     return [(y, min(height, reach * y // lead)) for y in sorted(ys)]
 
 
-def _vanishes(form, point: ProjPoint) -> bool:
-    """Whether the binary form, coefficient i on X^(D-i) Y^i, is 0 at the point."""
+def _vanishes(form, x: int, y: int) -> bool:
+    """Whether the binary form, coefficient i on X^(D-i) Y^i, is 0 at [x : y]."""
     top = len(form) - 1
-    return sum(c * point.x ** (top - i) * point.y ** i for i, c in enumerate(form)) == 0
+    return sum(c * x ** (top - i) * y ** i for i, c in enumerate(form)) == 0
 
 
-def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
-                          max_iters: int = 256) -> DynamicalInventory:
-    """Classify every canonical point up to the height bound that can be preperiodic.
-
-    Above T = escape_threshold(pair) every step raises the height, so only the
-    candidates from ``coordinates_up_to_height`` at min(height, T) are walked;
-    a polynomial pair also skips the starts that its rules (i) and (ii) prove
-    to escape (module docstring).  Each walk runs until its orbit reaches a
-    point already known to be preperiodic, closes a new cycle, escapes (a
-    point above T, a proof), or uses up ``max_iters``.  The returned
-    preperiodic set also contains all forward images of found preperiodic
-    points, even above the height bound.  Candidates left undecided are listed
-    and make the inventory incomplete; ``starts`` counts the candidates.  Only
-    the ``undecided`` list can differ from a walk of the full grid.
-    """
+def _walk_grid(pair: HomogPair, height: int, max_iters: int):
+    """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk."""
     _check_limits(pair, max_iters)
     if height < 1:
         raise ArithmeticInputError("height must be positive")
@@ -227,6 +218,40 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
         # the successor of traj[-1] has tail length tail_len
         for offset, pt in enumerate(reversed(traj)):
             preper_map[pt] = (tail_len + offset + 1, cid)
+    return cycles, preper_map, undecided, starts, step
+
+
+def preperiodic_counts(pair: HomogPair, height: int = 1024, *,
+                       max_iters: int = 256) -> tuple[int, int, int, int, bool]:
+    """(preper, per, tail, per0, incomplete): the sizes of enumerate_preperiodic's sets.
+
+    Counted straight from the walk; no point, order or image is built.
+    """
+    cycles, preper_map, undecided, _, _ = _walk_grid(pair, height, max_iters)
+    w = wronskian(pair)
+    per = sum(map(len, cycles))
+    per0 = sum(len(c) for c in cycles if any(_vanishes(w, x, y) for x, y in c))
+    return len(preper_map), per, len(preper_map) - per, per0, bool(undecided)
+
+
+def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
+                          max_iters: int = 256) -> DynamicalInventory:
+    """Classify every canonical point up to the height bound that can be preperiodic.
+
+    Above T = escape_threshold(pair) every step raises the height, so only the
+    candidates from ``coordinates_up_to_height`` at min(height, T) are walked;
+    a polynomial pair also skips the starts that its rules (i) and (ii) prove
+    to escape (module docstring).  Each walk runs until its orbit reaches a
+    point already known to be preperiodic, closes a new cycle, escapes (a
+    point above T, a proof), or uses up ``max_iters``.  The returned
+    preperiodic set also contains all forward images of found preperiodic
+    points, even above the height bound.  Candidates left undecided are listed
+    and make the inventory incomplete; ``starts`` counts the candidates.  Only
+    the ``undecided`` list can differ from a walk of the full grid.  ``analyze``
+    and ``verify`` take this inventory; ``batch`` takes only its sizes, from
+    ``preperiodic_counts``.
+    """
+    cycles, preper_map, undecided, starts, step = _walk_grid(pair, height, max_iters)
 
     # assemble, with canonical cycle rotations and deterministic ordering
     cycle_points = [tuple(ProjPoint(x, y) for x, y in c) for c in cycles]
@@ -247,7 +272,7 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     tail_lengths = {p: tl for p, (tl, _) in preper_pts.items() if tl > 0}
 
     w = wronskian(pair)
-    per0 = frozenset(p for cyc in final_cycles if any(_vanishes(w, q) for q in cyc)
+    per0 = frozenset(p for cyc in final_cycles if any(_vanishes(w, q.x, q.y) for q in cyc)
                      for p in cyc)
 
     tails_by: dict[ProjPoint, list[ProjPoint]] = {p: [] for p in per}

@@ -6,6 +6,7 @@ search or comparison engine fails here rather than just feeling slow.
 """
 
 import csv
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,8 @@ from naive import (all_points_up_to_height, naive_classify,
                    naive_four_point_members, naive_three_point_members)
 
 GOLDEN_MAPS = ("z^2", "z^2-1", "z^2+1", "z^2-2", "z^2-29/16")
+# the box-32 sweep CSV, byte for byte (perfbench/expected.json holds the same digest)
+SWEEP_CSV_SHA256 = "f095527ddcd532ec99f12ee958041d209814a14b472c1220cc41a0a35d7f1773"
 
 
 def _announce(capsys, n, detail):
@@ -210,5 +213,6 @@ def test_criterion_8_quadratic_family_sweep(capsys, tmp_path):
         rows = list(csv.reader(fh))[1:]
     assert max(int(r[3]) for r in rows) == 9
     assert all(r[-1] != "FAIL" for r in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
     assert elapsed < 600.0
     _announce(capsys, 8, f"{len(rows)} maps swept, {summary}, {elapsed:.0f}s")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 from math import gcd
 
-from p1dyn import cli
+from p1dyn import cli, orbits
 from p1dyn.bounds import aggregate_bounds
 from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
@@ -178,6 +178,9 @@ def test_analyze_s_extra_rejects_composites(capsys):
     ("4", "error: --s-extra: 4 is not prime\n"),
     ("2,-3", "error: --s-extra: -3 is not prime\n"),
     ("x", "error: --s-extra: 'x' is not an integer\n"),
+    ("618970019642690137449562111",  # the prime 2^89 - 1
+     "error: --s-extra: 618970019642690137449562111 exceeds the deterministic "
+     "Miller-Rabin range 3317044064679887385961981\n"),
 ])
 def test_analyze_s_extra_names_the_flag_and_the_value(capsys, value, err):
     assert main(["analyze", "--map", "z^2", "--height", "2", "--s-extra", value]) == 2
@@ -430,7 +433,7 @@ def _record_workers(monkeypatch, cpus):
         return [fn(t) for t in tasks]
 
     monkeypatch.setattr(cli, "_fork_map", record)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     return workers
 
 
@@ -450,12 +453,22 @@ def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
 
 def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys):
     outputs = []
-    for cpus, jobs in ((None, 1), (64, 5), (2, 100000), (None, 100000)):
+    for cpus, jobs in ((1, 1), (64, 5), (2, 100000), (1, 100000)):
         workers = _record_workers(monkeypatch, cpus)
         assert main(_BOX_8 + ["--jobs", str(jobs)]) == 0
         outputs.append(capsys.readouterr().out)
-        assert workers == [min(jobs, cpus or 1)]
+        assert workers == [min(jobs, cpus)]
     assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
+
+
+def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def test_batch_builds_each_q_table_once_per_place_count(tmp_path, capsys):
@@ -496,7 +509,7 @@ def test_fork_map_raises_a_child_s_exception_here():
 def test_batch_without_fork_matches_one_job(monkeypatch, tmp_path):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(_BOX_8 + ["--csv", str(one)]) == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
     assert main(_BOX_8 + ["--jobs", "3", "--csv", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
@@ -510,6 +523,17 @@ def test_batch_builds_members_without_parsing(monkeypatch, capsys):
     assert main(["batch", "--family", "z^2+c", "--c-num-max", "2",
                  "--c-den-max", "2"]) == 0
     capsys.readouterr()
+
+
+def test_batch_builds_no_inventory(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch built an inventory")
+
+    monkeypatch.setattr(orbits, "ProjPoint", refuse)
+    monkeypatch.setattr(cli, "enumerate_preperiodic", refuse)
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "2",
+                 "--c-den-max", "2"]) == 0
+    assert "maps analyzed: 7" in capsys.readouterr().out
 
 
 def test_sweep_pair_equals_the_parsed_map():

@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn.intarith import ArithmeticInputError
 from p1dyn.mapparse import parse_map
-from p1dyn.orbits import _polynomial_rows, classify_point, enumerate_preperiodic, tails_of
+from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
+                          preperiodic_counts, tails_of)
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
-from p1dyn.ratmap import escape_threshold, make_pair
+from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
 
 from naive import (all_points_up_to_height, naive_classify, naive_preperiodic_points,
                    naive_sieve_drops)
@@ -199,16 +200,16 @@ def test_inventory_walker_agrees_with_classify_point(map_text):
 # common denominators of the lower coefficients, so a_0 gets prime powers or a prime
 # above every height drawn
 _DENOMINATORS = st.sampled_from([1, 1, 1, 2**5 * 3**2 * 7, 2**6, 3**4 * 5, 2**3 * 211, 1009])
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 @st.composite
 def polynomial_pairs(draw):
     degree = draw(st.integers(2, 4))
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    lead = draw(coeff.filter(bool))
+    lead = draw(_SMALL.filter(bool))
     den = draw(_DENOMINATORS)
     if den == 1:
-        rest = draw(st.lists(coeff, min_size=degree, max_size=degree))
+        rest = draw(st.lists(_SMALL, min_size=degree, max_size=degree))
     else:
         nums = st.lists(st.integers(-4 * den, 4 * den), min_size=degree, max_size=degree)
         rest = [Fraction(n, den) for n in draw(nums)]
@@ -230,6 +231,35 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     assert inv.starts == len(grid) - len(dropped)
     for p in dropped:
         assert naive_classify(pair, p, 256, 10**6)[0] == "escaped"
+
+
+@st.composite
+def counted_pairs(draw):
+    """z^2 + c with |num|, den <= 64, a cubic polynomial, or a pair that is not one."""
+    kind = draw(st.sampled_from(["z^2+c", "cubic", "rational"]))
+    if kind == "z^2+c":
+        c = Fraction(draw(st.integers(-64, 64)), draw(st.integers(1, 64)))
+        return make_pair([1, 0, c], [0, 0, 1])
+    if kind == "cubic":
+        lead = draw(_SMALL.filter(bool))
+        return make_pair([lead] + draw(st.lists(_SMALL, min_size=3, max_size=3)), [0, 0, 0, 1])
+    degree = draw(st.integers(2, 3))
+    form = st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1)
+    a, b = draw(form), draw(form.filter(lambda b: any(b[:-1])))
+    try:
+        return make_pair(a, b)
+    except DegenerateMapError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_pairs(), st.integers(1, 64), st.integers(1, 8))
+@example(make_pair([1, 0, Fraction(-29, 16)], [0, 0, 1]), 64, 2)  # undecided starts
+@example(make_pair([1, 0, -1], [0, 0, 1]), 64, 8)  # 0 and infinity on critical cycles
+def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
+    inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
+    assert preperiodic_counts(pair, height, max_iters=max_iters) == (
+        len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), inv.incomplete)
 
 
 def test_polynomial_rows_of_z2_minus_29_16():

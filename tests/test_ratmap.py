@@ -232,7 +232,7 @@ def test_critical_points_of_cubic_with_no_rational_ones():
 
 
 def _zeros_on_grid(form, height=9):
-    return {p for p in points_up_to_height(height) if _vanishes(form, p)}
+    return {p for p in points_up_to_height(height) if _vanishes(form, p.x, p.y)}
 
 
 def test_binary_form_rational_roots_direct():
