@@ -195,7 +195,7 @@ def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
     """
     if n == 0:
         raise ArithmeticInputError("0 has no prime factorization")
-    n = abs(n)
+    n = value = abs(n)
     found: dict[int, int] = {}
     for p in _PRIMES_10K:
         if p > trial_limit or p * p > n:
@@ -224,7 +224,7 @@ def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
             remaining = m
             for other in stack:
                 remaining *= other
-            raise FactorizationIncompleteError(n, partial, remaining)
+            raise FactorizationIncompleteError(value, partial, remaining)
         stack.append(g)
         stack.append(m // g)
     return dict(sorted(found.items()))

@@ -11,11 +11,12 @@ expression; numerator and denominator sharing a polynomial factor are
 reduced before homogenization.  Homogeneous sides must be polynomials of
 one common degree (division by constants is allowed).
 
-All arithmetic is over Z: an affine expression evaluates to a numerator and
-a denominator in Z[z], whose common factor is the primitive gcd from
-pseudo-remainders, divided out exactly; a homogeneous side evaluates to a
-polynomial in Z[X, Y] over one integer denominator.  Powers are taken by
-square-and-multiply.
+All arithmetic is over Z, in one representation: an expression evaluates
+to a pair (num, den) of polynomials in Z[X, Y], with z read as X/Y.  A
+homogeneous side keeps a constant den.  An affine expression is read at
+Y = 1 as a numerator and a denominator in Z[z], whose common factor is the
+primitive gcd from pseudo-remainders, divided out exactly.  Powers are
+taken by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ratmap import DegenerateMapError, HomogPair, _poly_mul, make_pair
+from .ratmap import DegenerateMapError, HomogPair, make_pair
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>\*\*|[-+*/^()\[\]:]))"
@@ -142,37 +143,12 @@ class _Parser:
         raise MapSyntaxError("expected a number, variable, or parenthesis", tok[2])
 
 
-def _power(base, exp: int, mul, one):
-    """base^exp by square-and-multiply."""
-    result = one
-    while exp:
-        if exp & 1:
-            result = mul(result, base)
-        exp >>= 1
-        if exp:
-            base = mul(base, base)
-    return result
-
-
 # --- univariate polynomials over Z, coefficient lists by ascending degree ---
 
 def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_neg(p):
-    return [-c for c in p]
 
 
 def _primitive(p):
@@ -220,45 +196,20 @@ def _poly_exact_div(p, q):
     return quot
 
 
-def _eval_affine(node):
-    """Evaluate an AST to a rational function (num, den) of integer polynomials in z."""
-    kind = node[0]
-    if kind == "const":
-        return [node[1]] if node[1] else [], [1]
-    if kind == "var":
-        return [0, 1], [1]
-    if kind == "neg":
-        n, d = _eval_affine(node[1])
-        return _poly_neg(n), d
-    if kind == "pow":
-        n, d = _eval_affine(node[1])
-        return _power(n, node[2], _poly_mul, [1]), _power(d, node[2], _poly_mul, [1])
-    n1, d1 = _eval_affine(node[1])
-    n2, d2 = _eval_affine(node[2])
-    if kind == "add":
-        return _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)), _poly_mul(d1, d2)
-    if kind == "sub":
-        return _poly_add(_poly_mul(n1, d2), _poly_neg(_poly_mul(n2, d1))), _poly_mul(d1, d2)
-    if kind == "mul":
-        return _poly_mul(n1, n2), _poly_mul(d1, d2)
-    if kind == "div":
-        if not n2:
-            raise DegenerateMapError("division by an identically-zero expression")
-        return _poly_mul(n1, d2), _poly_mul(d1, n2)
-    raise AssertionError(kind)
+# --- polynomials in X, Y as {(deg_X, deg_Y): coefficient} ---
 
+_ONE = {(0, 0): 1}
 
-# --- bivariate polynomials as {(deg_X, deg_Y): coefficient} over one denominator ---
+# each variable as (num, den), z as X/Y; these values are shared, so no helper
+# may change the dicts it is given
+_VARIABLES = {"z": ({(1, 0): 1}, {(0, 1): 1}), "X": ({(1, 0): 1}, _ONE), "Y": ({(0, 1): 1}, _ONE)}
+
 
 def _bi_add(p, q):
     out = dict(p)
     for k, c in q.items():
         out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
-
-
-def _bi_scale(p, s):
-    return {k: c * s for k, c in p.items()}
 
 
 def _bi_mul(p, q):
@@ -270,34 +221,60 @@ def _bi_mul(p, q):
     return {k: c for k, c in out.items() if c}
 
 
-def _eval_homog(node):
-    """Evaluate an AST to (poly, den): an integer polynomial in X, Y and a nonzero integer."""
+def _power(base, exp: int):
+    """base^exp by square-and-multiply."""
+    result = _ONE
+    while exp:
+        if exp & 1:
+            result = _bi_mul(result, base)
+        exp >>= 1
+        if exp:
+            base = _bi_mul(base, base)
+    return result
+
+
+def _evaluate(node, homogeneous: bool):
+    """Evaluate an AST to (num, den), polynomials in X, Y with den != 0.
+
+    On a homogeneous side den stays a constant: dividing by anything else
+    raises DegenerateMapError.
+    """
     kind = node[0]
     if kind == "const":
-        return ({(0, 0): node[1]} if node[1] else {}), 1
+        return ({(0, 0): node[1]} if node[1] else {}), _ONE
     if kind == "var":
-        return {(1, 0) if node[1] == "X" else (0, 1): 1}, 1
+        return _VARIABLES[node[1]]
     if kind == "neg":
-        p, d = _eval_homog(node[1])
-        return _bi_scale(p, -1), d
+        n, d = _evaluate(node[1], homogeneous)
+        return {k: -c for k, c in n.items()}, d
     if kind == "pow":
-        p, d = _eval_homog(node[1])
-        return _power(p, node[2], _bi_mul, {(0, 0): 1}), d ** node[2]
-    p, d1 = _eval_homog(node[1])
-    q, d2 = _eval_homog(node[2])
-    if kind == "add":
-        return _bi_add(_bi_scale(p, d2), _bi_scale(q, d1)), d1 * d2
+        n, d = _evaluate(node[1], homogeneous)
+        return _power(n, node[2]), _power(d, node[2])
+    n1, d1 = _evaluate(node[1], homogeneous)
+    n2, d2 = _evaluate(node[2], homogeneous)
     if kind == "sub":
-        return _bi_add(_bi_scale(p, d2), _bi_scale(q, -d1)), d1 * d2
+        n2 = {k: -c for k, c in n2.items()}
+    if kind in ("add", "sub"):
+        if d1 == d2:
+            return _bi_add(n1, n2), d1
+        return _bi_add(_bi_mul(n1, d2), _bi_mul(n2, d1)), _bi_mul(d1, d2)
     if kind == "mul":
-        return _bi_mul(p, q), d1 * d2
+        return _bi_mul(n1, n2), _bi_mul(d1, d2)
     if kind == "div":
-        if not q:
+        if not n2:
             raise DegenerateMapError("division by an identically-zero expression")
-        if set(q) != {(0, 0)}:
+        if homogeneous and set(n2) != {(0, 0)}:
             raise DegenerateMapError("homogeneous sides may only be divided by constants")
-        return _bi_scale(p, d2), d1 * q[(0, 0)]
+        return _bi_mul(n1, d2), _bi_mul(d1, n2)
     raise AssertionError(kind)
+
+
+def _at_y1(form):
+    """The coefficient list, by ascending degree in z, of a binary form at X = z, Y = 1."""
+    out = [0] * (max((i for i, _ in form), default=-1) + 1)
+    for (i, _), c in form.items():
+        out[i] += c
+    return out
 
 
 def _homog_side_coeffs(poly: dict, side: str):
@@ -323,12 +300,13 @@ def parse_map(text: str) -> HomogPair:
         parser.expect_op("]")
         if parser.peek()[0] != "end":
             raise MapSyntaxError("trailing input after the pair", parser.peek()[2])
-        f_poly, f_den = _eval_homog(f_ast)
-        g_poly, g_den = _eval_homog(g_ast)
+        f_poly, f_den = _evaluate(f_ast, True)
+        g_poly, g_den = _evaluate(g_ast, True)
         d1 = _homog_side_coeffs(f_poly, "first")
         d2 = _homog_side_coeffs(g_poly, "second")
         if d1 != d2:
             raise DegenerateMapError(f"sides have different degrees {d1} and {d2}")
+        f_den, g_den = f_den[(0, 0)], g_den[(0, 0)]
         a = [f_poly.get((d1 - i, i), 0) * g_den for i in range(d1 + 1)]
         b = [g_poly.get((d1 - i, i), 0) * f_den for i in range(d1 + 1)]
         return make_pair(a, b, stripped)
@@ -336,7 +314,7 @@ def parse_map(text: str) -> HomogPair:
     ast = parser.expr()
     if parser.peek()[0] != "end":
         raise MapSyntaxError("trailing input after the expression", parser.peek()[2])
-    num, den = _eval_affine(ast)
+    num, den = (_at_y1(form) for form in _evaluate(ast, False))
     common = _poly_gcd(num, den)
     if len(common) > 1:
         num = _poly_exact_div(num, common)

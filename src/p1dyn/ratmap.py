@@ -298,7 +298,7 @@ def _form_derivative_y(coeffs, d):
 
 
 def _poly_mul(p, q):
-    """The product of two coefficient lists: polynomials in z or binary forms alike."""
+    """The product of two binary forms as coefficient lists, for the Wronskian."""
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)

@@ -12,6 +12,8 @@ import argparse
 import itertools
 import math
 
+import sympy
+
 from p1dyn.bounds import BOUND_ORDER
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
@@ -26,15 +28,19 @@ def _form_value(coeffs, x, y):
     return sum(c * x ** (d - i) * y**i for i, c in enumerate(coeffs))
 
 
+def _naive_point(x, y):
+    """[x : y] in lowest terms with y > 0, or y = 0 and x = 1, from scratch."""
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return ProjPoint(x, y)
+
+
 def naive_evaluate(pair, point):
     """Image of a point, from monomial sums and a from-scratch canonical form."""
-    fx = _form_value(pair.a, point.x, point.y)
-    gx = _form_value(pair.b, point.x, point.y)
-    g = math.gcd(fx, gx)
-    fx, gx = fx // g, gx // g
-    if gx < 0 or (gx == 0 and fx < 0):
-        fx, gx = -fx, -gx
-    return ProjPoint(fx, gx)
+    return _naive_point(_form_value(pair.a, point.x, point.y),
+                        _form_value(pair.b, point.x, point.y))
 
 
 def naive_classify(pair, point, max_iters, escape_height):
@@ -70,14 +76,17 @@ def all_points_up_to_height(height):
     return pts
 
 
-def naive_preperiodic_points(pair, height, max_iters, escape_height):
-    """Preperiodic points among candidates of bounded height, plus forward images."""
+def naive_full_scan(pair, height, max_iters, escape_height):
+    """(found, kinds): the preperiodic points among candidates of bounded
+    height plus their forward images, and each candidate's classification."""
     found = set()
+    kinds = {}
     for p in all_points_up_to_height(height):
         kind, traj, *_ = naive_classify(pair, p, max_iters, escape_height)
+        kinds[p] = kind
         if kind in ("periodic", "tail"):
             found.update(traj)
-    return found
+    return found, kinds
 
 
 def _naive_valuation(n, prime):
@@ -112,6 +121,35 @@ def naive_sieve_drops(pair, point):
                 and k * (d - 1) > top - _naive_valuation(b[-1], prime)):
             return True
     return False
+
+
+_X, _Y = sympy.symbols("X Y")
+
+
+def power_map(d):
+    """(F, G, PrePer) for z^d: 0 and infinity are fixed, and +-1 are the rational roots of unity."""
+    return _X**d, _Y**d, {ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(-1, 1), ProjPoint(1, 0)}
+
+
+def chebyshev_map(d):
+    """(F, G, PrePer) for 2*T_d(z/2): infinity and 2*cos(2*pi*r) for rational r,
+    whose rational values are 0, +-1 and +-2 (Niven's theorem)."""
+    f = sympy.expand(2 * sympy.chebyshevt(d, _X / (2 * _Y)) * _Y**d)
+    points = {ProjPoint(x, 1) for x in (0, 1, -1, 2, -2)} | {ProjPoint(1, 0)}
+    return f, _Y**d, points
+
+
+def conjugate(f, g, points, m):
+    """(bracket text of psi, psi's PrePer) for psi = m^-1 o phi o m, where phi = [f : g]
+    has PrePer ``points`` and m = (a, b, c, e) is z -> (a*z + b)/(c*z + e), a*e != b*c.
+
+    PrePer(psi) is m^-1(PrePer(phi)); m^-1 acts on [x : y] by the adjugate matrix.
+    """
+    a, b, c, e = m
+    moved = {_X: a * _X + b * _Y, _Y: c * _X + e * _Y}
+    f, g = (sympy.expand(h.subs(moved, simultaneous=True)) for h in (f, g))
+    text = f"[{sympy.expand(e * f - b * g)} : {sympy.expand(a * g - c * f)}]"
+    return text, {_naive_point(e * p.x - b * p.y, a * p.y - c * p.x) for p in points}
 
 
 def naive_distances_equal(p, q1, q2, prime):

@@ -81,14 +81,13 @@ def _names_used(node) -> set[str]:
 
 def test_every_private_helper_is_referenced():
     # a private top-level function or class that only its own body names is dead
-    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+    statements = [(path.name, node, _names_used(node)) for path in sorted(SRC.glob("*.py"))
                   for node in ast.parse(path.read_text(), filename=str(path)).body]
     orphans = []
-    for name, node in statements:
+    for name, node, _ in statements:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and node.name.startswith("_") and not node.name.startswith("__")):
-            if not any(node.name in _names_used(other)
-                       for _, other in statements if other is not node):
+            if not any(node.name in used for _, other, used in statements if other is not node):
                 orphans.append(f"{name}: {node.name}")
     assert orphans == []
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -101,6 +102,16 @@ def test_factorize_budget_exhaustion_is_loud():
     with pytest.raises(FactorizationIncompleteError) as info:
         factorize(p * q, trial_limit=100, rho_budget=1)
     assert info.value.remaining % p == 0 or info.value.remaining % q == 0
+
+
+def test_budget_exhaustion_names_the_input_after_trial_division():
+    n = 12 * 1_000_003 * 1_000_033  # trial division strips 2^2 * 3 first
+    with pytest.raises(FactorizationIncompleteError) as info:
+        factorize(-n, trial_limit=100, rho_budget=1)
+    assert info.value.n == n == 12000432001188
+    assert str(info.value).startswith("factoring budget exhausted on 12000432001188;")
+    assert info.value.partial == {2: 2, 3: 1}
+    assert math.prod(p**e for p, e in info.value.partial.items()) * info.value.remaining == n
 
 
 def test_errors_name_long_numbers_by_digit_count():

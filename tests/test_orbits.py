@@ -11,8 +11,8 @@ from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodi
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
 from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
 
-from naive import (all_points_up_to_height, naive_classify, naive_preperiodic_points,
-                   naive_sieve_drops)
+from naive import (all_points_up_to_height, chebyshev_map, conjugate, naive_classify,
+                   naive_full_scan, naive_sieve_drops, power_map)
 
 
 def pts(*texts):
@@ -141,7 +141,7 @@ def test_golden_inventory_z2_minus_2():
 def test_inventory_agrees_with_naive_search(map_text):
     pair = parse_map(map_text)
     inv = enumerate_preperiodic(pair, 30)
-    assert inv.preper == naive_preperiodic_points(pair, 30, 256, 10**6)
+    assert inv.preper == naive_full_scan(pair, 30, 256, 10**6)[0]
 
 
 def test_inventory_grows_with_height():
@@ -224,13 +224,14 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     # the sieve walks exactly the starts rules (i) and (ii) keep, and every
     # start it drops escapes in the full scan at the default budgets
     inv = enumerate_preperiodic(pair, height)
-    assert inv.preper == naive_preperiodic_points(pair, height, 256, 10**6)
+    found, kinds = naive_full_scan(pair, height, 256, 10**6)
+    assert inv.preper == found
     assert inv.undecided == ()
     grid = all_points_up_to_height(min(height, escape_threshold(pair)))
     dropped = [p for p in grid if naive_sieve_drops(pair, p)]
     assert inv.starts == len(grid) - len(dropped)
     for p in dropped:
-        assert naive_classify(pair, p, 256, 10**6)[0] == "escaped"
+        assert kinds[p] == "escaped"
 
 
 @st.composite
@@ -260,6 +261,30 @@ def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
     inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     assert preperiodic_counts(pair, height, max_iters=max_iters) == (
         len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), inv.incomplete)
+
+
+@st.composite
+def known_answer_maps(draw):
+    """(bracket text, PrePer) for a conjugate of z^d or of 2*T_d(z/2), d = 2..6."""
+    family = draw(st.sampled_from([power_map, chebyshev_map]))
+    entry = st.integers(-2, 2)
+    m = draw(st.tuples(entry, entry, entry, entry).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+    return conjugate(*family(draw(st.integers(2, 6))), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(known_answer_maps())
+def test_known_answer_maps_at_every_degree(known):
+    # PrePer(m^-1 o phi o m) = m^-1(PrePer(phi)); at H = T the walk finds all of it
+    text, preper = known
+    pair = parse_map(text)
+    threshold = escape_threshold(pair)
+    assume(threshold <= 200)
+    inv = enumerate_preperiodic(pair, threshold)
+    assert not inv.incomplete
+    assert inv.preper == preper
+    assert preperiodic_counts(pair, threshold) == (
+        len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), False)
 
 
 def test_polynomial_rows_of_z2_minus_29_16():

@@ -82,18 +82,23 @@ def test_parse_errors_carry_positions():
 
 
 def test_parse_degenerate_inputs():
-    with pytest.raises(DegenerateMapError):
-        parse_map("5/7")  # constant
-    with pytest.raises(DegenerateMapError):
-        parse_map("z/0")
-    with pytest.raises(DegenerateMapError):
-        parse_map("[X^2 : X*Y]")  # shared root, resultant 0
-    with pytest.raises(DegenerateMapError):
-        parse_map("[X^2+Y : Y^2]")  # not homogeneous
-    with pytest.raises(DegenerateMapError):
-        parse_map("[X^2 : Y]")  # mismatched degrees
-    with pytest.raises(DegenerateMapError):
-        parse_map("[X^2/Y : Y^2]")  # non-constant division
+    for text, message in [
+        ("5/7", "constant expressions do not define a map"),
+        ("z/0", "division by an identically-zero expression"),
+        ("[X^2 : X*Y]", "the two forms share a projective root (resultant 0)"),
+        ("[X^2+Y : Y^2]", "first side is not homogeneous"),
+        ("[X^2 : Y]", "sides have different degrees 2 and 1"),
+        ("[X^2/Y : Y^2]", "homogeneous sides may only be divided by constants"),
+        # operands are read left to right, and a zero divisor is reported as zero
+        ("[X/Y/0 : Y]", "homogeneous sides may only be divided by constants"),
+        ("[X/(Y-Y) : Y]", "division by an identically-zero expression"),
+    ]:
+        with pytest.raises(DegenerateMapError) as info:
+            parse_map(text)
+        assert str(info.value) == message, text
+    # cancelled terms and constant divisors leave a homogeneous side homogeneous
+    assert parse_map("[X^2+X-X : Y^2]") == parse_map("[X^2:Y^2]")
+    assert parse_map("[X^2/(3-2) : Y^2]") == parse_map("[X^2:Y^2]")
 
 
 def test_resultant_examples():
@@ -446,8 +451,9 @@ def _affine_expressions(draw, depth=4):
 @st.composite
 def _homogeneous_forms(draw, degree, depth=2):
     """(text, value) for a random binary form in X, Y of the given degree."""
-    kind = draw(st.sampled_from(["terms", "+", "-", "*", "/", "^2"]))
-    if depth == 0 or kind == "terms" or (kind == "*" and degree == 0) or (kind == "^2" and degree % 2):
+    kind = draw(st.sampled_from(["terms", "+", "-", "*", "/", "^2", "cancel"]))
+    if (depth == 0 or kind == "terms" or (kind in ("*", "cancel") and degree == 0)
+            or (kind == "^2" and degree % 2)):
         terms = [(f"{c}*X^{degree - i}*Y^{i}", v * _X ** (degree - i) * _Y**i)
                  for i, (c, v) in enumerate(draw(st.lists(_rationals, min_size=degree + 1,
                                                           max_size=degree + 1)))]
@@ -461,6 +467,9 @@ def _homogeneous_forms(draw, degree, depth=2):
                               draw(_homogeneous_forms(degree - k, depth - 1)))
         return f"({t1})*({t2})", v1 * v2
     t1, v1 = draw(_homogeneous_forms(degree, depth - 1))
+    if kind == "cancel":  # a term of lower degree, added and taken away again
+        term = f"{draw(st.integers(1, 9))}*X^{draw(st.integers(0, degree - 1))}"
+        return f"(({t1})+{term}-{term})", v1
     if kind == "/":
         text, c = draw(_rationals.filter(lambda r: r[1] != 0))
         return f"({t1})/{text}", v1 / c
