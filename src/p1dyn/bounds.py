@@ -9,6 +9,11 @@ in memory, so results are magnitude trees rather than ints.
 Each bound has one name, its label in the paper: the S-unit constants B,
 C3 and C5, the tail caps L1..L4, and the counts CV, T, TPLA, FPLA, L and
 Q built from them.  BOUND_ORDER is the order tables and reports list them in.
+
+Each label is assembled from terms that depend on s alone, built once per s,
+by products with d or d - 1 and sums.  Sharing those terms pays because every
+node memoizes its log interval (see the magnitude docstring): each degree at
+one s reads the shared nodes' intervals instead of computing them again.
 """
 
 from functools import lru_cache
@@ -31,10 +36,6 @@ def _check(d: int, s: int) -> None:
         raise BoundInputError("place count must be an integer >= 1")
 
 
-# the (d, s) grid of 2..33 x 1..16 holds 48 distinct (n, s), so 64 entries give
-# every table of it the same B, C3 and C5 node, which keeps its intervals.
-# typed, so 2.0 never finds the entry of 2 and skips the checks
-@lru_cache(maxsize=64, typed=True)
 def unit_equation_bound(n: int, s: int) -> Magnitude:
     """B = 2^(16s) for the two-term S-unit equation, C_n = e^((6n)^(3n) (ns+1-n)) for n terms."""
     if not isinstance(n, int) or n < 2:
@@ -46,39 +47,48 @@ def unit_equation_bound(n: int, s: int) -> Magnitude:
     return exp_of((6 * n) ** (3 * n) * (n * s + 1 - n))
 
 
-# verify reads one map's table twice (tail lemmas, then main theorems) and a
-# sweep asks for Q(2, s) at few s: 16 entries hold both, and more would keep
-# dead tables' intervals alive
+# one entry per place count: the 16 values of s in the bounds grid all fit, so
+# every degree at one s reads the same d-free nodes; typed, so 1.0 never finds 1
+@lru_cache(maxsize=16, typed=True)
+def _table_at(s: int):
+    """The tables at place count s as a function of d; _d names a term times d, _d1 times d - 1."""
+    b, c3, c5 = unit_equation_bound(2, s), unit_equation_bound(3, s), unit_equation_bound(5, s)
+    one = exact(1)
+    l1_d, l4_d1 = sum_of(one, b), sum_of(c3, exact(3))
+    l2_d = sum_of(prod_of(exact(2), sum_of(c3, exact(2))), one)
+    l2_d1 = sum_of(one, prod_of(b, sum_of(b, c3, exact(3))))
+    l3_d1 = sum_of(prod_of(sum_of(one, prod_of(exact(3), b)), b), one)
+    cv_d = sum_of(prod_of(exact(3), b), exact(13))
+    cv_rest = sum_of(prod_of(exact(27), b), c5, prod_of(exact(6), c3), exact(32))
+    seven = power(exact(7), 4 * s)
+    t, tpla = prod_of(exact(12), seven), prod_of(exact(3), seven)
+    fpla_d, fpla_rest = power(exact(2), 32 * s), power(exact(2), (2**77) * s)
+
+    def at(d: int) -> MappingProxyType:
+        l1 = prod_of(exact(d - 1), sum_of(one, prod_of(exact(d), l1_d)))
+        l2 = max_of(sum_of(prod_of(l2_d, exact(d)), one), prod_of(exact(d - 1), l2_d1))
+        l3, l4 = prod_of(l3_d1, exact(d - 1)), prod_of(l4_d1, exact(d - 1))
+        cv = sum_of(prod_of(cv_d, exact(d)), cv_rest)
+        t_cv = sum_of(t, cv)  # one node, so L and Q are one node too
+        return MappingProxyType({
+            "B": b, "C3": c3, "C5": c5, "L1": l1, "L2": l2, "L3": l3, "L4": l4, "CV": cv, "T": t,
+            "TPLA": tpla, "FPLA": sum_of(prod_of(fpla_d, exact(d)), fpla_rest),
+            "L": max_of(t_cv, sum_of(l4, prod_of(exact(2), l2), exact(3)),
+                        sum_of(prod_of(exact(3), l3), exact(3))),
+            "Q": max_of(t_cv, prod_of(exact(3), l1)),
+        })
+
+    return at
+
+
+# whole tables: verify reads one map's table twice (tail lemmas, then main
+# theorems) and the sweep reads Q(2, s) at few s, so 16 entries hold both.  An
+# evicted table's d-free nodes live on in _table_at; only its per-d nodes go
 @lru_cache(maxsize=16, typed=True)
 def aggregate_bounds(d: int, s: int) -> MappingProxyType:
     """All thirteen bounds for one (degree, place count) pair, read-only, in BOUND_ORDER."""
     _check(d, s)
-    b, c3, c5 = unit_equation_bound(2, s), unit_equation_bound(3, s), unit_equation_bound(5, s)
-    one = exact(1)
-    l1 = prod_of(exact(d - 1), sum_of(one, prod_of(exact(d), sum_of(one, b))))
-    l2 = max_of(
-        sum_of(prod_of(sum_of(prod_of(exact(2), sum_of(c3, exact(2))), one), exact(d)), one),
-        prod_of(exact(d - 1), sum_of(one, prod_of(b, sum_of(b, c3, exact(3))))),
-    )
-    l3 = prod_of(sum_of(prod_of(sum_of(one, prod_of(exact(3), b)), b), one), exact(d - 1))
-    l4 = prod_of(sum_of(c3, exact(3)), exact(d - 1))
-    cv = sum_of(
-        prod_of(sum_of(prod_of(exact(3), b), exact(13)), exact(d)),
-        prod_of(exact(27), b),
-        c5,
-        prod_of(exact(6), c3),
-        exact(32),
-    )
-    t = prod_of(exact(12), power(exact(7), 4 * s))
-    return MappingProxyType({
-        "B": b, "C3": c3, "C5": c5, "L1": l1, "L2": l2, "L3": l3, "L4": l4, "CV": cv, "T": t,
-        "TPLA": prod_of(exact(3), power(exact(7), 4 * s)),
-        "FPLA": sum_of(prod_of(power(exact(2), 32 * s), exact(d)),
-                       power(exact(2), (2**77) * s)),
-        "L": max_of(sum_of(t, cv), sum_of(l4, prod_of(exact(2), l2), exact(3)),
-                    sum_of(prod_of(exact(3), l3), exact(3))),
-        "Q": max_of(sum_of(t, cv), prod_of(exact(3), l1)),
-    })
+    return _table_at(s)(d)
 
 
 def bound_table(d: int, s: int) -> dict[str, Magnitude]:

@@ -13,11 +13,14 @@ import itertools
 import math
 
 import sympy
+from hypothesis import strategies as st
 
-from p1dyn.bounds import BOUND_ORDER
+from p1dyn.bounds import BOUND_ORDER, unit_equation_bound
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
-from p1dyn.magnitude import Exact, ExpOf, Power, Prod, Sum
+from p1dyn.magnitude import (
+    Exact, ExpOf, Power, Prod, Sum, exact, max_of, power, prod_of, sum_of,
+)
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
 
@@ -150,6 +153,15 @@ def conjugate(f, g, points, m):
     f, g = (sympy.expand(h.subs(moved, simultaneous=True)) for h in (f, g))
     text = f"[{sympy.expand(e * f - b * g)} : {sympy.expand(a * g - c * f)}]"
     return text, {_naive_point(e * p.x - b * p.y, a * p.y - c * p.x) for p in points}
+
+
+@st.composite
+def known_answer_maps(draw):
+    """(bracket text, PrePer) for a conjugate of z^d or of 2*T_d(z/2), d = 2..6."""
+    family = draw(st.sampled_from([power_map, chebyshev_map]))
+    entry = st.integers(-2, 2)
+    m = draw(st.tuples(entry, entry, entry, entry).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+    return conjugate(*family(draw(st.integers(2, 6))), m)
 
 
 def naive_distances_equal(p, q1, q2, prime):
@@ -333,6 +345,36 @@ def naive_key(m):
     if isinstance(m, Prod):
         return (4, tuple(naive_key(p) for p in m.parts))
     return (5, tuple(naive_key(p) for p in m.parts))
+
+
+def naive_bound_table(d, s):
+    """All thirteen bounds for (d, s), each label's formula written out whole, with no cache."""
+    b, c3, c5 = unit_equation_bound(2, s), unit_equation_bound(3, s), unit_equation_bound(5, s)
+    one = exact(1)
+    l1 = prod_of(exact(d - 1), sum_of(one, prod_of(exact(d), sum_of(one, b))))
+    l2 = max_of(
+        sum_of(prod_of(sum_of(prod_of(exact(2), sum_of(c3, exact(2))), one), exact(d)), one),
+        prod_of(exact(d - 1), sum_of(one, prod_of(b, sum_of(b, c3, exact(3))))),
+    )
+    l3 = prod_of(sum_of(prod_of(sum_of(one, prod_of(exact(3), b)), b), one), exact(d - 1))
+    l4 = prod_of(sum_of(c3, exact(3)), exact(d - 1))
+    cv = sum_of(
+        prod_of(sum_of(prod_of(exact(3), b), exact(13)), exact(d)),
+        prod_of(exact(27), b),
+        c5,
+        prod_of(exact(6), c3),
+        exact(32),
+    )
+    t = prod_of(exact(12), power(exact(7), 4 * s))
+    return {
+        "B": b, "C3": c3, "C5": c5, "L1": l1, "L2": l2, "L3": l3, "L4": l4, "CV": cv, "T": t,
+        "TPLA": prod_of(exact(3), power(exact(7), 4 * s)),
+        "FPLA": sum_of(prod_of(power(exact(2), 32 * s), exact(d)),
+                       power(exact(2), (2**77) * s)),
+        "L": max_of(sum_of(t, cv), sum_of(l4, prod_of(exact(2), l2), exact(3)),
+                    sum_of(prod_of(exact(3), l3), exact(3))),
+        "Q": max_of(sum_of(t, cv), prod_of(exact(3), l1)),
+    }
 
 
 def _add_search_flags(sp, height_default: int) -> None:

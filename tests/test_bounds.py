@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naive import naive_bound_table
+from p1dyn import bounds
 from p1dyn.bounds import (
     BOUND_ORDER,
     BoundInputError,
@@ -177,8 +181,34 @@ def test_input_validation():
         unit_equation_bound(1, 1)
     with pytest.raises(BoundInputError):
         unit_equation_bound(3, 0)
-    # a cached table of (2, 1) must not answer for (2.0, 1)
+    # a cached table of (2, 1), or the cached terms of s = 1, must not answer for 2.0 or 1.0
     unit_equation_bound(2, 1), aggregate_bounds(2, 1), bound_table(2, 1)
     for build in (unit_equation_bound, aggregate_bounds, bound_table):
-        with pytest.raises(BoundInputError):
-            build(2.0, 1)
+        for bad in ((2.0, 1), (2, 1.0)):
+            with pytest.raises(BoundInputError):
+                build(*bad)
+
+
+# d log-uniform in 2..10^6: a bit length first, then d of about that length
+_DEGREES = st.integers(1, 20).flatmap(lambda k: st.integers(max(2, 2**(k - 1)), min(10**6, 2**k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DEGREES, st.integers(1, 60))
+def test_tables_equal_the_written_out_formulas(d, s):
+    table, want = bound_table(d, s), naive_bound_table(d, s)
+    assert list(table) == list(want)
+    for label, m in table.items():
+        assert m == want[label] and hash(m) == hash(want[label]), label
+        assert m._key == want[label]._key, label
+
+
+def test_every_degree_at_one_place_count_shares_its_d_free_nodes():
+    bounds._table_at.cache_clear()
+    aggregate_bounds.cache_clear()
+    tables = [aggregate_bounds(d, 3) for d in range(2, 34)]
+    assert bounds._table_at.cache_info().misses == 1
+    for label in ("C3", "C5", "T"):
+        assert all(t[label] is tables[0][label] for t in tables), label
+    # both maxima keep the one T + CV node, so its interval is computed once
+    assert tables[0]["L"] is tables[0]["Q"]

@@ -11,8 +11,8 @@ from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodi
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
 from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
 
-from naive import (all_points_up_to_height, chebyshev_map, conjugate, naive_classify,
-                   naive_full_scan, naive_sieve_drops, power_map)
+from naive import (all_points_up_to_height, known_answer_maps, naive_classify, naive_full_scan,
+                   naive_sieve_drops)
 
 
 def pts(*texts):
@@ -261,15 +261,6 @@ def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
     inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     assert preperiodic_counts(pair, height, max_iters=max_iters) == (
         len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), inv.incomplete)
-
-
-@st.composite
-def known_answer_maps(draw):
-    """(bracket text, PrePer) for a conjugate of z^d or of 2*T_d(z/2), d = 2..6."""
-    family = draw(st.sampled_from([power_map, chebyshev_map]))
-    entry = st.integers(-2, 2)
-    m = draw(st.tuples(entry, entry, entry, entry).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
-    return conjugate(*family(draw(st.integers(2, 6))), m)
 
 
 @settings(max_examples=60, deadline=None)

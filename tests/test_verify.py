@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from naive import (naive_evaluate, naive_four_point_members, naive_non_expansion,
-                   naive_three_point_members, naive_ultrametric)
+from naive import (known_answer_maps, naive_evaluate, naive_four_point_members,
+                   naive_non_expansion, naive_three_point_members, naive_ultrametric)
 from p1dyn import intarith, verify
 from p1dyn.intarith import is_prime
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import (INFINITY, ProjPoint, distance_support, from_rational,
                              points_up_to_height)
-from p1dyn.ratmap import DegenerateMapError, PlaceSet, make_pair, reduction_profile
+from p1dyn.ratmap import (DegenerateMapError, PlaceSet, escape_threshold, make_pair,
+                          reduction_profile)
 from p1dyn.report import verification_line
 from p1dyn.verify import (
     VerificationInputError,
@@ -466,6 +467,19 @@ def test_run_suite_all_golden_maps():
         reports = run_suite(parse_map(text), "all", height=64)
         bad = [r for r in reports if r.status == "FAIL"]
         assert not bad, (text, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(known_answer_maps())
+def test_run_suite_all_on_known_answer_maps(known):
+    # conjugates of z^d and 2*T_d(z/2), d = 2..6, many of them not polynomials
+    text, _ = known
+    pair = parse_map(text)
+    reports = run_suite(pair, "all", height=min(escape_threshold(pair), 64))
+    bad = [r for r in reports if r.status == "FAIL"]
+    assert not bad, (text, bad)
+    # neither family has a cycle of length >= 2, which the linear bound L needs
+    assert [r.status for r in reports if r.check_name == "preper_bound_L"] == ["SKIPPED"]
 
 
 def test_run_suite_chain_derivation():
