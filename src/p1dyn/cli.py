@@ -34,14 +34,13 @@ from types import SimpleNamespace
 from .bounds import BOUND_ORDER, BoundInputError, aggregate_bounds
 from .intarith import (ArithmeticInputError, FactorizationIncompleteError,
                        PrimalityRangeError, is_prime)
-from .magnitude import Comparison, compare, exact
 from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic, preperiodic_counts
 from .ratmap import DegenerateMapError, make_pair, reduction_profile
 from .report import (SCHEMA_VERSION, OutputSizeError, analysis_report, analysis_text,
                      batch_rows_csv, bound_rows, map_coefficients, report_json,
                      verification_line, verification_to_dict)
-from .verify import FAIL, SUITE_NAMES, run_suite
+from .verify import FAIL, PASS, SKIPPED, SUITE_NAMES, _count_check, run_suite
 
 _INPUT_ERRORS = (MapSyntaxError, DegenerateMapError, ArithmeticInputError,
                  FactorizationIncompleteError, BoundInputError, OutputSizeError)
@@ -135,10 +134,13 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+# a box-64 sweep asks this of 12 distinct (s, count)
+@lru_cache(maxsize=64)
 def _within_q(s: int, count: int) -> bool:
-    """Whether count <= Q(2, s); the sweep asks this of few distinct (s, count)."""
-    return compare(exact(count), aggregate_bounds(2, s)["Q"]) is not Comparison.GREATER
+    """Whether count <= Q(2, s), checked as verify checks it."""
+    holds, _ = _count_check(count, aggregate_bounds(2, s)["Q"], f"{count} preperiodic points",
+                            f"Q(2,{s})")
+    return holds
 
 
 def _sweep_pair(c: Fraction):
@@ -154,9 +156,9 @@ def _sweep_entry(task):
     profile = reduction_profile(pair)
     preper, per, tail, per0, incomplete = preperiodic_counts(pair, height, max_iters=max_iters)
     if incomplete:
-        status = "SKIPPED"
+        status = SKIPPED
     else:
-        status = "PASS" if _within_q(profile.places.size, preper) else FAIL
+        status = PASS if _within_q(profile.places.size, preper) else FAIL
     return {"c": str(c), "s": profile.places.size,
             "bad_primes": list(profile.bad_primes),
             "preper": preper, "per": per, "tail": tail, "per0": per0,

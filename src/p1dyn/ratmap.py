@@ -165,7 +165,9 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
+# every caller reads a pair's certificate right after building the pair (make_pair,
+# then reduction_profile, then escape_threshold), so a few entries keep every hit
+@lru_cache(maxsize=16)
 def _certificate(pair: HomogPair) -> tuple[int, int | None]:
     """(Res, T) from one elimination of S^T augmented by e_0 and e_(2d-1).
 

@@ -9,7 +9,9 @@ both sides, so finitely many primes settle the universal claim.  run_suite
 factors each pair of its sample points once, into one support table that the
 ultrametric and non-expansion checks share.  Non-expansion can fail only at
 the primes of the source pair's support, where image distances are read by
-valuation: image cross products are never factored.
+valuation: image cross products are never factored.  Every count meets its
+bound in _count_check, which also words the witness.  Both point-set lemmas
+share one scan, which stops factoring a candidate at its first mismatch.
 
 The ultrametric check runs prime by prime: at p the three inequalities of
 a trio hold iff the least of its three δ_p values occurs at least twice, so
@@ -64,7 +66,7 @@ class VerificationReport(Record):
         return self.status != FAIL
 
 
-def _finish(name, failures, confirmations, checked, params, reason=""):
+def _finish(name, failures, confirmations, checked, params):
     if failures:
         return VerificationReport(name, FAIL, reason="inequality violated",
                                   witnesses=tuple(failures), parameters=tuple(params))
@@ -72,8 +74,7 @@ def _finish(name, failures, confirmations, checked, params, reason=""):
     if len(confirmations) > _WITNESS_CAP:
         witnesses += (f"... {len(confirmations) - _WITNESS_CAP} more",)
     params = tuple(params) + (("checked", str(checked)),)
-    return VerificationReport(name, PASS, reason=reason, witnesses=witnesses,
-                              parameters=params)
+    return VerificationReport(name, PASS, witnesses=witnesses, parameters=params)
 
 
 def _support(a: ProjPoint, b: ProjPoint):
@@ -304,11 +305,29 @@ def check_critical_distance(inv: DynamicalInventory,
         [("periodic", str(len(inv.per))), ("critical_cycle", str(len(inv.per0)))])
 
 
-def _restricted_support(point: ProjPoint, q: ProjPoint, excluded_primes):
-    support = _support(point, q)
-    if support is None:
-        return None  # infinite distance everywhere
-    return {p: v for p, v in support.items() if p not in excluded_primes}
+def _scan(qs, places: PlaceSet, height: int, wants, cap):
+    """The points of height <= height whose supports off the finite places match ``wants``.
+
+    wants[i] is what the support against qs[i] must be: None for any, j < i
+    for the support against qs[j], or a fixed support.  A point equal to a q
+    never matches, and one dropped at a mismatch has no later cross product factored.
+    """
+    result = set()
+    for cand in points_up_to_height(height):
+        sups = []
+        for q, want in zip(qs, wants):
+            if cand == q:
+                break
+            sup = {p: v for p, v in distance_support(cand, q).items() if p not in places.finite}
+            if want is not None and sup != (sups[want] if isinstance(want, int) else want):
+                break
+            sups.append(sup)
+        else:
+            result.add(cand)
+    # trivially wide cardinality cap; a violation would mean an enumeration bug
+    holds, witness = _count_check(len(result), cap, f"{len(result)} members", "the cap")
+    assert holds, witness
+    return result
 
 
 def three_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint,
@@ -324,33 +343,21 @@ def three_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint,
     qs = (q1, q2, q3)
     if len(set(qs)) != 3:
         raise VerificationInputError("the three reference points must be distinct")
-    excluded = set(places.finite)
-    wanted = None
+    wants = (None, 0, 0)
     if targets is not None:
-        wanted = [{}, {}, {}]
+        wants = ({}, {}, {})
         for (i, p), n in targets.items():
             if i not in (0, 1, 2):
                 raise VerificationInputError(f"target index {i} out of range")
             if not is_prime(p):
                 raise VerificationInputError(f"target prime {p} is not prime")
-            if p in excluded:
+            if p in places.finite:
                 raise VerificationInputError(f"target prime {p} lies in the place set")
             if not isinstance(n, int) or n < 0:
                 raise VerificationInputError("target distances are nonnegative integers")
             if n > 0:
-                wanted[i][p] = n
-    result = set()
-    for cand in points_up_to_height(height):
-        sups = [_restricted_support(cand, q, excluded) for q in qs]
-        if wanted is None:
-            if sups[0] is not None and sups[0] == sups[1] == sups[2]:
-                result.add(cand)
-        else:
-            if all(s is not None and s == w for s, w in zip(sups, wanted)):
-                result.add(cand)
-    # trivially wide cardinality cap; a violation would mean an enumeration bug
-    assert _le(len(result), unit_equation_bound(2, places.size))
-    return result
+                wants[i][p] = n
+    return _scan(qs, places, height, wants, unit_equation_bound(2, places.size))
 
 
 def four_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint,
@@ -359,25 +366,14 @@ def four_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint,
     qs = (q1, q2, q3, q4)
     if len(set(qs)) != 4:
         raise VerificationInputError("the four reference points must be distinct")
-    excluded = set(places.finite)
-    result = set()
-    for cand in points_up_to_height(height):
-        s1 = _restricted_support(cand, q1, excluded)
-        s2 = _restricted_support(cand, q2, excluded)
-        if s1 is None or s2 is None or s1 != s2:
-            continue
-        s3 = _restricted_support(cand, q3, excluded)
-        s4 = _restricted_support(cand, q4, excluded)
-        if s3 is None or s4 is None or s3 != s4:
-            continue
-        result.add(cand)
     cap = sum_of(unit_equation_bound(3, places.size), exact(2))
-    assert _le(len(result), cap)
-    return result
+    return _scan(qs, places, height, (None, 0, None, 2), cap)
 
 
-def _le(count: int, bound) -> bool:
-    return compare(exact(count), bound) is not Comparison.GREATER
+def _count_check(count: int, bound, what: str, label: str) -> tuple[bool, str]:
+    """Whether count <= bound, and the witness "<what> <= <label>" or "<what> > <label>"."""
+    holds = compare(exact(count), bound) is not Comparison.GREATER
+    return holds, f"{what} {'<=' if holds else '>'} {label}"
 
 
 def check_tail_count_lemmas(inv: DynamicalInventory,
@@ -388,42 +384,25 @@ def check_tail_count_lemmas(inv: DynamicalInventory,
         return VerificationReport(name, SKIPPED, reason="inventory incomplete")
     d = inv.pair.degree
     s = profile.places.size
+    params = [("d", str(d)), ("s", str(s))]
     table = aggregate_bounds(d, s)
-    has_fixed = any(len(c) == 1 for c in inv.cycles)
     has_two = any(len(c) == 2 for c in inv.cycles)
-    failures, confirmations = [], []
-    checked = 0
+    caps = []  # (count, label, what): L1-L3 per cycle, L4 per fixed point with a 2-cycle
     for cycle in inv.cycles:
         n = len(cycle)
         count = len(inv.tails_by_target[cycle[0]])
         if n <= 3:
-            label = f"L{n}"
-            checked += 1
-            if _le(count, table[label]):
-                confirmations.append(
-                    f"period {n} cycle at {cycle[0]}: {count} tail points <= {label}({d},{s})"
-                )
-            else:
-                failures.append(
-                    f"period {n} cycle at {cycle[0]}: {count} tail points > {label}({d},{s})"
-                )
-        if n == 1 and has_fixed and has_two:
-            checked += 1
-            if _le(count, table["L4"]):
-                confirmations.append(
-                    f"fixed point {cycle[0]} with a 2-cycle present: "
-                    f"{count} <= L4({d},{s})"
-                )
-            else:
-                failures.append(
-                    f"fixed point {cycle[0]}: {count} > L4({d},{s})"
-                )
-    if checked == 0:
-        return VerificationReport(name, SKIPPED,
-                                  reason="no cycles of period 1, 2, or 3",
-                                  parameters=(("d", str(d)), ("s", str(s))))
-    return _finish(name, failures, confirmations, checked,
-                   [("d", str(d)), ("s", str(s))])
+            caps.append((count, f"L{n}", f"period {n} cycle at {cycle[0]}: {count} tail points"))
+        if n == 1 and has_two:
+            caps.append((count, "L4", f"fixed point {cycle[0]} with a 2-cycle present: {count}"))
+    if not caps:
+        return VerificationReport(name, SKIPPED, reason="no cycles of period 1, 2, or 3",
+                                  parameters=tuple(params))
+    failures, confirmations = [], []
+    for count, label, what in caps:
+        holds, witness = _count_check(count, table[label], what, f"{label}({d},{s})")
+        (confirmations if holds else failures).append(witness)
+    return _finish(name, failures, confirmations, len(caps), params)
 
 
 def check_main_theorems(inv: DynamicalInventory,
@@ -433,59 +412,35 @@ def check_main_theorems(inv: DynamicalInventory,
     Always: |preper| <= Q.  With a cycle of length >= 2: |preper| <= L.
     With three points that are tail or critical-cycle: |per| <= TPLA + 3.
     With four periodic points: |tail| + |per0| <= T.  Unmet hypotheses
-    produce SKIPPED, mirroring how the statements are conditioned.
+    produce SKIPPED, and the bounds they condition are never read.
     """
+    names = ("preper_bound_Q", "preper_bound_L", "per_bound_three_tailish",
+             "tail_bound_four_periodic")
     if inv.incomplete:
-        reason = "inventory incomplete"
-        return tuple(VerificationReport(n, SKIPPED, reason=reason)
-                     for n in ("preper_bound_Q", "preper_bound_L",
-                               "per_bound_three_tailish", "tail_bound_four_periodic"))
+        return tuple(VerificationReport(n, SKIPPED, reason="inventory incomplete")
+                     for n in names)
     d = inv.pair.degree
     s = profile.places.size
     table = aggregate_bounds(d, s)
+    n_preper, n_per = len(inv.preper), len(inv.per)
+    n_tailish = len(inv.tail) + len(inv.per0)  # per0 lies inside per, so apart from tail
+    preper = f"{n_preper} preperiodic points"
+    statements = (
+        (None, *_count_check(n_preper, table["Q"], preper, f"Q({d},{s})")),
+        (None, *_count_check(n_preper, table["L"], preper, f"L({d},{s})"))
+        if any(len(c) >= 2 for c in inv.cycles) else ("no cycle of length >= 2", None, None),
+        (None, n_per <= (tpla := force_exact(table["TPLA"]) + 3),
+         f"{n_per} periodic points vs 3*7^(4s)+3 = {tpla}")
+        if n_tailish >= 3 else (f"only {n_tailish} tail-or-critical-cycle points", None, None),
+        (None, n_tailish <= (t := force_exact(table["T"])),
+         f"|tail| + |critical cycle| = {n_tailish} vs 12*7^(4s) = {t}")
+        if n_per >= 4 else (f"only {n_per} periodic points", None, None),
+    )
     params = (("d", str(d)), ("s", str(s)))
-
-    def verdict(name, ok, text):
-        """PASS/FAIL with ``text`` as witness; SKIPPED with it as reason when ok is None."""
-        if ok is None:
-            return VerificationReport(name, SKIPPED, reason=text, parameters=params)
-        return VerificationReport(name, PASS if ok else FAIL, witnesses=(text,),
-                                  parameters=params)
-
-    n_preper = len(inv.preper)
-    ok = _le(n_preper, table["Q"])
-    rel = "<=" if ok else ">"
-    reports = [verdict("preper_bound_Q", ok,
-                       f"{n_preper} preperiodic points {rel} Q({d},{s})")]
-
-    if any(len(c) >= 2 for c in inv.cycles):
-        ok = _le(n_preper, table["L"])
-        rel = "<=" if ok else ">"
-        reports.append(verdict("preper_bound_L", ok,
-                               f"{n_preper} preperiodic points {rel} L({d},{s})"))
-    else:
-        reports.append(verdict("preper_bound_L", None, "no cycle of length >= 2"))
-
-    tailish = inv.tail | inv.per0
-    if len(tailish) >= 3:
-        cap = force_exact(table["TPLA"]) + 3
-        n_per = len(inv.per)
-        reports.append(verdict("per_bound_three_tailish", n_per <= cap,
-                               f"{n_per} periodic points vs 3*7^(4s)+3 = {cap}"))
-    else:
-        reports.append(verdict("per_bound_three_tailish", None,
-                               f"only {len(tailish)} tail-or-critical-cycle points"))
-
-    if len(inv.per) >= 4:
-        cap = force_exact(table["T"])
-        n_tailish = len(inv.tail) + len(inv.per0)
-        reports.append(verdict(
-            "tail_bound_four_periodic", n_tailish <= cap,
-            f"|tail| + |critical cycle| = {n_tailish} vs 12*7^(4s) = {cap}"))
-    else:
-        reports.append(verdict("tail_bound_four_periodic", None,
-                               f"only {len(inv.per)} periodic points"))
-    return tuple(reports)
+    return tuple(
+        VerificationReport(name, SKIPPED, reason=unmet, parameters=params) if unmet else
+        VerificationReport(name, PASS if holds else FAIL, witnesses=(witness,), parameters=params)
+        for name, (unmet, holds, witness) in zip(names, statements))
 
 
 SUITE_NAMES = ("ultrametric", "nonexpansion", "chain", "tailperiodic", "critical",

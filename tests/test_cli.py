@@ -484,6 +484,41 @@ def test_batch_builds_each_q_table_once_per_place_count(tmp_path, capsys):
     assert len(checked) > 1 and info.misses == len(checked)
 
 
+def test_verify_exits_4_on_a_failed_count(zero_bounds, capsys):
+    assert main(["verify", "--map", "z^2-21/16", "--suite", "taillemmas"]) == 4
+    assert capsys.readouterr().out == (
+        "[FAIL] tail_count_lemmas: inequality violated\n"
+        "    period 2 cycle at -5/4: 2 tail points > L2(2,2)\n"
+        "    period 1 cycle at -3/4: 1 tail points > L1(2,2)\n"
+        "    fixed point -3/4 with a 2-cycle present: 1 > L4(2,2)\n"
+        "    period 1 cycle at 7/4: 1 tail points > L1(2,2)\n"
+        "    fixed point 7/4 with a 2-cycle present: 1 > L4(2,2)\n")
+    assert main(["verify", "--map", "z^2-1", "--suite", "theorems"]) == 4
+    assert capsys.readouterr().out == (
+        "[FAIL] preper_bound_Q\n"
+        "    4 preperiodic points > Q(2,1)\n"
+        "[FAIL] preper_bound_L\n"
+        "    4 preperiodic points > L(2,1)\n"
+        "[PASS] per_bound_three_tailish\n"
+        "[SKIPPED] tail_bound_four_periodic: only 3 periodic points\n")
+
+
+def test_batch_exits_4_on_a_failed_count(zero_bounds, tmp_path, capsys):
+    assert main(_BOX_1) == 4
+    assert capsys.readouterr().out == (
+        "maps analyzed: 3\n"
+        "max |PrePer| = 4 at c = -1, c = 0\n"
+        "preperiodic count bound violated at c = -1, c = 0, c = 1\n")
+    # an entry with undecided starts is SKIPPED, never FAIL
+    out = tmp_path / "box2.csv"
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "2", "--c-den-max", "2",
+                 "--max-iters", "2", "--csv", str(out)]) == 4
+    with out.open(newline="") as fh:
+        verdicts = {(row["incomplete"], row["count_le_Q"]) for row in csv.DictReader(fh)}
+    assert verdicts == {("yes", "SKIPPED"), ("no", "FAIL")}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("count, workers", [(7, 3), (2, 2)])
 def test_fork_map_returns_slices_in_task_order(count, workers):
     rows = cli._fork_map(lambda t: (t * t, os.getpid()), list(range(count)), workers)

@@ -126,6 +126,36 @@ def test_no_float_arithmetic():
     assert found == {}
 
 
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """Definitions decorated with functools.cache or with lru_cache(maxsize=None)."""
+    found = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            sizes = [*call.args[:1], *(kw.value for kw in call.keywords
+                                       if kw.arg == "maxsize")] if call else []
+            unbounded = any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+            if name == "cache" or (name == "lru_cache" and unbounded):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_every_cache_is_bounded():
+    # a cache without a bound keeps every key it has seen for the life of the process
+    probe = ("@functools.cache\ndef a(): pass\n@cache\ndef b(): pass\n"
+             "@lru_cache(maxsize=None)\ndef c(): pass\n@functools.lru_cache(None)\n"
+             "def d(): pass\n@lru_cache(maxsize=8)\ndef e(): pass\n@lru_cache\ndef f(): pass")
+    assert [hit.split()[0] for hit in _unbounded_caches(ast.parse(probe))] == list("abcd")
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = _unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
 def test_every_name_the_benchmark_takes_from_p1dyn_exists():
     # perfbench/worker.py wraps TRACED_FUNCTIONS by name and imports the replay's
     # functions, but only a traced or replayed run executes either

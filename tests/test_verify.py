@@ -462,6 +462,80 @@ def test_main_theorems_trivial_map():
     assert reports["tail_bound_four_periodic"].status == "SKIPPED"
 
 
+def _count_checks(text):
+    pair = parse_map(text)
+    inv = enumerate_preperiodic(pair, 32)
+    profile = reduction_profile(pair)
+    return check_tail_count_lemmas(inv, profile), check_main_theorems(inv, profile)
+
+
+def test_count_checks_fail_against_a_zero_table(zero_bounds):
+    # fixed points 7/4 and -3/4 and the 2-cycle {1/4, -5/4}, each with tails
+    lemmas, theorems = _count_checks("z^2-21/16")
+    assert (lemmas.status, lemmas.reason) == ("FAIL", "inequality violated")
+    assert lemmas.witnesses == (
+        "period 2 cycle at -5/4: 2 tail points > L2(2,2)",
+        "period 1 cycle at -3/4: 1 tail points > L1(2,2)",
+        "fixed point -3/4 with a 2-cycle present: 1 > L4(2,2)",
+        "period 1 cycle at 7/4: 1 tail points > L1(2,2)",
+        "fixed point 7/4 with a 2-cycle present: 1 > L4(2,2)",
+    )
+    assert [(r.check_name, r.status, r.witnesses) for r in theorems] == [
+        ("preper_bound_Q", "FAIL", ("9 preperiodic points > Q(2,2)",)),
+        ("preper_bound_L", "FAIL", ("9 preperiodic points > L(2,2)",)),
+        ("per_bound_three_tailish", "FAIL", ("5 periodic points vs 3*7^(4s)+3 = 3",)),
+        ("tail_bound_four_periodic", "FAIL",
+         ("|tail| + |critical cycle| = 5 vs 12*7^(4s) = 0",)),
+    ]
+    # a FAIL carries no checked count
+    for r in (lemmas, *theorems):
+        assert r.parameters == (("d", "2"), ("s", "2")), r.check_name
+    assert not any(r.reason for r in theorems)
+
+
+def test_unmet_hypotheses_stay_skipped_against_a_zero_table(zero_bounds):
+    # z^2: fixed points 0, 1 and inf, the tail -1 into 1, no 2-cycle
+    lemmas, theorems = _count_checks("z^2")
+    assert (lemmas.status, lemmas.witnesses) == (
+        "FAIL", ("period 1 cycle at 1: 1 tail points > L1(2,1)",))
+    assert [(r.status, r.reason, r.witnesses) for r in theorems] == [
+        ("FAIL", "", ("4 preperiodic points > Q(2,1)",)),
+        ("SKIPPED", "no cycle of length >= 2", ()),
+        ("PASS", "", ("3 periodic points vs 3*7^(4s)+3 = 3",)),  # 3 <= 0 + 3
+        ("SKIPPED", "only 3 periodic points", ()),
+    ]
+    # a bound is read only where its statement's hypothesis holds
+    assert zero_bounds.read == ["L1", "L1", "L1", "Q", "TPLA"]
+    del zero_bounds.read[:]
+    # z^2+1: only the fixed point at infinity, which has no tail
+    lemmas, theorems = _count_checks("z^2+1")
+    assert (lemmas.status, lemmas.witnesses) == (
+        "PASS", ("period 1 cycle at inf: 0 tail points <= L1(2,1)",))
+    assert params_dict(lemmas)["checked"] == "1"
+    assert [(r.status, r.reason) for r in theorems] == [
+        ("FAIL", ""), ("SKIPPED", "no cycle of length >= 2"),
+        ("SKIPPED", "only 1 tail-or-critical-cycle points"), ("SKIPPED", "only 1 periodic points")]
+    assert zero_bounds.read == ["L1", "Q"]
+
+
+def test_point_set_scans_factor_only_what_they_compare(monkeypatch):
+    # a candidate whose q1 and q2 supports differ is dropped before q3's cross
+    # product is factored; the caps are the counts of the eager scans' parent
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return distance_support(a, b)
+
+    monkeypatch.setattr(verify, "distance_support", counting)
+    assert four_point_set(pt(0), INFINITY, pt(1), pt(-1), S_INF, height=100) == set()
+    assert len(calls) <= 24352
+    calls.clear()
+    got = three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=50)
+    assert got == {ProjPoint(2, 1), ProjPoint(1, 2), ProjPoint(-1, 1)}
+    assert len(calls) <= 9285
+
+
 def test_run_suite_all_golden_maps():
     for text in ("z^2", "z^2-1", "z^2+1", "z^2-2", "z^2-29/16"):
         reports = run_suite(parse_map(text), "all", height=64)
