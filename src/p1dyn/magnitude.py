@@ -29,12 +29,16 @@ the contract: it raises IndistinguishableError instead of answering EQUAL.
 Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
 
 Beyond its fields, every node stores its canonical sort key and its hash,
-both made once in its constructor from its children's stored ones, and the
-last interval _ln_fixed gave it, with that interval's width.  Nodes are
-immutable and _ln_fixed is deterministic at a given width, so none of these
-goes stale.  The constructors' canonical sorts, equality and hashing read the
-stored key and hash, and every comparison and digit count at one width that
-meets a node, in max_of or later, computes its interval once.
+both made once in its constructor from its children's stored ones, and one
+interval from _ln_fixed for each width it was asked at on the doubling ladder
+(prec = 64 * 2^k up to the ceiling, at most 8 widths; other widths are not
+kept, so the memo stays bounded).  Nodes are immutable and _ln_fixed is
+deterministic at a given width, so none of these goes stale.  The
+constructors' canonical sorts, equality and hashing read the stored key and
+hash, and every comparison and digit count that meets a node, in max_of or
+later, computes its interval at each width once.  So max_of's comparisons and
+a report's digit counts, whose ladders start at different widths, each find
+their own intervals on the nodes that many trees share.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ EXACT_DIGIT_CEILING = 10**6
 _PREC_START = 64
 _PREC_CEILING = 1 << 13
 _GUARD_BITS = 16
+# the widths compare's and digit_count's doubling ladders reach, the only ones a node keeps
+_LADDER_WIDTHS = frozenset((_PREC_START << k) + _GUARD_BITS
+                           for k in range((_PREC_CEILING // _PREC_START).bit_length()))
 
 
 class Comparison(enum.Enum):
@@ -70,8 +77,9 @@ class MagnitudeInputError(ValueError):
 class _Node(Record):
     """The memo slots of every node (the module docstring says why they are sound).
 
-    ``_key`` and ``_hash`` are set in ``__init__``, and ``_ln`` holds the last
-    ``_ln_fixed`` result as ``(width, (lo, hi))``.  Equality reads the key.
+    ``_key`` and ``_hash`` are set in ``__init__``.  ``_ln`` is None until the
+    first ``_ln_fixed`` result at a ladder width, then a dict from each such
+    width to its ``(lo, hi)``.  Equality reads the key.
     """
 
     __slots__ = ("_key", "_hash", "_ln")
@@ -224,7 +232,7 @@ def prod_of(*parts: Magnitude) -> Magnitude:
         return Exact(0)
     acc_exact = 1
     exacts: list[Exact] = []
-    acc_ln = Fraction(0)
+    acc_ln = 0
     powers: dict = {}
     rest: list[Magnitude] = []
     for p in flat:
@@ -338,12 +346,13 @@ def _ln_int_fixed(n: int, width: int) -> tuple[int, int]:
         return 0, 0
     bits = n.bit_length()
     if bits > width + 8:
+        # n / 2^shift lies in [head, head + 1), and head >= 2^(width+7), so
+        # ln(head + 1) - ln(head) < 1/head <= 2^-(width+7): below one unit, so
+        # hi(head) + 1 bounds ln(head + 1) without a second series
         shift = bits - (width + 8)
-        head = n >> shift
-        lo = _ln_int_fixed(head, width)[0]
-        hi = _ln_int_fixed(head + 1, width)[1]
+        lo, hi = _ln_int_fixed(n >> shift, width)
         l2_lo, l2_hi = _ln2_fixed(width)
-        return lo + shift * l2_lo, hi + shift * l2_hi
+        return lo + shift * l2_lo, hi + 1 + shift * l2_hi
     e = bits - 1
     at_lo, at_hi = _atanh_fixed(n - (1 << e), n + (1 << e), width)
     l2_lo, l2_hi = _ln2_fixed(width)
@@ -401,16 +410,17 @@ def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
 def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
     """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
 
-    Every rounding step widens the interval, never narrows it.  The node
-    keeps the result for its width, so a tree asked again at that width, or
-    a tree that shares the node, reads it instead of walking it.
+    Every rounding step widens the interval, never narrows it.  At a ladder
+    width the node keeps the result beside those of its other widths, so a
+    tree asked again at that width, or a tree that shares the node, reads it
+    instead of walking it.
     """
     try:
         memo = m._ln
     except AttributeError:
         raise MagnitudeInputError(f"not a magnitude: {m!r}") from None
-    if memo is not None and memo[0] == width:
-        return memo[1]
+    if memo is not None and width in memo:
+        return memo[width]
     if isinstance(m, Exact):
         iv = None if m.value == 0 else _ln_int_fixed(m.value, width)
     elif isinstance(m, ExpOf):
@@ -427,7 +437,11 @@ def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
             iv = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
         else:
             iv = _ln_exp_sum(ivs, width)
-    _set(m, "_ln", (width, iv))
+    if width in _LADDER_WIDTHS:
+        if memo is None:
+            memo = {}
+            _set(m, "_ln", memo)
+        memo[width] = iv
     return iv
 
 
@@ -486,11 +500,16 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
 
 
 def digit_count(m: Magnitude) -> int:
-    """floor(log10(m)) + 1, correct to within 1; exact for materialized values."""
+    """floor(log10(m)) + 1, correct to within 1; exact for materialized values.
+
+    The ladder starts at 128 bits, not compare's 64: the count divides ln m by
+    ln 10, so its error grows with ln m, and 64 bits are too coarse to pin the
+    count of a bound-table constant whose log is near 2^77.
+    """
     v = force_exact(m)
     if v is not None:
         return int_digits(v)
-    prec = _PREC_START
+    prec = 2 * _PREC_START
     while True:
         width = prec + _GUARD_BITS
         lo, hi = _ln_fixed(m, width)

@@ -5,7 +5,9 @@ existed: direct integer arithmetic for the materializable ones and
 60-digit logarithms for the astronomically large ones.
 """
 
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive import naive_bound_table
-from p1dyn import bounds
+from p1dyn import bounds, magnitude
 from p1dyn.bounds import (
     BOUND_ORDER,
     BoundInputError,
@@ -33,6 +35,7 @@ from p1dyn.magnitude import (
     force_exact,
     ln_interval,
 )
+from p1dyn.report import format_magnitude
 
 
 def test_two_term_values():
@@ -212,3 +215,33 @@ def test_every_degree_at_one_place_count_shares_its_d_free_nodes():
         assert all(t[label] is tables[0][label] for t in tables), label
     # both maxima keep the one T + CV node, so its interval is computed once
     assert tables[0]["L"] is tables[0]["Q"]
+
+
+def test_a_grid_pass_computes_each_interval_once():
+    bounds._table_at.cache_clear()
+    aggregate_bounds.cache_clear()
+    ln_fixed, computed, kept, top_widths, depth = magnitude._ln_fixed, Counter(), [], [], 0
+
+    def counting(m, width):
+        nonlocal depth
+        if m._ln is None or width not in m._ln:  # not yet in the node's memo
+            computed[id(m), width] += 1
+            kept.append(m)  # a kept node's id is never reused
+        if depth == 0:
+            top_widths.append(width)
+        depth += 1
+        try:
+            return ln_fixed(m, width)
+        finally:
+            depth -= 1
+
+    with mock.patch.object(magnitude, "_ln_fixed", counting):
+        for s in range(1, 17):
+            for d in range(2, 34):
+                table = aggregate_bounds(d, s)
+                for label in BOUND_ORDER:
+                    top_widths.clear()
+                    format_magnitude(table[label])
+                    # each digit count is decided at the first width it asks
+                    assert len(top_widths) <= 1, (d, s, label, top_widths)
+    assert computed and max(computed.values()) == 1

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn import magnitude
+from p1dyn.bounds import BOUND_ORDER, aggregate_bounds
 from p1dyn.magnitude import (
     Comparison,
     Exact,
@@ -118,6 +119,32 @@ def test_ln_fixed_brackets_truth():
             assert mp.mpf(lo) <= truth <= mp.mpf(hi)
             # envelope stays tight relative to the working scale
             assert Fraction(hi - lo, 1 << width) < Fraction(1, 1 << (width // 2))
+
+
+_HEAD_WIDTHS = (80, 144, 272)
+# (width, n) with n of width + 9 to 4 * width bits, so every n reads only its head
+_wide_ints = st.sampled_from(_HEAD_WIDTHS).flatmap(lambda w: st.tuples(st.just(w), st.integers(
+    w + 9, 4 * w).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))))
+
+
+def _edge_heads(test):
+    """Examples at both ends of the head range, 2^(w+7) and 2^(w+8) - 1, under all-ones tails."""
+    for w in _HEAD_WIDTHS:
+        test = example((w, (((1 << (w + 7)) + 1) << 1) - 1))(test)
+        test = example((w, (1 << (4 * w)) - 1))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_ints)
+@_edge_heads
+def test_ln_of_a_large_integer_from_its_head_brackets_truth(case):
+    width, n = case
+    lo, hi = _ln_int_fixed(n, width)
+    with mp.workdps(200):
+        truth = mp.ln(n) * mp.mpf(2) ** width
+        assert mp.mpf(lo) <= truth <= mp.mpf(hi)
+    assert Fraction(hi - lo, 1 << width) < Fraction(1, 1 << (width // 2))
 
 
 def test_ln_interval_point_forms():
@@ -486,4 +513,27 @@ def test_memo_never_changes_an_answer(a, b, order):
     for width in (80, 144, 1040, 144, 80):
         for m in (a, b):
             assert _ln_fixed(m, width) == _ln_fixed(_rebuild(m), width)
-            assert m._ln == (width, _ln_fixed(m, width))
+            assert m._ln[width] == _ln_fixed(m, width)
+
+
+def test_every_memo_keeps_at_most_one_interval_per_ladder_width():
+    ladder = {(64 << k) + 16 for k in range(8)}  # the widths of precisions 64..8192
+
+    def check(*roots):
+        for root in roots:
+            for m in _nodes(root):
+                assert m._ln is None or (len(m._ln) <= 8 and set(m._ln) <= ladder)
+
+    tables = [aggregate_bounds(d, s) for s in range(1, 17) for d in range(2, 34)]
+    for table in tables:
+        for label in BOUND_ORDER:
+            digit_count(table[label])
+        check(*table.values())
+    probe = _rebuild(_CLOSE_HEADS)
+    assert compare(probe, sum_of(probe, exact(1))) is Comparison.LESS
+    assert 512 + 16 in probe._ln  # the comparison escalated to 512 bits
+    check(probe)
+    for prec in [64 << k for k in range(8)] + [20 + 50 * k for k in range(12)]:
+        ln_interval(probe, prec)
+    check(probe)
+    assert len(probe._ln) == 8
