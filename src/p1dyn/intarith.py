@@ -1,4 +1,4 @@
-"""Exact integer arithmetic helpers: valuations, primality, factorization.
+"""Exact integer arithmetic helpers: primality, factorization, integer roots.
 
 Everything here is unconditional: a result is either exact or an explicit
 error is raised.  Nothing falls back to floating point or to probabilistic
@@ -8,15 +8,13 @@ answers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # Deterministic Miller-Rabin with the first 13 primes as witnesses is a
 # proven primality test strictly below this bound.
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_TRIAL_LIMIT = 10 ** 6
-_DEFAULT_RHO_BUDGET = 5_000_000
+_RHO_BUDGET = 5_000_000
 
 
 class ArithmeticInputError(ValueError):
@@ -106,17 +104,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero integer or Fraction."""
-    if not is_prime(p):
-        raise ArithmeticInputError(f"{p} is not prime")
-    if x == 0:
-        raise ArithmeticInputError("valuation of 0 is infinite")
-    if isinstance(x, Fraction):
-        return _strip(x.numerator, p)[1] - _strip(x.denominator, p)[1]
-    return _strip(int(x), p)[1]
-
-
 def _strip(n: int, p: int) -> tuple[int, int]:
     """(m, e) with n = p^e * m and p not dividing m, for n != 0.
 
@@ -182,49 +169,70 @@ def _brent_rho(n: int, budget: list[int]) -> int:
     return 0
 
 
-def factorize(n: int, *, trial_limit: int = _TRIAL_LIMIT,
-              rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r^k <= n, for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _perfect_root(m: int) -> int | None:
+    """r with m = r^k for the least prime k, or None if m is no perfect power.
+
+    Requires m prime or every prime factor of m above 2^13, as trial division
+    below 10^4 leaves it; r^k then has over 13k bits, so k runs while 13k <= bits(m).
+    """
+    for k in _PRIMES_10K:
+        if 13 * k > m.bit_length():
+            return None
+        if (r := _iroot(m, k)) ** k == m:
+            return r
+    return None
+
+
+def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of |n| as an ordered {prime: exponent} map.
 
-    Trial division runs up to ``trial_limit`` (stopping early once p*p exceeds
-    the cofactor), then a Brent rho stage splits anything left.  The rho
-    budget counts one unit per iteration on cofactors below 512 bits and
-    (bits >> 8)**2 units above.  If it runs out, FactorizationIncompleteError
-    carries the partial factorization; a partial answer is never returned
-    silently.
+    Trial division by the primes below 10^4 leaves a cofactor whose primes all
+    exceed 10^4.  Each cofactor popped from a stack is stripped with ``_strip``
+    of every prime found so far, split at its root if it is a perfect power,
+    and only then tested by Miller-Rabin and split by Brent rho; g is pushed
+    after m // g, so g's primes strip m // g before that is tested.  The root
+    split comes first: Miller-Rabin on a 40,000-bit prime power takes minutes.
+    The rho budget ``_RHO_BUDGET`` counts one unit per iteration below 512
+    bits and (bits >> 8)**2 above; when it runs out,
+    FactorizationIncompleteError carries the partial factorization, and a
+    probable prime past the Miller-Rabin range raises PrimalityRangeError.
     """
     if n == 0:
         raise ArithmeticInputError("0 has no prime factorization")
     n = value = abs(n)
     found: dict[int, int] = {}
     for p in _PRIMES_10K:
-        if p > trial_limit or p * p > n:
+        if p * p > n:
             break
         if n % p == 0:
             n, found[p] = _strip(n, p)
-    if n > 1 and _PRIMES_10K[-1] < trial_limit and _PRIMES_10K[-1] ** 2 <= n:
-        p = _PRIMES_10K[-1] + 1
-        p += p % 2 == 0
-        while p <= trial_limit and p * p <= n:
-            if n % p == 0:
-                n, found[p] = _strip(n, p)
-            p += 2
-    budget = [rho_budget]
+    budget = [_RHO_BUDGET]
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
+        for p in found:
+            m, e = _strip(m, p)
+            found[p] += e
         if m == 1:
             continue
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        g = _brent_rho(m, budget)
-        if g in (0, 1, m):
-            partial = dict(sorted(found.items()))
-            remaining = m
-            for other in stack:
-                remaining *= other
-            raise FactorizationIncompleteError(value, partial, remaining)
-        stack.append(g)
+        g = _perfect_root(m)
+        if g is None:
+            if is_prime(m):
+                found[m] = 1
+                continue
+            g = _brent_rho(m, budget)
+            if g in (0, 1, m):
+                for other in stack:
+                    m *= other
+                raise FactorizationIncompleteError(value, dict(sorted(found.items())), m)
         stack.append(m // g)
+        stack.append(g)
     return dict(sorted(found.items()))

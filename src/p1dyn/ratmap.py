@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .intarith import ArithmeticInputError, factorize, is_prime
+from .intarith import ArithmeticInputError, _iroot, factorize, is_prime
 from .projline import ProjPoint
 from .record import Record, _set
 
@@ -155,14 +155,6 @@ def _sylvester(pair: HomogPair) -> list[list[int]]:
             row[i : i + d + 1] = form
             rows.append(row)
     return rows
-
-
-def _iroot(n: int, k: int) -> int:
-    """The largest r with r^k <= n, for n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = s
-    return r
 
 
 # every caller reads a pair's certificate right after building the pair (make_pair,

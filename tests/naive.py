@@ -142,6 +142,13 @@ def chebyshev_map(d):
     return f, _Y**d, points
 
 
+def lattes_map(a, b):
+    """(F, G) for x -> x(2P) on y^2 = x^3 + a*x + b: F = x^4 - 2a*x^2 - 8b*x + a^2 and
+    G = 4(x^3 + a*x + b), as binary forms of degree 4 in X, Y."""
+    f = _X**4 - 2 * a * _X**2 * _Y**2 - 8 * b * _X * _Y**3 + a**2 * _Y**4
+    return sympy.expand(f), sympy.expand(4 * _Y * (_X**3 + a * _X * _Y**2 + b * _Y**3))
+
+
 def conjugate(f, g, points, m):
     """(bracket text of psi, psi's PrePer) for psi = m^-1 o phi o m, where phi = [f : g]
     has PrePer ``points`` and m = (a, b, c, e) is z -> (a*z + b)/(c*z + e), a*e != b*c.

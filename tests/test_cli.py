@@ -99,6 +99,24 @@ def test_analyze_factors_resultant_past_the_primality_range(capsys):
     assert "bad primes: 1000000000039, 10000000000037" in capsys.readouterr().out
 
 
+def test_analyze_factors_a_huge_prime_power_resultant(capsys):
+    # the resultant 1000003^700 has 4201 digits; it is split at its root
+    # before any primality test
+    code = main(["analyze", "--map", "[X^2+1000003^700*Y^2:X*Y]", "--height", "4"])
+    assert code == 0
+    assert "\nbad primes: 1000003\n" in capsys.readouterr().out
+
+
+def test_analyze_refuses_a_probable_prime_resultant_past_the_range(capsys):
+    # 10^30+57 passes every witness, so it is refused before any rho search
+    code = main(["analyze", "--map", "[X^2+1000000000000000000000000000057*Y^2:X*Y]",
+                 "--height", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 1000000000000000000000000000057 exceeds the deterministic "
+        "Miller-Rabin range 3317044064679887385961981\n")
+
+
 _LARGE_PRIME_WRONSKIAN_MAP = "[X^2+1000000000000000000000000000057*X*Y:Y^2+X*Y]"
 
 

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from p1dyn.intarith import ArithmeticInputError
+from p1dyn.intarith import ArithmeticInputError, factorize
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
                           preperiodic_counts, tails_of)
 from p1dyn.projline import INFINITY, ProjPoint, parse_point
-from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
+from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair, resultant
+from p1dyn.verify import FAIL, run_suite
 
-from naive import (all_points_up_to_height, known_answer_maps, naive_classify, naive_full_scan,
-                   naive_sieve_drops)
+from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
+                   naive_full_scan, naive_sieve_drops)
 
 
 def pts(*texts):
@@ -276,6 +277,20 @@ def test_known_answer_maps_at_every_degree(known):
     assert inv.preper == preper
     assert preperiodic_counts(pair, threshold) == (
         len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), False)
+
+
+def test_lattes_map_of_y2_equals_x3_plus_1():
+    # a rational x is preperiodic exactly when (x, sqrt(x^3 + 1)) is a torsion point
+    # of y^2 = x^3 + 1 or of a twist (Mazur): x in {-1, 0, 2} and infinity
+    pair = parse_map("[{} : {}]".format(*lattes_map(0, 1)))
+    assert factorize(resultant(pair)) == {2: 8, 3: 6}
+    assert escape_threshold(pair) == 5
+    inv = enumerate_preperiodic(pair, 5)
+    assert not inv.incomplete
+    assert inv.preper == pts("-1", "0", "2", "inf")
+    assert preperiodic_counts(pair, 5) == (
+        len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), False)
+    assert all(r.status != FAIL for r in run_suite(pair, "all", height=5))
 
 
 def test_polynomial_rows_of_z2_minus_29_16():
