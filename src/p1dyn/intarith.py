@@ -194,12 +194,13 @@ def _perfect_root(m: int) -> int | None:
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of |n| as an ordered {prime: exponent} map.
 
-    Trial division by the primes below 10^4 leaves a cofactor whose primes all
-    exceed 10^4.  Each cofactor popped from a stack is stripped with ``_strip``
-    of every prime found so far, split at its root if it is a perfect power,
-    and only then tested by Miller-Rabin and split by Brent rho; g is pushed
-    after m // g, so g's primes strip m // g before that is tested.  The root
-    split comes first: Miller-Rabin on a 40,000-bit prime power takes minutes.
+    Trial division by the primes below 10^4 up to the cofactor's root leaves
+    1 or a prime below 10^8, returned at once.  Past 10^8, each cofactor
+    popped from a stack is stripped with ``_strip`` of every prime found so
+    far, split at its root if it is a perfect power, and only then tested by
+    Miller-Rabin and split by Brent rho; g is pushed after m // g, so g's
+    primes strip m // g before that is tested.  The root split comes first:
+    Miller-Rabin on a 40,000-bit prime power takes minutes.
     The rho budget ``_RHO_BUDGET`` counts one unit per iteration below 512
     bits and (bits >> 8)**2 above; when it runs out,
     FactorizationIncompleteError carries the partial factorization, and a
@@ -214,8 +215,10 @@ def factorize(n: int) -> dict[int, int]:
             break
         if n % p == 0:
             n, found[p] = _strip(n, p)
+    if n < 10**8:  # no prime up to min(sqrt(n), 9973) divides n, and 10^8 < 10007^2
+        return found | ({n: 1} if n > 1 else {})
     budget = [_RHO_BUDGET]
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         for p in found:

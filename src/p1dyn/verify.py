@@ -5,13 +5,15 @@ status is PASS (or SKIPPED when a hypothesis is not met); a FAIL means the
 implementation, not the mathematics, is broken.  All distance conditions of
 the shape "for every prime outside S" are decided exhaustively by factoring
 cross products: a prime outside every support contributes distance zero to
-both sides, so finitely many primes settle the universal claim.  run_suite
-factors each pair of its sample points once, into one support table that the
-ultrametric and non-expansion checks share.  Non-expansion can fail only at
-the primes of the source pair's support, where image distances are read by
-valuation: image cross products are never factored.  Every count meets its
-bound in _count_check, which also words the witness.  Both point-set lemmas
-share one scan, which stops factoring a candidate at its first mismatch.
+both sides, so finitely many primes settle the universal claim.  A support
+depends on |cross product| alone, so the sample table and the point-set scan
+factor each distinct |cross product| once per call, and pairs that share it
+share one support dict, which nothing mutates.  The ultrametric and
+non-expansion checks of run_suite read one sample table.  Non-expansion can
+fail only at the primes of the source pair's support, where image distances
+are read by valuation: image cross products are never factored.  Every count
+meets its bound in _count_check, which also words the witness.  Both
+point-set lemmas share one scan, which stops at a candidate's first mismatch.
 
 The ultrametric check runs prime by prime: at p the three inequalities of
 a trio hold iff the least of its three δ_p values occurs at least twice, so
@@ -97,14 +99,23 @@ def _ultrametric_failure(pts, p: int, sides):
             f"d_{p}({pts[i1]},{pts[i3]})={sides[i2]} < min over {pts[i2]} = {rhs}")
 
 
+def _memo_support(memo: dict, a: ProjPoint, b: ProjPoint, drop=frozenset()):
+    """distance_support(a, b) without the primes of ``drop``, kept in ``memo`` by |a×b|."""
+    c = abs(cross_product(a, b))
+    if (support := memo.get(c)) is None:
+        support = memo[c] = {p: v for p, v in distance_support(a, b).items() if p not in drop}
+    return support
+
+
 def _sample_table(points):
     """The distinct points in canonical order, and the support of each pair.
 
     Supports are listed in ``itertools.combinations`` order of the points, so
-    both pair checks of one run read the same table and factor each pair once.
+    both pair checks of one run read the same table and factor each |a×b| once.
     """
     pts = sorted(set(points), key=point_sort_key)
-    return pts, [distance_support(a, b) for a, b in itertools.combinations(pts, 2)]
+    memo: dict = {}
+    return pts, [_memo_support(memo, a, b) for a, b in itertools.combinations(pts, 2)]
 
 
 def check_ultrametric(points) -> VerificationReport:
@@ -170,26 +181,26 @@ def check_non_expansion(pair: HomogPair, profile: ReductionProfile,
 
 def _non_expansion(pair: HomogPair, profile: ReductionProfile,
                    pts, supports) -> VerificationReport:
-    image = {pt: evaluate(pair, pt) for pt in pts}
+    images = [evaluate(pair, pt) for pt in pts]
+    coords = [(q.x, q.y) for q in images]
     bad = set(profile.bad_primes)
-    failures, confirmations = [], []
+    failures = []
     checked = 0
-    for (p1, p2), s_before in zip(itertools.combinations(pts, 2), supports):
-        i1, i2 = image[p1], image[p2]
-        c = cross_product(i1, i2)
+    for (i, j), s_before in zip(itertools.combinations(range(len(pts)), 2), supports):
+        if not s_before:
+            continue
+        (x1, y1), (x2, y2) = coords[i], coords[j]
+        c = x1 * y2 - x2 * y1
         for p in sorted(s_before.keys() - bad):
             before = s_before[p]
             # p comes from factorize, so it needs no second primality proof
             after = INFINITE_DISTANCE if c == 0 else _strip(c, p)[1]
             checked += 1
             if after < before:
-                failures.append(
-                    f"d_{p}({i1},{i2})={after} < "
-                    f"d_{p}({p1},{p2})={before}"
-                )
-    confirmations.append(f"{len(pts)} points, all pairs, good primes only")
-    return _finish("non_expansion", failures, confirmations, checked,
-                   [("map", pair.source or "pair"), ("points", str(len(pts)))])
+                failures.append(f"d_{p}({images[i]},{images[j]})={after} < "
+                                f"d_{p}({pts[i]},{pts[j]})={before}")
+    return _finish("non_expansion", failures, [f"{len(pts)} points, all pairs, good primes only"],
+                   checked, [("map", pair.source or "pair"), ("points", str(len(pts)))])
 
 
 def check_chain_lemma(pair: HomogPair, profile: ReductionProfile,
@@ -313,12 +324,13 @@ def _scan(qs, places: PlaceSet, height: int, wants, cap):
     never matches, and one dropped at a mismatch has no later cross product factored.
     """
     result = set()
+    memo: dict = {}
     for cand in points_up_to_height(height):
         sups = []
         for q, want in zip(qs, wants):
             if cand == q:
                 break
-            sup = {p: v for p, v in distance_support(cand, q).items() if p not in places.finite}
+            sup = _memo_support(memo, cand, q, places.finite)
             if want is not None and sup != (sups[want] if isinstance(want, int) else want):
                 break
             sups.append(sup)

@@ -136,6 +136,22 @@ def test_monotone_in_degree_where_separable():
         assert compare(a, b) is Comparison.LESS, label
 
 
+def test_every_label_grows_with_s_and_the_tail_caps_with_d():
+    # in d only L1-L4 are pinned: CV, FPLA, L and Q add a d-term below 2^-8192
+    # of their head, past what compare resolves; B, C3, C5, T and TPLA are d-free
+    d_free = ("B", "C3", "C5", "T", "TPLA")
+    for s in range(1, 9):
+        for d in range(2, 13):
+            table, next_s = aggregate_bounds(d, s), aggregate_bounds(d, s + 1)
+            for label in BOUND_ORDER:
+                assert compare(table[label], next_s[label]) is Comparison.LESS, (label, d, s)
+            next_d = aggregate_bounds(d + 1, s)
+            for label in ("L1", "L2", "L3", "L4"):
+                assert compare(table[label], next_d[label]) is Comparison.LESS, (label, d, s)
+            for label in d_free:
+                assert compare(table[label], next_d[label]) is Comparison.EQUAL, (label, d, s)
+
+
 def test_degree_growth_of_aggregates_is_buried():
     # Q(3,1) - Q(2,1) is a six-digit integer sitting under e^(30^15);
     # the comparison must refuse rather than guess

@@ -73,6 +73,20 @@ def test_factorize_reconstructs_and_matches_sympy():
     assert list(fac) == sorted(fac)
 
 
+def test_factorize_below_10_to_the_8_needs_no_primality_test(monkeypatch):
+    # trial division up to the cofactor's root leaves 1 or a prime; 9973 is the
+    # last prime below 10^4 and 10007 the next, so 9973^2 <= n < 10^8 is the edge
+    calls = []
+    monkeypatch.setattr(intarith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    rng = random.Random(8)
+    edge = [9973**2, 9973 * 10007, sympy.prevprime(10**8), 10**8 - 1, 2 * 49999991, 10007]
+    for n in edge + [rng.randrange(1, 10**8) for _ in range(300)]:
+        assert factorize(n) == sympy.factorint(n), n
+    assert calls == []
+    factorize(sympy.nextprime(10**8))
+    assert calls == [sympy.nextprime(10**8)]
+
+
 def test_factorize_semiprime_beyond_trial_range():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ from p1dyn import intarith, verify
 from p1dyn.intarith import is_prime
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
-from p1dyn.projline import (INFINITY, ProjPoint, distance_support, from_rational,
-                             points_up_to_height)
+from p1dyn.projline import (INFINITY, ProjPoint, cross_product, distance_support,
+                             from_rational, point_sort_key, points_up_to_height)
 from p1dyn.ratmap import (DegenerateMapError, PlaceSet, escape_threshold, make_pair,
                           reduction_profile)
 from p1dyn.report import verification_line
@@ -74,15 +75,16 @@ _FAULT_PRIMES = (2, 3, 5, 7, 13, 101)
 
 
 def _faulty_support(faults):
-    """distance_support with each listed pair's support changed by one fault.
+    """distance_support with the support of each listed |cross product| changed by one fault.
 
-    ``faults`` maps a frozenset pair to (op, prime, k): "bump" adds k to the
-    prime's value (inserting it when absent), "delete" drops the support's
-    (k mod size)-th prime, "zero" stores an explicit 0 for the prime.
+    ``faults`` maps |cross_product(a, b)| to (op, prime, k): "bump" adds k to
+    the prime's value (inserting it when absent), "delete" drops the support's
+    (k mod size)-th prime, "zero" stores an explicit 0 for the prime.  A
+    faulty support stays a function of |cross product|, as a real one is.
     """
     def faulty(a, b):
         support = dict(distance_support(a, b))
-        fault = faults.get(frozenset((a, b)))
+        fault = faults.get(abs(cross_product(a, b)))
         if fault is not None:
             op, prime, k = fault
             if op == "bump":
@@ -101,9 +103,9 @@ def _points_and_faults(draw):
     pts = draw(st.lists(st.sampled_from(_GRID_9), min_size=3, max_size=30, unique=True))
     fault = st.tuples(st.sampled_from(("bump", "delete", "zero")),
                       st.sampled_from(_FAULT_PRIMES), st.integers(1, 4))
-    pairs = st.tuples(st.sampled_from(pts), st.sampled_from(pts)).filter(
-        lambda ab: ab[0] != ab[1]).map(frozenset)
-    return pts, draw(st.dictionaries(pairs, fault, max_size=6))
+    crosses = st.tuples(st.sampled_from(pts), st.sampled_from(pts)).filter(
+        lambda ab: ab[0] != ab[1]).map(lambda ab: abs(cross_product(*ab)))
+    return pts, draw(st.dictionaries(crosses, fault, max_size=6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,30 +176,63 @@ def test_non_expansion_matches_naive_union_rule(case):
         assert params_dict(got)["checked"] == str(source_checked)
 
 
+def _assert_factored_once_per_cross_product(calls, pts):
+    """Every call is a pair of pts, and each distinct |cross product| of those pairs is factored once."""
+    pairs = {frozenset(ab) for ab in itertools.combinations(pts, 2)}
+    assert {frozenset(ab) for ab in calls} <= pairs
+    factored = [abs(cross_product(a, b)) for a, b in calls]
+    assert len(factored) == len(set(factored))
+    assert set(factored) == {abs(cross_product(a, b)) for a, b in pairs}
+
+
 @pytest.mark.parametrize("text", ["z^2-29/16", "[X^2+2^8000*Y^2:X*Y]"])
 def test_non_expansion_factors_only_source_pairs(monkeypatch, text):
     calls = []
 
     def counting(a, b):
-        calls.append(frozenset((a, b)))
+        calls.append((a, b))
         return distance_support(a, b)
 
     monkeypatch.setattr(verify, "distance_support", counting)
     pair = parse_map(text)
     pts = list(points_up_to_height(4))
     check_non_expansion(pair, reduction_profile(pair), pts)
-    assert len(calls) == math.comb(len(pts), 2)
-    assert set(calls) == {frozenset(ab) for ab in itertools.combinations(pts, 2)}
+    _assert_factored_once_per_cross_product(calls, pts)
     calls.clear()
     report, = run_suite(pair, "nonexpansion", height=16)
-    assert len(calls) == len(set(calls)) == math.comb(int(params_dict(report)["points"]), 2)
+    sample = {*points_up_to_height(4), *enumerate_preperiodic(pair, 16).preper}
+    assert len(sample) == int(params_dict(report)["points"])
+    _assert_factored_once_per_cross_product(calls, sample)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_GRID_9), min_size=1, max_size=30, unique=True),
+       st.integers(9 * 10**8, 10**12), st.integers(1, 9))
+def test_sample_table_factors_each_cross_product_once(grid, num, den):
+    # one point above 10^8, so its cross products reach factorize's Miller-Rabin stage
+    pts = sorted({*grid, from_rational(Fraction(num, den))}, key=point_sort_key)
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return distance_support(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "distance_support", counting)
+        got_pts, supports = verify._sample_table(pts)
+    assert got_pts == pts
+    assert supports == [distance_support(a, b) for a, b in itertools.combinations(pts, 2)]
+    _assert_factored_once_per_cross_product(calls, pts)
 
 
 def test_non_expansion_proves_no_prime_twice(monkeypatch):
-    # the primes non-expansion reads come from factorize, which proved them
+    # the primes non-expansion reads come from factorize, which proved them;
+    # 10^9 + 7 gives cross products past 10^8, which Miller-Rabin proves
     pair = parse_map("z^2-29/16")
     profile = reduction_profile(pair)
-    pts = list(points_up_to_height(4))
+    pts = [*points_up_to_height(4), pt(1000000007)]
+    one_pair_per_cross = {abs(cross_product(a, b)): (a, b)
+                          for a, b in itertools.combinations(pts, 2)}
     calls = []
 
     def counting(n):
@@ -205,12 +240,12 @@ def test_non_expansion_proves_no_prime_twice(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(intarith, "is_prime", counting)
-    for a, b in itertools.combinations(pts, 2):
+    for a, b in one_pair_per_cross.values():
         distance_support(a, b)
     by_support = len(calls)
     calls.clear()
     check_non_expansion(pair, profile, pts)
-    assert len(calls) == by_support
+    assert len(calls) == by_support > 0
 
 
 def test_non_expansion_example():
@@ -281,11 +316,12 @@ def _bump_support(monkeypatch, a, b, prime, extra):
 
 
 def test_distance_checks_report_fail(monkeypatch):
-    # d_2(1,3) = 1 becomes 5, so d_2(3,5) = 1 < min(d_2(1,3), d_2(1,5)) = 2
+    # d_2(1,3) = 1 becomes 5, so d_2(1,7) = 1 < min(d_2(1,3), d_2(3,7)) = 2; the
+    # trio's cross products 2, 6 and 4 differ, so only the pair (1,3) is bumped
     _bump_support(monkeypatch, pt(1), pt(3), 2, 4)
-    r = check_ultrametric({pt(1), pt(3), pt(5)})
+    r = check_ultrametric({pt(1), pt(3), pt(7)})
     assert r.status == "FAIL"
-    assert r.witnesses == ("d_2(3,5)=1 < min over 1 = 2",)
+    assert r.witnesses == ("d_2(1,7)=1 < min over 3 = 2",)
     assert verification_line(r).startswith("[FAIL] ultrametric: inequality violated")
 
     # 0 and -1 lie on the critical 2-cycle of z^2-1, at distance 0 everywhere
@@ -530,10 +566,15 @@ def test_point_set_scans_factor_only_what_they_compare(monkeypatch):
     monkeypatch.setattr(verify, "distance_support", counting)
     assert four_point_set(pt(0), INFINITY, pt(1), pt(-1), S_INF, height=100) == set()
     assert len(calls) <= 24352
+    # each scan keeps a candidate's supports by |cross product|, factoring each once
+    factored = [abs(cross_product(a, b)) for a, b in calls]
+    assert len(factored) == len(set(factored))
     calls.clear()
     got = three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=50)
     assert got == {ProjPoint(2, 1), ProjPoint(1, 2), ProjPoint(-1, 1)}
     assert len(calls) <= 9285
+    factored = [abs(cross_product(a, b)) for a, b in calls]
+    assert len(factored) == len(set(factored))
 
 
 def test_run_suite_all_golden_maps():
