@@ -26,7 +26,6 @@ import io
 import marshal
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
@@ -143,23 +142,25 @@ def _within_q(s: int, count: int) -> bool:
     return holds
 
 
-def _sweep_pair(c: Fraction):
-    """The pair parse_map gives for z^2 + c, source text included, built without parsing."""
-    return make_pair([1, 0, c], [0, 0, 1], f"z^2+{c}" if c >= 0 else f"z^2-{-c}")
+def _sweep_pair(num: int, den: int):
+    """(pair, c) for z^2 + num/den: parse_map's pair, source text included, built
+    from integer coefficients, and c, the text str(Fraction(num, den)) gives."""
+    c = str(num) if den == 1 else f"{num}/{den}"
+    source = f"z^2+{c}" if num >= 0 else f"z^2{c}"
+    return make_pair([den, 0, num], [0, 0, den], source), c
 
 
 def _sweep_entry(task):
     """Preperiodic counts for one member of z^2 + c, plus the overall bound check."""
     num, den, height, max_iters = task
-    c = Fraction(num, den)
-    pair = _sweep_pair(c)
+    pair, c = _sweep_pair(num, den)
     profile = reduction_profile(pair)
     preper, per, tail, per0, incomplete = preperiodic_counts(pair, height, max_iters=max_iters)
     if incomplete:
         status = SKIPPED
     else:
         status = PASS if _within_q(profile.places.size, preper) else FAIL
-    return {"c": str(c), "s": profile.places.size,
+    return {"c": c, "s": profile.places.size,
             "bad_primes": list(profile.bad_primes),
             "preper": preper, "per": per, "tail": tail, "per0": per0,
             "incomplete": incomplete, "count_le_Q": status}

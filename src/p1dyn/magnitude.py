@@ -9,8 +9,11 @@ past the ceiling, so only an Exact node ever materializes.  Nodes built by
 hand, bypassing the constructors, are outside this contract.  Everything else
 is compared through interval arithmetic on natural logarithms with integer
 endpoints at scale 2^-(prec+16), doubling the working precision prec until
-the comparison is decided.  A comparison that cannot be decided raises
-rather than guessing.
+the comparison is decided.  Two Sums that share parts and that the first
+precision leaves unseparated are compared by their unshared parts, since
+a + c compares with b + c exactly as a with b.  A comparison that cannot be
+decided, such as a Sum against its own buried head, raises rather than
+guessing.
 
 Every endpoint is rounded outward (directed rounding), so it is a true
 bound.  The logarithms of integers come from the atanh series
@@ -44,6 +47,7 @@ their own intervals on the nodes that many trees share.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -468,7 +472,12 @@ def force_exact(m: Magnitude) -> int | None:
 
 
 def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
-    """Rigorous three-way comparison; raises IndistinguishableError if stuck."""
+    """Rigorous three-way comparison; raises IndistinguishableError if stuck.
+
+    Two Sums that share parts and that the first rung leaves unseparated are
+    compared by their unshared parts (a + c against b + c is a against b, as
+    magnitudes are reals); a Sum against its own buried head still raises.
+    """
     if m1 == m2:
         return Comparison.EQUAL
     z1, z2 = _is_zero(m1), _is_zero(m2)
@@ -493,6 +502,11 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
             return Comparison.GREATER
         if lo1 == hi1 == lo2 == hi2:
             return Comparison.EQUAL  # both logs pinned to the same dyadic rational
+        if prec == _PREC_START and isinstance(m1, Sum) and isinstance(m2, Sum):
+            parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
+            if parts1 & parts2:
+                return compare(sum_of(*(parts1 - parts2).elements()),
+                               sum_of(*(parts2 - parts1).elements()))
         prec *= 2
     raise IndistinguishableError(
         f"magnitudes not separated at {_PREC_CEILING} bits of precision"

@@ -179,8 +179,11 @@ def _polynomial_rows(pair: HomogPair, height: int):
 
 def _vanishes(form, x: int, y: int) -> bool:
     """Whether the binary form, coefficient i on X^(D-i) Y^i, is 0 at [x : y]."""
-    top = len(form) - 1
-    return sum(c * x ** (top - i) * y ** i for i, c in enumerate(form)) == 0
+    value, ypow = form[0], 1
+    for c in form[1:]:
+        ypow *= y
+        value = value * x + c * ypow
+    return value == 0
 
 
 def _walk_grid(pair: HomogPair, height: int, max_iters: int):

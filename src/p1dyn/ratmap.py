@@ -32,13 +32,10 @@ class HomogPair(Record):
             raise DegenerateMapError("degree must be at least 1")
         if len(a) != degree + 1 or len(b) != degree + 1:
             raise ArithmeticInputError("coefficient vectors must have length degree+1")
-        coeffs = a + b
-        if all(c == 0 for c in a) or all(c == 0 for c in b):
+        if not any(a) or not any(b):
             raise DegenerateMapError("one side of the pair is identically zero")
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, c)
-        if g != 1:
+        coeffs = a + b
+        if math.gcd(*coeffs) != 1:
             raise ArithmeticInputError("pair is not content-normalized")
         first = next(c for c in coeffs if c != 0)
         if first < 0:
@@ -76,26 +73,22 @@ def _form_str(coeffs, d):
 
 
 def make_pair(a_coeffs, b_coeffs, source: str = "") -> HomogPair:
-    """Normalize integer or Fraction coefficient vectors into a HomogPair.
+    """Normalize integer coefficient vectors into a HomogPair.
 
-    Scales both sides by the common denominator, divides out the content,
-    fixes the sign, and rejects pairs with resultant zero.
+    Divides out the content, fixes the sign, and rejects pairs with resultant
+    zero.  Tests with rational coefficients clear denominators first, through
+    ``naive.rational_pair``.
     """
     a, b = list(a_coeffs), list(b_coeffs)
     if len(a) != len(b) or not a:
         raise ArithmeticInputError("coefficient vectors must have equal positive length")
-    scale = 1
-    for c in a + b:
-        scale = math.lcm(scale, c.denominator)
-    ai = [c.numerator * (scale // c.denominator) for c in a]
-    bi = [c.numerator * (scale // c.denominator) for c in b]
-    g = math.gcd(*ai, *bi)
+    g = math.gcd(*a, *b)
     if g == 0:
         raise DegenerateMapError("both sides are identically zero")
-    first = next(c for c in ai + bi if c != 0)
+    first = next(c for c in a + b if c != 0)
     if first < 0:
         g = -g
-    pair = HomogPair(len(a) - 1, tuple(c // g for c in ai), tuple(c // g for c in bi), source)
+    pair = HomogPair(len(a) - 1, tuple(c // g for c in a), tuple(c // g for c in b), source)
     if resultant(pair) == 0:
         raise DegenerateMapError("the two forms share a projective root (resultant 0)")
     return pair
@@ -283,33 +276,18 @@ def evaluate(pair: HomogPair, point: ProjPoint) -> ProjPoint:
     return ProjPoint(*step_kernel(pair.a, pair.b)(point.x, point.y))
 
 
-def _form_derivative_x(coeffs, d):
-    return tuple(coeffs[i] * (d - i) for i in range(d))
-
-
-def _form_derivative_y(coeffs, d):
-    return tuple(coeffs[i + 1] * (i + 1) for i in range(d))
-
-
-def _poly_mul(p, q):
-    """The product of two binary forms as coefficient lists, for the Wronskian."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, e in enumerate(q):
-                out[i + j] += c * e
-    return out
-
-
 def wronskian(pair: HomogPair) -> tuple[int, ...]:
-    """Coefficients of F_X G_Y - F_Y G_X, a binary form of degree 2d-2."""
-    d = pair.degree
-    fx = _form_derivative_x(pair.a, d)
-    fy = _form_derivative_y(pair.a, d)
-    gx = _form_derivative_x(pair.b, d)
-    gy = _form_derivative_y(pair.b, d)
-    lhs = _poly_mul(fx, gy)
-    rhs = _poly_mul(fy, gx)
-    return tuple(l - r for l, r in zip(lhs, rhs))
+    """Coefficients of F_X G_Y - F_Y G_X, a binary form of degree 2d-2.
+
+    For i < j, the terms a_i X^(d-i) Y^i of F and b_j X^(d-j) Y^j of G, taken
+    with the swapped pair a_j, b_i, add d (j - i) (a_i b_j - a_j b_i) to the
+    coefficient of X^(2d-1-i-j) Y^(i+j-1); the pairs i = j cancel.
+    """
+    a, b, d = pair.a, pair.b, pair.degree
+    out = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(i + 1, d + 1):
+            minor = a[i] * b[j] - a[j] * b[i]
+            if minor:
+                out[i + j - 1] += d * (j - i) * minor
+    return tuple(out)

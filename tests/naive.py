@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+from fractions import Fraction
 
 import sympy
 from hypothesis import strategies as st
@@ -22,7 +23,14 @@ from p1dyn.magnitude import (
     Exact, ExpOf, Power, Prod, Sum, exact, max_of, power, prod_of, sum_of,
 )
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
+from p1dyn.ratmap import make_pair
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
+
+
+def rational_pair(a, b, source=""):
+    """make_pair of int or Fraction vectors, both sides scaled by the common denominator."""
+    scale = math.lcm(*(Fraction(c).denominator for c in [*a, *b]))
+    return make_pair([int(c * scale) for c in a], [int(c * scale) for c in b], source)
 
 
 def _form_value(coeffs, x, y):

@@ -137,8 +137,9 @@ def test_monotone_in_degree_where_separable():
 
 
 def test_every_label_grows_with_s_and_the_tail_caps_with_d():
-    # in d only L1-L4 are pinned: CV, FPLA, L and Q add a d-term below 2^-8192
-    # of their head, past what compare resolves; B, C3, C5, T and TPLA are d-free
+    # CV, FPLA, L and Q add a d-term below 2^-8192 of their head, which compare
+    # resolves by cancelling the parts the two sums share; B, C3, C5, T and TPLA
+    # are d-free
     d_free = ("B", "C3", "C5", "T", "TPLA")
     for s in range(1, 9):
         for d in range(2, 13):
@@ -146,17 +147,20 @@ def test_every_label_grows_with_s_and_the_tail_caps_with_d():
             for label in BOUND_ORDER:
                 assert compare(table[label], next_s[label]) is Comparison.LESS, (label, d, s)
             next_d = aggregate_bounds(d + 1, s)
-            for label in ("L1", "L2", "L3", "L4"):
+            for label in ("L1", "L2", "L3", "L4", "CV", "FPLA", "L", "Q"):
                 assert compare(table[label], next_d[label]) is Comparison.LESS, (label, d, s)
             for label in d_free:
                 assert compare(table[label], next_d[label]) is Comparison.EQUAL, (label, d, s)
 
 
 def test_degree_growth_of_aggregates_is_buried():
-    # Q(3,1) - Q(2,1) is a six-digit integer sitting under e^(30^15);
-    # the comparison must refuse rather than guess
+    # Q(3,1) - Q(2,1) is a six-digit integer sitting under e^(30^15); the two
+    # sums share that head, so compare cancels it and decides on what is left
+    assert compare(bound_table(2, 1)["Q"], bound_table(3, 1)["Q"]) is Comparison.LESS
+    # a sum against its own buried head shares no part: compare refuses rather
+    # than guess
     with pytest.raises(IndistinguishableError):
-        compare(bound_table(2, 1)["Q"], bound_table(3, 1)["Q"])
+        compare(bound_table(2, 1)["CV"], unit_equation_bound(5, 1))
 
 
 @pytest.mark.parametrize("d, s", [(2, 1), (3, 2)])

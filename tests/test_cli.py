@@ -596,9 +596,10 @@ def test_sweep_pair_equals_the_parsed_map():
                 continue
             c = Fraction(num, den)
             text = f"z^2+{c}" if num >= 0 else f"z^2-{-c}"
-            built, parsed = cli._sweep_pair(c), parse_map(text)
+            (built, c_text), parsed = cli._sweep_pair(num, den), parse_map(text)
             assert (built.degree, built.a, built.b) == (parsed.degree, parsed.a, parsed.b)
             assert str(built) == str(parsed) == text
+            assert c_text == str(c)
 
 
 def test_batch_rejects_other_families(capsys):

@@ -126,6 +126,31 @@ def test_no_float_arithmetic():
     assert found == {}
 
 
+def _fraction_imports(tree: ast.Module) -> list[str]:
+    """Lines that import the fractions module or a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names
+                      if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            found.append(f"from {node.module} (line {node.lineno})")
+    return found
+
+
+def test_the_map_building_path_imports_no_fractions():
+    # maps are read, built, swept and walked from integer coefficients only
+    probe = "import fractions\nfrom fractions import Fraction\nimport fractions as fr\nimport math"
+    assert len(_fraction_imports(ast.parse(probe))) == 3
+    found = {}
+    for name in ("mapparse", "ratmap", "orbits", "cli"):
+        path = SRC / f"{name}.py"
+        hits = _fraction_imports(ast.parse(path.read_text(), filename=str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
 def _unbounded_caches(tree: ast.Module) -> list[str]:
     """Definitions decorated with functools.cache or with lru_cache(maxsize=None)."""
     found = []

@@ -24,7 +24,7 @@ from p1dyn.ratmap import (
     wronskian,
 )
 
-from naive import naive_evaluate
+from naive import naive_evaluate, rational_pair
 
 
 def test_parse_affine_quadratic_with_rational_constant():
@@ -349,7 +349,7 @@ def small_pairs(draw, coefficient=st.integers(-5, 5), degrees=st.integers(2, 3))
     d = draw(degrees)
     coeffs = st.lists(coefficient, min_size=d + 1, max_size=d + 1)
     try:
-        return make_pair(draw(coeffs), draw(coeffs))
+        return rational_pair(draw(coeffs), draw(coeffs))
     except DegenerateMapError:
         assume(False)
 
@@ -385,6 +385,26 @@ def test_parse_map_round_trips_the_printed_pair(pair):
 def test_escape_threshold_and_resultant_match_sympy(pair):
     assert resultant(pair) == _sympy_sylvester(pair).det()
     assert escape_threshold(pair) == _sympy_escape_threshold(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(degrees=st.integers(1, 5)), st.integers(-4, 4), st.integers(-4, 4))
+@example(parse_map("z^2-29/16"), 0, 1)  # W = (0, 1024, 0) vanishes at 0
+@example(parse_map("[X^2-Y^2:X*Y]"), 1, 1)
+def test_wronskian_and_its_zeros_match_sympy(pair, x, y):
+    d = pair.degree
+    X, Y = sympy.symbols("X Y")
+    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
+    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
+    w = sympy.expand(sympy.diff(f, X) * sympy.diff(g, Y) - sympy.diff(f, Y) * sympy.diff(g, X))
+    expected = tuple(int(w.coeff(X, 2 * d - 2 - k).coeff(Y, k)) for k in range(2 * d - 1))
+    assert wronskian(pair) == expected
+    assert _vanishes(wronskian(pair), x, y) == (w.subs({X: x, Y: y}) == 0)
+    # a random point seldom is a zero of W, so also try W times a form that is 0 there
+    if w != 0 and (x, y) != (0, 0):
+        v = sympy.Poly(w * (y * X - x * Y), X, Y)
+        through = [int(v.coeff_monomial(X ** (2 * d - 1 - k) * Y**k)) for k in range(2 * d)]
+        assert _vanishes(through, x, y)
 
 
 def _sympy_rational_critical_points(pair):
