@@ -11,9 +11,10 @@ C3 and C5, the tail caps L1..L4, and the counts CV, T, TPLA, FPLA, L and
 Q built from them.  BOUND_ORDER is the order tables and reports list them in.
 
 Each label is assembled from terms that depend on s alone, built once per s,
-by products with d or d - 1 and sums.  Sharing those terms pays because every
-node memoizes its log interval (see the magnitude docstring): each degree at
-one s reads the shared nodes' intervals instead of computing them again.
+by products with d or d - 1 and sums.  A table is built from log2 brackets
+alone, with no log interval, so sharing those terms pays when it is rendered:
+every node memoizes its log intervals (see the magnitude docstring), and the
+digit counts of each degree at one s read the shared nodes' ones once made.
 """
 
 from functools import lru_cache

@@ -7,7 +7,8 @@ decimal digits into an Exact node, and max_of decides dominance once, when it
 is built; by Lindemann-Weierstrass any other node they build is irrational or
 past the ceiling, so only an Exact node ever materializes.  Nodes built by
 hand, bypassing the constructors, are outside this contract.  Everything else
-is compared through interval arithmetic on natural logarithms with integer
+is compared by the log2 brackets the nodes store (below), and where those
+overlap through interval arithmetic on natural logarithms with integer
 endpoints at scale 2^-(prec+16), doubling the working precision prec until
 the comparison is decided.  Two Sums that share parts and that the first
 precision leaves unseparated are compared by their unshared parts, since
@@ -39,9 +40,19 @@ kept, so the memo stays bounded).  Nodes are immutable and _ln_fixed is
 deterministic at a given width, so none of these goes stale.  The
 constructors' canonical sorts, equality and hashing read the stored key and
 hash, and every comparison and digit count that meets a node, in max_of or
-later, computes its interval at each width once.  So max_of's comparisons and
-a report's digit counts, whose ladders start at different widths, each find
-their own intervals on the nodes that many trees share.
+later, computes its interval at each width once.  So the comparisons the
+brackets below leave open and a report's digit counts, whose ladders start at
+different widths, each find their own intervals on the nodes trees share.
+
+Each node also stores integers lo <= log2(value) <= hi, made in its
+constructor from its children's, each rule rounding outward: (b, b) for
+Exact(2^b), (b, b + 1) for other Exact values in [2^b, 2^(b+1)), q / ln 2
+over the far bound on ln 2 at width 144 for ExpOf(q), the base's ends times
+e for a Power, the sums of the ends for a Prod, their maxima for a MaxOf,
+and for a Sum of n parts the maxima with ceil(log2 n) added on top.  A zero
+at or below a node, or a negative exponent built by hand, leaves None.  The
+library's bounds lie thousands of bits apart, so these brackets decide the
+comparisons of max_of and verify without any log interval.
 """
 
 from __future__ import annotations
@@ -81,12 +92,13 @@ class MagnitudeInputError(ValueError):
 class _Node(Record):
     """The memo slots of every node (the module docstring says why they are sound).
 
-    ``_key`` and ``_hash`` are set in ``__init__``.  ``_ln`` is None until the
-    first ``_ln_fixed`` result at a ladder width, then a dict from each such
-    width to its ``(lo, hi)``.  Equality reads the key.
+    ``_key``, ``_hash`` and the integer bracket ``_log2`` = ``(lo, hi)`` (or
+    None) are set in ``__init__``.  ``_ln`` is None until the first
+    ``_ln_fixed`` result at a ladder width, then a dict from each such width
+    to its ``(lo, hi)``.  Equality reads the key.
     """
 
-    __slots__ = ("_key", "_hash", "_ln")
+    __slots__ = ("_key", "_hash", "_log2", "_ln")
 
     def __eq__(self, other):
         if isinstance(other, _Node):
@@ -97,14 +109,22 @@ class _Node(Record):
         return self._hash
 
 
-def _seal(node: _Node, key: tuple, digest: int) -> None:
+def _seal(node: _Node, key: tuple, digest: int, log2: tuple | None) -> None:
     _set(node, "_key", key)
     _set(node, "_hash", digest)
+    _set(node, "_log2", log2)
     _set(node, "_ln", None)
 
 
-def _seal_parts(node: _Node, tag: int, parts: tuple) -> None:
-    _seal(node, (tag, tuple(p._key for p in parts)), hash((tag, tuple(p._hash for p in parts))))
+def _seal_parts(node: _Node, tag: int, parts: tuple, combine, spread: int = 0) -> None:
+    """Seal a node of parts; its bracket combines theirs end by end, plus spread on top."""
+    brackets = [p._log2 for p in parts]
+    log2 = None
+    if brackets and None not in brackets:
+        los, his = zip(*brackets)
+        log2 = combine(los), combine(his) + spread
+    _seal(node, (tag, tuple(p._key for p in parts)),
+          hash((tag, tuple(p._hash for p in parts))), log2)
 
 
 class Exact(_Node):
@@ -113,7 +133,8 @@ class Exact(_Node):
     def __init__(self, value: int):
         _set(self, "value", value)
         key = (0, value)
-        _seal(self, key, hash(key))
+        b = value.bit_length() - 1
+        _seal(self, key, hash(key), None if value < 1 else (b, b if value == 1 << b else b + 1))
 
 
 class ExpOf(_Node):
@@ -122,7 +143,13 @@ class ExpOf(_Node):
     def __init__(self, ln: Fraction):
         _set(self, "ln", ln)
         key = (1, ln)
-        _seal(self, key, hash(key))
+        log2 = None  # a negative exponent, built by hand, would round the wrong way
+        if ln >= 0:  # log2 e^q = q / ln 2, at digit_count's first width, whose ln 2 is cached
+            width = 2 * _PREC_START + _GUARD_BITS
+            l2_lo, l2_hi = _ln2_fixed(width)
+            num, den = ln.numerator << width, ln.denominator
+            log2 = num // (den * l2_hi), -(-num // (den * l2_lo))
+        _seal(self, key, hash(key), log2)
 
 
 class Power(_Node):
@@ -131,7 +158,9 @@ class Power(_Node):
     def __init__(self, base: Magnitude, exponent: int):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
-        _seal(self, (2, base._key, exponent), hash((2, base._hash, exponent)))
+        b = base._log2
+        _seal(self, (2, base._key, exponent), hash((2, base._hash, exponent)),
+              None if b is None else (b[0] * exponent, b[1] * exponent))
 
 
 class Sum(_Node):
@@ -139,7 +168,8 @@ class Sum(_Node):
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
-        _seal_parts(self, 3, parts)
+        # n parts sum to at most n times the largest: ceil(log2 n) more bits
+        _seal_parts(self, 3, parts, max, (len(parts) - 1).bit_length())
 
 
 class Prod(_Node):
@@ -147,7 +177,7 @@ class Prod(_Node):
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
-        _seal_parts(self, 4, parts)
+        _seal_parts(self, 4, parts, sum)
 
 
 class MaxOf(_Node):
@@ -155,7 +185,7 @@ class MaxOf(_Node):
 
     def __init__(self, parts: tuple):
         _set(self, "parts", parts)
-        _seal_parts(self, 5, parts)
+        _seal_parts(self, 5, parts, max)
 
 
 Magnitude = Exact | ExpOf | Power | Sum | Prod | MaxOf
@@ -474,9 +504,11 @@ def force_exact(m: Magnitude) -> int | None:
 def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
     """Rigorous three-way comparison; raises IndistinguishableError if stuck.
 
-    Two Sums that share parts and that the first rung leaves unseparated are
-    compared by their unshared parts (a + c against b + c is a against b, as
-    magnitudes are reals); a Sum against its own buried head still raises.
+    Disjoint stored log2 brackets decide first; they are true bounds, so the
+    ladder, wherever it decides, agrees.  Two Sums that share parts and that the first
+    rung leaves unseparated are compared by their unshared parts (a + c
+    against b + c is a against b, as magnitudes are reals); a Sum against its
+    own buried head still raises.
     """
     if m1 == m2:
         return Comparison.EQUAL
@@ -491,6 +523,12 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
         if v1 == v2:
             return Comparison.EQUAL
         return Comparison.LESS if v1 < v2 else Comparison.GREATER
+    b1, b2 = m1._log2, m2._log2
+    if b1 is not None and b2 is not None:
+        if b1[1] < b2[0]:
+            return Comparison.LESS
+        if b1[0] > b2[1]:
+            return Comparison.GREATER
     prec = _PREC_START
     while prec <= _PREC_CEILING:
         width = prec + _GUARD_BITS

@@ -35,7 +35,9 @@ from p1dyn.magnitude import (
     force_exact,
     ln_interval,
 )
+from p1dyn.mapparse import parse_map
 from p1dyn.report import format_magnitude
+from p1dyn.verify import run_suite
 
 
 def test_two_term_values():
@@ -265,3 +267,26 @@ def test_a_grid_pass_computes_each_interval_once():
                     # each digit count is decided at the first width it asks
                     assert len(top_widths) <= 1, (d, s, label, top_widths)
     assert computed and max(computed.values()) == 1
+
+
+def test_building_tables_and_verifying_compute_no_log_interval():
+    # every max_of in a table and every count against its bound is decided by
+    # the stored log2 brackets, so no log interval is made until a table is rendered
+    bounds._table_at.cache_clear()
+    aggregate_bounds.cache_clear()
+    ln_fixed, computed = magnitude._ln_fixed, []
+
+    def counting(m, width):
+        computed.append(width)
+        return ln_fixed(m, width)
+
+    with mock.patch.object(magnitude, "_ln_fixed", counting):
+        for s in range(1, 17):
+            for d in range(2, 34):
+                aggregate_bounds(d, s)
+        assert computed == []
+        bounds._table_at.cache_clear()
+        aggregate_bounds.cache_clear()
+        for text in ("z^2-29/16", "[X^3+2*Y^3:X*Y^2]", "z^3-z"):
+            run_suite(parse_map(text), "all", height=64)
+            assert computed == [], text

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn import magnitude
-from p1dyn.bounds import BOUND_ORDER, aggregate_bounds
+from p1dyn.bounds import BOUND_ORDER, aggregate_bounds, unit_equation_bound
 from p1dyn.magnitude import (
     Comparison,
     Exact,
@@ -42,7 +42,7 @@ from p1dyn.magnitude import (
     _ln_int_fixed,
 )
 
-from naive import naive_key
+from naive import ladder_compare, naive_key
 
 
 def test_int_digits_matches_str():
@@ -238,6 +238,8 @@ def _mp_value(m):
     if isinstance(m, Power):
         return _mp_value(m.base) ** m.exponent
     values = [_mp_value(p) for p in m.parts]
+    if isinstance(m, MaxOf):
+        return max(values)
     return mp.fsum(values) if isinstance(m, Sum) else mp.fprod(values)
 
 
@@ -537,3 +539,49 @@ def test_every_memo_keeps_at_most_one_interval_per_ladder_width():
         ln_interval(probe, prec)
     check(probe)
     assert len(probe._ln) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree)
+def test_stored_log2_brackets_hold_the_value(m):
+    with mp.workdps(60):
+        eps = mp.mpf(10) ** -40  # far above mpmath's rounding at 60 digits
+        for node in _nodes(m):
+            lo, hi = node._log2  # no zero lies in a _tree, so every node has one
+            truth = mp.log(_mp_value(node), 2)
+            assert lo - eps <= truth <= hi + eps, node
+
+
+def test_log2_brackets_of_powers_of_two_and_the_unit_equation_constants():
+    assert Exact(1)._log2 == (0, 0)
+    for k in range(2, 300):
+        assert Exact(2**k)._log2 == (k, k)
+        assert Exact(2**k + 1)._log2 == (k, k + 1)
+        assert Exact(2**k - 1)._log2 == (k - 1, k)
+    for s in range(1, 17):
+        e = 2**77 * s  # the exponent of FPLA's head
+        assert power(exact(2), e)._log2 == (e, e)
+    # q / ln 2 just above 1 and just below 1: each end rounds outward past the integer
+    l2_lo, l2_hi = magnitude._ln2_fixed(144)
+    assert ExpOf(Fraction(l2_hi, 1 << 144))._log2 == (1, 2)
+    assert ExpOf(Fraction(l2_lo, 1 << 144))._log2 == (0, 1)
+    lo, hi = unit_equation_bound(5, 16)._log2
+    assert hi - lo <= 2
+    with mp.workdps(60):
+        assert lo <= mp.mpf(30**15 * 76) / mp.ln(2) <= hi
+    # no bracket where a zero lies at or below a node, or for a negative exponent built by hand
+    assert exact(0)._log2 is None
+    assert Sum((Exact(0), exp_of(3)))._log2 is None
+    assert Power(Prod((Exact(0), exp_of(2))), 2)._log2 is None
+    assert ExpOf(Fraction(-1))._log2 is None
+    assert MaxOf((ExpOf(Fraction(-1)), exact(3)))._log2 is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree, _tree)
+@example(_CLOSE_HEADS, sum_of(_CLOSE_HEADS, exact(1)))  # brackets overlap: climbs to 512 bits
+@example(aggregate_bounds(2, 1)["CV"], unit_equation_bound(5, 1))  # a buried head: both refuse
+@example(exact(8), Power(exact(2), 3))  # equal values, touching point brackets: both refuse
+def test_brackets_never_change_a_verdict(a, b):
+    # the oracle reads rebuilt trees, whose memos start empty
+    assert _answer(compare, a, b) == _answer(ladder_compare, _rebuild(a), _rebuild(b))
