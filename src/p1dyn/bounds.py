@@ -31,17 +31,18 @@ class BoundInputError(ValueError):
 
 
 def _check(d: int, s: int) -> None:
-    if not isinstance(d, int) or d < 2:
+    # plain ints only: True would quietly stand for 1
+    if type(d) is not int or d < 2:
         raise BoundInputError("degree must be an integer >= 2")
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise BoundInputError("place count must be an integer >= 1")
 
 
 def unit_equation_bound(n: int, s: int) -> Magnitude:
     """B = 2^(16s) for the two-term S-unit equation, C_n = e^((6n)^(3n) (ns+1-n)) for n terms."""
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise BoundInputError("unit equation needs an integer term count >= 2")
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise BoundInputError("place count must be an integer >= 1")
     if n == 2:
         return power(exact(2), 16 * s)
@@ -54,29 +55,30 @@ def unit_equation_bound(n: int, s: int) -> Magnitude:
 def _table_at(s: int):
     """The tables at place count s as a function of d; _d names a term times d, _d1 times d - 1."""
     b, c3, c5 = unit_equation_bound(2, s), unit_equation_bound(3, s), unit_equation_bound(5, s)
-    one = exact(1)
-    l1_d, l4_d1 = sum_of(one, b), sum_of(c3, exact(3))
-    l2_d = sum_of(prod_of(exact(2), sum_of(c3, exact(2))), one)
-    l2_d1 = sum_of(one, prod_of(b, sum_of(b, c3, exact(3))))
-    l3_d1 = sum_of(prod_of(sum_of(one, prod_of(exact(3), b)), b), one)
-    cv_d = sum_of(prod_of(exact(3), b), exact(13))
+    one, two, three = exact(1), exact(2), exact(3)
+    l1_d, l4_d1 = sum_of(one, b), sum_of(c3, three)
+    l2_d = sum_of(prod_of(two, sum_of(c3, two)), one)
+    l2_d1 = sum_of(one, prod_of(b, sum_of(b, c3, three)))
+    l3_d1 = sum_of(prod_of(sum_of(one, prod_of(three, b)), b), one)
+    cv_d = sum_of(prod_of(three, b), exact(13))
     cv_rest = sum_of(prod_of(exact(27), b), c5, prod_of(exact(6), c3), exact(32))
     seven = power(exact(7), 4 * s)
-    t, tpla = prod_of(exact(12), seven), prod_of(exact(3), seven)
-    fpla_d, fpla_rest = power(exact(2), 32 * s), power(exact(2), (2**77) * s)
+    t, tpla = prod_of(exact(12), seven), prod_of(three, seven)
+    fpla_d, fpla_rest = power(two, 32 * s), power(two, (2**77) * s)
 
     def at(d: int) -> MappingProxyType:
-        l1 = prod_of(exact(d - 1), sum_of(one, prod_of(exact(d), l1_d)))
-        l2 = max_of(sum_of(prod_of(l2_d, exact(d)), one), prod_of(exact(d - 1), l2_d1))
-        l3, l4 = prod_of(l3_d1, exact(d - 1)), prod_of(l4_d1, exact(d - 1))
-        cv = sum_of(prod_of(cv_d, exact(d)), cv_rest)
+        deg, deg1 = exact(d), exact(d - 1)
+        l1 = prod_of(deg1, sum_of(one, prod_of(deg, l1_d)))
+        l2 = max_of(sum_of(prod_of(l2_d, deg), one), prod_of(deg1, l2_d1))
+        l3, l4 = prod_of(l3_d1, deg1), prod_of(l4_d1, deg1)
+        cv = sum_of(prod_of(cv_d, deg), cv_rest)
         t_cv = sum_of(t, cv)  # one node, so L and Q are one node too
         return MappingProxyType({
             "B": b, "C3": c3, "C5": c5, "L1": l1, "L2": l2, "L3": l3, "L4": l4, "CV": cv, "T": t,
-            "TPLA": tpla, "FPLA": sum_of(prod_of(fpla_d, exact(d)), fpla_rest),
-            "L": max_of(t_cv, sum_of(l4, prod_of(exact(2), l2), exact(3)),
-                        sum_of(prod_of(exact(3), l3), exact(3))),
-            "Q": max_of(t_cv, prod_of(exact(3), l1)),
+            "TPLA": tpla, "FPLA": sum_of(prod_of(fpla_d, deg), fpla_rest),
+            "L": max_of(t_cv, sum_of(l4, prod_of(two, l2), three),
+                        sum_of(prod_of(three, l3), three)),
+            "Q": max_of(t_cv, prod_of(three, l1)),
         })
 
     return at

@@ -2,19 +2,23 @@
 
 A magnitude is a nonnegative value built from exact integers, pure
 exponentials e^q with exact rational q, integer powers, sums, products, and
-maxima.  The constructors fold every integer of at most EXACT_DIGIT_CEILING
-decimal digits into an Exact node, and max_of decides dominance once, when it
-is built; by Lindemann-Weierstrass any other node they build is irrational or
-past the ceiling, so only an Exact node ever materializes.  Nodes built by
-hand, bypassing the constructors, are outside this contract.  Everything else
-is compared by the log2 brackets the nodes store (below), and where those
-overlap through interval arithmetic on natural logarithms with integer
-endpoints at scale 2^-(prec+16), doubling the working precision prec until
-the comparison is decided.  Two Sums that share parts and that the first
-precision leaves unseparated are compared by their unshared parts, since
-a + c compares with b + c exactly as a with b.  A comparison that cannot be
-decided, such as a Sum against its own buried head, raises rather than
-guessing.
+maxima.  An integral exponent q, as every one the bounds build is, is kept
+as an int, and a Fraction only otherwise: Fraction(n) == n and
+hash(Fraction(n)) == hash(n), so a key holding n compares, hashes and sorts
+as one holding Fraction(n), while sums, products and the text of exponents
+stay in int arithmetic.  The constructors fold every integer of at most
+EXACT_DIGIT_CEILING decimal digits into an Exact node, and max_of decides
+dominance once, when it is built; by Lindemann-Weierstrass any other node
+they build is irrational or past the ceiling, so only an Exact node ever
+materializes.  Nodes built by hand, bypassing the constructors, are outside
+this contract.  Everything else is compared by the log2 brackets the nodes
+store (below), and where those overlap through interval arithmetic on
+natural logarithms with integer endpoints at scale 2^-(prec+16), doubling
+the working precision prec until the comparison is decided.  Two Sums that
+share parts and that the first precision leaves unseparated are compared by
+their unshared parts, since a + c compares with b + c exactly as a with b.
+A comparison that cannot be decided, such as a Sum against its own buried
+head, raises rather than guessing.
 
 Every endpoint is rounded outward (directed rounding), so it is a true
 bound.  The logarithms of integers come from the atanh series
@@ -118,13 +122,13 @@ def _seal(node: _Node, key: tuple, digest: int, log2: tuple | None) -> None:
 
 def _seal_parts(node: _Node, tag: int, parts: tuple, combine, spread: int = 0) -> None:
     """Seal a node of parts; its bracket combines theirs end by end, plus spread on top."""
-    brackets = [p._log2 for p in parts]
+    brackets = list(map(_bracket, parts))
     log2 = None
     if brackets and None not in brackets:
         los, his = zip(*brackets)
         log2 = combine(los), combine(his) + spread
-    _seal(node, (tag, tuple(p._key for p in parts)),
-          hash((tag, tuple(p._hash for p in parts))), log2)
+    _seal(node, (tag, tuple(map(_canonical, parts))),
+          hash((tag, tuple(map(_hashed, parts)))), log2)
 
 
 class Exact(_Node):
@@ -140,7 +144,9 @@ class Exact(_Node):
 class ExpOf(_Node):
     __slots__ = ("ln",)
 
-    def __init__(self, ln: Fraction):
+    def __init__(self, ln: int | Fraction):
+        if ln.denominator == 1:
+            ln = ln.numerator  # an integral exponent is kept as an int
         _set(self, "ln", ln)
         key = (1, ln)
         log2 = None  # a negative exponent, built by hand, would round the wrong way
@@ -189,27 +195,28 @@ class MaxOf(_Node):
 
 
 Magnitude = Exact | ExpOf | Power | Sum | Prod | MaxOf
-_canonical = attrgetter("_key")
+_canonical, _hashed, _bracket = attrgetter("_key"), attrgetter("_hash"), attrgetter("_log2")
 
 
 def _digits_at_most(v: int, ceiling: int) -> bool:
-    # cheap overestimate first, exact only near the boundary
+    # v has at most approx + 1 digits, as log10 2 < 0.30103: counted only near the boundary
     approx = v.bit_length() * 30103 // 100000
+    if approx < ceiling:
+        return True
     if approx > ceiling + 2:
         return False
     return int_digits(v) <= ceiling
 
 
 def exact(v: int) -> Magnitude:
-    if not isinstance(v, int) or v < 0:
+    if type(v) is not int or v < 0:  # a bool is refused, not shown as True
         raise MagnitudeInputError("exact magnitudes are nonnegative integers")
     return Exact(v)
 
 
 def exp_of(q) -> Magnitude:
-    if not isinstance(q, (int, Fraction)):
+    if type(q) not in (int, Fraction):
         raise MagnitudeInputError("exponential magnitudes need an int or Fraction exponent")
-    q = Fraction(q)
     if q < 0:
         raise MagnitudeInputError("exponential magnitudes need a nonnegative exponent")
     if q == 0:
@@ -218,7 +225,7 @@ def exp_of(q) -> Magnitude:
 
 
 def power(base: Magnitude, exponent: int) -> Magnitude:
-    if not isinstance(exponent, int) or exponent < 0:
+    if type(exponent) is not int or exponent < 0:
         raise MagnitudeInputError("powers need a nonnegative integer exponent")
     if exponent == 0:
         return Exact(1)
@@ -261,16 +268,15 @@ def _folded(exacts: list, value) -> Exact:
 
 
 def prod_of(*parts: Magnitude) -> Magnitude:
-    flat = _flatten(parts, Prod)
-    if any(_is_zero(p) for p in flat):
-        return Exact(0)
     acc_exact = 1
     exacts: list[Exact] = []
     acc_ln = 0
     powers: dict = {}
     rest: list[Magnitude] = []
-    for p in flat:
+    for p in _flatten(parts, Prod):
         if isinstance(p, Exact):
+            if not p.value:
+                return p
             acc_exact *= p.value
             exacts.append(p)
         elif isinstance(p, ExpOf):
@@ -279,8 +285,7 @@ def prod_of(*parts: Magnitude) -> Magnitude:
             powers[p.base] = powers.get(p.base, 0) + p.exponent
         else:
             rest.append(p)
-    for base, e in sorted(powers.items(), key=lambda kv: kv[0]._key):
-        rest.append(power(base, e))
+    rest += [power(base, e) for base, e in powers.items()]  # the sort below orders them
     if acc_ln:
         rest.append(ExpOf(acc_ln))
     if acc_exact != 1:
@@ -295,19 +300,14 @@ def prod_of(*parts: Magnitude) -> Magnitude:
 def sum_of(*parts: Magnitude) -> Magnitude:
     acc_exact = 0
     exacts: list[Exact] = []
-    rest: list[Magnitude] = []
+    counts: dict = {}
     for p in _flatten(parts, Sum):
         if isinstance(p, Exact):
             acc_exact += p.value
             exacts.append(p)
         else:
-            rest.append(p)
-    grouped: list[Magnitude] = []
-    counts: dict = {}
-    for p in rest:
-        counts[p] = counts.get(p, 0) + 1
-    for p, k in sorted(counts.items(), key=lambda kv: kv[0]._key):
-        grouped.append(p if k == 1 else prod_of(Exact(k), p))
+            counts[p] = counts.get(p, 0) + 1
+    grouped = [p if k == 1 else prod_of(Exact(k), p) for p, k in counts.items()]
     if acc_exact:
         grouped.append(_folded(exacts, acc_exact))
     if not grouped:
@@ -481,6 +481,8 @@ def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
 
 def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:
     """Rigorous bounds on ln(m) as rationals; None for the zero magnitude."""
+    if type(prec) is not int or prec < 1:
+        raise MagnitudeInputError("log intervals need a positive integer precision")
     width = prec + _GUARD_BITS
     iv = _ln_fixed(m, width)
     if iv is None:

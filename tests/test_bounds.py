@@ -5,6 +5,9 @@ existed: direct integer arithmetic for the materializable ones and
 60-digit logarithms for the astronomically large ones.
 """
 
+import cProfile
+import fractions
+import pstats
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -36,7 +39,7 @@ from p1dyn.magnitude import (
     ln_interval,
 )
 from p1dyn.mapparse import parse_map
-from p1dyn.report import format_magnitude
+from p1dyn.report import format_magnitude, render_magnitude
 from p1dyn.verify import run_suite
 
 
@@ -214,6 +217,15 @@ def test_input_validation():
                 build(*bad)
 
 
+def test_bool_degrees_and_place_counts_are_refused():
+    # True is an int: it must not stand for 1, nor find the cached table of s = 1
+    aggregate_bounds(2, 1), bound_table(2, 1)
+    for build in (unit_equation_bound, aggregate_bounds, bound_table):
+        for bad in ((2, True), (True, 1), (3, False)):
+            with pytest.raises(BoundInputError):
+                build(*bad)
+
+
 # d log-uniform in 2..10^6: a bit length first, then d of about that length
 _DEGREES = st.integers(1, 20).flatmap(lambda k: st.integers(max(2, 2**(k - 1)), min(10**6, 2**k)))
 
@@ -290,3 +302,31 @@ def test_building_tables_and_verifying_compute_no_log_interval():
         for text in ("z^2-29/16", "[X^3+2*Y^3:X*Y^2]", "z^3-z"):
             run_suite(parse_map(text), "all", height=64)
             assert computed == [], text
+
+
+def test_grid_tables_hold_int_exponents_and_call_no_fractions_method():
+    # every exponent the bounds build is an integer, kept as an int, so building
+    # and rendering the grid adds, hashes and prints exponents in int arithmetic
+    bounds._table_at.cache_clear()
+    aggregate_bounds.cache_clear()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        tables = [aggregate_bounds(d, s) for s in range(1, 17) for d in range(2, 34)]
+        for table in tables:
+            for m in table.values():
+                format_magnitude(m), render_magnitude(m)
+    finally:
+        profiler.disable()
+    stats = pstats.Stats(profiler).stats
+    called = [name for (path, _, name) in stats if path == fractions.__file__]
+    assert called == []
+
+    def exponents(m):
+        if isinstance(m, ExpOf):
+            return [m.ln]
+        inner = (m.base,) if isinstance(m, Power) else getattr(m, "parts", ())
+        return [q for p in inner for q in exponents(p)]
+
+    found = [q for table in tables for m in table.values() for q in exponents(m)]
+    assert found and all(type(q) is int for q in found)

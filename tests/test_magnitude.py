@@ -38,9 +38,11 @@ from p1dyn.magnitude import (
     power,
     prod_of,
     sum_of,
+    _digits_at_most,
     _ln_fixed,
     _ln_int_fixed,
 )
+from p1dyn.report import render_magnitude
 
 from naive import ladder_compare, naive_key
 
@@ -93,6 +95,26 @@ def test_constructor_canonical_forms():
     for bad_ln in (float("nan"), 2.5, "3"):
         with pytest.raises(MagnitudeInputError):
             exp_of(bad_ln)
+
+
+def test_bools_and_precisions_that_are_not_positive_ints_are_refused():
+    # a bool is an int, but a node would keep it and print it as True
+    for refused in (lambda: exact(True), lambda: exp_of(True), lambda: power(exact(2), True),
+                    lambda: exp_of(False), lambda: power(exp_of(3), False)):
+        with pytest.raises(MagnitudeInputError):
+            refused()
+    # only a positive int: at prec = -100 the head shift of an integer's log would never end
+    for prec in (-100, 0, True, 64.0):
+        with pytest.raises(MagnitudeInputError):
+            ln_interval(exact(3), prec)
+    assert ln_interval(exact(3), 1) is not None
+
+
+def test_digit_ceiling_check_agrees_with_the_digit_count():
+    for ceiling in range(1, 80):
+        for v in {10 ** (ceiling - 1), 10**ceiling - 1, 10**ceiling, 10 ** (ceiling + 1),
+                  2 ** (ceiling * 3), 2 ** (ceiling * 3 + 3) - 1, 2 ** (ceiling * 4)}:
+            assert _digits_at_most(v, ceiling) == (int_digits(v) <= ceiling), (v, ceiling)
 
 
 def test_sum_and_product_keep_a_lone_constant_part():
@@ -585,3 +607,50 @@ def test_log2_brackets_of_powers_of_two_and_the_unit_equation_constants():
 def test_brackets_never_change_a_verdict(a, b):
     # the oracle reads rebuilt trees, whose memos start empty
     assert _answer(compare, a, b) == _answer(ladder_compare, _rebuild(a), _rebuild(b))
+
+
+# exponent leaves: integral ones are the most common, as in the bounds
+_exponent = st.one_of(st.integers(0, 10**12).map(Fraction),
+                      st.fractions(min_value=0, max_value=60, max_denominator=8))
+_recipe = st.recursive(
+    st.one_of(_exponent.map(lambda q: ("exp", q)),
+              st.integers(0, 10**6).map(lambda v: ("exact", v))),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from((sum_of, prod_of, max_of)),
+                  st.lists(children, min_size=1, max_size=3)),
+        st.tuples(st.just(power), children, st.integers(0, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+def _grow(recipe, given_as):
+    """The tree of a recipe, each exponent leaf q built as exp_of(given_as(q))."""
+    kind, *args = recipe
+    if kind == "exp":
+        return exp_of(given_as(args[0]))
+    if kind == "exact":
+        return exact(args[0])
+    if kind is power:
+        return power(_grow(args[0], given_as), args[1])
+    return kind(*(_grow(r, given_as) for r in args[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_recipe)
+@example(("exp", Fraction(30**15 * 76)))
+@example((prod_of, [("exp", Fraction(1, 2)), ("exp", Fraction(3, 2)), ("exact", 5)]))
+@example((power, (sum_of, [("exp", Fraction(7)), ("exact", 2)]), 3))
+def test_an_integral_exponent_builds_the_same_nodes_as_an_int_and_as_a_fraction(recipe):
+    as_int = _grow(recipe, lambda q: q.numerator if q.denominator == 1 else q)
+    as_fraction = _grow(recipe, Fraction)
+    for m, n in zip(_nodes(as_int), _nodes(as_fraction), strict=True):
+        assert (m._key, m._hash, m._log2) == (n._key, n._hash, n._log2)
+        for width in (80, 144):
+            assert _ln_fixed(m, width) == _ln_fixed(n, width)
+        if isinstance(m, ExpOf):
+            # sums and multiples of integral exponents stay ints, and only they do
+            for node in (m, n):
+                assert (type(node.ln) is int) == (node.ln.denominator == 1), node
+    assert _answer(digit_count, as_int) == _answer(digit_count, as_fraction)
+    assert render_magnitude(as_int) == render_magnitude(as_fraction)
