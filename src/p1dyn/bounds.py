@@ -13,8 +13,9 @@ Q built from them.  BOUND_ORDER is the order tables and reports list them in.
 Each label is assembled from terms that depend on s alone, built once per s,
 by products with d or d - 1 and sums.  A table is built from log2 brackets
 alone, with no log interval, so sharing those terms pays when it is rendered:
-every node memoizes its log intervals (see the magnitude docstring), and the
-digit counts of each degree at one s read the shared nodes' ones once made.
+every node keeps its last log interval (see the magnitude docstring), and the
+digit counts of each degree at one s, all decided at the ladder's first width,
+read the shared nodes' intervals once made.
 """
 
 from functools import lru_cache

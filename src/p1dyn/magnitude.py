@@ -12,13 +12,13 @@ dominance once, when it is built; by Lindemann-Weierstrass any other node
 they build is irrational or past the ceiling, so only an Exact node ever
 materializes.  Nodes built by hand, bypassing the constructors, are outside
 this contract.  Everything else is compared by the log2 brackets the nodes
-store (below), and where those overlap through interval arithmetic on
-natural logarithms with integer endpoints at scale 2^-(prec+16), doubling
-the working precision prec until the comparison is decided.  Two Sums that
-share parts and that the first precision leaves unseparated are compared by
-their unshared parts, since a + c compares with b + c exactly as a with b.
-A comparison that cannot be decided, such as a Sum against its own buried
-head, raises rather than guessing.
+store (below).  Where those overlap, two Sums that share parts are compared
+by their unshared parts, since a + c compares with b + c exactly as a with
+b, and any other pair through interval arithmetic on natural logarithms
+with integer endpoints at scale 2^-(prec+16), doubling the working
+precision prec from 128 until the comparison is decided; digit_count climbs
+the same ladder.  A comparison that cannot be decided, such as a Sum
+against its own buried head, raises rather than guessing.
 
 Every endpoint is rounded outward (directed rounding), so it is a true
 bound.  The logarithms of integers come from the atanh series
@@ -38,15 +38,13 @@ Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
 
 Beyond its fields, every node stores its canonical sort key and its hash,
 both made once in its constructor from its children's stored ones, and one
-interval from _ln_fixed for each width it was asked at on the doubling ladder
-(prec = 64 * 2^k up to the ceiling, at most 8 widths; other widths are not
-kept, so the memo stays bounded).  Nodes are immutable and _ln_fixed is
-deterministic at a given width, so none of these goes stale.  The
-constructors' canonical sorts, equality and hashing read the stored key and
-hash, and every comparison and digit count that meets a node, in max_of or
-later, computes its interval at each width once.  So the comparisons the
-brackets below leave open and a report's digit counts, whose ladders start at
-different widths, each find their own intervals on the nodes trees share.
+slot: its last _ln_fixed interval with the width it was made at.  Nodes are
+immutable and _ln_fixed is deterministic at a given width, so none of these
+goes stale.  The constructors' canonical sorts, equality and hashing read the
+stored key and hash.  The ladder's first width, 144, decides every digit
+count of the bound tables, so the digit counts of a report find each shared
+node's interval made once; a climb past 144 replaces the slot, and the next
+ask at 144 computes the interval again.
 
 Each node also stores integers lo <= log2(value) <= hi, made in its
 constructor from its children's, each rule rounding outward: (b, b) for
@@ -71,12 +69,10 @@ from .intarith import int_digits
 from .record import Record, _set
 
 EXACT_DIGIT_CEILING = 10**6
-_PREC_START = 64
-_PREC_CEILING = 1 << 13
 _GUARD_BITS = 16
-# the widths compare's and digit_count's doubling ladders reach, the only ones a node keeps
-_LADDER_WIDTHS = frozenset((_PREC_START << k) + _GUARD_BITS
-                           for k in range((_PREC_CEILING // _PREC_START).bit_length()))
+# the one ladder of working widths compare and digit_count climb: prec 128, doubling
+# to the precision ceiling, 8192
+_WIDTHS = tuple((128 << k) + _GUARD_BITS for k in range(7))
 
 
 class Comparison(enum.Enum):
@@ -98,8 +94,8 @@ class _Node(Record):
 
     ``_key``, ``_hash`` and the integer bracket ``_log2`` = ``(lo, hi)`` (or
     None) are set in ``__init__``.  ``_ln`` is None until the first
-    ``_ln_fixed`` result at a ladder width, then a dict from each such width
-    to its ``(lo, hi)``.  Equality reads the key.
+    ``_ln_fixed`` result, then ``(width, (lo, hi))`` of the last one.
+    Equality reads the key.
     """
 
     __slots__ = ("_key", "_hash", "_log2", "_ln")
@@ -150,8 +146,8 @@ class ExpOf(_Node):
         _set(self, "ln", ln)
         key = (1, ln)
         log2 = None  # a negative exponent, built by hand, would round the wrong way
-        if ln >= 0:  # log2 e^q = q / ln 2, at digit_count's first width, whose ln 2 is cached
-            width = 2 * _PREC_START + _GUARD_BITS
+        if ln >= 0:  # log2 e^q = q / ln 2, at the ladder's first width, whose ln 2 is cached
+            width = _WIDTHS[0]
             l2_lo, l2_hi = _ln2_fixed(width)
             num, den = ln.numerator << width, ln.denominator
             log2 = num // (den * l2_hi), -(-num // (den * l2_lo))
@@ -247,10 +243,6 @@ def power(base: Magnitude, exponent: int) -> Magnitude:
     return Power(base, exponent)
 
 
-def _is_zero(m: Magnitude) -> bool:
-    return isinstance(m, Exact) and m.value == 0
-
-
 def _flatten(parts, node_type) -> list:
     """The parts, with each node of node_type replaced by its own parts."""
     flat: list[Magnitude] = []
@@ -298,16 +290,28 @@ def prod_of(*parts: Magnitude) -> Magnitude:
 
 
 def sum_of(*parts: Magnitude) -> Magnitude:
+    """The sum, its parts k * core of one core merged into one; a core seen once keeps its node.
+
+    k is a Prod's leading Exact part and the core the rest; any other part is 1 * itself.
+    """
     acc_exact = 0
     exacts: list[Exact] = []
-    counts: dict = {}
+    cores: dict = {}  # each core's parts to [its k summed, its part while seen once]
     for p in _flatten(parts, Sum):
         if isinstance(p, Exact):
             acc_exact += p.value
             exacts.append(p)
+            continue
+        k, core = 1, (p.parts if isinstance(p, Prod) else (p,))
+        if isinstance(core[0], Exact):  # only a Prod's sorted parts start with one
+            k, core = core[0].value, core[1:]
+        seen = cores.get(core)
+        if seen is None:
+            cores[core] = [k, p]
         else:
-            counts[p] = counts.get(p, 0) + 1
-    grouped = [p if k == 1 else prod_of(Exact(k), p) for p, k in counts.items()]
+            seen[0] += k
+            seen[1] = None
+    grouped = [prod_of(Exact(k), *core) if p is None else p for core, (k, p) in cores.items()]
     if acc_exact:
         grouped.append(_folded(exacts, acc_exact))
     if not grouped:
@@ -444,17 +448,16 @@ def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
 def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
     """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
 
-    Every rounding step widens the interval, never narrows it.  At a ladder
-    width the node keeps the result beside those of its other widths, so a
-    tree asked again at that width, or a tree that shares the node, reads it
-    instead of walking it.
+    Every rounding step widens the interval, never narrows it.  The node keeps
+    the result in its slot, so a tree asked again at that width, or a tree
+    that shares the node, reads it instead of walking it.
     """
     try:
         memo = m._ln
     except AttributeError:
         raise MagnitudeInputError(f"not a magnitude: {m!r}") from None
-    if memo is not None and width in memo:
-        return memo[width]
+    if memo is not None and memo[0] == width:
+        return memo[1]
     if isinstance(m, Exact):
         iv = None if m.value == 0 else _ln_int_fixed(m.value, width)
     elif isinstance(m, ExpOf):
@@ -471,11 +474,7 @@ def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
             iv = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
         else:
             iv = _ln_exp_sum(ivs, width)
-    if width in _LADDER_WIDTHS:
-        if memo is None:
-            memo = {}
-            _set(m, "_ln", memo)
-        memo[width] = iv
+    _set(m, "_ln", (width, iv))
     return iv
 
 
@@ -507,33 +506,31 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
     """Rigorous three-way comparison; raises IndistinguishableError if stuck.
 
     Disjoint stored log2 brackets decide first; they are true bounds, so the
-    ladder, wherever it decides, agrees.  Two Sums that share parts and that the first
-    rung leaves unseparated are compared by their unshared parts (a + c
-    against b + c is a against b, as magnitudes are reals); a Sum against its
-    own buried head still raises.
+    ladder, wherever it decides, agrees.  Two Sums that share parts are then
+    compared by their unshared parts (a + c against b + c is a against b, as
+    magnitudes are reals); any other pair climbs the ladder.  A Sum against
+    its own buried head still raises.
     """
-    if m1 == m2:
+    if m1 == m2:  # equal Exact values, zero among them, are equal nodes
         return Comparison.EQUAL
-    z1, z2 = _is_zero(m1), _is_zero(m2)
-    if z1 or z2:
-        if z1 and z2:
-            return Comparison.EQUAL
-        return Comparison.LESS if z1 else Comparison.GREATER
     v1 = force_exact(m1)
     v2 = force_exact(m2)
     if v1 is not None and v2 is not None:
-        if v1 == v2:
-            return Comparison.EQUAL
         return Comparison.LESS if v1 < v2 else Comparison.GREATER
+    if v1 == 0 or v2 == 0:  # zero lies below every other magnitude, and has no log
+        return Comparison.LESS if v1 == 0 else Comparison.GREATER
     b1, b2 = m1._log2, m2._log2
     if b1 is not None and b2 is not None:
         if b1[1] < b2[0]:
             return Comparison.LESS
         if b1[0] > b2[1]:
             return Comparison.GREATER
-    prec = _PREC_START
-    while prec <= _PREC_CEILING:
-        width = prec + _GUARD_BITS
+    if isinstance(m1, Sum) and isinstance(m2, Sum):
+        parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
+        if parts1 & parts2:
+            return compare(sum_of(*(parts1 - parts2).elements()),
+                           sum_of(*(parts2 - parts1).elements()))
+    for width in _WIDTHS:
         lo1, hi1 = _ln_fixed(m1, width)
         lo2, hi2 = _ln_fixed(m2, width)
         if hi1 < lo2:
@@ -542,38 +539,28 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
             return Comparison.GREATER
         if lo1 == hi1 == lo2 == hi2:
             return Comparison.EQUAL  # both logs pinned to the same dyadic rational
-        if prec == _PREC_START and isinstance(m1, Sum) and isinstance(m2, Sum):
-            parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
-            if parts1 & parts2:
-                return compare(sum_of(*(parts1 - parts2).elements()),
-                               sum_of(*(parts2 - parts1).elements()))
-        prec *= 2
     raise IndistinguishableError(
-        f"magnitudes not separated at {_PREC_CEILING} bits of precision"
+        f"magnitudes not separated at {_WIDTHS[-1] - _GUARD_BITS} bits of precision"
     )
 
 
 def digit_count(m: Magnitude) -> int:
     """floor(log10(m)) + 1, correct to within 1; exact for materialized values.
 
-    The ladder starts at 128 bits, not compare's 64: the count divides ln m by
-    ln 10, so its error grows with ln m, and 64 bits are too coarse to pin the
-    count of a bound-table constant whose log is near 2^77.
+    It climbs compare's ladder, from 128 bits: the count divides ln m by ln 10,
+    so its error grows with ln m, and 64 bits are too coarse to pin the count
+    of a bound-table constant whose log is near 2^77.
     """
     v = force_exact(m)
     if v is not None:
         return int_digits(v)
-    prec = 2 * _PREC_START
-    while True:
-        width = prec + _GUARD_BITS
+    for width in _WIDTHS:
         lo, hi = _ln_fixed(m, width)
         l10_lo, l10_hi = _ln_int_fixed(10, width)
         f_lo = lo // l10_hi
         f_hi = hi // l10_lo
         if f_lo == f_hi:
             return f_lo + 1
-        if prec >= _PREC_CEILING:
-            if f_hi - f_lo == 1:
-                return f_hi + 1  # true count is f_lo+1 or f_hi+1: within 1 either way
-            raise IndistinguishableError("digit count not pinned at the precision ceiling")
-        prec *= 2
+    if f_hi - f_lo == 1:
+        return f_hi + 1  # true count is f_lo+1 or f_hi+1: within 1 either way
+    raise IndistinguishableError("digit count not pinned at the precision ceiling")

@@ -369,7 +369,7 @@ def ladder_compare(m1, m2):
     """compare without the stored log2 brackets: the zero and exact checks, then the ladder.
 
     Each rung reads the library's _ln_fixed at the module's current
-    precision settings, so a test that patches them patches both.
+    widths, so a test that patches them patches both.
     """
     if m1 == m2:
         return Comparison.EQUAL
@@ -383,9 +383,7 @@ def ladder_compare(m1, m2):
         if v1 == v2:
             return Comparison.EQUAL
         return Comparison.LESS if v1 < v2 else Comparison.GREATER
-    prec = magnitude._PREC_START
-    while prec <= magnitude._PREC_CEILING:
-        width = prec + magnitude._GUARD_BITS
+    for width in magnitude._WIDTHS:
         lo1, hi1 = magnitude._ln_fixed(m1, width)
         lo2, hi2 = magnitude._ln_fixed(m2, width)
         if hi1 < lo2:
@@ -394,12 +392,11 @@ def ladder_compare(m1, m2):
             return Comparison.GREATER
         if lo1 == hi1 == lo2 == hi2:
             return Comparison.EQUAL
-        if prec == magnitude._PREC_START and isinstance(m1, Sum) and isinstance(m2, Sum):
+        if width == magnitude._WIDTHS[0] and isinstance(m1, Sum) and isinstance(m2, Sum):
             parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
             if parts1 & parts2:
                 return ladder_compare(sum_of(*(parts1 - parts2).elements()),
                                       sum_of(*(parts2 - parts1).elements()))
-        prec *= 2
     raise IndistinguishableError("magnitudes not separated at the precision ceiling")
 
 

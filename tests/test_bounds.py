@@ -258,7 +258,7 @@ def test_a_grid_pass_computes_each_interval_once():
 
     def counting(m, width):
         nonlocal depth
-        if m._ln is None or width not in m._ln:  # not yet in the node's memo
+        if m._ln is None or m._ln[0] != width:  # not in the node's slot
             computed[id(m), width] += 1
             kept.append(m)  # a kept node's id is never reused
         if depth == 0:

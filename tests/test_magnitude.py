@@ -6,6 +6,7 @@ direct integer arithmetic) before the engine existed.
 """
 
 import contextlib
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from p1dyn import magnitude
 from p1dyn.bounds import BOUND_ORDER, aggregate_bounds, unit_equation_bound
+from p1dyn.cli import main
 from p1dyn.magnitude import (
     Comparison,
     Exact,
@@ -74,6 +76,15 @@ def test_constructor_canonical_forms():
     # identical symbolic parts group into a scalar multiple
     s = sum_of(exp_of(4), exp_of(4), exp_of(4))
     assert s == prod_of(exact(3), exp_of(4))
+    # and merge with the scalar multiples of the same core
+    e = exp_of(1)
+    four_e = sum_of(e, e, prod_of(exact(2), e))
+    assert four_e == prod_of(exact(4), e)
+    assert compare(four_e, prod_of(exact(4), e)) is Comparison.EQUAL
+    assert sum_of(e, prod_of(exact(2), e), prod_of(exact(3), e)) == prod_of(exact(6), e)
+    t = power(exact(10), 2 * 10**6)
+    assert sum_of(prod_of(e, t), prod_of(exact(2), e, t)) == prod_of(exact(3), e, t)
+    assert sum_of(e, prod_of(exact(2), e, t)) == Sum((e, prod_of(exact(2), e, t)))
     # order of construction never matters
     assert sum_of(exact(2), exp_of(5)) == sum_of(exp_of(5), exact(2))
     assert prod_of(exact(3), exp_of(5), exact(4)) == prod_of(exact(12), exp_of(5))
@@ -503,7 +514,7 @@ def test_stored_keys_match_the_naive_oracle(a, b, data):
     parts = [a, b, twin]
     # max_of visits its parts in canonical order, so its answer is order-free
     # at any precision ceiling; a low one keeps undecided comparisons cheap
-    with mock.patch.object(magnitude, "_PREC_CEILING", 256):
+    with mock.patch.object(magnitude, "_WIDTHS", magnitude._WIDTHS[:2]):  # ceiling 256
         for build in (sum_of, prod_of, max_of):
             m = build(*parts)
             assert m._key == naive_key(m)
@@ -537,30 +548,30 @@ def test_memo_never_changes_an_answer(a, b, order):
     for width in (80, 144, 1040, 144, 80):
         for m in (a, b):
             assert _ln_fixed(m, width) == _ln_fixed(_rebuild(m), width)
-            assert m._ln[width] == _ln_fixed(m, width)
+            assert m._ln == (width, _ln_fixed(m, width))  # the slot holds the last width
 
 
-def test_every_memo_keeps_at_most_one_interval_per_ladder_width():
-    ladder = {(64 << k) + 16 for k in range(8)}  # the widths of precisions 64..8192
-
-    def check(*roots):
-        for root in roots:
-            for m in _nodes(root):
-                assert m._ln is None or (len(m._ln) <= 8 and set(m._ln) <= ladder)
+def test_every_node_keeps_one_interval_at_the_last_width_asked(tmp_path):
+    def widths(*roots):
+        return {None if m._ln is None else m._ln[0] for root in roots for m in _nodes(root)}
 
     tables = [aggregate_bounds(d, s) for s in range(1, 17) for d in range(2, 34)]
     for table in tables:
         for label in BOUND_ORDER:
             digit_count(table[label])
-        check(*table.values())
+    for text in ("z^2-29/16", "[X^3+2*Y^3:X*Y^2]"):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--map", text, "--height", "1024", "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        tables.append(aggregate_bounds(report["map"]["degree"], report["s"]))  # the cached table
+    # every digit count of the grid and of both reports is decided at the first width
+    assert widths(*(m for table in tables for m in table.values())) <= {None, 144}
     probe = _rebuild(_CLOSE_HEADS)
     assert compare(probe, sum_of(probe, exact(1))) is Comparison.LESS
-    assert 512 + 16 in probe._ln  # the comparison escalated to 512 bits
-    check(probe)
-    for prec in [64 << k for k in range(8)] + [20 + 50 * k for k in range(12)]:
+    assert widths(probe) == {512 + 16}  # the comparison escalated to 512 bits
+    for prec in [128 << k for k in range(7)] + [20 + 50 * k for k in range(12)]:
         ln_interval(probe, prec)
-    check(probe)
-    assert len(probe._ln) == 8
+        assert widths(probe) == {prec + 16}
 
 
 @settings(max_examples=100, deadline=None)

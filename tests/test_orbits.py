@@ -280,6 +280,44 @@ def test_known_answer_maps_at_every_degree(known):
         len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), False)
 
 
+# the parameters of the Walde-Russo families: |numerator|, denominator <= 8
+_PARAMETER = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8))
+
+
+def _walde_russo(family: str, t: Fraction):
+    """c and the cycles of z^2 + c, each a frozenset, that the family predicts at t."""
+    if family == "fixed":  # c = 1/4 - rho^2: the fixed points 1/2 + rho and 1/2 - rho
+        return Fraction(1, 4) - t * t, {frozenset({Fraction(1, 2) + s}) for s in (t, -t)}
+    if family == "2-cycle":  # c = -3/4 - sigma^2, sigma != 0: the 2-cycle -1/2 +- sigma
+        return Fraction(-3, 4) - t * t, {frozenset({Fraction(-1, 2) + t, Fraction(-1, 2) - t})}
+    # c(tau), tau not 0 or -1: the 3-cycle through (tau^3 + 2tau^2 + tau + 1) / (2tau(tau + 1))
+    c = -(t**6 + 2 * t**5 + 4 * t**4 + 8 * t**3 + 9 * t**2 + 4 * t + 1) / (4 * t**2 * (t + 1)**2)
+    x = (t**3 + 2 * t**2 + t + 1) / (2 * t * (t + 1))
+    return c, {frozenset({x, x * x + c, (x * x + c)**2 + c})}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("fixed", "2-cycle", "3-cycle")), _PARAMETER)
+@example("3-cycle", Fraction(7, 8))  # the family's largest threshold here, T = 8,214,529
+@example("2-cycle", Fraction(-8, 3))
+@example("fixed", Fraction(0))  # c = 1/4: one double fixed point
+def test_walde_russo_families_at_the_escape_threshold(family, t):
+    # Walde-Russo parametrize the rational cycles of length 1, 2 and 3 of z^2 + c; no
+    # rational 4-cycle (Morton) or 5-cycle (Flynn-Poonen-Schaefer) exists, and -x is
+    # preperiodic whenever x is, as (-x)^2 + c = x^2 + c
+    assume(family == "fixed" or t != 0)
+    assume(family != "3-cycle" or t != -1)
+    c, predicted = _walde_russo(family, t)
+    pair = rational_pair([1, 0, c], [0, 0, 1])
+    inv = enumerate_preperiodic(pair, escape_threshold(pair))
+    assert not inv.incomplete
+    finite = inv.preper - {INFINITY}
+    assert predicted <= {frozenset(p.as_fraction() for p in cyc) for cyc in inv.cycles
+                         if INFINITY not in cyc}
+    assert {ProjPoint(-p.x, p.y) for p in finite} == finite
+    assert not any(len(cyc) in (4, 5) for cyc in inv.cycles)
+
+
 def test_lattes_map_of_y2_equals_x3_plus_1():
     # a rational x is preperiodic exactly when (x, sqrt(x^3 + 1)) is a torsion point
     # of y^2 = x^3 + 1 or of a twist (Mazur): x in {-1, 0, 2} and infinity
