@@ -1,6 +1,7 @@
 """The README library block and the demos use only the public API, and run."""
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,16 @@ import p1dyn
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the sha256 of each demo's stdout: every demo is deterministic, so a change to
+# any output the demos print shows here
+STDOUT_SHA256 = {
+    "01_distances.py": "dd3dca2b3953a8d4dd9c7899b6473f1d9d99456b99edde1c3e7153613378185e",
+    "02_maps_and_reduction.py": "baa868b836a9a9180e455b48c2ce19e3766755de24ca7fc5548cb8c28a4df3ed",
+    "03_preperiodic_inventory.py": "5f5fac7dc0a38d9c4e22390163c86f6c2d1f5a20e4f186fadcba7bae0686279e",
+    "04_count_bounds.py": "5e203a91f37770d834c03c034d96f6627d93cb2bdd0317195ddda00db773f851",
+    "05_verification.py": "0ab35c6d79769da9e6467c1847bc1add972551159b16a6d51559d4b64f99a05e",
+    "06_quadratic_sweep.py": "77ffbbcda882808abf8b82835be4e0925bb6a647ec4a118e48ad4173e6ccf72b",
+}
 
 
 def _p1dyn_imports(source: str) -> set[str]:
@@ -38,3 +49,4 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == STDOUT_SHA256[demo]
