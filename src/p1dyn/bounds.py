@@ -4,18 +4,15 @@ Everything here is a closed-form function of the map degree d and the
 number of places s (the archimedean place plus the primes of bad
 reduction).  The values explode quickly: already for s = 1 the five-term
 unit equation constant C5 is e^(30^15), far beyond any integer that fits
-in memory, so results are magnitude trees rather than ints.
+in memory, so results are magnitudes rather than ints.
 
 Each bound has one name, its label in the paper: the S-unit constants B,
 C3 and C5, the tail caps L1..L4, and the counts CV, T, TPLA, FPLA, L and
 Q built from them.  BOUND_ORDER is the order tables and reports list them in.
 
 Each label is assembled from terms that depend on s alone, built once per s,
-by products with d or d - 1 and sums.  A table is built from log2 brackets
-alone, with no log interval, so sharing those terms pays when it is rendered:
-every node keeps its last log interval (see the magnitude docstring), and the
-digit counts of each degree at one s, all decided at the ladder's first width,
-read the shared nodes' intervals once made.
+by products with d or d - 1 and sums.  The maxima of a table are decided by
+log2 brackets alone, with no log interval.
 """
 
 from functools import lru_cache

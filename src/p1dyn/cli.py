@@ -325,6 +325,11 @@ def _usage(command=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _named(token: str) -> str:
+    """A bad token as an error names it: quoted, or by its length past 60 characters."""
+    return repr(token) if len(token) <= 60 else f"of {len(token)} characters"
+
+
 def _read_argv(argv):
     """(handler, namespace) for argv, the arguments after the program name.
 
@@ -351,7 +356,7 @@ def _read_argv(argv):
             raise SystemExit(0)
         name, eq, text = token.partition("=")
         if name not in by_name:
-            raise SystemExit(_fail(f"{command}: unrecognized argument {token!r}"))
+            raise SystemExit(_fail(f"{command}: unrecognized argument {_named(token)}"))
         if not eq:
             text = next(tokens, None)
             if text is None:
@@ -361,10 +366,14 @@ def _read_argv(argv):
             try:
                 text = int(text)
             except ValueError:
-                raise SystemExit(_fail(f"{command}: argument {name}: invalid int value {text!r}"))
+                limit = sys.get_int_max_str_digits()  # process-wide, so read, never raised
+                reason = (f"an integer of {len(text)} digits, past this interpreter's "
+                          f"limit of {limit} digits" if text.isdecimal() and len(text) > limit
+                          else f"invalid int value {_named(text)}")
+                raise SystemExit(_fail(f"{command}: argument {name}: {reason}"))
         elif kind is not str and text not in kind:
             choices = ", ".join(kind)
-            raise SystemExit(_fail(f"{command}: argument {name}: invalid choice {text!r} "
+            raise SystemExit(_fail(f"{command}: argument {name}: invalid choice {_named(text)} "
                                    f"(choose from {choices})"))
         values[_dest(name)] = text
     missing = ", ".join(flag for flag, _, default, _ in flags

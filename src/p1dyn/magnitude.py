@@ -1,69 +1,39 @@
 """Exact representation and rigorous comparison of astronomically large counts.
 
-A magnitude is a nonnegative value built from exact integers, pure
-exponentials e^q with exact rational q, integer powers, sums, products, and
-maxima.  An integral exponent q, as every one the bounds build is, is kept
-as an int, and a Fraction only otherwise: Fraction(n) == n and
-hash(Fraction(n)) == hash(n), so a key holding n compares, hashes and sorts
-as one holding Fraction(n), while sums, products and the text of exponents
-stay in int arithmetic.  The constructors fold every integer of at most
-EXACT_DIGIT_CEILING decimal digits into an Exact node, and max_of decides
-dominance once, when it is built; by Lindemann-Weierstrass any other node
-they build is irrational or past the ceiling, so only an Exact node ever
-materializes.  Nodes built by hand, bypassing the constructors, are outside
-this contract.  Everything else is compared by the log2 brackets the nodes
-store (below).  Where those overlap, two Sums that share parts are compared
-by their unshared parts, since a + c compares with b + c exactly as a with
-b, and any other pair through interval arithmetic on natural logarithms
-with integer endpoints at scale 2^-(prec+16), doubling the working
-precision prec from 128 until the comparison is decided; digit_count climbs
-the same ladder.  A comparison that cannot be decided, such as a Sum
-against its own buried head, raises rather than guessing.
+A magnitude is a nonnegative sum of terms c * b1^k1 * ... * e^q, each held as
+(c, powers, q): c a positive int, powers a sorted tuple of (base, k) with
+base^k an integer past EXACT_DIGIT_CEILING decimal digits, and q >= 0 an int,
+or a Fraction only when it is not integral, so the bounds' exponents stay in
+int arithmetic.  The terms are sorted and those of one (powers, q) merged,
+so equal formulas give equal term lists; zero is the empty sum.  power
+writes out every integer power within the ceiling, so by
+Lindemann-Weierstrass a magnitude is an integer that can be materialized
+exactly when it is one term with no power and q = 0.
 
-Every endpoint is rounded outward (directed rounding), so it is a true
-bound.  The logarithms of integers come from the atanh series
-ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) evaluated in fixed point.
-Every Sum is bounded by one rule, each end in full: the lower end as
-m + ln(1 + sum of e^(lo_i - m)) with m the largest lower end, the upper end
-the same way from the upper ends.  e^t comes from a fixed-point Taylor series
-after taking out a power of two, and ln(1 + C) from
-ln(2^width * (1 + C)) - width*ln(2), so every interval narrows as the
-precision grows.
-An interval is a single point only for Exact(1) and for an exponential with a
-dyadic exponent; beyond those, two constructor-built magnitudes compare EQUAL
-only when they are equal nodes.  A hand-built tree whose logarithm is a
-non-dyadic rational, such as Power(ExpOf(1/3), 3) against ExpOf(1), is outside
-the contract: it raises IndistinguishableError instead of answering EQUAL.
-Two exponents closer than the finest scale, 2^-(8192+16), do not separate.
+compare decides exact values and zero first, then integer brackets
+lo <= log2(value) <= hi from the terms, rounded outward: c's bit length, a
+power's base bracket times k, q / ln 2 over the far end of ln 2 at width
+144, and for n terms the maxima of the ends plus ceil(log2 n) on top.  The
+library's bounds lie thousands of bits apart, so these decide max_of and
+verify.  Next m1 - m2 is taken term by term: shared terms cancel, and one
+sign among the coefficients left is the answer.  Otherwise the positive
+part is compared with the negative part on intervals around natural
+logarithms with integer endpoints at scale 2^-(prec+16), doubling prec from
+128 to 8192 until they separate; digit_count climbs the same ladder.  What
+cannot be decided, such as e^(30^15) + 1 against e^(30^15 + 2^-9000),
+raises IndistinguishableError.
 
-Beyond its fields, every node stores its canonical sort key and its hash,
-both made once in its constructor from its children's stored ones, and one
-slot: its last _ln_fixed interval with the width it was made at.  Nodes are
-immutable and _ln_fixed is deterministic at a given width, so none of these
-goes stale.  The constructors' canonical sorts, equality and hashing read the
-stored key and hash.  The ladder's first width, 144, decides every digit
-count of the bound tables, so the digit counts of a report find each shared
-node's interval made once; a climb past 144 replaces the slot, and the next
-ask at 144 computes the interval again.
-
-Each node also stores integers lo <= log2(value) <= hi, made in its
-constructor from its children's, each rule rounding outward: (b, b) for
-Exact(2^b), (b, b + 1) for other Exact values in [2^b, 2^(b+1)), q / ln 2
-over the far bound on ln 2 at width 144 for ExpOf(q), the base's ends times
-e for a Power, the sums of the ends for a Prod, their maxima for a MaxOf,
-and for a Sum of n parts the maxima with ceil(log2 n) added on top.  A zero
-at or below a node, or a negative exponent built by hand, leaves None.  The
-library's bounds lie thousands of bits apart, so these brackets decide the
-comparisons of max_of and verify without any log interval.
+Every endpoint is rounded outward, so it is a true bound.  ln(n) comes from
+the atanh series ln(n) = e*ln(2) + 2*atanh((n - 2^e)/(n + 2^e)) in fixed
+point; a term adds those of c and its powers to q.  A sum's lower end is
+m + ln(1 + sum of e^(lo_i - m)) with m the largest lower end, its upper end
+the same from the upper ends, and e^t comes from a Taylor series after
+taking out a power of two, so every interval narrows as the precision grows.
 """
 
-from __future__ import annotations
-
 import enum
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 from .intarith import int_digits
 from .record import Record, _set
@@ -89,109 +59,38 @@ class MagnitudeInputError(ValueError):
     pass
 
 
-class _Node(Record):
-    """The memo slots of every node (the module docstring says why they are sound).
+class Magnitude(Record):
+    """A sum of terms (c, powers, q), each c * prod(base^k) * e^q, in canonical form."""
 
-    ``_key``, ``_hash`` and the integer bracket ``_log2`` = ``(lo, hi)`` (or
-    None) are set in ``__init__``.  ``_ln`` is None until the first
-    ``_ln_fixed`` result, then ``(width, (lo, hi))`` of the last one.
-    Equality reads the key.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("_key", "_hash", "_log2", "_ln")
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)
 
-    def __eq__(self, other):
-        if isinstance(other, _Node):
-            return self._hash == other._hash and self._key == other._key
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def ln(self) -> int | Fraction | None:
+        """q for a lone e^q with q > 0; None for any other magnitude."""
+        if len(self.terms) == 1 and self.terms[0][:2] == (1, ()):
+            return self.terms[0][2] or None  # q = 0 is exact(1)
+        return None
 
 
-def _seal(node: _Node, key: tuple, digest: int, log2: tuple | None) -> None:
-    _set(node, "_key", key)
-    _set(node, "_hash", digest)
-    _set(node, "_log2", log2)
-    _set(node, "_ln", None)
+def _terms(m) -> tuple:
+    if not isinstance(m, Magnitude):
+        raise MagnitudeInputError(f"not a magnitude: {m!r}")
+    return m.terms
 
 
-def _seal_parts(node: _Node, tag: int, parts: tuple, combine, spread: int = 0) -> None:
-    """Seal a node of parts; its bracket combines theirs end by end, plus spread on top."""
-    brackets = list(map(_bracket, parts))
-    log2 = None
-    if brackets and None not in brackets:
-        los, his = zip(*brackets)
-        log2 = combine(los), combine(his) + spread
-    _seal(node, (tag, tuple(map(_canonical, parts))),
-          hash((tag, tuple(map(_hashed, parts)))), log2)
+def _exponent(q: int | Fraction) -> int | Fraction:
+    return q.numerator if q.denominator == 1 else q  # an integral exponent is kept as an int
 
 
-class Exact(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        _set(self, "value", value)
-        key = (0, value)
-        b = value.bit_length() - 1
-        _seal(self, key, hash(key), None if value < 1 else (b, b if value == 1 << b else b + 1))
-
-
-class ExpOf(_Node):
-    __slots__ = ("ln",)
-
-    def __init__(self, ln: int | Fraction):
-        if ln.denominator == 1:
-            ln = ln.numerator  # an integral exponent is kept as an int
-        _set(self, "ln", ln)
-        key = (1, ln)
-        log2 = None  # a negative exponent, built by hand, would round the wrong way
-        if ln >= 0:  # log2 e^q = q / ln 2, at the ladder's first width, whose ln 2 is cached
-            width = _WIDTHS[0]
-            l2_lo, l2_hi = _ln2_fixed(width)
-            num, den = ln.numerator << width, ln.denominator
-            log2 = num // (den * l2_hi), -(-num // (den * l2_lo))
-        _seal(self, key, hash(key), log2)
-
-
-class Power(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Magnitude, exponent: int):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        b = base._log2
-        _seal(self, (2, base._key, exponent), hash((2, base._hash, exponent)),
-              None if b is None else (b[0] * exponent, b[1] * exponent))
-
-
-class Sum(_Node):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
-        # n parts sum to at most n times the largest: ceil(log2 n) more bits
-        _seal_parts(self, 3, parts, max, (len(parts) - 1).bit_length())
-
-
-class Prod(_Node):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
-        _seal_parts(self, 4, parts, sum)
-
-
-class MaxOf(_Node):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
-        _seal_parts(self, 5, parts, max)
-
-
-Magnitude = Exact | ExpOf | Power | Sum | Prod | MaxOf
-_canonical, _hashed, _bracket = attrgetter("_key"), attrgetter("_hash"), attrgetter("_log2")
+def _merged(terms) -> Magnitude:
+    """The sum of the terms, those of one (powers, q) merged into one."""
+    coeffs: dict = {}
+    for c, powers, q in terms:
+        coeffs[powers, q] = coeffs.get((powers, q), 0) + c
+    return Magnitude(tuple(sorted([(c, powers, q) for (powers, q), c in coeffs.items()])))
 
 
 def _digits_at_most(v: int, ceiling: int) -> bool:
@@ -207,7 +106,7 @@ def _digits_at_most(v: int, ceiling: int) -> bool:
 def exact(v: int) -> Magnitude:
     if type(v) is not int or v < 0:  # a bool is refused, not shown as True
         raise MagnitudeInputError("exact magnitudes are nonnegative integers")
-    return Exact(v)
+    return Magnitude(((v, (), 0),) if v else ())
 
 
 def exp_of(q) -> Magnitude:
@@ -215,133 +114,68 @@ def exp_of(q) -> Magnitude:
         raise MagnitudeInputError("exponential magnitudes need an int or Fraction exponent")
     if q < 0:
         raise MagnitudeInputError("exponential magnitudes need a nonnegative exponent")
-    if q == 0:
-        return Exact(1)
-    return ExpOf(q)
+    return Magnitude(((1, (), _exponent(q)),))
 
 
 def power(base: Magnitude, exponent: int) -> Magnitude:
+    """base^exponent; c^exponent is written out when it has at most EXACT_DIGIT_CEILING digits."""
     if type(exponent) is not int or exponent < 0:
         raise MagnitudeInputError("powers need a nonnegative integer exponent")
+    terms = _terms(base)
     if exponent == 0:
-        return Exact(1)
-    if exponent == 1:
+        return exact(1)
+    if exponent == 1 or not terms:
         return base
-    if isinstance(base, Exact):
-        if base.value in (0, 1):
-            return base
-        # the power has more than (bit_length - 1) * exponent * log10(2) digits
-        if (base.value.bit_length() - 1) * exponent * 30102 // 100000 <= EXACT_DIGIT_CEILING:
-            value = base.value**exponent
-            if _digits_at_most(value, EXACT_DIGIT_CEILING):
-                return Exact(value)
-        return Power(base, exponent)
-    if isinstance(base, ExpOf):
-        return ExpOf(base.ln * exponent)
-    if isinstance(base, Power):
-        return power(base.base, base.exponent * exponent)
-    return Power(base, exponent)
+    if len(terms) > 1:
+        raise MagnitudeInputError("powers of a sum of two or more terms are not built")
+    c, powers, q = terms[0]
+    term = 1, tuple((b, k * exponent) for b, k in powers), q * exponent
+    # c^exponent has more than (bit_length - 1) * exponent * log10(2) digits
+    if (c.bit_length() - 1) * exponent * 30102 // 100000 <= EXACT_DIGIT_CEILING:
+        value = c**exponent
+        if _digits_at_most(value, EXACT_DIGIT_CEILING):
+            return Magnitude((_times((value, (), 0), term),))
+    return Magnitude((_times((1, ((c, exponent),), 0), term),))
 
 
-def _flatten(parts, node_type) -> list:
-    """The parts, with each node of node_type replaced by its own parts."""
-    flat: list[Magnitude] = []
-    for p in parts:
-        if isinstance(p, node_type):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat
-
-
-def _folded(exacts: list, value) -> Exact:
-    """The constant part folded to value: the one Exact part itself when only one was seen."""
-    return exacts[0] if len(exacts) == 1 else Exact(value)
+def _times(t1: tuple, t2: tuple) -> tuple:
+    """The product of two terms."""
+    c1, p1, q1 = t1
+    c2, p2, q2 = t2
+    if p1 and p2:
+        merged = dict(p1)
+        for b, k in p2:
+            merged[b] = merged.get(b, 0) + k
+        p1 = tuple(sorted(merged.items()))
+    return c1 * c2, p1 or p2, _exponent(q1 + q2)
 
 
 def prod_of(*parts: Magnitude) -> Magnitude:
-    acc_exact = 1
-    exacts: list[Exact] = []
-    acc_ln = 0
-    powers: dict = {}
-    rest: list[Magnitude] = []
-    for p in _flatten(parts, Prod):
-        if isinstance(p, Exact):
-            if not p.value:
-                return p
-            acc_exact *= p.value
-            exacts.append(p)
-        elif isinstance(p, ExpOf):
-            acc_ln += p.ln
-        elif isinstance(p, Power):
-            powers[p.base] = powers.get(p.base, 0) + p.exponent
-        else:
-            rest.append(p)
-    rest += [power(base, e) for base, e in powers.items()]  # the sort below orders them
-    if acc_ln:
-        rest.append(ExpOf(acc_ln))
-    if acc_exact != 1:
-        rest.append(_folded(exacts, acc_exact))
-    if not rest:
-        return _folded(exacts, acc_exact)
-    if len(rest) == 1:
-        return rest[0]
-    return Prod(tuple(sorted(rest, key=_canonical)))
+    """The product, multiplied out term by term and merged after each factor."""
+    acc, *rest = parts or (exact(1),)
+    _terms(acc)  # a lone part is returned as it is, so it is checked here
+    for p in rest:
+        terms = _terms(p)
+        acc = _merged([_times(t1, t2) for t1 in acc.terms for t2 in terms])
+    return acc
 
 
 def sum_of(*parts: Magnitude) -> Magnitude:
-    """The sum, its parts k * core of one core merged into one; a core seen once keeps its node.
-
-    k is a Prod's leading Exact part and the core the rest; any other part is 1 * itself.
-    """
-    acc_exact = 0
-    exacts: list[Exact] = []
-    cores: dict = {}  # each core's parts to [its k summed, its part while seen once]
-    for p in _flatten(parts, Sum):
-        if isinstance(p, Exact):
-            acc_exact += p.value
-            exacts.append(p)
-            continue
-        k, core = 1, (p.parts if isinstance(p, Prod) else (p,))
-        if isinstance(core[0], Exact):  # only a Prod's sorted parts start with one
-            k, core = core[0].value, core[1:]
-        seen = cores.get(core)
-        if seen is None:
-            cores[core] = [k, p]
-        else:
-            seen[0] += k
-            seen[1] = None
-    grouped = [prod_of(Exact(k), *core) if p is None else p for core, (k, p) in cores.items()]
-    if acc_exact:
-        grouped.append(_folded(exacts, acc_exact))
-    if not grouped:
-        return _folded(exacts, acc_exact)
-    if len(grouped) == 1:
-        return grouped[0]
-    return Sum(tuple(sorted(grouped, key=_canonical)))
+    return _merged(t for p in parts for t in _terms(p))
 
 
 def max_of(*parts: Magnitude) -> Magnitude:
-    """The maximum, with dominance decided here, once.
+    """The part that no other part beats under compare, visited in canonical order.
 
-    A part that another part provably bounds (their comparison is not LESS)
-    is dropped; parts are visited in canonical order, so argument order
-    never changes the result.  What is left is the one dominant part, or a
-    MaxOf of the parts no comparison could separate.
+    A part that compare cannot order against the largest so far raises.
     """
-    kept: list[Magnitude] = []
-    for p in sorted(set(_flatten(parts, MaxOf)), key=_canonical):
-        verdicts = []
-        for q in kept:
-            try:
-                verdicts.append(compare(p, q))
-            except IndistinguishableError:
-                verdicts.append(None)
-        if all(v in (Comparison.GREATER, None) for v in verdicts):
-            kept = [q for q, v in zip(kept, verdicts) if v is None] + [p]
-    if not kept:
+    if not parts:
         raise MagnitudeInputError("max of nothing")
-    return kept[0] if len(kept) == 1 else MaxOf(tuple(kept))
+    top, *rest = sorted(parts, key=_terms)
+    for p in rest:
+        if compare(p, top) is Comparison.GREATER:
+            top = p
+    return top
 
 
 # --- fixed-point logarithms with directed rounding -------------------------
@@ -430,7 +264,7 @@ def _exp_neg_fixed(t: int, width: int) -> tuple[int, int]:
 def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
     """Bounds on ln(sum of e^(x * 2^-width)) * 2^width, each x within its (lo, hi).
 
-    The rule for every Sum.  With m the largest end on a side, the sum is
+    The rule for every sum.  With m the largest end on a side, the sum is
     e^m * (1 + C) for C the sum of e^(x - m) over the other ends, and
     ln(1 + C) = ln(2^width * (1 + C)) - width * ln 2.
     """
@@ -445,73 +279,69 @@ def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
             top_hi + _ln_int_fixed(s_hi, width)[1] - width * l2_lo)
 
 
-def _ln_fixed(m: Magnitude, width: int) -> tuple[int, int] | None:
-    """(lo, hi) with lo * 2^-width <= ln(m) <= hi * 2^-width; None for zero.
+def _ln_term(term: tuple, width: int) -> tuple[int, int]:
+    """Bounds on ln(c * prod(base^k) * e^q) * 2^width."""
+    c, powers, q = term
+    lo, hi = _ln_int_fixed(c, width)
+    for base, k in powers:
+        b_lo, b_hi = _ln_int_fixed(base, width)
+        lo += k * b_lo
+        hi += k * b_hi
+    num, den = q.numerator << width, q.denominator
+    return lo + num // den, hi - (-num // den)
 
-    Every rounding step widens the interval, never narrows it.  The node keeps
-    the result in its slot, so a tree asked again at that width, or a tree
-    that shares the node, reads it instead of walking it.
-    """
-    try:
-        memo = m._ln
-    except AttributeError:
-        raise MagnitudeInputError(f"not a magnitude: {m!r}") from None
-    if memo is not None and memo[0] == width:
-        return memo[1]
-    if isinstance(m, Exact):
-        iv = None if m.value == 0 else _ln_int_fixed(m.value, width)
-    elif isinstance(m, ExpOf):
-        num, den = m.ln.numerator << width, m.ln.denominator
-        iv = num // den, -(-num // den)
-    elif isinstance(m, Power):
-        lo, hi = _ln_fixed(m.base, width)
-        iv = lo * m.exponent, hi * m.exponent
-    else:
-        ivs = [_ln_fixed(p, width) for p in m.parts]
-        if isinstance(m, Prod):
-            iv = sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
-        elif isinstance(m, MaxOf):
-            iv = max(lo for lo, _ in ivs), max(hi for _, hi in ivs)
-        else:
-            iv = _ln_exp_sum(ivs, width)
-    _set(m, "_ln", (width, iv))
-    return iv
+
+def _ln_fixed(terms: tuple, width: int) -> tuple[int, int]:
+    """(lo, hi) with lo * 2^-width <= ln(sum of terms) <= hi * 2^-width, for nonempty terms."""
+    if len(terms) == 1:
+        return _ln_term(terms[0], width)
+    return _ln_exp_sum([_ln_term(t, width) for t in terms], width)
 
 
 def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:
     """Rigorous bounds on ln(m) as rationals; None for the zero magnitude."""
     if type(prec) is not int or prec < 1:
         raise MagnitudeInputError("log intervals need a positive integer precision")
-    width = prec + _GUARD_BITS
-    iv = _ln_fixed(m, width)
-    if iv is None:
+    terms = _terms(m)
+    if not terms:
         return None
+    width = prec + _GUARD_BITS
+    iv = _ln_fixed(terms, width)
     return Fraction(iv[0], 1 << width), Fraction(iv[1], 1 << width)
 
 
-def force_exact(m: Magnitude) -> int | None:
-    """The value of an Exact node within the digit ceiling; None for any other node.
+def _log2_bracket(terms: tuple) -> tuple[int, int]:
+    """Integers lo <= log2(sum of terms) <= hi for nonempty terms, each end rounded outward."""
+    width = _WIDTHS[0]  # the ladder's first width, whose ln 2 is cached
+    l2_lo, l2_hi = _ln2_fixed(width)
+    los, his = [], []
+    for c, powers, q in terms:
+        # log2 v lies in [bit_length(v) - 1, bit_length(v - 1)], a point for v = 2^b
+        lo, hi = c.bit_length() - 1, (c - 1).bit_length()
+        for base, k in powers:
+            lo += k * (base.bit_length() - 1)
+            hi += k * (base - 1).bit_length()
+        num, den = q.numerator << width, q.denominator  # log2 e^q = q / ln 2
+        los.append(lo + num // (den * l2_hi))
+        his.append(hi - (-num // (den * l2_lo)))
+    # n terms sum to at most n times the largest: ceil(log2 n) more bits
+    return max(los), max(his) + (len(his) - 1).bit_length()
 
-    A leaf check: no other node the constructors build could materialize (the
-    module docstring gives the rule); nodes built by hand are outside it.
-    """
-    if isinstance(m, Exact):
-        return m.value if _digits_at_most(m.value, EXACT_DIGIT_CEILING) else None
-    if isinstance(m, (ExpOf, Power, Sum, Prod, MaxOf)):
-        return None
-    raise MagnitudeInputError(f"not a magnitude: {m!r}")
+
+def force_exact(m: Magnitude) -> int | None:
+    """The value of m when it is zero or one term with no power and q = 0, within the ceiling."""
+    terms = _terms(m)
+    if not terms:
+        return 0
+    c, powers, q = terms[0]
+    if len(terms) == 1 and not powers and not q and _digits_at_most(c, EXACT_DIGIT_CEILING):
+        return c
+    return None
 
 
 def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
-    """Rigorous three-way comparison; raises IndistinguishableError if stuck.
-
-    Disjoint stored log2 brackets decide first; they are true bounds, so the
-    ladder, wherever it decides, agrees.  Two Sums that share parts are then
-    compared by their unshared parts (a + c against b + c is a against b, as
-    magnitudes are reals); any other pair climbs the ladder.  A Sum against
-    its own buried head still raises.
-    """
-    if m1 == m2:  # equal Exact values, zero among them, are equal nodes
+    """Rigorous three-way comparison, in the module docstring's steps; raises if stuck."""
+    if m1 == m2:
         return Comparison.EQUAL
     v1 = force_exact(m1)
     v2 = force_exact(m2)
@@ -519,26 +349,28 @@ def compare(m1: Magnitude, m2: Magnitude) -> Comparison:
         return Comparison.LESS if v1 < v2 else Comparison.GREATER
     if v1 == 0 or v2 == 0:  # zero lies below every other magnitude, and has no log
         return Comparison.LESS if v1 == 0 else Comparison.GREATER
-    b1, b2 = m1._log2, m2._log2
-    if b1 is not None and b2 is not None:
-        if b1[1] < b2[0]:
-            return Comparison.LESS
-        if b1[0] > b2[1]:
-            return Comparison.GREATER
-    if isinstance(m1, Sum) and isinstance(m2, Sum):
-        parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
-        if parts1 & parts2:
-            return compare(sum_of(*(parts1 - parts2).elements()),
-                           sum_of(*(parts2 - parts1).elements()))
+    lo1, hi1 = _log2_bracket(m1.terms)
+    lo2, hi2 = _log2_bracket(m2.terms)
+    if hi1 < lo2:
+        return Comparison.LESS
+    if lo1 > hi2:
+        return Comparison.GREATER
+    diff = {(powers, q): c for c, powers, q in m1.terms}
+    for c, powers, q in m2.terms:
+        diff[powers, q] = diff.get((powers, q), 0) - c
+    above = tuple((c, powers, q) for (powers, q), c in diff.items() if c > 0)
+    below = tuple((-c, powers, q) for (powers, q), c in diff.items() if c < 0)
+    if not below:  # m1 != m2, so some coefficient is left
+        return Comparison.GREATER
+    if not above:
+        return Comparison.LESS
     for width in _WIDTHS:
-        lo1, hi1 = _ln_fixed(m1, width)
-        lo2, hi2 = _ln_fixed(m2, width)
+        lo1, hi1 = _ln_fixed(above, width)
+        lo2, hi2 = _ln_fixed(below, width)
         if hi1 < lo2:
             return Comparison.LESS
         if lo1 > hi2:
             return Comparison.GREATER
-        if lo1 == hi1 == lo2 == hi2:
-            return Comparison.EQUAL  # both logs pinned to the same dyadic rational
     raise IndistinguishableError(
         f"magnitudes not separated at {_WIDTHS[-1] - _GUARD_BITS} bits of precision"
     )
@@ -555,7 +387,7 @@ def digit_count(m: Magnitude) -> int:
     if v is not None:
         return int_digits(v)
     for width in _WIDTHS:
-        lo, hi = _ln_fixed(m, width)
+        lo, hi = _ln_fixed(m.terms, width)
         l10_lo, l10_hi = _ln_int_fixed(10, width)
         f_lo = lo // l10_hi
         f_hi = hi // l10_lo

@@ -6,13 +6,10 @@ fields that equality and hashing read, all of them unless the class says
 otherwise.  An instance equals only an instance of the same class whose
 compared fields are equal, hashes like those fields (their tuple, or the
 value of a lone field), and refuses assignment.  Each record class derives
-from Record itself, never from another record class, or from a base that
-declares only memo slots: values computed from the fields, which never go
-stale and are never fields.  The fields are the record class's own
-``__slots__``, the only slots repr, copy and pickle read, so a copy rebuilt
-through ``__init__`` starts with fresh memos.  ``magnitude._Node`` is the one
-such base, and compares and hashes by a stored key.  Nothing is generated
-when a record class is defined, so importing the package stays cheap.
+from Record itself, never from another record class; its fields are its own
+``__slots__``, the only slots repr, copy and pickle read.  Nothing is
+generated when a record class is defined, so importing the package stays
+cheap.
 """
 
 from operator import attrgetter

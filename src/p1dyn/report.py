@@ -9,7 +9,7 @@ decimal string.
 import json
 
 from .bounds import BOUND_ORDER, bound_table
-from .magnitude import ExpOf, digit_count, force_exact, int_digits
+from .magnitude import digit_count, force_exact, int_digits
 from .orbits import DynamicalInventory
 from .projline import format_point, point_sort_key
 from .ratmap import HomogPair, PlaceSet, ReductionProfile
@@ -38,7 +38,7 @@ def _magnitude_parts(m) -> tuple:
     v = force_exact(m)
     if v is not None:
         return "exact", int_digits(v), v
-    if isinstance(m, ExpOf):
+    if m.ln is not None:
         return "exp", digit_count(m), m.ln
     return "astronomical", digit_count(m), None
 

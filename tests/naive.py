@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
 import sympy
@@ -19,12 +18,8 @@ from hypothesis import strategies as st
 
 from p1dyn.bounds import BOUND_ORDER, unit_equation_bound
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
-from p1dyn import magnitude
 from p1dyn.intarith import factorize
-from p1dyn.magnitude import (
-    Comparison, Exact, ExpOf, IndistinguishableError, Power, Prod, Sum, exact, force_exact,
-    max_of, power, prod_of, sum_of,
-)
+from p1dyn.magnitude import exact, max_of, power, prod_of, sum_of
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
 from p1dyn.ratmap import make_pair
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
@@ -348,56 +343,6 @@ def naive_non_expansion(points, image, bad):
                                     witnesses=(f"{n} points, all pairs, good primes only",),
                                     parameters=(("points", n), ("checked", str(checked))))
     return report, source_checked
-
-
-def naive_key(m):
-    """The canonical sort key of a magnitude node, rebuilt from its fields all the way down."""
-    if isinstance(m, Exact):
-        return (0, m.value)
-    if isinstance(m, ExpOf):
-        return (1, m.ln)
-    if isinstance(m, Power):
-        return (2, naive_key(m.base), m.exponent)
-    if isinstance(m, Sum):
-        return (3, tuple(naive_key(p) for p in m.parts))
-    if isinstance(m, Prod):
-        return (4, tuple(naive_key(p) for p in m.parts))
-    return (5, tuple(naive_key(p) for p in m.parts))
-
-
-def ladder_compare(m1, m2):
-    """compare without the stored log2 brackets: the zero and exact checks, then the ladder.
-
-    Each rung reads the library's _ln_fixed at the module's current
-    widths, so a test that patches them patches both.
-    """
-    if m1 == m2:
-        return Comparison.EQUAL
-    z1, z2 = m1 == Exact(0), m2 == Exact(0)
-    if z1 or z2:
-        if z1 and z2:
-            return Comparison.EQUAL
-        return Comparison.LESS if z1 else Comparison.GREATER
-    v1, v2 = force_exact(m1), force_exact(m2)
-    if v1 is not None and v2 is not None:
-        if v1 == v2:
-            return Comparison.EQUAL
-        return Comparison.LESS if v1 < v2 else Comparison.GREATER
-    for width in magnitude._WIDTHS:
-        lo1, hi1 = magnitude._ln_fixed(m1, width)
-        lo2, hi2 = magnitude._ln_fixed(m2, width)
-        if hi1 < lo2:
-            return Comparison.LESS
-        if lo1 > hi2:
-            return Comparison.GREATER
-        if lo1 == hi1 == lo2 == hi2:
-            return Comparison.EQUAL
-        if width == magnitude._WIDTHS[0] and isinstance(m1, Sum) and isinstance(m2, Sum):
-            parts1, parts2 = Counter(m1.parts), Counter(m2.parts)
-            if parts1 & parts2:
-                return ladder_compare(sum_of(*(parts1 - parts2).elements()),
-                                      sum_of(*(parts2 - parts1).elements()))
-    raise IndistinguishableError("magnitudes not separated at the precision ceiling")
 
 
 def naive_bound_table(d, s):

@@ -345,6 +345,21 @@ def test_argv_mistakes_print_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["bounds", "--d", "9" * 5001, "--s", "1"], "an integer of 5001 digits"),
+    (["analyze", "--map", "z^2", "--height", "9" * 5001], "an integer of 5001 digits"),
+    (["analyze", "--map", "z^2", "--height", "x" + "9" * 5000], "of 5001 characters"),
+    (["bounds", "--d", "2", "--s", "1", "--which", "Q" * 61], "of 61 characters"),
+])
+def test_a_long_bad_token_is_named_by_its_length(capsys, argv, named):
+    # an all-digit value past the int-string limit is a valid integer too long to read
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.count("\n") == 1 and len(err_text) < 200 and named in err_text
+
+
 @pytest.mark.parametrize("flag", ["--help", "-h"])
 def test_help_lists_the_commands_and_their_flags(capsys, flag):
     with pytest.raises(SystemExit) as err:
