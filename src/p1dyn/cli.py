@@ -366,7 +366,7 @@ def _read_argv(argv):
             try:
                 text = int(text)
             except ValueError:
-                limit = sys.get_int_max_str_digits()  # process-wide, so read, never raised
+                limit = sys.get_int_max_str_digits()  # process-wide: read here, never changed
                 reason = (f"an integer of {len(text)} digits, past this interpreter's "
                           f"limit of {limit} digits" if text.isdecimal() and len(text) > limit
                           else f"invalid int value {_named(text)}")
