@@ -21,16 +21,29 @@ class ArithmeticInputError(ValueError):
     """Raised for arguments outside an operation's domain."""
 
 
+# log10(2) lies strictly between _LOG10_2 / 10^20 and (_LOG10_2 + 1) / 10^20
+_LOG10_2 = 30102999566398119521
+
+
 def int_digits(v: int) -> int:
-    """Exact decimal digit count of a nonnegative integer."""
+    """Exact decimal digit count of a nonnegative integer.
+
+    2^(b-1) <= v < 2^b for b = bit_length(v), so floor(log10 v) lies in
+    [floor((b-1) log10 2), floor(b log10 2)], widened outward by the bracket
+    on log10 2.  That leaves one candidate for about 70% of b; otherwise one
+    power of five tells two apart, as v >= 10^k exactly when (v >> k) >= 5^k.
+    """
     if v == 0:
         return 1
-    d = v.bit_length() * 30103 // 100000 + 1
-    while 10**d <= v:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > v:
-        d -= 1
-    return d
+    bits = v.bit_length()
+    lo = (bits - 1) * _LOG10_2 // 10**20
+    hi = bits * (_LOG10_2 + 1) // 10**20
+    while lo < hi:  # lo <= floor(log10 v) <= hi
+        if (v >> hi) >= 5**hi:
+            lo = hi
+        else:
+            hi -= 1
+    return lo + 1
 
 
 def _name(n: int) -> str:

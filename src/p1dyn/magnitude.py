@@ -4,11 +4,15 @@ A magnitude is a nonnegative sum of terms c * b1^k1 * ... * e^q, each held as
 (c, powers, q): c a positive int, powers a sorted tuple of (base, k) with
 base^k an integer past EXACT_DIGIT_CEILING decimal digits, and q >= 0 an int,
 or a Fraction only when it is not integral, so the bounds' exponents stay in
-int arithmetic.  The terms are sorted and those of one (powers, q) merged,
-so equal formulas give equal term lists; zero is the empty sum.  power
+int arithmetic.  The terms are sorted, those of one (powers, q) merged, and
+c's factors of a power's base folded into that power, so 2 * 2^k is 2^(k+1)
+and equal formulas give equal term lists; zero is the empty sum.  power
 writes out every integer power within the ceiling, so by
 Lindemann-Weierstrass a magnitude is an integer that can be materialized
-exactly when it is one term with no power and q = 0.
+exactly when it is one term with no power and q = 0.  prod_of multiplies
+two term lists out pair by pair, but an integer factor only scales the
+coefficients: the keys (powers, q) and their order stay, so no merge is
+needed unless a coefficient beside a power may fold.
 
 compare decides exact values and zero first, then integer brackets
 lo <= log2(value) <= hi from the terms, rounded outward: c's bit length, a
@@ -29,13 +33,18 @@ point; a term adds those of c and its powers to q.  A sum's lower end is
 m + ln(1 + sum of e^(lo_i - m)) with m the largest lower end, its upper end
 the same from the upper ends, and e^t comes from a Taylor series after
 taking out a power of two, so every interval narrows as the precision grows.
+A term of a sum whose log2 bracket ends width + 2 bits or more below the
+largest lower end is buried: it is below 2^-(width+2) of the top term, so
+it gets no interval of its own and adds one unit to the upper sum, a true
+bound, and none to the lower.  The series of such a term, an exact tail
+thousands of bits under an e^q head, could not move a digit count.
 """
 
 import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .intarith import int_digits
+from .intarith import _strip, int_digits
 from .record import Record, _set
 
 EXACT_DIGIT_CEILING = 10**6
@@ -85,12 +94,36 @@ def _exponent(q: int | Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q  # an integral exponent is kept as an int
 
 
-def _merged(terms) -> Magnitude:
-    """The sum of the terms, those of one (powers, q) merged into one."""
+def _folded(c: int, powers: tuple) -> tuple[int, tuple]:
+    """(c, powers) with every factor of a power's base in c moved into that power."""
+    out = []
+    for base, k in powers:
+        c, e = _strip(c, base)
+        out.append((base, k + e))
+    return c, tuple(out)
+
+
+def _added(terms) -> tuple:
+    """The terms, those of one (powers, q) added into one, sorted."""
     coeffs: dict = {}
     for c, powers, q in terms:
         coeffs[powers, q] = coeffs.get((powers, q), 0) + c
-    return Magnitude(tuple(sorted([(c, powers, q) for (powers, q), c in coeffs.items()])))
+    return tuple(sorted([(c, powers, q) for (powers, q), c in coeffs.items()]))
+
+
+def _merged(terms) -> Magnitude:
+    """The sum of the terms in canonical form: added, then folded.
+
+    Every constructor folds once, on its result: a product that folded after
+    each factor would depend on their order where one base is a power of
+    another, as 4 * 4^k * 2^k does.
+    """
+    added = _added(terms)
+    for c, powers, q in added:
+        if powers and any(c % base == 0 for base, _ in powers):
+            # a folded term may meet another of its new (powers, q)
+            return _merged([(*_folded(c, p), q) for c, p, q in added])
+    return Magnitude(added)
 
 
 def _digits_at_most(v: int, ceiling: int) -> bool:
@@ -134,7 +167,7 @@ def power(base: Magnitude, exponent: int) -> Magnitude:
     if (c.bit_length() - 1) * exponent * 30102 // 100000 <= EXACT_DIGIT_CEILING:
         value = c**exponent
         if _digits_at_most(value, EXACT_DIGIT_CEILING):
-            return Magnitude((_times((value, (), 0), term),))
+            return _merged([_times((value, (), 0), term)])
     return Magnitude((_times((1, ((c, exponent),), 0), term),))
 
 
@@ -150,14 +183,35 @@ def _times(t1: tuple, t2: tuple) -> tuple:
     return c1 * c2, p1 or p2, _exponent(q1 + q2)
 
 
+def _integer(terms: tuple) -> int | None:
+    """k when the terms are the lone term of exact(k), k >= 1."""
+    if len(terms) == 1 and not terms[0][1] and not terms[0][2]:
+        return terms[0][0]
+    return None
+
+
 def prod_of(*parts: Magnitude) -> Magnitude:
-    """The product, multiplied out term by term and merged after each factor."""
-    acc, *rest = parts or (exact(1),)
-    _terms(acc)  # a lone part is returned as it is, so it is checked here
+    """The product, its terms added after each factor and folded at the end.
+
+    An integer factor k scales the coefficients: each (powers, q) and the
+    order of the terms stay, so nothing is added or sorted.  Any other factor
+    is multiplied out term by term.
+    """
+    first, *rest = parts or (exact(1),)
+    acc = _terms(first)
+    if not rest:
+        return first
     for p in rest:
         terms = _terms(p)
-        acc = _merged([_times(t1, t2) for t1 in acc.terms for t2 in terms])
-    return acc
+        if (k := _integer(terms)) is not None:
+            acc = tuple((c * k, powers, q) for c, powers, q in acc)
+        elif (k := _integer(acc)) is not None:
+            acc = tuple((c * k, powers, q) for c, powers, q in terms)
+        else:
+            acc = _added([_times(t1, t2) for t1 in acc for t2 in terms])
+    if any(powers for _, powers, _ in acc):
+        return _merged(acc)  # c's factors of a power's base fold into it
+    return Magnitude(acc)
 
 
 def sum_of(*parts: Magnitude) -> Magnitude:
@@ -261,17 +315,18 @@ def _exp_neg_fixed(t: int, width: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _ln_exp_sum(ivs: list, width: int) -> tuple[int, int]:
-    """Bounds on ln(sum of e^(x * 2^-width)) * 2^width, each x within its (lo, hi).
+def _ln_exp_sum(ivs: list, buried: int, width: int) -> tuple[int, int]:
+    """Bounds on ln(sum of e^(x * 2^-width) + buried terms) * 2^width, each x within its (lo, hi).
 
     The rule for every sum.  With m the largest end on a side, the sum is
     e^m * (1 + C) for C the sum of e^(x - m) over the other ends, and
-    ln(1 + C) = ln(2^width * (1 + C)) - width * ln 2.
+    ln(1 + C) = ln(2^width * (1 + C)) - width * ln 2.  Each buried term, below
+    2^-(width+2) of e^m, adds one unit to the upper sum and none to the lower.
     """
     l2_lo, l2_hi = _ln2_fixed(width)
     top_lo = max(lo for lo, _ in ivs)
     top_hi = max(hi for _, hi in ivs)
-    s_lo = s_hi = 0  # 2^width * (1 + C) on each side, the top end included
+    s_lo, s_hi = 0, buried  # 2^width * (1 + C) on each side, the top end included
     for lo, hi in ivs:
         s_lo += _exp_neg_fixed(top_lo - lo, width)[0]
         s_hi += _exp_neg_fixed(top_hi - hi, width)[1]
@@ -291,11 +346,45 @@ def _ln_term(term: tuple, width: int) -> tuple[int, int]:
     return lo + num // den, hi - (-num // den)
 
 
+def _log2_term(term: tuple) -> tuple[int, int]:
+    """Integers lo <= log2(c * prod(base^k) * e^q) <= hi, each end rounded outward."""
+    c, powers, q = term
+    # log2 v lies in [bit_length(v) - 1, bit_length(v - 1)], a point for v = 2^b
+    lo, hi = c.bit_length() - 1, (c - 1).bit_length()
+    for base, k in powers:
+        lo += k * (base.bit_length() - 1)
+        hi += k * (base - 1).bit_length()
+    if q:
+        width = _WIDTHS[0]  # the ladder's first width, whose ln 2 is cached
+        l2_lo, l2_hi = _ln2_fixed(width)
+        num, den = q.numerator << width, q.denominator  # log2 e^q = q / ln 2
+        lo += num // (den * l2_hi)
+        hi -= -num // (den * l2_lo)
+    return lo, hi
+
+
+def _log2_bracket(terms: tuple) -> tuple[int, int]:
+    """Integers lo <= log2(sum of terms) <= hi for nonempty terms, each end rounded outward."""
+    lo, hi = _log2_term(terms[0])
+    for term in terms[1:]:
+        t_lo, t_hi = _log2_term(term)
+        lo, hi = max(lo, t_lo), max(hi, t_hi)
+    # n terms sum to at most n times the largest: ceil(log2 n) more bits
+    return lo, hi + (len(terms) - 1).bit_length()
+
+
 def _ln_fixed(terms: tuple, width: int) -> tuple[int, int]:
-    """(lo, hi) with lo * 2^-width <= ln(sum of terms) <= hi * 2^-width, for nonempty terms."""
+    """(lo, hi) with lo * 2^-width <= ln(sum of terms) <= hi * 2^-width, for nonempty terms.
+
+    A term whose log2 bracket ends width + 2 or more below the largest lower
+    end is buried: below 2^-(width+2) of the largest term, it gets no interval.
+    """
     if len(terms) == 1:
         return _ln_term(terms[0], width)
-    return _ln_exp_sum([_ln_term(t, width) for t in terms], width)
+    brackets = [_log2_term(t) for t in terms]
+    floor = max(lo for lo, _ in brackets) - width - 2
+    ivs = [_ln_term(t, width) for t, (_, hi) in zip(terms, brackets) if hi > floor]
+    return _ln_exp_sum(ivs, len(terms) - len(ivs), width)
 
 
 def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:
@@ -308,24 +397,6 @@ def ln_interval(m: Magnitude, prec: int) -> tuple[Fraction, Fraction] | None:
     width = prec + _GUARD_BITS
     iv = _ln_fixed(terms, width)
     return Fraction(iv[0], 1 << width), Fraction(iv[1], 1 << width)
-
-
-def _log2_bracket(terms: tuple) -> tuple[int, int]:
-    """Integers lo <= log2(sum of terms) <= hi for nonempty terms, each end rounded outward."""
-    width = _WIDTHS[0]  # the ladder's first width, whose ln 2 is cached
-    l2_lo, l2_hi = _ln2_fixed(width)
-    los, his = [], []
-    for c, powers, q in terms:
-        # log2 v lies in [bit_length(v) - 1, bit_length(v - 1)], a point for v = 2^b
-        lo, hi = c.bit_length() - 1, (c - 1).bit_length()
-        for base, k in powers:
-            lo += k * (base.bit_length() - 1)
-            hi += k * (base - 1).bit_length()
-        num, den = q.numerator << width, q.denominator  # log2 e^q = q / ln 2
-        los.append(lo + num // (den * l2_hi))
-        his.append(hi - (-num // (den * l2_lo)))
-    # n terms sum to at most n times the largest: ceil(log2 n) more bits
-    return max(los), max(his) + (len(his) - 1).bit_length()
 
 
 def force_exact(m: Magnitude) -> int | None:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import strategies as st
 
+from p1dyn import magnitude
 from p1dyn.bounds import BOUND_ORDER, unit_equation_bound
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
@@ -373,6 +374,48 @@ def naive_bound_table(d, s):
                     sum_of(prod_of(exact(3), l3), exact(3))),
         "Q": max_of(sum_of(t, cv), prod_of(exact(3), l1)),
     }
+
+
+def naive_ln_fixed(terms, width):
+    """magnitude._ln_fixed with no term buried: every term of a sum gets its own interval."""
+    if len(terms) == 1:
+        return magnitude._ln_term(terms[0], width)
+    return magnitude._ln_exp_sum([magnitude._ln_term(t, width) for t in terms], 0, width)
+
+
+def _naive_fold(c, powers):
+    """(c, powers) with c divided by each base, in base order, one factor at a time."""
+    exponents = dict(powers)
+    for base in sorted(exponents):
+        while c % base == 0:
+            c //= base
+            exponents[base] += 1
+    return c, tuple(sorted(exponents.items()))
+
+
+def naive_prod_terms(*parts):
+    """The term list of a product: every choice of one term per part multiplied out,
+    then terms of one (powers, q) added and coefficients folded into their powers,
+    over and over until nothing changes."""
+    terms = [(1, (), 0)]
+    for part in parts:
+        product = []
+        for c1, p1, q1 in terms:
+            for c2, p2, q2 in part.terms:
+                exponents = dict(p1)
+                for base, k in p2:
+                    exponents[base] = exponents.get(base, 0) + k
+                product.append((c1 * c2, tuple(sorted(exponents.items())), q1 + q2))
+        terms = product
+    while True:
+        coeffs = {}
+        for c, powers, q in terms:
+            coeffs[powers, q] = coeffs.get((powers, q), 0) + c
+        merged = [(c, powers, q) for (powers, q), c in coeffs.items()]
+        folded = [(*_naive_fold(c, powers), q) for c, powers, q in merged]
+        if folded == merged:
+            return tuple(sorted(merged))
+        terms = folded
 
 
 def _add_search_flags(sp, height_default: int) -> None:

@@ -12,6 +12,7 @@ from p1dyn.intarith import (
     FactorizationIncompleteError,
     PrimalityRangeError,
     factorize,
+    int_digits,
     is_prime,
 )
 
@@ -152,3 +153,21 @@ def test_is_prime_proves_compositeness_past_the_range():
         is_prime(2**89 - 1)
     assert is_prime(3 * (2**89 - 1)) is False
     assert is_prime(10**30 + 1) is False
+
+
+# below the interpreter's default int-string limit of 4300 digits: decimal and
+# binary edges, where the digit count or the bit length steps
+_edges = st.integers(1, 4299).flatmap(lambda n: st.sampled_from(
+    [10**n - 1, 10**n, 10**n + 1, 2 ** (3 * n) - 1, 2 ** (3 * n), 2 ** (3 * n) + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 10**4299), _edges))
+def test_int_digits_matches_str_within_the_limit(v):
+    assert int_digits(v) == len(str(v))
+
+
+def test_int_digits_at_a_power_of_ten_near_a_million_digits():
+    k = 10**6 + 7
+    v = 10**k
+    assert [int_digits(v - 1), int_digits(v), int_digits(v + 1)] == [k, k + 1, k + 1]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from naive import naive_ln_fixed, naive_prod_terms
 from p1dyn import magnitude
 from p1dyn.bounds import aggregate_bounds, unit_equation_bound
 from p1dyn.magnitude import (
@@ -36,7 +37,7 @@ from p1dyn.magnitude import (
     _digits_at_most,
     _ln_int_fixed,
 )
-from p1dyn.report import render_magnitude
+from p1dyn.report import bound_rows, render_magnitude
 
 
 def test_int_digits_matches_str():
@@ -60,6 +61,13 @@ def test_constructor_canonical_forms():
     # c^k past the ceiling joins the powers, merged with a power of the same base
     seven = prod_of(exact(7), power(exact(7), 10**7))
     assert power(seven, 10**7).terms == ((1, ((7, 10**14 + 10**7),), 0),)
+    # c's factors of a power's base fold into that power, whichever constructor made c
+    two_k = power(exact(2), 4 * 10**6)
+    assert (prod_of(exact(2), two_k) == prod_of(two_k, exact(2)) == sum_of(two_k, two_k)
+            == power(exact(2), 4 * 10**6 + 1))
+    assert prod_of(exact(12), two_k).terms == ((3, ((2, 4 * 10**6 + 2),), 0),)
+    two_four_k = prod_of(exact(2), power(exact(4), 2 * 10**6))
+    assert power(two_four_k, 2).terms == ((1, ((4, 4 * 10**6 + 1),), 0),)
 
     assert prod_of(exact(6), exact(7)) == exact(42)
     assert prod_of(exp_of(2), exp_of(3)) == exp_of(5)
@@ -531,6 +539,7 @@ def test_constructors_give_one_canonical_form(parts, data):
             for base, k in powers:
                 # base^k has more than (bit_length(base) - 1) * k * log10(2) digits
                 assert base.bit_length() * k * 30103 // 100000 >= EXACT_DIGIT_CEILING
+                assert c % base, "c's factors of a base are folded into its power"
 
 
 @settings(max_examples=100, deadline=None)
@@ -572,7 +581,7 @@ def test_log2_brackets_of_powers_of_two_and_the_unit_equation_constants():
 @given(_part, _part)
 @example(_CLOSE_HEADS, sum_of(_CLOSE_HEADS, exact(1)))  # brackets overlap: climbs to 512 bits
 @example(aggregate_bounds(2, 1)["CV"], unit_equation_bound(5, 1))  # a buried head: GREATER
-# equal values, touching point brackets, no shared term: both refuse
+# equal values built two ways: 2 folds into 2^k, so the term lists are equal and compare EQUAL
 @example(prod_of(exact(2), power(exact(2), 4 * 10**6)), power(exact(2), 4 * 10**6 + 1))
 def test_brackets_never_change_a_verdict(a, b):
     # a bracket of (0, 0) for every sum never decides, so compare goes on to the terms
@@ -628,3 +637,62 @@ def test_an_integral_exponent_builds_the_same_nodes_as_an_int_and_as_a_fraction(
                 as_fraction.terms, width)
     assert _answer(digit_count, as_int) == _answer(digit_count, as_fraction)
     assert render_magnitude(as_int) == render_magnitude(as_fraction)
+
+
+def _ln_holds(m, width, truth, eps):
+    lo, hi = magnitude._ln_fixed(m.terms, width)
+    return lo / mp.mpf(2) ** width - eps <= truth <= hi / mp.mpf(2) ** width + eps
+
+
+_grown = _recipe.map(lambda r: _answer(_grow, r, Fraction)).filter(
+    lambda m: m is not IndistinguishableError)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_part, _grown), st.one_of(_part, _grown))
+@example(aggregate_bounds(5, 3)["L2"], aggregate_bounds(6, 3)["L2"])
+@example(sum_of(exp_of(10**12), exact(10**6)), sum_of(exp_of(10**12), exact(10**6 - 1)))
+@example(sum_of(exact(2**100), exact(1)), sum_of(exact(2**100), exact(2)))
+# log2 e^104 = 150.04: at width 144, 2^8 lies 142 bits down and keeps its interval,
+# e^(1/2) lies 149 bits down and is buried
+@example(sum_of(exp_of(104), exact(2**8), exp_of(Fraction(1, 2))), exp_of(104))
+def test_burying_a_term_changes_no_interval_count_or_verdict(a, b):
+    # a term width + 2 bits under the top is buried; no term's own interval is
+    # computed, yet each answer is the one every term's interval gives
+    if a.terms:
+        with mp.workdps(60):
+            truth = mp.ln(_mp_value(a))
+            eps = mp.mpf(10) ** -35  # far above mpmath's rounding of a log below 10^14
+            # width 17 is ln_interval's least, where terms 19 bits down are buried
+            for width in (17, 80) + magnitude._WIDTHS[:2]:
+                assert _ln_holds(a, width, truth, eps), width
+        # on the ladder a buried term's e^(x - m) was (0, 1) all along: the same interval
+        for width in magnitude._WIDTHS[:2]:
+            assert magnitude._ln_fixed(a.terms, width) == naive_ln_fixed(a.terms, width)
+    count, verdict = _answer(digit_count, a), _answer(compare, a, b)
+    with mock.patch.object(magnitude, "_ln_fixed", naive_ln_fixed):
+        assert _answer(digit_count, a) == count
+        assert _answer(compare, a, b) == verdict
+
+
+def test_rendering_a_bound_table_runs_no_series_on_a_buried_exact_term():
+    table = aggregate_bounds(5, 3)
+    tails = {label: [c for c, powers, q in table[label].terms if not powers and not q]
+             for label in ("L2", "L4", "CV", "FPLA", "L", "Q")}
+    assert all(len(c) == 1 for c in tails.values())
+    with mock.patch.object(magnitude, "_ln_int_fixed", wraps=magnitude._ln_int_fixed) as ln_int:
+        bound_rows(5, 3)
+    asked = {call.args[0] for call in ln_int.call_args_list}
+    assert asked and not asked & {c for (c,) in tails.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), _part)
+@example(2, power(exact(2), 4 * 10**6))
+# 2 * 2 * 4^k folds to 4^(k+1) and meets 2 * 4^(k+1): 2 * (2 * 4^k + 4^(k+1)) = 3 * 4^(k+1)
+@example(2, sum_of(prod_of(exact(2), power(exact(4), 2 * 10**6)), power(exact(4), 2 * 10**6 + 1)))
+@example(6, sum_of(power(exact(2), 4 * 10**6), power(exact(3), 4 * 10**6), exact(5)))
+def test_an_integer_factor_gives_the_product_multiplied_out(k, m):
+    want = naive_prod_terms(exact(k), m)
+    assert prod_of(exact(k), m).terms == want
+    assert prod_of(m, exact(k)).terms == want
