@@ -146,9 +146,8 @@ def _strip(n: int, p: int) -> tuple[int, int]:
 def _brent_rho(n: int, budget: list[int]) -> int:
     # Brent's cycle variant; deterministic over increasing polynomial offsets.
     # An iteration costs about quadratically in the size of n, so past 511
-    # bits it is charged (bits >> 8)**2 budget units instead of one.
-    if n % 2 == 0:
-        return 2
+    # bits it is charged (bits >> 8)**2 budget units instead of one.  n is odd:
+    # factorize strips 2 by trial division before a cofactor reaches rho.
     cost = max(1, (n.bit_length() >> 8) ** 2)
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1

@@ -11,6 +11,10 @@ expression; numerator and denominator sharing a polynomial factor are
 reduced before homogenization.  Homogeneous sides must be polynomials of
 one common degree (division by constants is allowed).
 
+The text is cut into tokens, then read once: each grammar rule evaluates
+what it reads and builds no parse tree, so faults are reported in reading
+order (in ``z/0 +`` the zero divisor, not the missing operand after it).
+
 All arithmetic is over Z, in one representation: an expression evaluates
 to a pair (num, den) of polynomials in Z[X, Y], with z read as X/Y.  A
 homogeneous side keeps a constant den.  An affine expression is read at
@@ -70,77 +74,91 @@ class _Parser:
                                 term := factor (('*'|'/') factor)*
                                 factor := '-' factor | atom ('^' int)*
                                 atom := int | variable | '(' expr ')'
+
+    Each rule returns the value of what it read, as (num, den): polynomials in
+    X, Y with den != 0.  On a homogeneous side den stays a constant: dividing
+    by anything else raises DegenerateMapError.
     """
 
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
+    def __init__(self, text: str, homogeneous: bool):
         self.tokens = _tokenize(text)
-        self.variables = variables
+        self.homogeneous = homogeneous
+        self.variables = ("X", "Y") if homogeneous else ("z",)
         self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
 
-    def accept(self, kind, value=None):
-        tok = self.tokens[self.i]
-        if tok[0] == kind and (value is None or tok[1] == value):
+    def accept_op(self, ops: str):
+        """The next token's operator if it is one of the characters of ops, consumed."""
+        kind, value, _ = self.tokens[self.i]
+        if kind == "op" and value in ops:
             self.i += 1
-            return tok
+            return value
         return None
 
     def expect_op(self, op):
-        if not self.accept("op", op):
-            tok = self.peek()
-            raise MapSyntaxError(f"expected {op!r}", tok[2])
+        if not self.accept_op(op):
+            raise MapSyntaxError(f"expected {op!r}", self.peek()[2])
+
+    def expect_end(self, what: str):
+        if self.peek()[0] != "end":
+            raise MapSyntaxError(f"trailing input after the {what}", self.peek()[2])
 
     def expr(self):
-        node = self.term()
-        while True:
-            if self.accept("op", "+"):
-                node = ("add", node, self.term())
-            elif self.accept("op", "-"):
-                node = ("sub", node, self.term())
+        n, d = self.term()
+        while op := self.accept_op("+-"):
+            n2, d2 = self.term()
+            if op == "-":
+                n2 = {k: -c for k, c in n2.items()}
+            if d == d2:
+                n = _bi_add(n, n2)
             else:
-                return node
+                n, d = _bi_add(_bi_mul(n, d2), _bi_mul(n2, d)), _bi_mul(d, d2)
+        return n, d
 
     def term(self):
-        node = self.factor()
-        while True:
-            if self.accept("op", "*"):
-                node = ("mul", node, self.factor())
-            elif self.accept("op", "/"):
-                node = ("div", node, self.factor())
-            else:
-                return node
+        n, d = self.factor()
+        while op := self.accept_op("*/"):
+            n2, d2 = self.factor()
+            if op == "/":
+                if not n2:
+                    raise DegenerateMapError("division by an identically-zero expression")
+                if self.homogeneous and set(n2) != {(0, 0)}:
+                    raise DegenerateMapError("homogeneous sides may only be divided by constants")
+                n2, d2 = d2, n2
+            n, d = _bi_mul(n, n2), _bi_mul(d, d2)
+        return n, d
 
     def factor(self):
-        if self.accept("op", "-"):
-            return ("neg", self.factor())
-        node = self.atom()
-        while self.accept("op", "^"):
-            tok = self.peek()
-            exp = self.accept("int")
-            if exp is None:
-                raise MapSyntaxError("exponents must be nonnegative integers", tok[2])
-            node = ("pow", node, exp[1])
-        return node
+        if self.accept_op("-"):
+            n, d = self.factor()
+            return {k: -c for k, c in n.items()}, d
+        n, d = self.atom()
+        while self.accept_op("^"):
+            kind, exp, at = self.peek()
+            if kind != "int":
+                raise MapSyntaxError("exponents must be nonnegative integers", at)
+            self.i += 1
+            n, d = _power(n, exp), _power(d, exp)
+        return n, d
 
     def atom(self):
-        tok = self.peek()
-        if self.accept("op", "("):
-            node = self.expr()
+        kind, value, at = self.peek()
+        if self.accept_op("("):
+            inner = self.expr()
             self.expect_op(")")
-            return node
-        if tok[0] == "int":
+            return inner
+        if kind == "int":
             self.i += 1
-            return ("const", tok[1])
-        if tok[0] == "name":
-            if tok[1] not in self.variables:
+            return ({(0, 0): value} if value else {}), _ONE
+        if kind == "name":
+            if value not in self.variables:
                 allowed = " or ".join(self.variables)
-                raise MapSyntaxError(f"unknown variable {tok[1]!r}, expected {allowed}", tok[2])
+                raise MapSyntaxError(f"unknown variable {value!r}, expected {allowed}", at)
             self.i += 1
-            return ("var", tok[1])
-        raise MapSyntaxError("expected a number, variable, or parenthesis", tok[2])
+            return _VARIABLES[value]
+        raise MapSyntaxError("expected a number, variable, or parenthesis", at)
 
 
 # --- univariate polynomials over Z, coefficient lists by ascending degree ---
@@ -233,42 +251,6 @@ def _power(base, exp: int):
     return result
 
 
-def _evaluate(node, homogeneous: bool):
-    """Evaluate an AST to (num, den), polynomials in X, Y with den != 0.
-
-    On a homogeneous side den stays a constant: dividing by anything else
-    raises DegenerateMapError.
-    """
-    kind = node[0]
-    if kind == "const":
-        return ({(0, 0): node[1]} if node[1] else {}), _ONE
-    if kind == "var":
-        return _VARIABLES[node[1]]
-    if kind == "neg":
-        n, d = _evaluate(node[1], homogeneous)
-        return {k: -c for k, c in n.items()}, d
-    if kind == "pow":
-        n, d = _evaluate(node[1], homogeneous)
-        return _power(n, node[2]), _power(d, node[2])
-    n1, d1 = _evaluate(node[1], homogeneous)
-    n2, d2 = _evaluate(node[2], homogeneous)
-    if kind == "sub":
-        n2 = {k: -c for k, c in n2.items()}
-    if kind in ("add", "sub"):
-        if d1 == d2:
-            return _bi_add(n1, n2), d1
-        return _bi_add(_bi_mul(n1, d2), _bi_mul(n2, d1)), _bi_mul(d1, d2)
-    if kind == "mul":
-        return _bi_mul(n1, n2), _bi_mul(d1, d2)
-    if kind == "div":
-        if not n2:
-            raise DegenerateMapError("division by an identically-zero expression")
-        if homogeneous and set(n2) != {(0, 0)}:
-            raise DegenerateMapError("homogeneous sides may only be divided by constants")
-        return _bi_mul(n1, d2), _bi_mul(d1, n2)
-    raise AssertionError(kind)
-
-
 def _at_y1(form):
     """The coefficient list, by ascending degree in z, of a binary form at X = z, Y = 1."""
     out = [0] * (max((i for i, _ in form), default=-1) + 1)
@@ -277,7 +259,8 @@ def _at_y1(form):
     return out
 
 
-def _homog_side_coeffs(poly: dict, side: str):
+def _side_degree(poly: dict, side: str) -> int:
+    """The degree of a homogeneous side; DegenerateMapError if it is zero or not homogeneous."""
     if not poly:
         raise DegenerateMapError(f"{side} side is identically zero")
     degrees = {i + j for i, j in poly}
@@ -291,40 +274,30 @@ def parse_map(text: str) -> HomogPair:
     stripped = text.strip()
     if not stripped:
         raise MapSyntaxError("empty map description", 0)
-    if stripped.lstrip().startswith("["):
-        parser = _Parser(text, ("X", "Y"))
+    homogeneous = stripped.startswith("[")
+    parser = _Parser(text, homogeneous)
+    if homogeneous:
         parser.expect_op("[")
-        f_ast = parser.expr()
+        f, f_den = parser.expr()
         parser.expect_op(":")
-        g_ast = parser.expr()
+        g, g_den = parser.expr()
         parser.expect_op("]")
-        if parser.peek()[0] != "end":
-            raise MapSyntaxError("trailing input after the pair", parser.peek()[2])
-        f_poly, f_den = _evaluate(f_ast, True)
-        g_poly, g_den = _evaluate(g_ast, True)
-        d1 = _homog_side_coeffs(f_poly, "first")
-        d2 = _homog_side_coeffs(g_poly, "second")
-        if d1 != d2:
-            raise DegenerateMapError(f"sides have different degrees {d1} and {d2}")
-        f_den, g_den = f_den[(0, 0)], g_den[(0, 0)]
-        a = [f_poly.get((d1 - i, i), 0) * g_den for i in range(d1 + 1)]
-        b = [g_poly.get((d1 - i, i), 0) * f_den for i in range(d1 + 1)]
-        return make_pair(a, b, stripped)
-    parser = _Parser(text, ("z",))
-    ast = parser.expr()
-    if parser.peek()[0] != "end":
-        raise MapSyntaxError("trailing input after the expression", parser.peek()[2])
-    num, den = (_at_y1(form) for form in _evaluate(ast, False))
-    common = _poly_gcd(num, den)
-    if len(common) > 1:
-        num = _poly_exact_div(num, common)
-        den = _poly_exact_div(den, common)
-    d = max(len(num), len(den)) - 1
-    if d < 1:
-        raise DegenerateMapError("constant expressions do not define a map")
-    num = num + [0] * (d + 1 - len(num))
-    den = den + [0] * (d + 1 - len(den))
+        parser.expect_end("pair")
+        d = _side_degree(f, "first")
+        if d != (d2 := _side_degree(g, "second")):
+            raise DegenerateMapError(f"sides have different degrees {d} and {d2}")
+        # each side's constant den scales the other side
+        num = [c * g_den[(0, 0)] for c in _at_y1(f)]
+        den = [c * f_den[(0, 0)] for c in _at_y1(g)]
+    else:
+        num, den = map(_at_y1, parser.expr())
+        parser.expect_end("expression")
+        common = _poly_gcd(num, den)
+        if len(common) > 1:
+            num, den = _poly_exact_div(num, common), _poly_exact_div(den, common)
+        d = max(len(num), len(den)) - 1
+        if d < 1:
+            raise DegenerateMapError("constant expressions do not define a map")
     # a[i] is the X^(d-i) Y^i coefficient, i.e. the z^(d-i) coefficient
-    a = [num[d - i] for i in range(d + 1)]
-    b = [den[d - i] for i in range(d + 1)]
+    a, b = ([0] * (d + 1 - len(p)) + p[::-1] for p in (num, den))
     return make_pair(a, b, stripped)

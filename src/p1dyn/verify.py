@@ -63,10 +63,6 @@ class VerificationReport(Record):
         _set(self, "witnesses", witnesses)
         _set(self, "parameters", parameters)
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
 
 def _finish(name, failures, confirmations, checked, params):
     if failures:
@@ -254,13 +250,6 @@ def check_chain_lemma(pair: HomogPair, profile: ReductionProfile,
                    [("fixed_point", str(p0)), ("chain_length", str(len(chain) - 1))])
 
 
-def _cycle_of(inv: DynamicalInventory, point: ProjPoint):
-    for cycle in inv.cycles:
-        if point in cycle:
-            return cycle
-    return None
-
-
 def _excluded_periodic(inv: DynamicalInventory, tail_point: ProjPoint) -> ProjPoint:
     """The unique periodic point reachable from a tail point in a multiple
     of its cycle length: entry shifted back by the tail length."""
@@ -268,7 +257,8 @@ def _excluded_periodic(inv: DynamicalInventory, tail_point: ProjPoint) -> ProjPo
     cur = tail_point
     for _ in range(t):
         cur = inv.image[cur]
-    cycle = _cycle_of(inv, cur)
+    # t image steps from a tail point always land on a cycle point
+    cycle = next(cycle for cycle in inv.cycles if cur in cycle)
     return cycle[(cycle.index(cur) - t) % len(cycle)]
 
 

@@ -4,6 +4,9 @@ Everything here favors obviousness over speed: trajectories are stored in
 plain lists and scanned quadratically, set memberships are tested prime by
 prime, and no caching of any kind happens.  Maps are applied by
 naive_evaluate, which shares no code with the library's step kernel.
+Map text is read by naive_parse_map, which builds a tree of tuples and
+only then evaluates it; it shares the tokenizer and the polynomial
+arithmetic with mapparse, so it checks the reading, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from p1dyn import magnitude
 from p1dyn.bounds import BOUND_ORDER, unit_equation_bound
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
+from p1dyn.mapparse import (_ONE, _VARIABLES, MapSyntaxError, _at_y1, _bi_add, _bi_mul,
+                            _poly_exact_div, _poly_gcd, _power, _side_degree, _tokenize)
 from p1dyn.magnitude import exact, max_of, power, prod_of, sum_of
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
-from p1dyn.ratmap import make_pair
+from p1dyn.ratmap import DegenerateMapError, make_pair
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
 
 
@@ -416,6 +421,151 @@ def naive_prod_terms(*parts):
         if folded == merged:
             return tuple(sorted(merged))
         terms = folded
+
+
+class _NaiveMapParser:
+    """The two-pass map reader's first pass: recursive descent to a tree of tuples."""
+
+    def __init__(self, text, variables):
+        self.tokens = _tokenize(text)
+        self.variables = variables
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def accept(self, kind, value=None):
+        tok = self.tokens[self.i]
+        if tok[0] == kind and (value is None or tok[1] == value):
+            self.i += 1
+            return tok
+        return None
+
+    def expect_op(self, op):
+        if not self.accept("op", op):
+            raise MapSyntaxError(f"expected {op!r}", self.peek()[2])
+
+    def expr(self):
+        node = self.term()
+        while True:
+            if self.accept("op", "+"):
+                node = ("add", node, self.term())
+            elif self.accept("op", "-"):
+                node = ("sub", node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            if self.accept("op", "*"):
+                node = ("mul", node, self.factor())
+            elif self.accept("op", "/"):
+                node = ("div", node, self.factor())
+            else:
+                return node
+
+    def factor(self):
+        if self.accept("op", "-"):
+            return ("neg", self.factor())
+        node = self.atom()
+        while self.accept("op", "^"):
+            tok = self.peek()
+            exp = self.accept("int")
+            if exp is None:
+                raise MapSyntaxError("exponents must be nonnegative integers", tok[2])
+            node = ("pow", node, exp[1])
+        return node
+
+    def atom(self):
+        tok = self.peek()
+        if self.accept("op", "("):
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        if tok[0] == "int":
+            self.i += 1
+            return ("const", tok[1])
+        if tok[0] == "name":
+            if tok[1] not in self.variables:
+                allowed = " or ".join(self.variables)
+                raise MapSyntaxError(f"unknown variable {tok[1]!r}, expected {allowed}", tok[2])
+            self.i += 1
+            return ("var", tok[1])
+        raise MapSyntaxError("expected a number, variable, or parenthesis", tok[2])
+
+
+def _naive_evaluate_tree(node, homogeneous):
+    """The second pass: a tree to (num, den) over Z[X, Y]."""
+    kind = node[0]
+    if kind == "const":
+        return ({(0, 0): node[1]} if node[1] else {}), _ONE
+    if kind == "var":
+        return _VARIABLES[node[1]]
+    if kind == "neg":
+        n, d = _naive_evaluate_tree(node[1], homogeneous)
+        return {k: -c for k, c in n.items()}, d
+    if kind == "pow":
+        n, d = _naive_evaluate_tree(node[1], homogeneous)
+        return _power(n, node[2]), _power(d, node[2])
+    n1, d1 = _naive_evaluate_tree(node[1], homogeneous)
+    n2, d2 = _naive_evaluate_tree(node[2], homogeneous)
+    if kind == "sub":
+        n2 = {k: -c for k, c in n2.items()}
+    if kind in ("add", "sub"):
+        if d1 == d2:
+            return _bi_add(n1, n2), d1
+        return _bi_add(_bi_mul(n1, d2), _bi_mul(n2, d1)), _bi_mul(d1, d2)
+    if kind == "mul":
+        return _bi_mul(n1, n2), _bi_mul(d1, d2)
+    if not n2:
+        raise DegenerateMapError("division by an identically-zero expression")
+    if homogeneous and set(n2) != {(0, 0)}:
+        raise DegenerateMapError("homogeneous sides may only be divided by constants")
+    return _bi_mul(n1, d2), _bi_mul(d1, n2)
+
+
+def naive_parse_map(text):
+    """mapparse.parse_map as a two-pass reader: the whole text is read to a tree, and
+    only then evaluated, so every syntax fault is reported before any semantic one."""
+    stripped = text.strip()
+    if not stripped:
+        raise MapSyntaxError("empty map description", 0)
+    if stripped.startswith("["):
+        parser = _NaiveMapParser(text, ("X", "Y"))
+        parser.expect_op("[")
+        f_tree = parser.expr()
+        parser.expect_op(":")
+        g_tree = parser.expr()
+        parser.expect_op("]")
+        if parser.peek()[0] != "end":
+            raise MapSyntaxError("trailing input after the pair", parser.peek()[2])
+        f_poly, f_den = _naive_evaluate_tree(f_tree, True)
+        g_poly, g_den = _naive_evaluate_tree(g_tree, True)
+        d1 = _side_degree(f_poly, "first")
+        d2 = _side_degree(g_poly, "second")
+        if d1 != d2:
+            raise DegenerateMapError(f"sides have different degrees {d1} and {d2}")
+        f_den, g_den = f_den[(0, 0)], g_den[(0, 0)]
+        a = [f_poly.get((d1 - i, i), 0) * g_den for i in range(d1 + 1)]
+        b = [g_poly.get((d1 - i, i), 0) * f_den for i in range(d1 + 1)]
+        return make_pair(a, b, stripped)
+    parser = _NaiveMapParser(text, ("z",))
+    tree = parser.expr()
+    if parser.peek()[0] != "end":
+        raise MapSyntaxError("trailing input after the expression", parser.peek()[2])
+    num, den = (_at_y1(form) for form in _naive_evaluate_tree(tree, False))
+    common = _poly_gcd(num, den)
+    if len(common) > 1:
+        num = _poly_exact_div(num, common)
+        den = _poly_exact_div(den, common)
+    d = max(len(num), len(den)) - 1
+    if d < 1:
+        raise DegenerateMapError("constant expressions do not define a map")
+    num = num + [0] * (d + 1 - len(num))
+    den = den + [0] * (d + 1 - len(den))
+    return make_pair([num[d - i] for i in range(d + 1)], [den[d - i] for i in range(d + 1)],
+                     stripped)
 
 
 def _add_search_flags(sp, height_default: int) -> None:

@@ -57,6 +57,36 @@ def test_analyze_huge_literal_exits_2(capsys):
     assert err == "error: integer literal of 5000 digits is too long (at position 4)\n"
 
 
+def test_verify_parse_error_exits_2_with_one_line(capsys):
+    assert main(["verify", "--map", "z^2+"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: expected a number, variable, or parenthesis (at position 4)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--c-num-max", "0", "--c-den-max", "1"], "--c-num-max and --c-den-max must be at least 1"),
+    (["--c-num-max", "1", "--c-den-max", "1", "--jobs", "0"], "--jobs must be at least 1"),
+    (["--c-num-max", "1", "--c-den-max", "1", "--height", "0"], "search limits must be positive"),
+])
+def test_batch_refuses_empty_ranges_and_limits(capsys, flags, message):
+    assert main(["batch", "--family", "z^2+c", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_help_lists_the_suites(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--help"])
+    assert err.value.code == 0
+    suite_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("  --suite "))
+    assert suite_line.split(None, 2)[2] == (
+        "the checks to run; one of all, ultrametric, nonexpansion, chain, tailperiodic, "
+        "critical, taillemmas, theorems (default all)")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["analyze", "--map", "z^2", "--height", "4"], "--json"),
     (["verify", "--map", "z^2", "--height", "4"], "--json"),

@@ -92,6 +92,29 @@ def test_every_private_helper_is_referenced():
     assert orphans == []
 
 
+def _public_members(tree: ast.Module) -> list[str]:
+    """Class.name of every public method or property defined in a class body."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def test_every_public_method_or_property_is_read():
+    # a method or property that no code reads as an attribute is dead
+    probe = "class A:\n    def m(self): pass\n    def _h(self): pass\n    def __eq__(self, o): pass"
+    assert _public_members(ast.parse(probe)) == ["A.m"]
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    read = set()
+    for path in files:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Attribute))
+    members = [m for path in sorted(SRC.glob("*.py"))
+               for m in _public_members(ast.parse(path.read_text(), filename=str(path)))]
+    assert members
+    assert [m for m in members if m.split(".")[1] not in read] == []
+
+
 # the exact math functions, and math.inf, the sentinel behind INFINITE_DISTANCE
 _EXACT_MATH = {"gcd", "lcm", "isqrt", "inf"}
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from p1dyn import ratmap
 from p1dyn.intarith import ArithmeticInputError
-from p1dyn.mapparse import MapSyntaxError, parse_map
+from p1dyn.mapparse import MapSyntaxError, _tokenize, parse_map
 from p1dyn.orbits import _vanishes, enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point, points_up_to_height
 from p1dyn.ratmap import (
@@ -24,7 +24,7 @@ from p1dyn.ratmap import (
     wronskian,
 )
 
-from naive import naive_evaluate, rational_pair
+from naive import naive_evaluate, naive_parse_map, rational_pair
 
 
 def test_parse_affine_quadratic_with_rational_constant():
@@ -79,6 +79,35 @@ def test_parse_errors_carry_positions():
         parse_map("3 @ 4")
     with pytest.raises(MapSyntaxError):
         parse_map("")
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("[X^2 : Y^2", "expected ']'", 10),
+    ("[X^2 Y^2]", "expected ':'", 5),
+    ("(z+1", "expected ')'", 4),
+    ("[X^2 : Y^2] z", "trailing input after the pair", 12),
+    ("z^2 3", "trailing input after the expression", 4),
+    ("z^2 + ", "expected a number, variable, or parenthesis", 6),
+])
+def test_parse_syntax_errors_name_message_and_position(text, message, position):
+    with pytest.raises(MapSyntaxError) as info:
+        parse_map(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_parse_accepts_trailing_whitespace():
+    assert parse_map("z^2   ") == parse_map("z^2")
+    assert str(parse_map("z^2   ")) == "z^2"
+    assert parse_map("[X^2 : Y^2]  ") == parse_map("z^2")
+
+
+def test_parse_reports_a_fault_where_reading_reaches_it():
+    # the divisor is refused as soon as it is read, before the missing ']' or operand
+    for text in ("[X/0 : Y", "z/0 +"):
+        with pytest.raises(DegenerateMapError) as info:
+            parse_map(text)
+        assert str(info.value) == "division by an identically-zero expression", text
 
 
 def test_parse_degenerate_inputs():
@@ -256,6 +285,17 @@ def test_pair_normalization_and_validation():
     with pytest.raises(DegenerateMapError):
         make_pair([1, 0, -1], [1, 0, -1])
 
+
+def test_pair_constructors_refuse_malformed_vectors():
+    with pytest.raises(DegenerateMapError, match="^degree must be at least 1$"):
+        HomogPair(0, (1,), (1,))
+    with pytest.raises(ArithmeticInputError, match=r"^coefficient vectors must have length degree\+1$"):
+        HomogPair(2, (1, 0), (0, 0, 1))
+    with pytest.raises(ArithmeticInputError, match="^pair is not sign-normalized$"):
+        HomogPair(2, (-1, 0, 0), (0, 0, 1))
+    with pytest.raises(ArithmeticInputError,
+                       match="^coefficient vectors must have equal positive length$"):
+        make_pair([1, 0], [0, 0, 1])
 
 def test_parse_point_reuse_in_map_context():
     assert parse_point("[6:-4]") == ProjPoint(-3, 2)
@@ -535,3 +575,85 @@ def test_parse_map_matches_sympy(description):
     else:
         pair = parse_map(text)
         assert (pair.degree, pair.a, pair.b) == expected
+
+
+# the map alphabet, with a name no map accepts and a character no token starts with
+_MAP_PIECES = ("z", "X", "Y", "w", "+", "-", "*", "/", "^", "**", "(", ")", "[", "]", ":",
+               " ", ".")
+
+
+def _grammar_expressions(names):
+    """Expressions the grammar accepts, over the variables names and integers below 100."""
+    atoms = st.one_of(st.sampled_from(names), st.sampled_from("012"),
+                      st.integers(3, 99).map(str))
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        inner.map("-{}".format), st.builds("({})^{}".format, inner, st.integers(0, 3))),
+        max_leaves=8)
+
+
+_MAP_SEEDS = st.one_of(st.sampled_from(("", "[")), _grammar_expressions(("z",)),
+                       st.builds("[{} : {}]".format, _grammar_expressions(("X", "Y")),
+                                 _grammar_expressions(("X", "Y"))))
+
+
+def _joined(parts):
+    """The parts run together, with a space where two integers would run into one."""
+    text = ""
+    for part in parts:
+        text += " " + part if text[-1:].isdigit() and part[:1].isdigit() else part
+    return text
+
+
+@st.composite
+def _short_map_texts(draw):
+    """A text of either shape, or "" or "[", with at most one run of it replaced by up
+    to 6 pieces of the map alphabet and integers below 100."""
+    seed = draw(_MAP_SEEDS)
+    if not draw(st.booleans()):
+        return seed
+    start = draw(st.integers(0, len(seed)))
+    stop = draw(st.integers(start, len(seed)))
+    pieces = draw(st.lists(st.one_of(st.sampled_from(_MAP_PIECES), st.integers(0, 99).map(str)),
+                           max_size=6))
+    return _joined([seed[:start], *pieces, seed[stop:]])
+
+
+def _exponent_product(text):
+    """The product of the text's exponents (each at least 1), a bound on a power's growth."""
+    try:
+        tokens = _tokenize(text)
+    except MapSyntaxError:
+        return 1
+    return math.prod(max(tok[1], 1) for prev, tok in zip(tokens, tokens[1:])
+                     if prev[:2] == ("op", "^") and tok[0] == "int")
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except (MapSyntaxError, DegenerateMapError) as e:
+        return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(_short_map_texts())
+@example("z^2-29/16")
+@example("[X^3+2*Y^3:X*Y^2]")
+@example("[X/0 : Y")
+@example("z/0 +")
+@example("(z/2)^2-1")
+@example("[X^2 : Y^2] z")
+def test_parse_map_agrees_with_the_two_pass_reader(text):
+    assume(_exponent_product(text) <= 81)
+    new, old = _read(parse_map, text), _read(naive_parse_map, text)
+    if isinstance(new, DegenerateMapError) and isinstance(old, MapSyntaxError):
+        # one pass refuses a divisor as it reads it, before a syntax fault after it
+        assert str(new) in ("division by an identically-zero expression",
+                            "homogeneous sides may only be divided by constants"), text
+        assert "/" in text[:old.position], text
+    elif isinstance(new, Exception):
+        assert (type(new), str(new)) == (type(old), str(old)), text
+    else:
+        assert (new, new.source) == (old, getattr(old, "source", None)), text
+

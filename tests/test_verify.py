@@ -604,6 +604,22 @@ def test_run_suite_chain_derivation():
     assert [r.status for r in reports] == ["SKIPPED"]
 
 
+def test_run_suite_skips_the_inventory_checks_of_an_incomplete_inventory():
+    reports = run_suite(parse_map("z^2-29/16"), height=16, max_iters=1)
+    skipped = [r.check_name for r in reports
+               if (r.status, r.reason) == ("SKIPPED", "inventory incomplete")]
+    assert skipped == ["tail_periodic_distance", "critical_distance", "tail_count_lemmas",
+                       "preper_bound_Q", "preper_bound_L", "per_bound_three_tailish",
+                       "tail_bound_four_periodic"]
+
+
+def test_finish_caps_the_confirmations():
+    report = verify._finish("check", [], list(range(30)), 30, [("p", "2")])
+    assert report.status == "PASS"
+    assert report.witnesses == (*range(24), "... 6 more")
+    assert report.parameters == (("p", "2"), ("checked", "30"))
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(VerificationInputError):
         run_suite(parse_map("z^2"), "everything")
