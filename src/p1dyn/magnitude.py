@@ -4,9 +4,10 @@ A magnitude is a nonnegative sum of terms c * b1^k1 * ... * e^q, each held as
 (c, powers, q): c a positive int, powers a sorted tuple of (base, k) with
 base^k an integer past EXACT_DIGIT_CEILING decimal digits, and q >= 0 an int,
 or a Fraction only when it is not integral, so the bounds' exponents stay in
-int arithmetic.  The terms are sorted, those of one (powers, q) merged, and
-c's factors of a power's base folded into that power, so 2 * 2^k is 2^(k+1)
-and equal formulas give equal term lists; zero is the empty sum.  power
+int arithmetic.  A base is no perfect power (4^k is kept as 2^(2k)).  The
+terms are sorted, those of one (powers, q) merged, and c's factors of a
+power's base folded into that power, so 2 * 2^k is 2^(k+1) and equal
+formulas give equal term lists; zero is the empty sum.  power
 writes out every integer power within the ceiling, so by
 Lindemann-Weierstrass a magnitude is an integer that can be materialized
 exactly when it is one term with no power and q = 0.  prod_of multiplies
@@ -44,7 +45,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .intarith import _strip, int_digits
+from .intarith import _iroot, _strip, int_digits
 from .record import Record, _set
 
 EXACT_DIGIT_CEILING = 10**6
@@ -168,7 +169,10 @@ def power(base: Magnitude, exponent: int) -> Magnitude:
         value = c**exponent
         if _digits_at_most(value, EXACT_DIGIT_CEILING):
             return _merged([_times((value, (), 0), term)])
-    return Magnitude((_times((1, ((c, exponent),), 0), term),))
+    # else c^exponent is kept as r^(m*exponent), c = r^m with m largest, so r is c's
+    # least root and 4^k, 2^(2k) get one term list
+    m = next(k for k in range(c.bit_length() - 1, 0, -1) if _iroot(c, k) ** k == c)
+    return Magnitude((_times((1, ((_iroot(c, m), m * exponent),), 0), term),))
 
 
 def _times(t1: tuple, t2: tuple) -> tuple:

@@ -156,11 +156,11 @@ def _polynomial_rows(pair: HomogPair, height: int):
     p^e over the primes p <= height of a_0, each e below its exponent, listed
     directly in ascending order from one trial division of a_0.
     """
-    a, b = pair.a, pair.b
-    if any(b[:-1]) or not a[0]:
+    if not pair.polynomial:
         return None
+    a = pair.a
     lead = abs(a[0])
-    reach = max(lead, sum(abs(c) for c in a[1:]) + abs(b[-1]))
+    reach = max(lead, sum(abs(c) for c in a[1:]) + abs(pair.b[-1]))
     primes, rest, p = [], lead, 2
     while p * p <= rest and p <= height:
         if rest % p == 0:

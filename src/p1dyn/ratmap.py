@@ -49,6 +49,11 @@ class HomogPair(Record):
     def degree_below_2(self) -> bool:
         return self.degree < 2
 
+    @property
+    def polynomial(self) -> bool:
+        """G = b_d*Y^d and a_0 != 0: the map is a polynomial in z = X/Y."""
+        return self.a[0] != 0 and not any(self.b[:-1])
+
     def __str__(self):
         return self.source or f"[{_form_str(self.a, self.degree)}:{_form_str(self.b, self.degree)}]"
 
@@ -150,20 +155,48 @@ def _sylvester(pair: HomogPair) -> list[list[int]]:
     return rows
 
 
+def _adjugate_rows(pair: HomogPair) -> tuple[int, list[list[int]]]:
+    """Res = det(S) and rows 0 and 2d-1 of adj(S), S the Sylvester matrix.
+
+    adj(S) = adj(S^T)^T, so row i of adj(S) solves S^T y = Res*e_i.  A
+    polynomial pair has S upper triangular with diagonal a_0 (d times), then
+    b_d (d times): Res = a_0^d*b_d^d, row 2d-1 is (0, ..., 0, a_0^d*b_d^(d-1)),
+    and row 0 comes from one forward substitution over the nonzero a_t,
+    y_k = (Res*[k = 0] - sum of a_t*y_(k-t) over 0 <= k-t < d) / (a_0 if k < d
+    else b_d), each division exact because y is integral: O(d*k) operations
+    for k nonzero coefficients, and no matrix.  Any other pair eliminates
+    S^T augmented by e_0 and e_(2d-1) (``_eliminate``).
+    """
+    d = pair.degree
+    if not pair.polynomial:
+        augmented = [list(column) + [int(k == 0), int(k == 2 * d - 1)]
+                     for k, column in enumerate(zip(*_sylvester(pair)))]
+        return _eliminate(augmented)
+    a, lead, tail = pair.a, pair.a[0], pair.b[-1]
+    res = (lead * tail) ** d
+    terms = [(t, c) for t, c in enumerate(a) if t and c]
+    y = [res // lead]
+    for k in range(1, 2 * d):
+        total = 0
+        for t, c in terms:
+            if t > k:
+                break
+            if k - t < d:
+                total -= c * y[k - t]
+        y.append(total // (lead if k < d else tail))
+    return res, [y, [0] * (2 * d - 1) + [res // tail]]
+
+
 # every caller reads a pair's certificate right after building the pair (make_pair,
 # then reduction_profile, then escape_threshold), so a few entries keep every hit
 @lru_cache(maxsize=16)
 def _certificate(pair: HomogPair) -> tuple[int, int | None]:
-    """(Res, T) from one elimination of S^T augmented by e_0 and e_(2d-1).
+    """(Res, T) from Res and rows 0 and 2d-1 of adj(S) (``_adjugate_rows``).
 
-    S is the Sylvester matrix; det(S^T) = Res, and the two solved columns are
-    rows 0 and 2d-1 of adj(S), which ``escape_threshold`` turns into T.  T is
-    None when d < 2 or Res = 0.  Only the two integers are kept.
+    ``escape_threshold`` turns the two rows into T.  T is None when d < 2 or
+    Res = 0.  Only the two integers are kept.
     """
-    n = 2 * pair.degree
-    augmented = [list(column) + [int(k == 0), int(k == n - 1)]
-                 for k, column in enumerate(zip(*_sylvester(pair)))]
-    res, rows = _eliminate(augmented)
+    res, rows = _adjugate_rows(pair)
     if pair.degree < 2 or res == 0:
         return res, None
     content = math.gcd(*rows[0], *rows[1])
@@ -173,7 +206,9 @@ def _certificate(pair: HomogPair) -> tuple[int, int | None]:
 def resultant(pair: HomogPair) -> int:
     """Determinant of the 2d x 2d Sylvester matrix S of the pair.
 
-    Read from the one elimination that also gives ``escape_threshold``.
+    Read from the one certificate that also gives ``escape_threshold``: a
+    polynomial pair's S is upper triangular, so Res = a_0^d*b_d^d; any other
+    pair's comes from one fraction-free elimination (``_adjugate_rows``).
     """
     return _certificate(pair)[0]
 
@@ -183,9 +218,9 @@ def escape_threshold(pair: HomogPair) -> int:
 
     Rows 0 and 2d-1 of adj(S), S the Sylvester matrix, over their contents c_i,
     give forms with g1*F + g2*G = R_1*X^(2d-1) and h1*F + h2*G = R_2*Y^(2d-1),
-    R_i = Res/c_i.  Both rows come from the elimination that gives Res: S^T
-    augmented by the unit columns e_0 and e_(2d-1), solved for
-    adj(S^T) e_i = (row i of adj(S)) (``_certificate``).
+    R_i = Res/c_i.  Both rows come with Res (``_adjugate_rows``): a forward
+    substitution through the triangular S^T of a polynomial pair, else one
+    elimination of S^T augmented by the unit columns e_0 and e_(2d-1).
     With G_i the sum of |coefficients| of row i and L = lcm(R_1, R_2), which
     gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
     for i the larger coordinate; so T is the integer (d-1)-th root of
@@ -285,8 +320,9 @@ def wronskian(pair: HomogPair) -> tuple[int, ...]:
     """
     a, b, d = pair.a, pair.b, pair.degree
     out = [0] * (2 * d - 1)
-    for i in range(d):
-        for j in range(i + 1, d + 1):
+    support = [i for i in range(d + 1) if a[i] or b[i]]  # a minor needs both columns nonzero
+    for n, i in enumerate(support):
+        for j in support[n + 1:]:
             minor = a[i] * b[j] - a[j] * b[i]
             if minor:
                 out[i + j - 1] += d * (j - i) * minor

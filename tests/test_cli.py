@@ -662,6 +662,14 @@ def test_module_entrypoint_roundtrip():
     assert done.stdout == "B = 65536\n"
 
 
+def test_analyze_a_degree_4000_polynomial_in_seconds():
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "p1dyn", "analyze", "--map", "z^4000+1",
+                           "--height", "4"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 5
+
+
 def test_module_entrypoint_missing_map():
     done = subprocess.run([sys.executable, "-m", "p1dyn", "analyze"],
                           capture_output=True, text=True, timeout=60)

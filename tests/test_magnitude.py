@@ -66,8 +66,10 @@ def test_constructor_canonical_forms():
     assert (prod_of(exact(2), two_k) == prod_of(two_k, exact(2)) == sum_of(two_k, two_k)
             == power(exact(2), 4 * 10**6 + 1))
     assert prod_of(exact(12), two_k).terms == ((3, ((2, 4 * 10**6 + 2),), 0),)
-    two_four_k = prod_of(exact(2), power(exact(4), 2 * 10**6))
-    assert power(two_four_k, 2).terms == ((1, ((4, 4 * 10**6 + 1),), 0),)
+    two_four_k = prod_of(exact(2), power(exact(4), 2 * 10**6))  # 4^k is written 2^(2k)
+    assert power(two_four_k, 2).terms == ((1, ((2, 8 * 10**6 + 2),), 0),)
+    six_twelve_k = prod_of(exact(6), power(exact(12), 10**6))  # 6^2 = 3 * 12 folds once squared
+    assert power(six_twelve_k, 2).terms == ((3, ((12, 2 * 10**6 + 1),), 0),)
 
     assert prod_of(exact(6), exact(7)) == exact(42)
     assert prod_of(exp_of(2), exp_of(3)) == exp_of(5)
@@ -260,6 +262,19 @@ def test_power_folds_every_integer_within_the_ceiling():
     assert m.terms == ((2 ** (2 * 10**6), (), 0),)
     assert force_exact(m) == 2 ** (2 * 10**6)
     assert power(exact(2), 4 * 10**6).terms == ((1, ((2, 4 * 10**6),), 0),)
+
+
+def test_a_perfect_power_base_is_written_at_its_least_root():
+    k = 4 * 10**6
+    assert power(exact(4), k // 2) == power(exact(2), k)
+    assert compare(power(exact(2), k), power(exact(4), k // 2)) is Comparison.EQUAL
+    assert power(exact(36), 10**6).terms == ((1, ((6, 2 * 10**6),), 0),)
+    assert power(exact(2**12), 10**6).terms == ((1, ((2, 12 * 10**6),), 0),)
+    four, fours, twos = exact(4), power(exact(4), k), power(exact(2), k)
+    orders = [prod_of(four, fours, twos), prod_of(prod_of(four, fours), twos),
+              prod_of(four, prod_of(fours, twos)), prod_of(twos, fours, four),
+              prod_of(prod_of(twos, four), fours)]
+    assert {m.terms for m in orders} == {((1, ((2, 3 * k + 2),), 0),)}
 
 
 _leaf = st.one_of(

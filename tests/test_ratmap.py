@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1dyn import ratmap
-from p1dyn.intarith import ArithmeticInputError
+from p1dyn.intarith import ArithmeticInputError, _iroot
 from p1dyn.mapparse import MapSyntaxError, _tokenize, parse_map
 from p1dyn.orbits import _vanishes, enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, canonicalize, parse_point, points_up_to_height
@@ -174,15 +175,76 @@ def test_resultant_matches_sympy_on_random_pairs():
 
 
 def test_one_elimination_per_map(monkeypatch):
-    # Res and the escape threshold T come from one cached elimination
+    # Res and the escape threshold T come from one cached certificate per map; a
+    # polynomial gets it by a triangular solve, with no Sylvester matrix at all
     calls = []
-    eliminate = ratmap._eliminate
-    monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append(m) or eliminate(m))
+    eliminate, sylvester = ratmap._eliminate, ratmap._sylvester
+    monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append("eliminate") or eliminate(m))
+    monkeypatch.setattr(ratmap, "_sylvester", lambda p: calls.append("sylvester") or sylvester(p))
+    for text, expected in (("z^2-1237/97", []), ("[X^3+2*Y^3:X*Y^2]", ["sylvester", "eliminate"])):
+        calls.clear()
+        ratmap._certificate.cache_clear()
+        pair = parse_map(text)
+        reduction_profile(pair)
+        enumerate_preperiodic(pair, 64)
+        assert calls == expected, text
+        assert ratmap._certificate.cache_info().misses == 1, text
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """[a_0 X^d + ... + a_d Y^d : b_d Y^d], sparse or dense, b_d of either sign,
+    a_0 and b_d often sharing primes."""
+    d = draw(st.integers(1, 8))
+    shared = draw(st.sampled_from([1, 1, 2, 3, 6, 12, 30]))
+    lead = shared * draw(st.integers(1, 40))
+    tail = shared * draw(st.integers(-40, 40).filter(bool))
+    coefficient = draw(st.sampled_from([st.integers(-60, 60),
+                                        st.sampled_from([0, 0, 0, 0, 1, -1, 5, -18])]))
+    rest = draw(st.lists(coefficient, min_size=d, max_size=d))
+    return make_pair([lead, *rest], [0] * d + [tail])
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs())
+@example(parse_map("z^2-29/16"))
+@example(parse_map("2*z^3-z+1/5"))
+@example(parse_map("z^8"))
+@example(make_pair([6, 0, 0, 1], [0, 0, 0, -4]))
+def test_triangular_certificate_matches_the_elimination(pair):
+    d = pair.degree
+    assert pair.polynomial
+    augmented = [list(column) + [int(k == 0), int(k == 2 * d - 1)]
+                 for k, column in enumerate(zip(*ratmap._sylvester(pair)))]
+    res, rows = ratmap._eliminate(augmented)
+    assert ratmap._adjugate_rows(pair) == (res, rows)
+    threshold = None
+    if d >= 2:
+        content = math.gcd(*rows[0], *rows[1])
+        threshold = _iroot(max(sum(map(abs, row)) for row in rows) // content, d - 1)
     ratmap._certificate.cache_clear()
-    pair = parse_map("z^2-1237/97")
-    reduction_profile(pair)
-    enumerate_preperiodic(pair, 64)
-    assert len(calls) == 1
+    assert ratmap._certificate(pair) == (res, threshold)
+
+
+def test_a_high_degree_polynomial_builds_no_matrix():
+    ratmap._certificate.cache_clear()
+    tracemalloc.start()
+    try:
+        pair = parse_map("z^1000+1")
+        certificate = ratmap._certificate(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certificate == (1, 1)
+    assert peak < 10**6
+
+
+def test_polynomial_means_a_nonzero_lead_over_a_pure_power_of_y():
+    assert parse_map("z^2-29/16").polynomial and parse_map("3*z^5+z").polynomial
+    assert not parse_map("[X^3+2*Y^3:X*Y^2]").polynomial
+    assert not parse_map("(z^2+1)/(2*z)").polynomial
+    assert not parse_map("1/z^2").polynomial
+    assert not HomogPair(2, (0, 1, 1), (0, 0, 1)).polynomial  # a_0 = 0, so Res = 0
 
 
 def test_reduction_profile_examples():
@@ -422,6 +484,8 @@ def test_parse_map_round_trips_the_printed_pair(pair):
 @example(parse_map("[X*Y+Y^2:X^2]"))
 @example(parse_map("[Y^3:X^3]"))
 @example(parse_map("[X^4+Y^4:X*Y^3]"))
+@example(parse_map("z^2-29/16"))  # polynomials: the triangular solve
+@example(parse_map("2*z^3-z+1/5"))
 def test_escape_threshold_and_resultant_match_sympy(pair):
     assert resultant(pair) == _sympy_sylvester(pair).det()
     assert escape_threshold(pair) == _sympy_escape_threshold(pair)
@@ -445,6 +509,39 @@ def test_wronskian_and_its_zeros_match_sympy(pair, x, y):
         v = sympy.Poly(w * (y * X - x * Y), X, Y)
         through = [int(v.coeff_monomial(X ** (2 * d - 1 - k) * Y**k)) for k in range(2 * d)]
         assert _vanishes(through, x, y)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Pairs of degree up to 40 with one to four nonzero coefficients a side; the
+    Wronskian needs no nonzero resultant, so each is built as a HomogPair."""
+    d = draw(st.integers(2, 40))
+    sides = []
+    for _ in range(2):
+        side = [0] * (d + 1)
+        for i in draw(st.lists(st.integers(0, d), min_size=1, max_size=4)):
+            side[i] = draw(st.integers(-9, 9).filter(bool))
+        sides.append(side)
+    g = math.gcd(*sides[0], *sides[1])
+    if next(c for c in sides[0] + sides[1] if c) < 0:
+        g = -g
+    return HomogPair(d, *(tuple(c // g for c in side) for side in sides))
+
+
+# small dense pairs meet the same oracle in test_wronskian_and_its_zeros_match_sympy
+@settings(max_examples=60, deadline=None)
+@given(sparse_pairs())
+@example(parse_map("z^40+1"))
+@example(parse_map("[X^40+Y^40:X^39*Y]"))
+def test_wronskian_matches_sympy(pair):
+    d = pair.degree
+    X, Y = sympy.symbols("X Y")
+    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
+    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
+    w = sympy.Poly(sympy.diff(f, X) * sympy.diff(g, Y) - sympy.diff(f, Y) * sympy.diff(g, X),
+                   X, Y)
+    assert wronskian(pair) == tuple(int(w.coeff_monomial(X ** (2 * d - 2 - k) * Y**k))
+                                    for k in range(2 * d - 1))
 
 
 def _sympy_rational_critical_points(pair):
