@@ -20,7 +20,17 @@ A = sum of |a_i| over i >= 1, a start z = x/y (y >= 1) is dropped when
      a_0 z^d strictly dominates, so v_p(phi(z)) = v_p(a_0) - k*d - v_p(b_d)
      < -k, and (ii) holds again at the larger k: v_p(z) falls forever.
      For p not dividing a_0 this holds at every k >= 1, so the kept
-     denominators are built from primes of a_0.
+     denominators are built from primes of a_0.  K_p is the least k >= 1
+     for which (ii) holds; it holds at every k >= K_p.
+(iii) a prime p <= height of a_0, with k = v_p(y) < K_p, has one term of
+     F(z, 1) of least valuation v at every x of the row, and
+     v - v_p(b_d) <= -K_p.  At k >= 1, x is a p-unit, so term a_i z^(d-i)
+     has the exact valuation v_p(a_i) - (d-i)*k, and the least must be
+     unique; at k = 0 only a_d's is exact, so a_d != 0 with v_p(a_d) below
+     every other v_p(a_i), a_i != 0, is needed, and v = v_p(a_d).  Proof:
+     v_p(phi(z)) = v - v_p(b_d) <= -K_p, so (ii) holds at phi(z) and z is
+     not preperiodic.  For z^2 + c this is Walde-Russo's theorem: a prime of
+     odd exponent m in c's denominator keeps no k (only k = m/2 would tie).
 
 A strictly monotone |z| or v_p(z) never repeats, so no dropped start is
 preperiodic.  A walk of it could only have escaped or, with too small a
@@ -137,24 +147,36 @@ class DynamicalInventory(Record):
         _set(self, "starts", starts)  # candidates offered to the walker, infinity included
 
 
-def _escape_exponent(pair: HomogPair, p: int) -> int:
-    """Least k >= 1 for which rule (ii) drops every start with v_p(y) >= k; p is prime."""
+def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
+    """The exponents e < min(K_p, height.bit_length()) that rule (iii) keeps, for
+    a prime p of a_0: the values of v_p(y) a kept row can have (module docstring).
+    p^e <= height needs e < height.bit_length(), so a huge power of p in a_0
+    costs no more than that many steps.
+    """
     a, d = pair.a, pair.degree
-    top = _strip(a[0], p)[1]
-    k = max(1, (top - _strip(pair.b[-1], p)[1]) // (d - 1) + 1)
-    for i in range(1, d + 1):
-        if a[i]:
-            k = max(k, (top - _strip(a[i], p)[1]) // i + 1)
-    return k
+    vals = [(i, _strip(c, p)[1]) for i, c in enumerate(a) if c]
+    top, v_b = vals[0][1], _strip(pair.b[-1], p)[1]
+    k_p = max(1, (top - v_b) // (d - 1) + 1, *((top - v) // i + 1 for i, v in vals[1:]))
+    kept = []
+    for e in range(min(k_p, height.bit_length())):
+        if e:  # x is a p-unit: every term's valuation is exact
+            least, *others = sorted(v - (d - i) * e for i, v in vals)
+        else:  # only the constant term's is exact; the others' are lower bounds
+            least, others = vals[-1][1] if a[d] else None, [v for _, v in vals[:-1]]
+        if least is None or least - v_b > -k_p or any(v <= least for v in others):
+            kept.append(e)
+    return kept
 
 
 def _polynomial_rows(pair: HomogPair, height: int):
-    """Rows (y, x bound) of the starts rules (i) and (ii) keep, or None if not a polynomial.
+    """Rows (y, x bound) of the starts rules (i) to (iii) keep, or None if not a polynomial.
 
-    Rule (ii) drops every y with a prime factor p not dividing a_0, or with
-    v_p(y) >= ``_escape_exponent(pair, p)``; so the kept y are the products of
-    p^e over the primes p <= height of a_0, each e below its exponent, listed
-    directly in ascending order from one trial division of a_0.
+    Rules (ii) and (iii) drop every y with a prime factor p not dividing
+    a_0, or with a prime p <= height of a_0 and v_p(y) not among
+    ``_kept_exponents(pair, p, height)``; so the kept y are the products of
+    p^e over those primes, each e kept, listed directly in ascending order
+    from one trial division of a_0.  A prime with no kept exponent leaves no
+    row, and only infinity is walked.
     """
     if not pair.polynomial:
         return None
@@ -165,15 +187,16 @@ def _polynomial_rows(pair: HomogPair, height: int):
     while p * p <= rest and p <= height:
         if rest % p == 0:
             primes.append(p)
-            while rest % p == 0:
-                rest //= p
+            rest = _strip(rest, p)[0]
         p += 1
     if 1 < rest <= height:  # rest is 1, a prime, or has no prime factor <= height
         primes.append(rest)
     ys = [1]
-    for p in primes:  # p^e <= height needs e < height.bit_length()
-        powers = [p**e for e in range(min(_escape_exponent(pair, p), height.bit_length()))]
+    for p in primes:
+        powers = [p**e for e in _kept_exponents(pair, p, height)]
         ys = [y * q for y in ys for q in powers if y * q <= height]
+        if not ys:
+            return []
     return [(y, min(height, reach * y // lead)) for y in sorted(ys)]
 
 

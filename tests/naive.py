@@ -112,13 +112,33 @@ def _naive_valuation(n, prime):
     return v
 
 
-def naive_sieve_drops(pair, point):
-    """Whether rule (i) or (ii) of the polynomial sieve drops a start, as the rules are stated.
+def _naive_rule_ii(pair, prime, k):
+    """Whether k*i > v_p(a_0) - v_p(a_i) for every i >= 1 with a_i != 0 and
+    k*(d-1) > v_p(a_0) - v_p(b_d)."""
+    a, b, d = pair.a, pair.b, pair.degree
+    top = _naive_valuation(a[0], prime)
+    return (all(k * i > top - _naive_valuation(a[i], prime)
+                for i in range(1, d + 1) if a[i] != 0)
+            and k * (d - 1) > top - _naive_valuation(b[-1], prime))
+
+
+def _naive_is_prime(n):
+    return n > 1 and not any(n % q == 0 for q in range(2, n))
+
+
+def naive_sieve_drops(pair, point, height):
+    """Whether rule (i), (ii) or (iii) of the polynomial sieve drops a start at grid
+    height ``height``, as the rules are stated.
 
     For b = (0, ..., 0, b_d) and A = sum of |a_i| over i >= 1, a finite start
     [x : y] is dropped when |x|*|a_0| > max(|a_0|, A + |b_d|)*y, or when a
     prime p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for every
-    i >= 1 with a_i != 0 and k*(d-1) > v_p(a_0) - v_p(b_d).
+    i >= 1 with a_i != 0 and k*(d-1) > v_p(a_0) - v_p(b_d), or when a prime
+    p <= height of a_0, with K_p the least k >= 1 that meets that and
+    k = v_p(y), has one term of F(z, 1) of least valuation v, with
+    v - v_p(b_d) <= -K_p.  At k >= 1 the terms a_i*x^(d-i)*y^i of F(x, y)
+    are read at the point itself, d*k over F(z, 1)'s; at k = 0 only a_d's
+    valuation is known, so it must lie below every other a_i's.
     """
     a, b, d = pair.a, pair.b, pair.degree
     if any(b[:-1]) or point.y == 0:
@@ -127,13 +147,24 @@ def naive_sieve_drops(pair, point):
     if abs(point.x) * abs(a[0]) > max(abs(a[0]), rest + abs(b[-1])) * point.y:
         return True
     for prime in range(2, point.y + 1):
-        if point.y % prime or any(prime % q == 0 for q in range(2, prime)):
+        if (point.y % prime == 0 and _naive_is_prime(prime)
+                and _naive_rule_ii(pair, prime, _naive_valuation(point.y, prime))):
+            return True
+    for prime in range(2, height + 1):
+        if a[0] % prime or not _naive_is_prime(prime):
             continue
         k = _naive_valuation(point.y, prime)
-        top = _naive_valuation(a[0], prime)
-        if (all(k * i > top - _naive_valuation(a[i], prime)
-                for i in range(1, d + 1) if a[i] != 0)
-                and k * (d - 1) > top - _naive_valuation(b[-1], prime)):
+        escape = next(j for j in itertools.count(1) if _naive_rule_ii(pair, prime, j))
+        if k:
+            terms = [_naive_valuation(a[i] * point.x ** (d - i) * point.y**i, prime) - d * k
+                     for i in range(d + 1) if a[i] != 0]
+            least = min(terms)
+            unique = terms.count(least) == 1
+        else:  # the other terms' valuations are only at least their a_i's
+            least = _naive_valuation(a[d], prime) if a[d] != 0 else None
+            unique = a[d] != 0 and all(_naive_valuation(a[i], prime) > least
+                                       for i in range(d) if a[i] != 0)
+        if unique and least - _naive_valuation(b[-1], prime) <= -escape:
             return True
     return False
 

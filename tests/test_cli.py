@@ -21,6 +21,7 @@ from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import parse_point
+from p1dyn.ratmap import escape_threshold
 
 from naive import build_parser, naive_sieve_drops
 
@@ -251,7 +252,8 @@ def test_analyze_incomplete_lists_only_starts_the_sieve_keeps(capsys):
                 if l.startswith("incomplete: undecided starting points "))
     undecided = [parse_point(t) for t in line.split(" points ", 1)[1].split(", ")]
     pair = parse_map("z^2-29/16")
-    assert undecided and not any(naive_sieve_drops(pair, p) for p in undecided)
+    grid_height = min(64, escape_threshold(pair))
+    assert undecided and not any(naive_sieve_drops(pair, p, grid_height) for p in undecided)
 
 
 def test_verify_accepts_a_huge_image_cofactor_in_seconds(capsys):

@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -221,15 +224,20 @@ def polynomial_pairs(draw):
 @given(polynomial_pairs(), st.integers(1, 200))
 @example(rational_pair([1, 0, Fraction(-5, 2**5 * 3**2 * 7)], [0, 0, 1]), 200)
 @example(rational_pair([1, 0, Fraction(-843, 211)], [0, 0, 1]), 200)  # 211 above the height
+@example(rational_pair([1, 0, Fraction(1, 2)], [0, 0, 1]), 200)  # only infinity is walked
+@example(rational_pair([1, 0, 0, Fraction(1, 8)], [0, 0, 0, 1]), 200)  # k = 0 drops odd y
+@example(rational_pair([1, 0, Fraction(-29, 16)], [0, 0, 1]), 200)  # y = 4 ties: kept
+@example(rational_pair([Fraction(1, 4), Fraction(1, 8), 0], [0, 0, 1]), 200)  # a_d = 0: 0 is fixed
 def test_polynomial_sieve_agrees_with_full_scan(pair, height):
-    # the sieve walks exactly the starts rules (i) and (ii) keep, and every
+    # the sieve walks exactly the starts rules (i) to (iii) keep, and every
     # start it drops escapes in the full scan at the default budgets
     inv = enumerate_preperiodic(pair, height)
     found, kinds = naive_full_scan(pair, height, 256, 10**6)
     assert inv.preper == found
     assert inv.undecided == ()
-    grid = all_points_up_to_height(min(height, escape_threshold(pair)))
-    dropped = [p for p in grid if naive_sieve_drops(pair, p)]
+    grid_height = min(height, escape_threshold(pair))
+    grid = all_points_up_to_height(grid_height)
+    dropped = [p for p in grid if naive_sieve_drops(pair, p, grid_height)]
     assert inv.starts == len(grid) - len(dropped)
     for p in dropped:
         assert kinds[p] == "escaped"
@@ -318,6 +326,34 @@ def test_walde_russo_families_at_the_escape_threshold(family, t):
     assert not any(len(cyc) in (4, 5) for cyc in inv.cycles)
 
 
+def test_walde_russo_a_denominator_that_is_no_square_admits_no_finite_point():
+    # Walde-Russo: z^2 + c has a finite rational preperiodic point only if c's
+    # denominator is a square e^2, and then every such point has denominator e;
+    # rule (iii) proves the first without a walk and keeps only the row y = e
+    squares = {e * e: e for e in range(1, 9)}
+    no_square = []
+    for den in range(1, 65):
+        for num in range(-64, 65):
+            if gcd(num, den) != 1:
+                continue
+            pair = rational_pair([1, 0, Fraction(num, den)], [0, 0, 1])
+            if den in squares:
+                assert [y for y, _ in _polynomial_rows(pair, 1024)] == [squares[den]]
+            else:
+                inv = enumerate_preperiodic(pair, 1024)
+                assert (inv.starts, inv.preper) == (1, {INFINITY})
+                no_square.append(pair)
+    for pair in random.Random(35).sample(no_square, 4):
+        assert naive_full_scan(pair, 32, 256, 10**6)[0] == {INFINITY}
+
+
+def test_a_huge_denominator_that_is_no_square_is_decided_without_a_walk():
+    pair = parse_map("z^2+1/2^4001")
+    start = time.perf_counter()
+    assert preperiodic_counts(pair, 1024) == (1, 1, 0, 1, False)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_lattes_map_of_y2_equals_x3_plus_1():
     # a rational x is preperiodic exactly when (x, sqrt(x^3 + 1)) is a torsion point
     # of y^2 = x^3 + 1 or of a twist (Mazur): x in {-1, 0, 2} and infinity
@@ -333,12 +369,15 @@ def test_lattes_map_of_y2_equals_x3_plus_1():
 
 
 def test_polynomial_rows_of_z2_minus_29_16():
-    # a_0 = 16 and v_2(y) < 3: |x| <= 45*y//16 on y in {1, 2, 4}
-    assert _polynomial_rows(parse_map("z^2-29/16"), 1024) == [(1, 2), (2, 5), (4, 11)]
+    # a_0 = 16 and v_2(y) < 3; rule (iii) drops y = 1 and 2, where -29 alone has the
+    # least 2-adic valuation, so v_2(phi(z)) = -4, and keeps y = 4, where 16z^2 and -29
+    # tie: |x| <= 45*4//16
+    assert _polynomial_rows(parse_map("z^2-29/16"), 1024) == [(4, 11)]
 
 
 @pytest.mark.parametrize("map_text, height, starts", [
-    ("z^2-29/16", 1024, 24),  # y in {1, 2, 4}, |x/y| <= 45/16, and infinity
+    ("z^2-29/16", 1024, 24),  # rules (i) and (ii): y in {1, 2, 4}, |x/y| <= 45/16, and infinity
+    ("z^2-29/16", 1024, 13),  # rule (iii) too: y = 4, odd |x| <= 11, and infinity
     ("z^2-2", 64, 8),  # y = 1, |x| <= 3, and infinity
 ])
 def test_polynomial_sieve_size(map_text, height, starts):
