@@ -23,8 +23,8 @@ for text in ("1/4", "3/4", "2"):
 # enumerate_preperiodic classifies every canonical point up to a height
 # bound that can be preperiodic, sharing verdicts between orbits, and
 # assembles the full picture.  For a polynomial like this one it skips the
-# starts that provably escape: here only denominators 1, 2, 4 and
-# |z| <= 45/16 are walked, 24 starts in all.
+# starts that provably escape: here only the row of denominator 4 with
+# |z| <= 11/4 is walked, 13 starts in all with infinity.
 inv = enumerate_preperiodic(phi, height=64)
 print("\npreperiodic points:", len(inv.preper))
 print("  periodic:", sorted(format_point(p) for p in inv.per))

@@ -189,18 +189,20 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _perfect_root(m: int) -> int | None:
-    """r with m = r^k for the least prime k, or None if m is no perfect power.
+def _least_root(n: int, factor_bits: int = 1) -> tuple[int, int]:
+    """(r, m) with n = r^m and m largest, for n >= 1 with no prime factor below 2^factor_bits.
 
-    Requires m prime or every prime factor of m above 2^13, as trial division
-    below 10^4 leaves it; r^k then has over 13k bits, so k runs while 13k <= bits(m).
+    A root r^k = n then has over k*factor_bits bits, so only primes k with
+    k*factor_bits < bits(r) are tried.  They rise, and each is divided out for
+    as long as it is a root, so no smaller one can return.
     """
-    for k in _PRIMES_10K:
-        if 13 * k > m.bit_length():
-            return None
-        if (r := _iroot(m, k)) ** k == m:
-            return r
-    return None
+    r, m = n, 1
+    for k in _small_primes((n.bit_length() - 1) // factor_bits):
+        if k * factor_bits >= r.bit_length():
+            break
+        while (s := _iroot(r, k)) ** k == r:
+            r, m = s, m * k
+    return r, m
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -238,8 +240,8 @@ def factorize(n: int) -> dict[int, int]:
             found[p] += e
         if m == 1:
             continue
-        g = _perfect_root(m)
-        if g is None:
+        g, e = _least_root(m, 13)  # no prime below 10^4 > 2^13 is left in m
+        if e == 1:
             if is_prime(m):
                 found[m] = 1
                 continue

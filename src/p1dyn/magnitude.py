@@ -45,7 +45,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .intarith import _iroot, _small_primes, _strip, int_digits
+from .intarith import _least_root, _strip, int_digits
 from .record import Record, _set
 
 EXACT_DIGIT_CEILING = 10**6
@@ -170,14 +170,8 @@ def power(base: Magnitude, exponent: int) -> Magnitude:
         if _digits_at_most(value, EXACT_DIGIT_CEILING):
             return _merged([_times((value, (), 0), term)])
     # else c^exponent is kept as r^(m*exponent), c = r^m with m largest, so r is c's
-    # least root and 4^k, 2^(2k) get one term list.  r^k = c needs k < bits(c); the
-    # primes k rise and each is divided out while it can be, so no smaller one returns
-    r, m = c, 1
-    for k in _small_primes(c.bit_length() - 1):
-        if k >= r.bit_length():
-            break
-        while (s := _iroot(r, k)) ** k == r:
-            r, m = s, m * k
+    # least root and 4^k, 2^(2k) get one term list
+    r, m = _least_root(c)
     return Magnitude((_times((1, ((r, m * exponent),), 0), term),))
 
 

@@ -30,8 +30,9 @@ import re
 
 from .ratmap import DegenerateMapError, HomogPair, make_pair
 
+# every character outside whitespace starts a token; one no rule reads is "bad"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>\*\*|[-+*/^()\[\]:]))"
+    r"(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>\*\*|[-+*/^()\[\]:])|(?P<bad>\S)"
 )
 
 
@@ -43,28 +44,19 @@ class MapSyntaxError(ValueError):
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise MapSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "int":
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise MapSyntaxError(f"unexpected character {value!r}", at)
+        if kind == "int":
             try:
-                value = int(m.group("int"))
+                value = int(value)
             except ValueError:  # longer than the interpreter's int-string limit
-                raise MapSyntaxError(f"integer literal of {len(m.group('int'))} digits "
-                                     "is too long", m.start("int")) from None
-            tokens.append(("int", value, m.start("int")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op, m.start("op")))
-        pos = m.end()
+                raise MapSyntaxError(f"integer literal of {len(value)} digits "
+                                     "is too long", at) from None
+        elif value == "**":
+            value = "^"
+        tokens.append((kind, value, at))
     tokens.append(("end", None, len(text)))
     return tokens
 

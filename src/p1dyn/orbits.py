@@ -212,8 +212,6 @@ def _vanishes(form, x: int, y: int) -> bool:
 def _walk_grid(pair: HomogPair, height: int, max_iters: int):
     """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk."""
     _check_limits(pair, max_iters)
-    if height < 1:
-        raise ArithmeticInputError("height must be positive")
     step = step_kernel(pair.a, pair.b)
     threshold = escape_threshold(pair)
     grid_height = min(height, threshold)
@@ -266,7 +264,7 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
 
     Above T = escape_threshold(pair) every step raises the height, so only the
     candidates from ``coordinates_up_to_height`` at min(height, T) are walked;
-    a polynomial pair also skips the starts that its rules (i) and (ii) prove
+    a polynomial pair also skips the starts that its rules (i) to (iii) prove
     to escape (module docstring).  Each walk runs until its orbit reaches a
     point already known to be preperiodic, closes a new cycle, escapes (a
     point above T, a proof), or uses up ``max_iters``.  The returned
@@ -279,41 +277,31 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     """
     cycles, preper_map, undecided, starts, step = _walk_grid(pair, height, max_iters)
 
-    # assemble, with canonical cycle rotations and deterministic ordering
-    cycle_points = [tuple(ProjPoint(x, y) for x, y in c) for c in cycles]
-    rotated = []
-    for cyc in cycle_points:
+    # each cycle rotated to start at its least point, kept at its walk index
+    by_id = []
+    for c in cycles:
+        cyc = tuple(ProjPoint(x, y) for x, y in c)
         k = min(range(len(cyc)), key=lambda i: point_sort_key(cyc[i]))
-        rotated.append(cyc[k:] + cyc[:k])
-    order = sorted(range(len(rotated)), key=lambda i: point_sort_key(rotated[i][0]))
-    renumber = {old: new for new, old in enumerate(order)}
-    final_cycles = tuple(rotated[i] for i in order)
-
-    per = frozenset(p for cyc in final_cycles for p in cyc)
-    preper_pts = {}
-    for (x, y), (tl, cid) in preper_map.items():
-        preper_pts[ProjPoint(x, y)] = (tl, renumber[cid])
-    preper = frozenset(preper_pts)
-    tail = preper - per
-    tail_lengths = {p: tl for p, (tl, _) in preper_pts.items() if tl > 0}
-
-    w = wronskian(pair)
-    per0 = frozenset(p for cyc in final_cycles if any(_vanishes(w, q.x, q.y) for q in cyc)
-                     for p in cyc)
-
+        by_id.append(cyc[k:] + cyc[:k])
+    per = frozenset(p for cyc in by_id for p in cyc)
+    tail_lengths: dict[ProjPoint, int] = {}
     tails_by: dict[ProjPoint, list[ProjPoint]] = {p: [] for p in per}
-    for p, (tl, cid) in preper_pts.items():
-        if tl > 0:
-            for target in final_cycles[cid]:
+    for (x, y), (tl, cid) in preper_map.items():
+        if tl:
+            p = ProjPoint(x, y)
+            tail_lengths[p] = tl
+            for target in by_id[cid]:
                 tails_by[target].append(p)
+    tail = frozenset(tail_lengths)
     tails_by_target = {
         p: tuple(sorted(ts, key=point_sort_key)) for p, ts in tails_by.items()
     }
 
-    image = {}
-    for cyc in final_cycles:
-        for i, p in enumerate(cyc):
-            image[p] = cyc[(i + 1) % len(cyc)]
+    w = wronskian(pair)
+    per0 = frozenset(p for cyc in by_id if any(_vanishes(w, q.x, q.y) for q in cyc)
+                     for p in cyc)
+
+    image = {p: cyc[(i + 1) % len(cyc)] for cyc in by_id for i, p in enumerate(cyc)}
     for p in tail:
         image[p] = ProjPoint(*step(p.x, p.y))
 
@@ -321,11 +309,11 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
         pair=pair,
         search_height=height,
         max_iters=max_iters,
-        preper=preper,
+        preper=per | tail,
         per=per,
         tail=tail,
         per0=per0,
-        cycles=final_cycles,
+        cycles=tuple(sorted(by_id, key=lambda c: point_sort_key(c[0]))),
         tails_by_target=tails_by_target,
         tail_lengths=tail_lengths,
         image=image,

@@ -4,9 +4,10 @@ Everything here favors obviousness over speed: trajectories are stored in
 plain lists and scanned quadratically, set memberships are tested prime by
 prime, and no caching of any kind happens.  Maps are applied by
 naive_evaluate, which shares no code with the library's step kernel.
-Map text is read by naive_parse_map, which builds a tree of tuples and
-only then evaluates it; it shares the tokenizer and the polynomial
-arithmetic with mapparse, so it checks the reading, not the arithmetic.
+Map text is cut by naive_tokenize, a position loop over one anchored match
+at a time, and read by naive_parse_map, which builds a tree of tuples and
+only then evaluates it; it shares the polynomial arithmetic with mapparse,
+so it checks the scanning and the reading, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import sympy
@@ -24,7 +26,7 @@ from p1dyn.bounds import BOUND_ORDER, unit_equation_bound
 from p1dyn.cli import cmd_analyze, cmd_batch, cmd_bounds, cmd_verify
 from p1dyn.intarith import factorize
 from p1dyn.mapparse import (_ONE, _VARIABLES, MapSyntaxError, _at_y1, _bi_add, _bi_mul,
-                            _poly_exact_div, _poly_gcd, _power, _side_degree, _tokenize)
+                            _poly_exact_div, _poly_gcd, _power, _side_degree)
 from p1dyn.magnitude import exact, max_of, power, prod_of, sum_of
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
 from p1dyn.ratmap import DegenerateMapError, make_pair
@@ -454,11 +456,46 @@ def naive_prod_terms(*parts):
         terms = folded
 
 
+_NAIVE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>\*\*|[-+*/^()\[\]:]))"
+)
+
+
+def naive_tokenize(text):
+    """mapparse's tokens by a position loop: one anchored match at a time, and on a
+    failed match the first character left after stripping whitespace is refused."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _NAIVE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise MapSyntaxError(f"unexpected character {stripped[0]!r}", at)
+        if m.lastgroup == "int":
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise MapSyntaxError(f"integer literal of {len(m.group('int'))} digits "
+                                     "is too long", m.start("int")) from None
+            tokens.append(("int", value, m.start("int")))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            op = m.group("op")
+            tokens.append(("op", "^" if op == "**" else op, m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
 class _NaiveMapParser:
     """The two-pass map reader's first pass: recursive descent to a tree of tuples."""
 
     def __init__(self, text, variables):
-        self.tokens = _tokenize(text)
+        self.tokens = naive_tokenize(text)
         self.variables = variables
         self.i = 0
 

@@ -65,6 +65,16 @@ def test_verify_parse_error_exits_2_with_one_line(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--map", "z^2", "--height", "0"],
+    ["verify", "--map", "z^2-1", "--height", "-1"],
+])
+def test_height_below_1_exits_2_with_one_line(capsys, argv):
+    # the one height check, in coordinates_up_to_height, answers for both commands
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: height bound must be at least 1\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--c-num-max", "0", "--c-den-max", "1"], "--c-num-max and --c-den-max must be at least 1"),
     (["--c-num-max", "1", "--c-den-max", "1", "--jobs", "0"], "--jobs must be at least 1"),

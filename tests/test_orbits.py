@@ -11,12 +11,12 @@ from p1dyn.intarith import ArithmeticInputError, factorize
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
                           preperiodic_counts, tails_of)
-from p1dyn.projline import INFINITY, ProjPoint, parse_point
+from p1dyn.projline import INFINITY, ProjPoint, parse_point, point_sort_key
 from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair, resultant
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
-                   naive_full_scan, naive_sieve_drops, rational_pair)
+                   naive_evaluate, naive_full_scan, naive_sieve_drops, rational_pair)
 
 
 def pts(*texts):
@@ -70,6 +70,11 @@ def test_classify_validates_limits():
         classify_point(pair, INFINITY, max_iters=0)
     with pytest.raises(ArithmeticInputError):
         classify_point(parse_map("z+1"), INFINITY)
+
+
+def test_enumerate_refuses_a_height_below_1():
+    with pytest.raises(ArithmeticInputError, match="^height bound must be at least 1$"):
+        enumerate_preperiodic(parse_map("z^2"), 0)
 
 
 @pytest.mark.parametrize("map_text", ["z^2", "z^2-1"])
@@ -271,6 +276,30 @@ def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
     inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     assert preperiodic_counts(pair, height, max_iters=max_iters) == (
         len(inv.preper), len(inv.per), len(inv.tail), len(inv.per0), inv.incomplete)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_pairs(), st.integers(1, 32))
+@example(parse_map("z^2-29/16"), 32)  # a 3-cycle, not first in walk order
+@example(parse_map("z^2-1"), 32)  # two cycles, each with tails
+@example(parse_map("z^2-21/16"), 32)  # the 2-cycle -5/4, 1/4 straddles the fixed point -3/4
+def test_inventory_structure_agrees_with_naive_classification(pair, height):
+    inv = enumerate_preperiodic(pair, height)
+    assume(not inv.incomplete)
+    naive = {p: naive_classify(pair, p, 256, 10**6)
+             for p in naive_full_scan(pair, height, 256, 10**6)[0]}
+    # each value is (kind, trajectory, period, tail_length, cycle, steps)
+    assert inv.tail_lengths == {p: c[3] for p, c in naive.items() if c[0] == "tail"}
+    assert inv.image == {p: naive_evaluate(pair, p) for p in naive}
+    least_first = set()
+    for c in naive.values():
+        k = c[4].index(min(c[4], key=point_sort_key))
+        least_first.add(c[4][k:] + c[4][:k])
+    assert inv.cycles == tuple(sorted(least_first, key=lambda c: point_sort_key(c[0])))
+    assert inv.tails_by_target == {
+        p: tuple(sorted((t for t, c in naive.items() if c[0] == "tail" and p in c[4]),
+                        key=point_sort_key))
+        for p in inv.per}
 
 
 @settings(max_examples=60, deadline=None)

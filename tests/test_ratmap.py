@@ -25,7 +25,7 @@ from p1dyn.ratmap import (
     wronskian,
 )
 
-from naive import naive_evaluate, naive_parse_map, rational_pair
+from naive import naive_evaluate, naive_parse_map, naive_tokenize, rational_pair
 
 
 def test_parse_affine_quadratic_with_rational_constant():
@@ -754,3 +754,22 @@ def test_parse_map_agrees_with_the_two_pass_reader(text):
     else:
         assert (new, new.source) == (old, getattr(old, "source", None)), text
 
+
+# '²' is a digit to str.isdigit but no decimal digit; '\u0663' (Arabic-Indic three) is one
+_TOKEN_ALPHABET = "zXY0123456789+-*/^()[]: \t\n\u00a0\u2003$é²\u0663"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=12))
+@example("z**2")
+@example("z^2 - 1 \t\n")
+@example("z^2 $")
+@example("z^\u0663")
+@example("\u00a0z^2")
+def test_tokenize_agrees_with_the_position_loop(text):
+    new, old = _read(_tokenize, text), _read(naive_tokenize, text)
+    if isinstance(old, Exception):
+        assert isinstance(new, MapSyntaxError), text
+        assert (str(new), new.position) == (str(old), old.position), text
+    else:
+        assert new == old, text
