@@ -37,9 +37,16 @@ preperiodic.  A walk of it could only have escaped or, with too small a
 ``max_iters``, stayed undecided; so the inventory is the one the full scan
 gives, except that such starts, like those above T, are not listed as undecided.
 
+A polynomial pair fixes infinity: F(1, 0) = a_0 != 0 and G(1, 0) = 0.  So
+when the sieve keeps no row, the walk's whole result is the fixed point
+infinity, and it is returned with no walk.
+
 The Wronskian W = F_X*G_Y - F_Y*G_X (ratmap.wronskian) vanishes exactly at the
 critical points, so a cycle is critical, its points in ``per0``, when W is 0
-at the coprime coordinates of one of its points.
+at the coprime coordinates of one of its points.  At infinity that value is
+W's leading coefficient, the one term i + j = 1 of ratmap.wronskian's sum:
+W(1, 0) = d*(a_0*b_1 - a_1*b_0).  For a polynomial b_0 = b_1 = 0, so infinity
+is critical, and W is built only for a cycle with a finite point.
 
 One walk serves two callers: enumerate_preperiodic builds the inventory that
 ``analyze`` and ``verify`` read, and preperiodic_counts returns only the five
@@ -157,13 +164,14 @@ def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
     vals = [(i, _strip(c, p)[1]) for i, c in enumerate(a) if c]
     top, v_b = vals[0][1], _strip(pair.b[-1], p)[1]
     k_p = max(1, (top - v_b) // (d - 1) + 1, *((top - v) // i + 1 for i, v in vals[1:]))
-    kept = []
-    for e in range(min(k_p, height.bit_length())):
-        if e:  # x is a p-unit: every term's valuation is exact
-            least, *others = sorted(v - (d - i) * e for i, v in vals)
-        else:  # only the constant term's is exact; the others' are lower bounds
-            least, others = vals[-1][1] if a[d] else None, [v for _, v in vals[:-1]]
-        if least is None or least - v_b > -k_p or any(v <= least for v in others):
+    # e = 0: only the constant term's valuation is exact; the others' are lower bounds
+    least = vals[-1][1]
+    drop = a[d] and least - v_b <= -k_p and all(v > least for _, v in vals[:-1])
+    kept = [] if drop else [0]
+    for e in range(1, min(k_p, height.bit_length())):  # x is a p-unit: all exact
+        terms = [v - (d - i) * e for i, v in vals]
+        least = min(terms)
+        if least - v_b > -k_p or terms.count(least) > 1:
             kept.append(e)
     return kept
 
@@ -209,19 +217,38 @@ def _vanishes(form, x: int, y: int) -> bool:
     return value == 0
 
 
+def _critical(pair: HomogPair, cycles) -> list[bool]:
+    """Whether each cycle, given by coprime coordinates, holds a zero of the Wronskian.
+
+    W(1, 0) = d*(a_0*b_1 - a_1*b_0) (module docstring), so W itself is built
+    only when some cycle has a finite point.
+    """
+    a, b = pair.a, pair.b
+    w = wronskian(pair) if any(y for c in cycles for _, y in c) else None
+    return [any(_vanishes(w, x, y) if y else a[0] * b[1] == a[1] * b[0] for x, y in c)
+            for c in cycles]
+
+
 def _walk_grid(pair: HomogPair, height: int, max_iters: int):
-    """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk."""
+    """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk.
+
+    A polynomial pair whose sieve keeps no row gets the walk of infinity
+    alone, a fixed point, with no walk: one cycle, one start.
+    """
     _check_limits(pair, max_iters)
     step = step_kernel(pair.a, pair.b)
     threshold = escape_threshold(pair)
     grid_height = min(height, threshold)
+    rows = _polynomial_rows(pair, grid_height)
+    if rows == []:
+        return [((1, 0),)], {(1, 0): (0, 0)}, [], 1, step
 
     cycles: list[tuple[tuple[int, int], ...]] = []
     preper_map: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (tail_len, cycle id)
     undecided: list[tuple[int, int]] = []
 
     starts = 0
-    for start in coordinates_up_to_height(grid_height, _polynomial_rows(pair, grid_height)):
+    for start in coordinates_up_to_height(grid_height, rows):
         starts += 1
         if start in preper_map:
             continue
@@ -249,12 +276,12 @@ def preperiodic_counts(pair: HomogPair, height: int = 1024, *,
                        max_iters: int = 256) -> tuple[int, int, int, int, bool]:
     """(preper, per, tail, per0, incomplete): the sizes of enumerate_preperiodic's sets.
 
-    Counted straight from the walk; no point, order or image is built.
+    Counted straight from the walk; no point, order or image is built.  A
+    pair the sieve settles counts (1, 1, 0, 1, False) with no walk and no W.
     """
     cycles, preper_map, undecided, _, _ = _walk_grid(pair, height, max_iters)
-    w = wronskian(pair)
     per = sum(map(len, cycles))
-    per0 = sum(len(c) for c in cycles if any(_vanishes(w, x, y) for x, y in c))
+    per0 = sum(len(c) for c, crit in zip(cycles, _critical(pair, cycles)) if crit)
     return len(preper_map), per, len(preper_map) - per, per0, bool(undecided)
 
 
@@ -265,15 +292,17 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     Above T = escape_threshold(pair) every step raises the height, so only the
     candidates from ``coordinates_up_to_height`` at min(height, T) are walked;
     a polynomial pair also skips the starts that its rules (i) to (iii) prove
-    to escape (module docstring).  Each walk runs until its orbit reaches a
+    to escape (module docstring), and when none is left, infinity alone is
+    its fixed point, with no walk.  Each walk runs until its orbit reaches a
     point already known to be preperiodic, closes a new cycle, escapes (a
     point above T, a proof), or uses up ``max_iters``.  The returned
     preperiodic set also contains all forward images of found preperiodic
     points, even above the height bound.  Candidates left undecided are listed
     and make the inventory incomplete; ``starts`` counts the candidates.  Only
-    the ``undecided`` list can differ from a walk of the full grid.  ``analyze``
-    and ``verify`` take this inventory; ``batch`` takes only its sizes, from
-    ``preperiodic_counts``.
+    the ``undecided`` list can differ from a walk of the full grid.  ``per0``
+    holds the cycles with a critical point, decided as in preperiodic_counts.
+    ``analyze`` and ``verify`` take this inventory; ``batch`` takes only its
+    sizes, from ``preperiodic_counts``.
     """
     cycles, preper_map, undecided, starts, step = _walk_grid(pair, height, max_iters)
 
@@ -297,8 +326,7 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
         p: tuple(sorted(ts, key=point_sort_key)) for p, ts in tails_by.items()
     }
 
-    w = wronskian(pair)
-    per0 = frozenset(p for cyc in by_id if any(_vanishes(w, q.x, q.y) for q in cyc)
+    per0 = frozenset(p for cyc, crit in zip(by_id, _critical(pair, cycles)) if crit
                      for p in cyc)
 
     image = {p: cyc[(i + 1) % len(cyc)] for cyc in by_id for i, p in enumerate(cyc)}

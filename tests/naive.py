@@ -60,6 +60,21 @@ def naive_evaluate(pair, point):
                         _form_value(pair.b, point.x, point.y))
 
 
+def _partials(coeffs, x, y):
+    """(F_X, F_Y) at (x, y) for F = sum of c_i * X^(d-i) * Y^i, one monomial at a time."""
+    d = len(coeffs) - 1
+    f_x = sum(c * (d - i) * x ** (d - i - 1) * y**i for i, c in enumerate(coeffs) if i < d)
+    f_y = sum(c * i * x ** (d - i) * y ** (i - 1) for i, c in enumerate(coeffs) if i > 0)
+    return f_x, f_y
+
+
+def naive_is_critical(pair, point):
+    """Whether F_X*G_Y - F_Y*G_X is 0 at the point's coprime coordinates, from monomials."""
+    f_x, f_y = _partials(pair.a, point.x, point.y)
+    g_x, g_y = _partials(pair.b, point.x, point.y)
+    return f_x * g_y - f_y * g_x == 0
+
+
 def naive_classify(pair, point, max_iters, escape_height):
     """Returns (kind, trajectory, period, tail_length, cycle, steps)."""
     traj = [point]

@@ -29,6 +29,8 @@ from naive import (all_points_up_to_height, naive_classify,
 GOLDEN_MAPS = ("z^2", "z^2-1", "z^2+1", "z^2-2", "z^2-29/16")
 # the box-32 sweep CSV, byte for byte (perfbench/expected.json holds the same digest)
 SWEEP_CSV_SHA256 = "f095527ddcd532ec99f12ee958041d209814a14b472c1220cc41a0a35d7f1773"
+# the box-128 sweep CSV at height 64, byte for byte
+SWEEP_128_CSV_SHA256 = "0da6adfbf19d1d2944394392854242ac07229c0069b0990965f2f41960646125"
 
 
 def _announce(capsys, n, detail):
@@ -216,3 +218,17 @@ def test_criterion_8_quadratic_family_sweep(capsys, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
     assert elapsed < 600.0
     _announce(capsys, 8, f"{len(rows)} maps swept, {summary}, {elapsed:.0f}s")
+
+
+def test_criterion_8_box_128_sweep(capsys, tmp_path):
+    # 14,952 of the 20,087 members keep no sieve row and walk nothing
+    out = tmp_path / "sweep128.csv"
+    start = time.perf_counter()
+    code = main(["batch", "--family", "z^2+c", "--c-num-max", "128", "--c-den-max", "128",
+                 "--height", "64", "--jobs", "2", "--csv", str(out)])
+    elapsed = time.perf_counter() - start
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "max |PrePer| = 9 at c = -29/16, c = -21/16, c = -91/36" in text.splitlines()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_128_CSV_SHA256
+    _announce(capsys, 8, f"box 128 swept, CSV byte-identical, {elapsed:.2f}s")

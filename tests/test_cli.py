@@ -75,6 +75,17 @@ def test_height_below_1_exits_2_with_one_line(capsys, argv):
     assert capsys.readouterr().err == "error: height bound must be at least 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--map", "z^2+1/2", "--max-iters", "0"], "max_iters must be positive"),
+    (["--map", "2*z+1/3", "--height", "8"], "dynamical analysis needs a map of degree at least 2"),
+    (["--map", "z^2+1/2", "--height", "0"], "height bound must be at least 1"),
+])
+def test_analyze_refuses_a_settled_or_linear_map_with_one_line(capsys, argv, message):
+    # z^2+1/2 keeps no sieve row: the limits are still checked before the sieve runs
+    assert main(["analyze", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--c-num-max", "0", "--c-den-max", "1"], "--c-num-max and --c-den-max must be at least 1"),
     (["--c-num-max", "1", "--c-den-max", "1", "--jobs", "0"], "--jobs must be at least 1"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from p1dyn import orbits
 from p1dyn.intarith import ArithmeticInputError, factorize
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
@@ -16,7 +17,8 @@ from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair, result
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
-                   naive_evaluate, naive_full_scan, naive_sieve_drops, rational_pair)
+                   naive_evaluate, naive_full_scan, naive_is_critical, naive_sieve_drops,
+                   rational_pair)
 
 
 def pts(*texts):
@@ -248,6 +250,48 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
         assert kinds[p] == "escaped"
 
 
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs(), st.integers(1, 64))
+@example(rational_pair([1, 0, Fraction(1, 2)], [0, 0, 1]), 64)
+@example(rational_pair([1, 0, Fraction(-5, 2**5 * 3**2 * 7)], [0, 0, 1]), 7)
+def test_a_pair_the_sieve_settles_has_only_infinity(pair, height):
+    # a polynomial fixes infinity, F(1, 0) = a_0 and G(1, 0) = 0, and when the
+    # sieve keeps no row nothing else is preperiodic
+    if _polynomial_rows(pair, min(height, escape_threshold(pair))) != []:
+        return
+    inv = enumerate_preperiodic(pair, height)
+    assert inv.preper == inv.per0 == {INFINITY}
+    assert inv.cycles == ((INFINITY,),) and inv.image == {INFINITY: INFINITY}
+    assert inv.tail == frozenset() and inv.tail_lengths == {} and inv.starts == 1
+    assert preperiodic_counts(pair, height) == (1, 1, 0, 1, False)
+    assert naive_full_scan(pair, min(height, 16), 256, 10**6)[0] == {INFINITY}
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_a_settled_pair_runs_neither_the_walker_nor_the_wronskian(monkeypatch):
+    def refuse(*args):
+        raise _Reached
+
+    monkeypatch.setattr(orbits, "_walk", refuse)
+    monkeypatch.setattr(orbits, "wronskian", refuse)
+    settled = parse_map("z^2+1/2")  # Walde-Russo: 2 is no square
+    assert preperiodic_counts(settled, 64) == (1, 1, 0, 1, False)
+    assert enumerate_preperiodic(settled, 64).per0 == {INFINITY}
+    with pytest.raises(_Reached):  # a pair with a kept row still walks
+        preperiodic_counts(parse_map("z^2-29/16"), 64)
+
+
+def test_refusals_come_before_the_sieve():
+    with pytest.raises(ArithmeticInputError, match="max_iters must be positive"):
+        preperiodic_counts(parse_map("z^2+1/2"), 64, max_iters=0)
+    # rule (iii) divides by d - 1: the degree check must come first
+    with pytest.raises(ArithmeticInputError, match="degree at least 2"):
+        enumerate_preperiodic(parse_map("2*z+1/3"), 8)
+
+
 @st.composite
 def counted_pairs(draw):
     """z^2 + c with |num|, den <= 64, a cubic polynomial, or a pair that is not one."""
@@ -281,8 +325,10 @@ def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
 @settings(max_examples=200, deadline=None)
 @given(counted_pairs(), st.integers(1, 32))
 @example(parse_map("z^2-29/16"), 32)  # a 3-cycle, not first in walk order
-@example(parse_map("z^2-1"), 32)  # two cycles, each with tails
+@example(parse_map("z^2-1"), 32)  # two critical cycles, each with tails
 @example(parse_map("z^2-21/16"), 32)  # the 2-cycle -5/4, 1/4 straddles the fixed point -3/4
+@example(parse_map("[Y^2:X^2]"), 32)  # infinity on a critical 2-cycle, not a polynomial
+@example(parse_map("[X^2+Y^2:X*Y]"), 32)  # infinity fixed, not critical: W(1, 0) = 2
 def test_inventory_structure_agrees_with_naive_classification(pair, height):
     inv = enumerate_preperiodic(pair, height)
     assume(not inv.incomplete)
@@ -296,6 +342,8 @@ def test_inventory_structure_agrees_with_naive_classification(pair, height):
         k = c[4].index(min(c[4], key=point_sort_key))
         least_first.add(c[4][k:] + c[4][:k])
     assert inv.cycles == tuple(sorted(least_first, key=lambda c: point_sort_key(c[0])))
+    assert inv.per0 == {p for c in least_first if any(naive_is_critical(pair, q) for q in c)
+                        for p in c}
     assert inv.tails_by_target == {
         p: tuple(sorted((t for t, c in naive.items() if c[0] == "tail" and p in c[4]),
                         key=point_sort_key))
