@@ -32,10 +32,10 @@ from types import SimpleNamespace
 
 from .bounds import BOUND_ORDER, BoundInputError, aggregate_bounds
 from .intarith import (ArithmeticInputError, FactorizationIncompleteError,
-                       PrimalityRangeError, is_prime)
+                       PrimalityRangeError, _name, is_prime)
 from .mapparse import MapSyntaxError, parse_map
 from .orbits import enumerate_preperiodic, preperiodic_counts
-from .ratmap import DegenerateMapError, make_pair, reduction_profile
+from .ratmap import DegenerateMapError, HomogPair, reduction_profile
 from .report import (SCHEMA_VERSION, OutputSizeError, analysis_report, analysis_text,
                      batch_rows_csv, bound_rows, map_coefficients, report_json,
                      verification_line, verification_to_dict)
@@ -59,10 +59,10 @@ def _parse_s_extra(text: str) -> list[int]:
         try:
             p = int(tok)
         except ValueError:
-            raise ArithmeticInputError(f"--s-extra: {tok!r} is not an integer")
+            raise ArithmeticInputError(f"--s-extra: {_not_an_int(tok)}") from None
         try:
             if p < 2 or not is_prime(p):
-                raise ArithmeticInputError(f"--s-extra: {p} is not prime")
+                raise ArithmeticInputError(f"--s-extra: {_name(p)} is not prime")
         except PrimalityRangeError as e:
             raise ArithmeticInputError(f"--s-extra: {e}")
         primes.append(p)
@@ -143,11 +143,12 @@ def _within_q(s: int, count: int) -> bool:
 
 
 def _sweep_pair(num: int, den: int):
-    """(pair, c) for z^2 + num/den: parse_map's pair, source text included, built
-    from integer coefficients, and c, the text str(Fraction(num, den)) gives."""
+    """(pair, c) for z^2 + num/den: parse_map's pair, source text included, and c,
+    the text str(Fraction(num, den)) gives.  gcd(num, den) = 1 and den >= 1 make
+    the pair normalized, and Res = den^4 != 0, so it needs no ``make_pair`` pass."""
     c = str(num) if den == 1 else f"{num}/{den}"
     source = f"z^2+{c}" if num >= 0 else f"z^2{c}"
-    return make_pair([den, 0, num], [0, 0, den], source), c
+    return HomogPair(2, (den, 0, num), (0, 0, den), source), c
 
 
 def _sweep_entry(task):
@@ -330,6 +331,14 @@ def _named(token: str) -> str:
     return repr(token) if len(token) <= 60 else f"of {len(token)} characters"
 
 
+def _not_an_int(text: str) -> str:
+    """Why int() refused text: too many digits to read, or no integer at all."""
+    limit = sys.get_int_max_str_digits()  # process-wide: read here, never changed
+    if text.isdecimal() and len(text) > limit:
+        return f"an integer of {len(text)} digits, past this interpreter's limit of {limit} digits"
+    return f"invalid int value {_named(text)}"
+
+
 def _read_argv(argv):
     """(handler, namespace) for argv, the arguments after the program name.
 
@@ -366,11 +375,7 @@ def _read_argv(argv):
             try:
                 text = int(text)
             except ValueError:
-                limit = sys.get_int_max_str_digits()  # process-wide: read here, never changed
-                reason = (f"an integer of {len(text)} digits, past this interpreter's "
-                          f"limit of {limit} digits" if text.isdecimal() and len(text) > limit
-                          else f"invalid int value {_named(text)}")
-                raise SystemExit(_fail(f"{command}: argument {name}: {reason}"))
+                raise SystemExit(_fail(f"{command}: argument {name}: {_not_an_int(text)}"))
         elif kind is not str and text not in kind:
             choices = ", ".join(kind)
             raise SystemExit(_fail(f"{command}: argument {name}: invalid choice {_named(text)} "

@@ -243,9 +243,15 @@ def _power(base, exp: int):
     return result
 
 
-def _at_y1(form):
-    """The coefficient list, by ascending degree in z, of a binary form at X = z, Y = 1."""
-    out = [0] * (max((i for i, _ in form), default=-1) + 1)
+def _at_y1(form, degree=-1):
+    """The coefficient list, by ascending degree in z, of a binary form at X = z, Y = 1,
+    padded with zeros to at least degree + 1 entries."""
+    degree = max(degree, max((i for i, _ in form), default=-1))
+    try:
+        out = [0] * (degree + 1)
+    except (MemoryError, OverflowError):  # from 2^62 entries on, before any allocation
+        raise DegenerateMapError(f"a form of degree {degree} has too many coefficients "
+                                 "to store") from None
     for (i, _), c in form.items():
         out[i] += c
     return out
@@ -279,8 +285,8 @@ def parse_map(text: str) -> HomogPair:
         if d != (d2 := _side_degree(g, "second")):
             raise DegenerateMapError(f"sides have different degrees {d} and {d2}")
         # each side's constant den scales the other side
-        num = [c * g_den[(0, 0)] for c in _at_y1(f)]
-        den = [c * f_den[(0, 0)] for c in _at_y1(g)]
+        num = [c * g_den[(0, 0)] for c in _at_y1(f, d)]
+        den = [c * f_den[(0, 0)] for c in _at_y1(g, d)]
     else:
         num, den = map(_at_y1, parser.expr())
         parser.expect_end("expression")

@@ -10,7 +10,6 @@ resultant is what makes it an actual endomorphism.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .intarith import ArithmeticInputError, _iroot, factorize, is_prime
 from .projline import ProjPoint
@@ -22,9 +21,11 @@ class DegenerateMapError(ValueError):
 
 
 class HomogPair(Record):
-    """The forms' coefficients; ``source``, the text the map was read from, is not compared."""
+    """The forms' coefficients, compared, and three fields that are not: ``source``,
+    the text the map was read from, and ``resultant`` and ``threshold``, Res and the
+    escape threshold T (None when d < 2 or Res = 0), derived once (``_adjugate_rows``)."""
 
-    __slots__ = ("degree", "a", "b", "source")
+    __slots__ = ("degree", "a", "b", "source", "resultant", "threshold")
     _compared = ("degree", "a", "b")
 
     def __init__(self, degree: int, a: tuple[int, ...], b: tuple[int, ...], source: str = ""):
@@ -44,6 +45,17 @@ class HomogPair(Record):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "source", source)
+        res, rows = _adjugate_rows(self)
+        threshold = None
+        if degree >= 2 and res != 0:
+            content = math.gcd(*rows[0], *rows[1])
+            threshold = _iroot(max(sum(map(abs, row)) for row in rows) // content, degree - 1)
+        _set(self, "resultant", res)
+        _set(self, "threshold", threshold)
+
+    def __reduce__(self):
+        # only the inputs: __init__ derives Res and T again
+        return HomogPair, (self.degree, self.a, self.b, self.source)
 
     @property
     def degree_below_2(self) -> bool:
@@ -94,7 +106,7 @@ def make_pair(a_coeffs, b_coeffs, source: str = "") -> HomogPair:
     if first < 0:
         g = -g
     pair = HomogPair(len(a) - 1, tuple(c // g for c in a), tuple(c // g for c in b), source)
-    if resultant(pair) == 0:
+    if pair.resultant == 0:
         raise DegenerateMapError("the two forms share a projective root (resultant 0)")
     return pair
 
@@ -187,32 +199,6 @@ def _adjugate_rows(pair: HomogPair) -> tuple[int, list[list[int]]]:
     return res, [y, [0] * (2 * d - 1) + [res // tail]]
 
 
-# every caller reads a pair's certificate right after building the pair (make_pair,
-# then reduction_profile, then escape_threshold), so a few entries keep every hit
-@lru_cache(maxsize=16)
-def _certificate(pair: HomogPair) -> tuple[int, int | None]:
-    """(Res, T) from Res and rows 0 and 2d-1 of adj(S) (``_adjugate_rows``).
-
-    ``escape_threshold`` turns the two rows into T.  T is None when d < 2 or
-    Res = 0.  Only the two integers are kept.
-    """
-    res, rows = _adjugate_rows(pair)
-    if pair.degree < 2 or res == 0:
-        return res, None
-    content = math.gcd(*rows[0], *rows[1])
-    return res, _iroot(max(sum(map(abs, row)) for row in rows) // content, pair.degree - 1)
-
-
-def resultant(pair: HomogPair) -> int:
-    """Determinant of the 2d x 2d Sylvester matrix S of the pair.
-
-    Read from the one certificate that also gives ``escape_threshold``: a
-    polynomial pair's S is upper triangular, so Res = a_0^d*b_d^d; any other
-    pair's comes from one fraction-free elimination (``_adjugate_rows``).
-    """
-    return _certificate(pair)[0]
-
-
 def escape_threshold(pair: HomogPair) -> int:
     """A height T such that every point of height H > T has an image of height > H.
 
@@ -225,14 +211,14 @@ def escape_threshold(pair: HomogPair) -> int:
     gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
     for i the larger coordinate; so T is the integer (d-1)-th root of
     max_i (L/R_i)*G_i = max_i S_i/gcd(c_1, c_2), S_i the sum of row i's |cofactors|.
-    Heights above T grow forever, so no point above T is preperiodic.
+    Heights above T grow forever, so no point above T is preperiodic.  T is
+    derived once, when the pair is built; this is the one read that checks it.
     """
     if pair.degree < 2:
         raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
-    res, threshold = _certificate(pair)
-    if res == 0:
+    if pair.resultant == 0:
         raise DegenerateMapError("the two forms share a projective root (resultant 0)")
-    return threshold
+    return pair.threshold
 
 
 class PlaceSet(Record):
@@ -270,7 +256,7 @@ class ReductionProfile(Record):
 
 def reduction_profile(pair: HomogPair) -> ReductionProfile:
     """Bad primes (divisors of the resultant) and the minimal place set."""
-    res = resultant(pair)
+    res = pair.resultant
     bad = tuple(sorted(factorize(res))) if abs(res) != 1 else ()
     return ReductionProfile(res, bad, PlaceSet(frozenset(bad)))
 
@@ -278,7 +264,7 @@ def reduction_profile(pair: HomogPair) -> ReductionProfile:
 def good_reduction(pair: HomogPair, p: int) -> bool:
     if not is_prime(p):
         raise ArithmeticInputError(f"{p} is not prime")
-    return resultant(pair) % p != 0
+    return pair.resultant % p != 0
 
 
 def step_kernel(a: tuple[int, ...], b: tuple[int, ...]):

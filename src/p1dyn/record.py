@@ -7,9 +7,11 @@ otherwise.  An instance equals only an instance of the same class whose
 compared fields are equal, hashes like those fields (their tuple, or the
 value of a lone field), and refuses assignment.  Each record class derives
 from Record itself, never from another record class; its fields are its own
-``__slots__``, the only slots repr, copy and pickle read.  Nothing is
-generated when a record class is defined, so importing the package stays
-cheap.
+``__slots__``, the only slots repr, copy and pickle read.  A class whose
+``__init__`` derives fields from its arguments defines its own
+``__reduce__``, passing only the arguments, so a copy derives them again.
+Nothing is generated when a record class is defined, so importing the
+package stays cheap.
 """
 
 from operator import attrgetter

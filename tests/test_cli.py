@@ -219,6 +219,15 @@ def test_analyze_number_past_int_string_limit_exits_2(capsys, argv, err):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("exponent", [2**62, 2**63])
+def test_a_degree_past_any_coefficient_list_exits_2(capsys, command, exponent):
+    # neither list can be allocated, so both are refused before any memory is taken
+    assert main([command, "--map", f"z^{exponent}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: a form of degree {exponent} has too many coefficients to store\n")
+
+
 def test_analyze_refuses_unprintable_coefficients_before_reduction(capsys, monkeypatch):
     def no_reduction(pair):
         raise AssertionError("reduction_profile ran on an unprintable map")
@@ -247,10 +256,18 @@ def test_analyze_s_extra_rejects_composites(capsys):
     ("1", "error: --s-extra: 1 is not prime\n"),
     ("4", "error: --s-extra: 4 is not prime\n"),
     ("2,-3", "error: --s-extra: -3 is not prime\n"),
-    ("x", "error: --s-extra: 'x' is not an integer\n"),
+    ("x", "error: --s-extra: invalid int value 'x'\n"),
     ("618970019642690137449562111",  # the prime 2^89 - 1
      "error: --s-extra: 618970019642690137449562111 exceeds the deterministic "
      "Miller-Rabin range 3317044064679887385961981\n"),
+    # a long token is named by its length, never printed
+    pytest.param("9" * 5000, "error: --s-extra: an integer of 5000 digits, past this "
+                 f"interpreter's limit of {sys.get_int_max_str_digits()} digits\n",
+                 id="5000 digits"),
+    pytest.param("x" * 61, "error: --s-extra: invalid int value of 61 characters\n",
+                 id="61 characters"),
+    pytest.param(str(10**99), "error: --s-extra: a 100-digit number is not prime\n",
+                 id="100-digit composite"),
 ])
 def test_analyze_s_extra_names_the_flag_and_the_value(capsys, value, err):
     assert main(["analyze", "--map", "z^2", "--height", "2", "--s-extra", value]) == 2
@@ -666,6 +683,7 @@ def test_sweep_pair_equals_the_parsed_map():
             text = f"z^2+{c}" if num >= 0 else f"z^2-{-c}"
             (built, c_text), parsed = cli._sweep_pair(num, den), parse_map(text)
             assert (built.degree, built.a, built.b) == (parsed.degree, parsed.a, parsed.b)
+            assert (built.resultant, built.threshold) == (parsed.resultant, parsed.threshold)
             assert str(built) == str(parsed) == text
             assert c_text == str(c)
 

@@ -13,7 +13,7 @@ from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
                           preperiodic_counts, tails_of)
 from p1dyn.projline import INFINITY, ProjPoint, parse_point, point_sort_key
-from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair, resultant
+from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
@@ -435,7 +435,7 @@ def test_lattes_map_of_y2_equals_x3_plus_1():
     # a rational x is preperiodic exactly when (x, sqrt(x^3 + 1)) is a torsion point
     # of y^2 = x^3 + 1 or of a twist (Mazur): x in {-1, 0, 2} and infinity
     pair = parse_map("[{} : {}]".format(*lattes_map(0, 1)))
-    assert factorize(resultant(pair)) == {2: 8, 3: 6}
+    assert factorize(pair.resultant) == {2: 8, 3: 6}
     assert escape_threshold(pair) == 5
     inv = enumerate_preperiodic(pair, 5)
     assert not inv.incomplete

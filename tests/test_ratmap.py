@@ -21,7 +21,6 @@ from p1dyn.ratmap import (
     good_reduction,
     make_pair,
     reduction_profile,
-    resultant,
     wronskian,
 )
 
@@ -122,6 +121,11 @@ def test_parse_degenerate_inputs():
         # operands are read left to right, and a zero divisor is reported as zero
         ("[X/Y/0 : Y]", "homogeneous sides may only be divided by constants"),
         ("[X/(Y-Y) : Y]", "division by an identically-zero expression"),
+        # a coefficient list of 2^62 entries or more is refused before it is allocated
+        ("[Y^4611686018427387904 : Y^4611686018427387904]",
+         "a form of degree 4611686018427387904 has too many coefficients to store"),
+        ("1/z^9223372036854775808",
+         "a form of degree 9223372036854775808 has too many coefficients to store"),
     ]:
         with pytest.raises(DegenerateMapError) as info:
             parse_map(text)
@@ -132,11 +136,11 @@ def test_parse_degenerate_inputs():
 
 
 def test_resultant_examples():
-    assert resultant(parse_map("z^2-29/16")) == 65536
-    assert resultant(parse_map("z^2")) == 1
-    assert resultant(parse_map("z^2-1")) == 1
-    assert resultant(parse_map("z^2-2")) == 1
-    assert resultant(parse_map("(z^2+1)/(2*z)")) == 4
+    assert parse_map("z^2-29/16").resultant == 65536
+    assert parse_map("z^2").resultant == 1
+    assert parse_map("z^2-1").resultant == 1
+    assert parse_map("z^2-2").resultant == 1
+    assert parse_map("(z^2+1)/(2*z)").resultant == 4
 
 
 def test_resultant_matches_sympy_on_random_pairs():
@@ -171,24 +175,36 @@ def test_resultant_matches_sympy_on_random_pairs():
             expected = m.det()
         else:
             assert fa.degree() == d and ga.degree() == d
-        assert resultant(pair) == expected
+        assert pair.resultant == expected
 
 
 def test_one_elimination_per_map(monkeypatch):
-    # Res and the escape threshold T come from one cached certificate per map; a
-    # polynomial gets it by a triangular solve, with no Sylvester matrix at all
+    # Res and the escape threshold T are derived once, when the pair is built; a
+    # polynomial gets them by a triangular solve, with no Sylvester matrix at all
     calls = []
     eliminate, sylvester = ratmap._eliminate, ratmap._sylvester
     monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append("eliminate") or eliminate(m))
     monkeypatch.setattr(ratmap, "_sylvester", lambda p: calls.append("sylvester") or sylvester(p))
     for text, expected in (("z^2-1237/97", []), ("[X^3+2*Y^3:X*Y^2]", ["sylvester", "eliminate"])):
         calls.clear()
-        ratmap._certificate.cache_clear()
         pair = parse_map(text)
         reduction_profile(pair)
         enumerate_preperiodic(pair, 64)
         assert calls == expected, text
-        assert ratmap._certificate.cache_info().misses == 1, text
+
+
+def test_held_pairs_are_eliminated_once_each(monkeypatch):
+    # Res and T travel with the pair, so reading them again, in any order and
+    # however many pairs are held, eliminates nothing more
+    calls = []
+    eliminate = ratmap._eliminate
+    monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append(m) or eliminate(m))
+    pairs = [parse_map(f"[X^3+{k}*Y^3:X*Y^2]") for k in range(1, 21)]
+    profiles = [reduction_profile(pair) for pair in pairs]
+    thresholds = [escape_threshold(pair) for pair in pairs]
+    assert len(calls) == 20
+    assert [p.resultant for p in profiles] == [pair.resultant for pair in pairs]
+    assert thresholds == [pair.threshold for pair in pairs]
 
 
 @st.composite
@@ -222,20 +238,17 @@ def test_triangular_certificate_matches_the_elimination(pair):
     if d >= 2:
         content = math.gcd(*rows[0], *rows[1])
         threshold = _iroot(max(sum(map(abs, row)) for row in rows) // content, d - 1)
-    ratmap._certificate.cache_clear()
-    assert ratmap._certificate(pair) == (res, threshold)
+    assert (pair.resultant, pair.threshold) == (res, threshold)
 
 
 def test_a_high_degree_polynomial_builds_no_matrix():
-    ratmap._certificate.cache_clear()
     tracemalloc.start()
     try:
         pair = parse_map("z^1000+1")
-        certificate = ratmap._certificate(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert certificate == (1, 1)
+    assert (pair.resultant, pair.threshold) == (1, 1)
     assert peak < 10**6
 
 
@@ -487,7 +500,7 @@ def test_parse_map_round_trips_the_printed_pair(pair):
 @example(parse_map("z^2-29/16"))  # polynomials: the triangular solve
 @example(parse_map("2*z^3-z+1/5"))
 def test_escape_threshold_and_resultant_match_sympy(pair):
-    assert resultant(pair) == _sympy_sylvester(pair).det()
+    assert pair.resultant == _sympy_sylvester(pair).det()
     assert escape_threshold(pair) == _sympy_escape_threshold(pair)
 
 

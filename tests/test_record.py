@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from p1dyn import ratmap
 from p1dyn.bounds import aggregate_bounds
 from p1dyn.magnitude import Magnitude, exact, exp_of, max_of, power, prod_of, sum_of
 from p1dyn.mapparse import parse_map
@@ -39,10 +38,16 @@ def test_pair_equality_and_hash_ignore_the_source_text():
     short, bracket = parse_map("z^2-29/16"), parse_map("[16*X^2-29*Y^2:16*Y^2]")
     assert (short.source, bracket.source) == ("z^2-29/16", "[16*X^2-29*Y^2:16*Y^2]")
     assert short == bracket and hash(short) == hash(bracket)
-    ratmap._certificate.cache_clear()
+    assert (short.resultant, short.threshold) == (bracket.resultant, bracket.threshold)
     assert escape_threshold(short) == escape_threshold(bracket)
-    info = ratmap._certificate.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_pair_copies_keep_the_derived_fields():
+    for text in ("[X^3+2*Y^3:X*Y^2]", "z^2-29/16", "z+1"):
+        pair = parse_map(text)
+        for twin in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert twin == pair and twin.source == pair.source == text
+            assert (twin.resultant, twin.threshold) == (pair.resultant, pair.threshold), text
 
 
 def test_assignment_is_refused():
