@@ -232,7 +232,10 @@ def _bi_mul(p, q):
 
 
 def _power(base, exp: int):
-    """base^exp by square-and-multiply."""
+    """base^exp by square-and-multiply, refused by ``_at_y1`` before the first
+    squaring if no coefficient list could hold its degree."""
+    if base:
+        _at_y1({}, exp * max(i + j for i, j in base))
     result = _ONE
     while exp:
         if exp & 1:

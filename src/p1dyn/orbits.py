@@ -9,12 +9,20 @@ candidates is flagged incomplete and never silently treated as finished.
 
 Preperiodic points have height at most T.  enumerate_preperiodic walks every
 canonical point up to min(height, T), except for a polynomial pair,
-b = (0, ..., 0, b_d) with a_0 != 0, where phi(z) = F(z, 1)/b_d.  There, with
-A = sum of |a_i| over i >= 1, a start z = x/y (y >= 1) is dropped when
+b = (0, ..., 0, b_d) with a_0 != 0, where phi(z) = F(z, 1)/b_d.  There, a
+start z = x/y (y >= 1) is dropped when
 
-(i)  |x|*|a_0| > max(|a_0|, A + |b_d|)*y.  Proof: |z| > 1 and
-     |F(z, 1)| >= |z|^(d-1) (|a_0||z| - A) > |z|^(d-1) |b_d| >= |z| |b_d|,
-     so |phi(z)| > |z| and (i) holds again at phi(z): |z| grows forever.
+(i)  |z| > R, a radius past which |phi(z)| > |z| on the real line.  At d = 2,
+     with B+- = a_1 -+ b_2 and D+- = B+-^2 - 4*a_0*a_2, R is the largest
+     |real root| of P+ * P-, P+- = F(z, 1) -+ b_2*z = a_0 z^2 + B+- z + a_2:
+     the largest (|B+-| + sqrt(D+-))/(2|a_0|) over D+- >= 0, and no finite
+     start is kept when both D+- < 0.  Proof: P+ * P- = F(z, 1)^2 - b_2^2 z^2
+     has leading coefficient a_0^2 > 0, so past R it is positive, |phi(z)| >
+     |z| and phi(z) is past R again: |z| grows forever.  For z^2 + c,
+     D+- = 1 - 4c, so every c > 1/4 keeps only infinity.  At d >= 3,
+     R = max(1, (A + |b_d|)/|a_0|), A = sum of |a_i| over i >= 1.  Proof:
+     |z| > 1 and |F(z, 1)| >= |z|^(d-1) (|a_0||z| - A) > |z|^(d-1) |b_d| >=
+     |z| |b_d|, the same growth; at d = 2 it bounds the exact R above.
 (ii) some prime p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for
      every i >= 1 with a_i != 0, and k*(d-1) > v_p(a_0) - v_p(b_d).  Proof:
      a_0 z^d strictly dominates, so v_p(phi(z)) = v_p(a_0) - k*d - v_p(b_d)
@@ -55,6 +63,8 @@ counts of a ``batch`` row.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .intarith import ArithmeticInputError, _strip
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
 from .ratmap import HomogPair, escape_threshold, step_kernel, wronskian
@@ -75,11 +85,13 @@ class OrbitClassification(Record):
         _set(self, "steps", steps)
 
 
-def _check_limits(pair: HomogPair, max_iters: int):
+def _check_limits(pair: HomogPair, max_iters: int, height: int = 1):
     if pair.degree < 2:
         raise ArithmeticInputError("orbit analysis needs a map of degree at least 2")
     if max_iters < 1:
         raise ArithmeticInputError("max_iters must be positive")
+    if height < 1:
+        raise ArithmeticInputError("height bound must be at least 1")
 
 
 def _walk(step, start, known, max_iters: int, threshold: int):
@@ -179,6 +191,11 @@ def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
 def _polynomial_rows(pair: HomogPair, height: int):
     """Rows (y, x bound) of the starts rules (i) to (iii) keep, or None if not a polynomial.
 
+    Row y keeps |x| <= floor(y*R); at d = 2 that is the largest
+    (y*|B+-| + isqrt(y^2*D+-)) // (2|a_0|) over D+- >= 0, as the floor of a
+    quotient by an integer is that of its numerator's floor.  When both
+    D+- < 0, no row is kept and a_0 is never factored.
+
     Rules (ii) and (iii) drop every y with a prime factor p not dividing
     a_0, or with a prime p <= height of a_0 and v_p(y) not among
     ``_kept_exponents(pair, p, height)``; so the kept y are the products of
@@ -188,9 +205,15 @@ def _polynomial_rows(pair: HomogPair, height: int):
     """
     if not pair.polynomial:
         return None
-    a = pair.a
-    lead = abs(a[0])
-    reach = max(lead, sum(abs(c) for c in a[1:]) + abs(pair.b[-1]))
+    a, lead = pair.a, abs(pair.a[0])
+    if pair.degree == 2:  # rule (i)'s exact R, read before any trial division
+        b2, den = pair.b[2], 2 * lead
+        radii = [(abs(a[1] - s), (a[1] - s) ** 2 - 4 * a[0] * a[2]) for s in (b2, -b2)]
+        radii = [r for r in radii if r[1] >= 0]  # R = max of (s + sqrt(disc)) / den
+        if not radii:
+            return []
+    else:  # R = s / den
+        den, radii = lead, [(max(lead, sum(abs(c) for c in a[1:]) + abs(pair.b[-1])), 0)]
     primes, rest, p = [], lead, 2
     while p * p <= rest and p <= height:
         if rest % p == 0:
@@ -205,7 +228,8 @@ def _polynomial_rows(pair: HomogPair, height: int):
         ys = [y * q for y in ys for q in powers if y * q <= height]
         if not ys:
             return []
-    return [(y, min(height, reach * y // lead)) for y in sorted(ys)]
+    return [(y, min(height, max((y * s + isqrt(y * y * disc)) // den for s, disc in radii)))
+            for y in sorted(ys)]
 
 
 def _vanishes(form, x: int, y: int) -> bool:
@@ -235,7 +259,7 @@ def _walk_grid(pair: HomogPair, height: int, max_iters: int):
     A polynomial pair whose sieve keeps no row gets the walk of infinity
     alone, a fixed point, with no walk: one cycle, one start.
     """
-    _check_limits(pair, max_iters)
+    _check_limits(pair, max_iters, height)
     step = step_kernel(pair.a, pair.b)
     threshold = escape_threshold(pair)
     grid_height = min(height, threshold)

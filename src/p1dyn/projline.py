@@ -138,10 +138,10 @@ def coordinates_up_to_height(height: int, rows=None):
     Infinity (1, 0) comes first, then rows of increasing y.  ``rows``, an
     iterable of (y, x_bound) pairs, replaces the full rows: the finite points
     are then those of each listed row with |x| <= x_bound.  The caller keeps
-    y and x_bound within ``height``.
+    y and x_bound within ``height``.  No point has a height below 1.
     """
     if height < 1:
-        raise ArithmeticInputError("height bound must be at least 1")
+        return
     if rows is None:
         rows = ((y, height) for y in range(1, height + 1))
     yield 1, 0

@@ -42,7 +42,11 @@ def rational_pair(a, b, source=""):
 def _form_value(coeffs, x, y):
     """Sum of c_i * x^(d-i) * y^i, one monomial at a time."""
     d = len(coeffs) - 1
-    return sum(c * x ** (d - i) * y**i for i, c in enumerate(coeffs))
+    value = 0
+    for i, c in enumerate(coeffs):
+        if c:
+            value += c * x ** (d - i) * y**i
+    return value
 
 
 def _naive_point(x, y):
@@ -114,7 +118,7 @@ def naive_full_scan(pair, height, max_iters, escape_height):
     found = set()
     kinds = {}
     for p in all_points_up_to_height(height):
-        kind, traj, *_ = naive_classify(pair, p, max_iters, escape_height)
+        kind, traj = naive_classify(pair, p, max_iters, escape_height)[:2]
         kinds[p] = kind
         if kind in ("periodic", "tail"):
             found.update(traj)
@@ -139,36 +143,65 @@ def _naive_rule_ii(pair, prime, k):
             and k * (d - 1) > top - _naive_valuation(b[-1], prime))
 
 
-def _naive_is_prime(n):
-    return n > 1 and not any(n % q == 0 for q in range(2, n))
+def naive_real_drops(pair, point):
+    """Whether rule (i) of the polynomial sieve drops a finite start z = x/y, as stated.
+
+    At d = 2, with B+- = a_1 -+ b_2 and D+- = B+-^2 - 4*a_0*a_2, z is dropped
+    when every D+- >= 0 has 2|a_0||z| - |B+-| > 0 and (2|a_0||z| - |B+-|)^2 >
+    D+-, so always when both D+- < 0; at d >= 3, with A = sum of |a_i| over
+    i >= 1, when |x|*|a_0| > max(|a_0|, A + |b_d|)*y.
+    """
+    a, b = pair.a, pair.b
+    if pair.degree > 2:
+        return abs(point.x) * abs(a[0]) > max(abs(a[0]), sum(map(abs, a[1:])) + abs(b[-1])) * point.y
+    scaled = 2 * abs(a[0]) * abs(Fraction(point.x, point.y))
+    for big_b in (a[1] - b[2], a[1] + b[2]):
+        disc = big_b**2 - 4 * a[0] * a[2]
+        if disc >= 0 and not (scaled - abs(big_b) > 0 and (scaled - abs(big_b)) ** 2 > disc):
+            return False
+    return True
+
+
+def _naive_primes_to(n):
+    """The primes in ascending order, every one up to n among them; readers stop past n."""
+    return _PROBE_BASE if n < 1000 else _sieve_below(n + 1)
+
+
+def _naive_row_dropped(pair, y):
+    """Rule (ii) of the polynomial sieve, which reads only the row y: whether a prime
+    p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for every i >= 1 with
+    a_i != 0 and k*(d-1) > v_p(a_0) - v_p(b_d)."""
+    for prime in _naive_primes_to(y):
+        if prime > y:
+            return False
+        if y % prime == 0 and _naive_rule_ii(pair, prime, _naive_valuation(y, prime)):
+            return True
+    return False
 
 
 def naive_sieve_drops(pair, point, height):
     """Whether rule (i), (ii) or (iii) of the polynomial sieve drops a start at grid
     height ``height``, as the rules are stated.
 
-    For b = (0, ..., 0, b_d) and A = sum of |a_i| over i >= 1, a finite start
-    [x : y] is dropped when |x|*|a_0| > max(|a_0|, A + |b_d|)*y, or when a
-    prime p with k = v_p(y) >= 1 has k*i > v_p(a_0) - v_p(a_i) for every
-    i >= 1 with a_i != 0 and k*(d-1) > v_p(a_0) - v_p(b_d), or when a prime
-    p <= height of a_0, with K_p the least k >= 1 that meets that and
-    k = v_p(y), has one term of F(z, 1) of least valuation v, with
-    v - v_p(b_d) <= -K_p.  At k >= 1 the terms a_i*x^(d-i)*y^i of F(x, y)
-    are read at the point itself, d*k over F(z, 1)'s; at k = 0 only a_d's
-    valuation is known, so it must lie below every other a_i's.
+    For b = (0, ..., 0, b_d), a finite start [x : y] is dropped by rule (i) as
+    ``naive_real_drops`` states it, by rule (ii) as ``_naive_row_dropped``
+    states it, or when a prime p <= height of a_0, with K_p the least k >= 1
+    at which p meets rule (ii) and k = v_p(y), has one term of F(z, 1) of
+    least valuation v, with v - v_p(b_d) <= -K_p.  At k >= 1 the terms
+    a_i*x^(d-i)*y^i of F(x, y) are read at the point itself, d*k over
+    F(z, 1)'s; at k = 0 only a_d's valuation is known, so it must lie below
+    every other a_i's.  The integer rules (ii) and (iii) are read first, as
+    they are the cheaper.
     """
     a, b, d = pair.a, pair.b, pair.degree
     if any(b[:-1]) or point.y == 0:
         return False
-    rest = sum(abs(c) for c in a[1:])
-    if abs(point.x) * abs(a[0]) > max(abs(a[0]), rest + abs(b[-1])) * point.y:
+    if _naive_row_dropped(pair, point.y):
         return True
-    for prime in range(2, point.y + 1):
-        if (point.y % prime == 0 and _naive_is_prime(prime)
-                and _naive_rule_ii(pair, prime, _naive_valuation(point.y, prime))):
-            return True
-    for prime in range(2, height + 1):
-        if a[0] % prime or not _naive_is_prime(prime):
+    for prime in _naive_primes_to(height):
+        if prime > height:
+            break
+        if a[0] % prime:
             continue
         k = _naive_valuation(point.y, prime)
         escape = next(j for j in itertools.count(1) if _naive_rule_ii(pair, prime, j))
@@ -183,7 +216,21 @@ def naive_sieve_drops(pair, point, height):
                                        for i in range(d) if a[i] != 0)
         if unique and least - _naive_valuation(b[-1], prime) <= -escape:
             return True
-    return False
+    return naive_real_drops(pair, point)
+
+
+def naive_sieve_kept(pair, height):
+    """The finite starts of height <= ``height`` that ``naive_sieve_drops`` keeps at
+    grid height ``height``, with rule (ii), which reads y alone, read once a row."""
+    polynomial = not any(pair.b[:-1])
+    kept = []
+    for y in range(1, height + 1):
+        if polynomial and _naive_row_dropped(pair, y):
+            continue
+        for x in range(-height, height + 1):
+            if math.gcd(x, y) == 1 and not naive_sieve_drops(pair, ProjPoint(x, y), height):
+                kept.append(ProjPoint(x, y))
+    return kept
 
 
 _X, _Y = sympy.symbols("X Y")

@@ -70,7 +70,7 @@ def test_verify_parse_error_exits_2_with_one_line(capsys):
     ["verify", "--map", "z^2-1", "--height", "-1"],
 ])
 def test_height_below_1_exits_2_with_one_line(capsys, argv):
-    # the one height check, in coordinates_up_to_height, answers for both commands
+    # the one height check, in the orbit walk's limits, answers for both commands
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: height bound must be at least 1\n"
 
@@ -79,9 +79,11 @@ def test_height_below_1_exits_2_with_one_line(capsys, argv):
     (["--map", "z^2+1/2", "--max-iters", "0"], "max_iters must be positive"),
     (["--map", "2*z+1/3", "--height", "8"], "dynamical analysis needs a map of degree at least 2"),
     (["--map", "z^2+1/2", "--height", "0"], "height bound must be at least 1"),
+    (["--map", "z^2+1", "--height", "0"], "height bound must be at least 1"),
 ])
 def test_analyze_refuses_a_settled_or_linear_map_with_one_line(capsys, argv, message):
-    # z^2+1/2 keeps no sieve row: the limits are still checked before the sieve runs
+    # z^2+1/2 and z^2+1 keep no sieve row (rules (iii) and (i)): the limits are still
+    # checked before the sieve runs
     assert main(["analyze", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -222,10 +224,14 @@ def test_analyze_number_past_int_string_limit_exits_2(capsys, argv, err):
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("exponent", [2**62, 2**63])
 def test_a_degree_past_any_coefficient_list_exits_2(capsys, command, exponent):
-    # neither list can be allocated, so both are refused before any memory is taken
-    assert main([command, "--map", f"z^{exponent}"]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: a form of degree {exponent} has too many coefficients to store\n")
+    # neither list can be allocated, so both are refused before any memory is taken;
+    # a dense base is refused before its first squaring
+    for text in (f"z^{exponent}", f"(z+1)^{exponent}"):
+        start = time.perf_counter()
+        assert main([command, "--map", text]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "", f"error: a form of degree {exponent} has too many coefficients to store\n")
 
 
 def test_analyze_refuses_unprintable_coefficients_before_reduction(capsys, monkeypatch):
@@ -612,10 +618,11 @@ def test_batch_exits_4_on_a_failed_count(zero_bounds, tmp_path, capsys):
         "maps analyzed: 3\n"
         "max |PrePer| = 4 at c = -1, c = 0\n"
         "preperiodic count bound violated at c = -1, c = 0, c = 1\n")
-    # an entry with undecided starts is SKIPPED, never FAIL
+    # an entry with undecided starts is SKIPPED, never FAIL; one application leaves
+    # c = -2, -1 and 0 undecided
     out = tmp_path / "box2.csv"
     assert main(["batch", "--family", "z^2+c", "--c-num-max", "2", "--c-den-max", "2",
-                 "--max-iters", "2", "--csv", str(out)]) == 4
+                 "--max-iters", "1", "--csv", str(out)]) == 4
     with out.open(newline="") as fh:
         verdicts = {(row["incomplete"], row["count_le_Q"]) for row in csv.DictReader(fh)}
     assert verdicts == {("yes", "SKIPPED"), ("no", "FAIL")}

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,8 @@ from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
-                   naive_evaluate, naive_full_scan, naive_is_critical, naive_sieve_drops,
-                   rational_pair)
+                   naive_evaluate, naive_full_scan, naive_is_critical, naive_real_drops,
+                   naive_sieve_kept, rational_pair)
 
 
 def pts(*texts):
@@ -242,12 +243,12 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     found, kinds = naive_full_scan(pair, height, 256, 10**6)
     assert inv.preper == found
     assert inv.undecided == ()
+    # the walker sees the grid up to min(height, T): infinity and the kept starts
     grid_height = min(height, escape_threshold(pair))
-    grid = all_points_up_to_height(grid_height)
-    dropped = [p for p in grid if naive_sieve_drops(pair, p, grid_height)]
-    assert inv.starts == len(grid) - len(dropped)
-    for p in dropped:
-        assert kinds[p] == "escaped"
+    kept = set(naive_sieve_kept(pair, grid_height))
+    assert inv.starts == 1 + len(kept)
+    assert all(kinds[p] == "escaped" for p in kinds
+               if p.y and max(abs(p.x), p.y) <= grid_height and p not in kept)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +266,67 @@ def test_a_pair_the_sieve_settles_has_only_infinity(pair, height):
     assert inv.tail == frozenset() and inv.tail_lengths == {} and inv.starts == 1
     assert preperiodic_counts(pair, height) == (1, 1, 0, 1, False)
     assert naive_full_scan(pair, min(height, 16), 256, 10**6)[0] == {INFINITY}
+
+
+@st.composite
+def skewed_quadratics(draw):
+    """(a_0 z^2 + a_1 z + a_2)/b_2 in lowest terms with a_1 != 0, a_0 > 1 and b_2 < 0."""
+    a = [draw(st.integers(2, 6)), draw(st.integers(-12, 12).filter(bool)),
+         draw(st.integers(-12, 12))]
+    b2 = draw(st.integers(-6, -1))
+    assume(gcd(*a, b2) == 1)
+    return make_pair(a, [0, 0, b2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed_quadratics(), st.integers(1, 40))
+@example(make_pair([2, 3, 2], [0, 0, -1]), 40)  # both D+- < 0: only infinity is kept
+@example(make_pair([4, -7, -3], [0, 0, -2]), 40)
+def test_every_start_the_real_rule_drops_escapes(pair, height):
+    # rule (i) at d = 2, as stated in Fraction arithmetic, drops no start that the full
+    # scan finds preperiodic, and the sieved inventory is the full scan's
+    inv = enumerate_preperiodic(pair, height)
+    found, kinds = naive_full_scan(pair, height, 256, 10**6)
+    assert inv.preper == found and not inv.incomplete
+    assert all(kinds[p] == "escaped" for p in kinds if p.y and naive_real_drops(pair, p))
+
+
+_Z = sympy.Symbol("z")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(-6, 6).filter(bool))
+@example(16, 0, -29, 16)  # z^2-29/16: B+- = -+16, D+- = 2112, R = (16 + sqrt(2112))/32
+@example(1, -1, 1, 1)  # z^2-z+1: P+ = (z - 1)^2 and D- < 0, so R = 1, the fixed point
+def test_row_bounds_are_y_times_the_largest_real_root(a0, a1, a2, b2):
+    # each kept row's bound is floor(y*R), R the largest |real root| of P+ * P- =
+    # F(z, 1)^2 - b_2^2 z^2, found here by sympy's exact real root isolation
+    assume(gcd(a0, a1, a2, b2) == 1)
+    pair = make_pair([a0, a1, a2], [0, 0, b2])
+    f = a0 * _Z**2 + a1 * _Z + a2
+    roots = sympy.Poly(f**2 - b2**2 * _Z**2, _Z).real_roots()
+    rows = _polynomial_rows(pair, 10**6)
+    if not roots:
+        assert rows == []
+    for y, bound in rows:
+        assert bound == sympy.floor(y * max(abs(r) for r in roots))
+
+
+def test_box_32_walks_2288_starts_over_123_members():
+    # rule (i) settles every c > 1/4, about half of the box, before any trial division
+    starts = [enumerate_preperiodic(make_pair([den, 0, num], [0, 0, den]), 64).starts
+              for den in range(1, 33) for num in range(-32, 33) if gcd(num, den) == 1]
+    assert (len(starts), sum(starts), sum(s > 1 for s in starts)) == (1295, 2288, 123)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 4)).filter(lambda c: c > Fraction(1, 4)),
+       st.integers(1, 1024))
+@example(Fraction(1, 4) + Fraction(1, 10**9), 1024)
+def test_every_c_above_a_quarter_keeps_no_row(c, height):
+    # D+- = 1 - 4c < 0: |z^2 + c| > |z| on the whole real line
+    assert _polynomial_rows(rational_pair([1, 0, c], [0, 0, 1]), height) == []
 
 
 class _Reached(Exception):
@@ -287,6 +349,10 @@ def test_a_settled_pair_runs_neither_the_walker_nor_the_wronskian(monkeypatch):
 def test_refusals_come_before_the_sieve():
     with pytest.raises(ArithmeticInputError, match="max_iters must be positive"):
         preperiodic_counts(parse_map("z^2+1/2"), 64, max_iters=0)
+    # rule (i) settles z^2+1 before any height is read
+    for count in (enumerate_preperiodic, preperiodic_counts):
+        with pytest.raises(ArithmeticInputError, match="^height bound must be at least 1$"):
+            count(parse_map("z^2+1"), 0)
     # rule (iii) divides by d - 1: the degree check must come first
     with pytest.raises(ArithmeticInputError, match="degree at least 2"):
         enumerate_preperiodic(parse_map("2*z+1/3"), 8)
@@ -406,7 +472,8 @@ def test_walde_russo_families_at_the_escape_threshold(family, t):
 def test_walde_russo_a_denominator_that_is_no_square_admits_no_finite_point():
     # Walde-Russo: z^2 + c has a finite rational preperiodic point only if c's
     # denominator is a square e^2, and then every such point has denominator e;
-    # rule (iii) proves the first without a walk and keeps only the row y = e
+    # rule (iii) proves the first without a walk and keeps only the row y = e,
+    # unless c > 1/4, where rule (i) keeps no row at all
     squares = {e * e: e for e in range(1, 9)}
     no_square = []
     for den in range(1, 65):
@@ -415,7 +482,8 @@ def test_walde_russo_a_denominator_that_is_no_square_admits_no_finite_point():
                 continue
             pair = rational_pair([1, 0, Fraction(num, den)], [0, 0, 1])
             if den in squares:
-                assert [y for y, _ in _polynomial_rows(pair, 1024)] == [squares[den]]
+                kept = [] if Fraction(num, den) > Fraction(1, 4) else [squares[den]]
+                assert [y for y, _ in _polynomial_rows(pair, 1024)] == kept
             else:
                 inv = enumerate_preperiodic(pair, 1024)
                 assert (inv.starts, inv.preper) == (1, {INFINITY})
@@ -448,14 +516,16 @@ def test_lattes_map_of_y2_equals_x3_plus_1():
 def test_polynomial_rows_of_z2_minus_29_16():
     # a_0 = 16 and v_2(y) < 3; rule (iii) drops y = 1 and 2, where -29 alone has the
     # least 2-adic valuation, so v_2(phi(z)) = -4, and keeps y = 4, where 16z^2 and -29
-    # tie: |x| <= 45*4//16
-    assert _polynomial_rows(parse_map("z^2-29/16"), 1024) == [(4, 11)]
+    # tie; rule (i): B+- = -+16 and D+- = 2112, so |x| <= (4*16 + isqrt(16*2112))//32 = 7
+    assert _polynomial_rows(parse_map("z^2-29/16"), 1024) == [(4, 7)]
 
 
 @pytest.mark.parametrize("map_text, height, starts", [
-    ("z^2-29/16", 1024, 24),  # rules (i) and (ii): y in {1, 2, 4}, |x/y| <= 45/16, and infinity
-    ("z^2-29/16", 1024, 13),  # rule (iii) too: y = 4, odd |x| <= 11, and infinity
-    ("z^2-2", 64, 8),  # y = 1, |x| <= 3, and infinity
+    ("z^2-29/16", 1024, 24),  # rule (ii) and the old radius: y in {1, 2, 4}, |x/y| <= 45/16
+    ("z^2-29/16", 1024, 13),  # rule (iii) and the old radius: y = 4, odd |x| <= 11
+    ("z^2-29/16", 1024, 9),  # rules (i) and (iii): y = 4, odd |x| <= 7, and infinity
+    ("z^2-2", 64, 8),  # the old radius: y = 1, |x| <= 3, and infinity
+    ("z^2-2", 64, 6),  # y = 1, |x| <= 2 = floor((1 + sqrt(9))/2), and infinity
 ])
 def test_polynomial_sieve_size(map_text, height, starts):
     inv = enumerate_preperiodic(parse_map(map_text), height)

@@ -126,6 +126,9 @@ def test_parse_degenerate_inputs():
          "a form of degree 4611686018427387904 has too many coefficients to store"),
         ("1/z^9223372036854775808",
          "a form of degree 9223372036854775808 has too many coefficients to store"),
+        # a dense base is refused before its first squaring
+        ("[(X+Y)^4611686018427387904 : Y^4611686018427387904]",
+         "a form of degree 4611686018427387904 has too many coefficients to store"),
     ]:
         with pytest.raises(DegenerateMapError) as info:
             parse_map(text)

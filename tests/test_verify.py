@@ -432,6 +432,8 @@ def test_four_point_set_matches_oracle():
 
 
 def test_set_enumeration_monotone_in_height():
+    # no point has a height below 1, infinity included
+    assert three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=0) == set()
     small = three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=10)
     mid = three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=25)
     big = three_point_set(pt(0), pt(1), INFINITY, S_INF_2, height=50)
