@@ -24,7 +24,7 @@ for text in ("1/4", "3/4", "2"):
 # bound that can be preperiodic, sharing verdicts between orbits, and
 # assembles the full picture.  For a polynomial like this one it skips the
 # starts that provably escape: here only the row of denominator 4 with
-# |z| <= 11/4 is walked, 13 starts in all with infinity.
+# |z| <= 7/4 is walked, 9 starts in all with infinity.
 inv = enumerate_preperiodic(phi, height=64)
 print("\npreperiodic points:", len(inv.preper))
 print("  periodic:", sorted(format_point(p) for p in inv.per))

@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
         if args.s_extra:
             places = places.extended(_parse_s_extra(args.s_extra))
         inv = None
-        if not pair.degree_below_2:
+        if pair.degree >= 2:
             inv = enumerate_preperiodic(pair, args.height, max_iters=args.max_iters)
         report = analysis_report(pair, profile, places, inv)
     except _INPUT_ERRORS as e:
@@ -145,10 +145,10 @@ def _within_q(s: int, count: int) -> bool:
 def _sweep_pair(num: int, den: int):
     """(pair, c) for z^2 + num/den: parse_map's pair, source text included, and c,
     the text str(Fraction(num, den)) gives.  gcd(num, den) = 1 and den >= 1 make
-    the pair normalized, and Res = den^4 != 0, so it needs no ``make_pair`` pass."""
+    the pair normalized, so HomogPair divides out no content."""
     c = str(num) if den == 1 else f"{num}/{den}"
     source = f"z^2+{c}" if num >= 0 else f"z^2{c}"
-    return HomogPair(2, (den, 0, num), (0, 0, den), source), c
+    return HomogPair((den, 0, num), (0, 0, den), source), c
 
 
 def _sweep_entry(task):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ratmap import DegenerateMapError, HomogPair, make_pair
+from .ratmap import DegenerateMapError, HomogPair
 
 # every character outside whitespace starts a token; one no rule reads is "bad"
 _TOKEN_RE = re.compile(
@@ -301,4 +301,4 @@ def parse_map(text: str) -> HomogPair:
             raise DegenerateMapError("constant expressions do not define a map")
     # a[i] is the X^(d-i) Y^i coefficient, i.e. the z^(d-i) coefficient
     a, b = ([0] * (d + 1 - len(p)) + p[::-1] for p in (num, den))
-    return make_pair(a, b, stripped)
+    return HomogPair(a, b, stripped)

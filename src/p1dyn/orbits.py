@@ -248,7 +248,7 @@ def _critical(pair: HomogPair, cycles) -> list[bool]:
     only when some cycle has a finite point.
     """
     a, b = pair.a, pair.b
-    w = wronskian(pair) if any(y for c in cycles for _, y in c) else None
+    w = wronskian(a, b) if any(y for c in cycles for _, y in c) else None
     return [any(_vanishes(w, x, y) if y else a[0] * b[1] == a[1] * b[0] for x, y in c)
             for c in cycles]
 

@@ -4,7 +4,8 @@ A map of degree d is a pair (F, G) of integer binary forms of formal degree
 d, stored as coefficient tuples a, b with a[i] the coefficient of
 X^(d-i) Y^i.  The pair is normalized so that the gcd of all 2d+2
 coefficients is 1 and the first nonzero coefficient is positive; a nonzero
-resultant is what makes it an actual endomorphism.
+resultant is what makes it an actual endomorphism.  HomogPair puts any input
+in this form and refuses Res = 0.
 """
 
 from __future__ import annotations
@@ -23,31 +24,36 @@ class DegenerateMapError(ValueError):
 class HomogPair(Record):
     """The forms' coefficients, compared, and three fields that are not: ``source``,
     the text the map was read from, and ``resultant`` and ``threshold``, Res and the
-    escape threshold T (None when d < 2 or Res = 0), derived once (``_adjugate_rows``)."""
+    escape threshold T (None when d < 2), derived once (``_adjugate_rows``).  Built
+    from two int vectors of one length d + 1 >= 2, their content divided out and the
+    first nonzero coefficient made positive; Res = 0 is refused."""
 
     __slots__ = ("degree", "a", "b", "source", "resultant", "threshold")
     _compared = ("degree", "a", "b")
 
-    def __init__(self, degree: int, a: tuple[int, ...], b: tuple[int, ...], source: str = ""):
+    def __init__(self, a, b, source: str = ""):
+        a, b = tuple(a), tuple(b)
+        if len(a) != len(b):
+            raise ArithmeticInputError("coefficient vectors must have equal length")
+        degree = len(a) - 1
         if degree < 1:
             raise DegenerateMapError("degree must be at least 1")
-        if len(a) != degree + 1 or len(b) != degree + 1:
-            raise ArithmeticInputError("coefficient vectors must have length degree+1")
         if not any(a) or not any(b):
             raise DegenerateMapError("one side of the pair is identically zero")
-        coeffs = a + b
-        if math.gcd(*coeffs) != 1:
-            raise ArithmeticInputError("pair is not content-normalized")
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            raise ArithmeticInputError("pair is not sign-normalized")
+        g = math.gcd(*a, *b)
+        if next(c for c in a + b if c) < 0:
+            g = -g
+        if g != 1:
+            a, b = tuple(c // g for c in a), tuple(c // g for c in b)
         _set(self, "degree", degree)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "source", source)
         res, rows = _adjugate_rows(self)
+        if res == 0:
+            raise DegenerateMapError("the two forms share a projective root (resultant 0)")
         threshold = None
-        if degree >= 2 and res != 0:
+        if degree >= 2:
             content = math.gcd(*rows[0], *rows[1])
             threshold = _iroot(max(sum(map(abs, row)) for row in rows) // content, degree - 1)
         _set(self, "resultant", res)
@@ -55,16 +61,12 @@ class HomogPair(Record):
 
     def __reduce__(self):
         # only the inputs: __init__ derives Res and T again
-        return HomogPair, (self.degree, self.a, self.b, self.source)
-
-    @property
-    def degree_below_2(self) -> bool:
-        return self.degree < 2
+        return HomogPair, (self.a, self.b, self.source)
 
     @property
     def polynomial(self) -> bool:
-        """G = b_d*Y^d and a_0 != 0: the map is a polynomial in z = X/Y."""
-        return self.a[0] != 0 and not any(self.b[:-1])
+        """G = b_d*Y^d: the map is a polynomial in z = X/Y (a_0 != 0, as Res != 0)."""
+        return not any(self.b[:-1])
 
     def __str__(self):
         return self.source or f"[{_form_str(self.a, self.degree)}:{_form_str(self.b, self.degree)}]"
@@ -87,28 +89,6 @@ def _form_str(coeffs, d):
             parts.append(f"{c}" + (f"*{body}" if body else ""))
     joined = "+".join(parts).replace("+-", "-")
     return joined or "0"
-
-
-def make_pair(a_coeffs, b_coeffs, source: str = "") -> HomogPair:
-    """Normalize integer coefficient vectors into a HomogPair.
-
-    Divides out the content, fixes the sign, and rejects pairs with resultant
-    zero.  Tests with rational coefficients clear denominators first, through
-    ``naive.rational_pair``.
-    """
-    a, b = list(a_coeffs), list(b_coeffs)
-    if len(a) != len(b) or not a:
-        raise ArithmeticInputError("coefficient vectors must have equal positive length")
-    g = math.gcd(*a, *b)
-    if g == 0:
-        raise DegenerateMapError("both sides are identically zero")
-    first = next(c for c in a + b if c != 0)
-    if first < 0:
-        g = -g
-    pair = HomogPair(len(a) - 1, tuple(c // g for c in a), tuple(c // g for c in b), source)
-    if pair.resultant == 0:
-        raise DegenerateMapError("the two forms share a projective root (resultant 0)")
-    return pair
 
 
 def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -186,6 +166,8 @@ def _adjugate_rows(pair: HomogPair) -> tuple[int, list[list[int]]]:
         return _eliminate(augmented)
     a, lead, tail = pair.a, pair.a[0], pair.b[-1]
     res = (lead * tail) ** d
+    if not res:  # a_0 = 0: [1 : 0] is a common root
+        return 0, []
     terms = [(t, c) for t, c in enumerate(a) if t and c]
     y = [res // lead]
     for k in range(1, 2 * d):
@@ -216,8 +198,6 @@ def escape_threshold(pair: HomogPair) -> int:
     """
     if pair.degree < 2:
         raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
-    if pair.resultant == 0:
-        raise DegenerateMapError("the two forms share a projective root (resultant 0)")
     return pair.threshold
 
 
@@ -297,14 +277,15 @@ def evaluate(pair: HomogPair, point: ProjPoint) -> ProjPoint:
     return ProjPoint(*step_kernel(pair.a, pair.b)(point.x, point.y))
 
 
-def wronskian(pair: HomogPair) -> tuple[int, ...]:
-    """Coefficients of F_X G_Y - F_Y G_X, a binary form of degree 2d-2.
+def wronskian(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of F_X G_Y - F_Y G_X, a binary form of degree 2d-2, for any
+    forms F, G of one degree d (Res = 0 included).
 
     For i < j, the terms a_i X^(d-i) Y^i of F and b_j X^(d-j) Y^j of G, taken
     with the swapped pair a_j, b_i, add d (j - i) (a_i b_j - a_j b_i) to the
     coefficient of X^(2d-1-i-j) Y^(i+j-1); the pairs i = j cancel.
     """
-    a, b, d = pair.a, pair.b, pair.degree
+    d = len(a) - 1
     out = [0] * (2 * d - 1)
     support = [i for i in range(d + 1) if a[i] or b[i]]  # a minor needs both columns nonzero
     for n, i in enumerate(support):

@@ -167,7 +167,7 @@ def analysis_report(pair: HomogPair, profile: ReductionProfile,
         })
     report["verifications"] = []  # schema "1" keeps the key; analyze runs no checks
     report["flags"] = {
-        "degree_below_2": pair.degree_below_2,
+        "degree_below_2": pair.degree < 2,
         "incomplete": inventory.incomplete if inventory is not None else False,
         "undecided": _point_list(inventory.undecided) if inventory is not None else [],
     }

@@ -29,14 +29,14 @@ from p1dyn.mapparse import (_ONE, _VARIABLES, MapSyntaxError, _at_y1, _bi_add, _
                             _poly_exact_div, _poly_gcd, _power, _side_degree)
 from p1dyn.magnitude import exact, max_of, power, prod_of, sum_of
 from p1dyn.projline import INFINITE_DISTANCE, ProjPoint, log_distance, point_sort_key
-from p1dyn.ratmap import DegenerateMapError, make_pair
+from p1dyn.ratmap import DegenerateMapError, HomogPair
 from p1dyn.verify import FAIL, PASS, SUITE_NAMES, VerificationReport
 
 
 def rational_pair(a, b, source=""):
-    """make_pair of int or Fraction vectors, both sides scaled by the common denominator."""
+    """HomogPair of int or Fraction vectors, both sides scaled by the common denominator."""
     scale = math.lcm(*(Fraction(c).denominator for c in [*a, *b]))
-    return make_pair([int(c * scale) for c in a], [int(c * scale) for c in b], source)
+    return HomogPair([int(c * scale) for c in a], [int(c * scale) for c in b], source)
 
 
 def _form_value(coeffs, x, y):
@@ -679,7 +679,7 @@ def naive_parse_map(text):
         f_den, g_den = f_den[(0, 0)], g_den[(0, 0)]
         a = [f_poly.get((d1 - i, i), 0) * g_den for i in range(d1 + 1)]
         b = [g_poly.get((d1 - i, i), 0) * f_den for i in range(d1 + 1)]
-        return make_pair(a, b, stripped)
+        return HomogPair(a, b, stripped)
     parser = _NaiveMapParser(text, ("z",))
     tree = parser.expr()
     if parser.peek()[0] != "end":
@@ -694,7 +694,7 @@ def naive_parse_map(text):
         raise DegenerateMapError("constant expressions do not define a map")
     num = num + [0] * (d + 1 - len(num))
     den = den + [0] * (d + 1 - len(den))
-    return make_pair([num[d - i] for i in range(d + 1)], [den[d - i] for i in range(d + 1)],
+    return HomogPair([num[d - i] for i in range(d + 1)], [den[d - i] for i in range(d + 1)],
                      stripped)
 
 

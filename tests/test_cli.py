@@ -133,7 +133,7 @@ def test_analyze_degree_below_2(tmp_path, capsys):
     assert "degree at least 2" in capsys.readouterr().err
 
 
-def test_analyze_s_extra(tmp_path):
+def test_analyze_s_extra(tmp_path, capsys):
     out = tmp_path / "s.json"
     code = main(["analyze", "--map", "z^2", "--height", "8",
                  "--s-extra", "5", "--json", str(out)])
@@ -142,6 +142,9 @@ def test_analyze_s_extra(tmp_path):
     assert doc["S"] == ["inf", 5] and doc["s"] == 2
     # the bound table follows the enlarged place set
     assert doc["bounds"]["B"]["value"] == str(2**32)
+    # an empty token between two commas is skipped
+    assert main(["analyze", "--map", "z^2", "--height", "2", "--s-extra", "2,,3"]) == 0
+    assert "\nS = {inf, 2, 3} (s = 3)\n" in capsys.readouterr().out
 
 
 def test_analyze_factors_resultant_past_the_primality_range(capsys):

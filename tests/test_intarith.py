@@ -141,6 +141,8 @@ def test_is_prime_known_strong_pseudoprimes():
 
 
 def test_is_prime_range_rejection():
+    with pytest.raises(ArithmeticInputError, match="nonnegative"):
+        is_prime(-1)
     with pytest.raises(PrimalityRangeError):
         is_prime(3_317_044_064_679_887_385_961_981)
     assert is_prime(3_317_044_064_679_887_385_961_813)  # largest prime below the limit

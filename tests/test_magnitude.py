@@ -110,6 +110,8 @@ def test_constructor_canonical_forms():
         exp_of(Fraction(-1, 2))
     with pytest.raises(MagnitudeInputError):
         power(exact(2), -3)
+    with pytest.raises(MagnitudeInputError, match="^max of nothing$"):
+        max_of()
     # exponents are exact: no float ever enters a magnitude
     for bad_power in ((exp_of(3), 1.5), (exact(2), 2.5), (exact(2), Fraction(2))):
         with pytest.raises(MagnitudeInputError):
@@ -441,6 +443,8 @@ def test_digit_count_exact_values():
     assert digit_count(exact(999)) == 3
     assert digit_count(exact(1000)) == 4
     assert digit_count(power(exact(2), 32)) == 10
+    # too large to materialize, and never pinned: the count is within 1, here exact
+    assert digit_count(power(exact(10), 10**6 + 1)) == 10**6 + 2
 
 
 def test_digit_count_frozen_large_constants():

@@ -14,7 +14,7 @@ from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
                           preperiodic_counts, tails_of)
 from p1dyn.projline import INFINITY, ProjPoint, parse_point, point_sort_key
-from p1dyn.ratmap import DegenerateMapError, escape_threshold, make_pair
+from p1dyn.ratmap import DegenerateMapError, HomogPair, escape_threshold
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
@@ -275,13 +275,13 @@ def skewed_quadratics(draw):
          draw(st.integers(-12, 12))]
     b2 = draw(st.integers(-6, -1))
     assume(gcd(*a, b2) == 1)
-    return make_pair(a, [0, 0, b2])
+    return HomogPair(a, [0, 0, b2])
 
 
 @settings(max_examples=100, deadline=None)
 @given(skewed_quadratics(), st.integers(1, 40))
-@example(make_pair([2, 3, 2], [0, 0, -1]), 40)  # both D+- < 0: only infinity is kept
-@example(make_pair([4, -7, -3], [0, 0, -2]), 40)
+@example(HomogPair([2, 3, 2], [0, 0, -1]), 40)  # both D+- < 0: only infinity is kept
+@example(HomogPair([4, -7, -3], [0, 0, -2]), 40)
 def test_every_start_the_real_rule_drops_escapes(pair, height):
     # rule (i) at d = 2, as stated in Fraction arithmetic, drops no start that the full
     # scan finds preperiodic, and the sieved inventory is the full scan's
@@ -303,7 +303,7 @@ def test_row_bounds_are_y_times_the_largest_real_root(a0, a1, a2, b2):
     # each kept row's bound is floor(y*R), R the largest |real root| of P+ * P- =
     # F(z, 1)^2 - b_2^2 z^2, found here by sympy's exact real root isolation
     assume(gcd(a0, a1, a2, b2) == 1)
-    pair = make_pair([a0, a1, a2], [0, 0, b2])
+    pair = HomogPair([a0, a1, a2], [0, 0, b2])
     f = a0 * _Z**2 + a1 * _Z + a2
     roots = sympy.Poly(f**2 - b2**2 * _Z**2, _Z).real_roots()
     rows = _polynomial_rows(pair, 10**6)
@@ -315,7 +315,7 @@ def test_row_bounds_are_y_times_the_largest_real_root(a0, a1, a2, b2):
 
 def test_box_32_walks_2288_starts_over_123_members():
     # rule (i) settles every c > 1/4, about half of the box, before any trial division
-    starts = [enumerate_preperiodic(make_pair([den, 0, num], [0, 0, den]), 64).starts
+    starts = [enumerate_preperiodic(HomogPair([den, 0, num], [0, 0, den]), 64).starts
               for den in range(1, 33) for num in range(-32, 33) if gcd(num, den) == 1]
     assert (len(starts), sum(starts), sum(s > 1 for s in starts)) == (1295, 2288, 123)
 
@@ -373,7 +373,7 @@ def counted_pairs(draw):
     form = st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1)
     a, b = draw(form), draw(form.filter(lambda b: any(b[:-1])))
     try:
-        return make_pair(a, b)
+        return HomogPair(a, b)
     except DegenerateMapError:
         assume(False)
 
@@ -381,7 +381,7 @@ def counted_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(counted_pairs(), st.integers(1, 64), st.integers(1, 8))
 @example(rational_pair([1, 0, Fraction(-29, 16)], [0, 0, 1]), 64, 2)  # undecided starts
-@example(make_pair([1, 0, -1], [0, 0, 1]), 64, 8)  # 0 and infinity on critical cycles
+@example(HomogPair([1, 0, -1], [0, 0, 1]), 64, 8)  # 0 and infinity on critical cycles
 def test_counts_are_the_sizes_of_the_inventory(pair, height, max_iters):
     inv = enumerate_preperiodic(pair, height, max_iters=max_iters)
     assert preperiodic_counts(pair, height, max_iters=max_iters) == (

@@ -69,6 +69,8 @@ def test_log_distance_examples():
     assert log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 5) == 0
     assert log_distance(ProjPoint(0, 1), INFINITY, 7) == 0
     assert log_distance(ProjPoint(2, 1), ProjPoint(2, 1), 3) == INFINITE_DISTANCE
+    with pytest.raises(ArithmeticInputError, match="^4 is not prime$"):
+        log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 4)
 
 
 def test_log_distance_proves_its_prime_once(monkeypatch):
@@ -163,3 +165,6 @@ def test_sort_key_orders_rationals_with_infinity_last():
 def test_from_rational():
     assert from_rational(Fraction(-29, 16)) == ProjPoint(-29, 16)
     assert from_rational(2) == ProjPoint(2, 1)
+    assert ProjPoint(-29, 16).as_fraction() == Fraction(-29, 16)
+    with pytest.raises(ArithmeticInputError, match="infinity is not a rational number"):
+        INFINITY.as_fraction()

@@ -19,7 +19,6 @@ from p1dyn.ratmap import (
     escape_threshold,
     evaluate,
     good_reduction,
-    make_pair,
     reduction_profile,
     wronskian,
 )
@@ -51,7 +50,6 @@ def test_parse_homogeneous_pair():
 def test_parse_reduces_common_polynomial_factor():
     pair = parse_map("(z^3-z)/(z^2-1)")  # reduces to z
     assert pair.degree == 1
-    assert pair.degree_below_2
     assert pair.a == (1, 0)
     assert pair.b == (0, 1)
 
@@ -156,7 +154,7 @@ def test_resultant_matches_sympy_on_random_pairs():
             b = [rng.randint(-9, 9) for _ in range(d + 1)]
             if any(a) and any(b):
                 try:
-                    pair = make_pair(a, b)
+                    pair = HomogPair(a, b)
                     break
                 except DegenerateMapError:
                     continue
@@ -221,7 +219,7 @@ def polynomial_pairs(draw):
     coefficient = draw(st.sampled_from([st.integers(-60, 60),
                                         st.sampled_from([0, 0, 0, 0, 1, -1, 5, -18])]))
     rest = draw(st.lists(coefficient, min_size=d, max_size=d))
-    return make_pair([lead, *rest], [0] * d + [tail])
+    return HomogPair([lead, *rest], [0] * d + [tail])
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,7 +227,7 @@ def polynomial_pairs(draw):
 @example(parse_map("z^2-29/16"))
 @example(parse_map("2*z^3-z+1/5"))
 @example(parse_map("z^8"))
-@example(make_pair([6, 0, 0, 1], [0, 0, 0, -4]))
+@example(HomogPair([6, 0, 0, 1], [0, 0, 0, -4]))
 def test_triangular_certificate_matches_the_elimination(pair):
     d = pair.degree
     assert pair.polynomial
@@ -260,7 +258,8 @@ def test_polynomial_means_a_nonzero_lead_over_a_pure_power_of_y():
     assert not parse_map("[X^3+2*Y^3:X*Y^2]").polynomial
     assert not parse_map("(z^2+1)/(2*z)").polynomial
     assert not parse_map("1/z^2").polynomial
-    assert not HomogPair(2, (0, 1, 1), (0, 0, 1)).polynomial  # a_0 = 0, so Res = 0
+    with pytest.raises(DegenerateMapError, match="resultant 0"):  # a_0 = 0 shares [1 : 0]
+        HomogPair((0, 1, 1), (0, 0, 1))
 
 
 def test_reduction_profile_examples():
@@ -321,16 +320,16 @@ def test_evaluate_respects_scaling_of_inputs():
 
 
 def _wronskian_zeros_on_grid(pair, height=8):
-    w = wronskian(pair)
+    w = wronskian(pair.a, pair.b)
     top = len(w) - 1
     return {p for p in points_up_to_height(height)
             if sum(c * p.x ** (top - i) * p.y**i for i, c in enumerate(w)) == 0}
 
 
 def test_wronskian_and_critical_points():
-    assert wronskian(parse_map("z^2")) == (0, 4, 0)
+    assert wronskian((1, 0, 0), (0, 0, 1)) == (0, 4, 0)  # z^2
     assert _wronskian_zeros_on_grid(parse_map("z^2")) == {ProjPoint(0, 1), INFINITY}
-    assert wronskian(parse_map("z^2-29/16")) == (0, 1024, 0)
+    assert wronskian((16, 0, -29), (0, 0, 16)) == (0, 1024, 0)  # z^2-29/16
     assert _wronskian_zeros_on_grid(parse_map("z^2-29/16")) == {ProjPoint(0, 1), INFINITY}
     assert _wronskian_zeros_on_grid(parse_map("(z^2+1)/(2*z)")) == {
         ProjPoint(1, 1),
@@ -354,26 +353,24 @@ def test_binary_form_rational_roots_direct():
 
 
 def test_pair_normalization_and_validation():
-    pair = make_pair([-1, 0, 1], [0, 0, -1])
+    assert HomogPair([2, 0, 2], [0, 0, 4]) == HomogPair((1, 0, 1), (0, 0, 2))
+    pair = HomogPair((-1, 0, 1), (0, 0, -1))
     assert pair.a == (1, 0, -1) and pair.b == (0, 0, 1)
-    with pytest.raises(ArithmeticInputError):
-        HomogPair(2, (2, 0, 2), (0, 0, 4))
-    with pytest.raises(DegenerateMapError):
-        HomogPair(2, (0, 0, 0), (1, 0, 0))
-    with pytest.raises(DegenerateMapError):
-        make_pair([1, 0, -1], [1, 0, -1])
+    assert HomogPair((0, -3), (6, 9)).b == (-2, -3)  # content 3; the first nonzero is a_1 < 0
+    with pytest.raises(DegenerateMapError,
+                       match=r"^the two forms share a projective root \(resultant 0\)$"):
+        HomogPair([1, 0, -1], [1, 0, -1])
+    with pytest.raises(DegenerateMapError, match="^one side of the pair is identically zero$"):
+        HomogPair((0, 0, 0), (1, 0, 0))
 
 
 def test_pair_constructors_refuse_malformed_vectors():
-    with pytest.raises(DegenerateMapError, match="^degree must be at least 1$"):
-        HomogPair(0, (1,), (1,))
-    with pytest.raises(ArithmeticInputError, match=r"^coefficient vectors must have length degree\+1$"):
-        HomogPair(2, (1, 0), (0, 0, 1))
-    with pytest.raises(ArithmeticInputError, match="^pair is not sign-normalized$"):
-        HomogPair(2, (-1, 0, 0), (0, 0, 1))
-    with pytest.raises(ArithmeticInputError,
-                       match="^coefficient vectors must have equal positive length$"):
-        make_pair([1, 0], [0, 0, 1])
+    for a, b in (((3,), (3,)), ((), ())):
+        with pytest.raises(DegenerateMapError, match="^degree must be at least 1$"):
+            HomogPair(a, b)
+    with pytest.raises(ArithmeticInputError, match="^coefficient vectors must have equal length$"):
+        HomogPair((1, 0), (0, 0, 1))
+
 
 def test_parse_point_reuse_in_map_context():
     assert parse_point("[6:-4]") == ProjPoint(-3, 2)
@@ -385,7 +382,7 @@ def test_evaluate_matches_naive_monomial_sums():
     while maps < 40:
         d = rng.randint(2, 5)
         try:
-            pair = make_pair([rng.randint(-9, 9) for _ in range(d + 1)],
+            pair = HomogPair([rng.randint(-9, 9) for _ in range(d + 1)],
                              [rng.randint(-9, 9) for _ in range(d + 1)])
         except DegenerateMapError:
             continue
@@ -518,8 +515,8 @@ def test_wronskian_and_its_zeros_match_sympy(pair, x, y):
     g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
     w = sympy.expand(sympy.diff(f, X) * sympy.diff(g, Y) - sympy.diff(f, Y) * sympy.diff(g, X))
     expected = tuple(int(w.coeff(X, 2 * d - 2 - k).coeff(Y, k)) for k in range(2 * d - 1))
-    assert wronskian(pair) == expected
-    assert _vanishes(wronskian(pair), x, y) == (w.subs({X: x, Y: y}) == 0)
+    assert wronskian(pair.a, pair.b) == expected
+    assert _vanishes(wronskian(pair.a, pair.b), x, y) == (w.subs({X: x, Y: y}) == 0)
     # a random point seldom is a zero of W, so also try W times a form that is 0 there
     if w != 0 and (x, y) != (0, 0):
         v = sympy.Poly(w * (y * X - x * Y), X, Y)
@@ -528,35 +525,33 @@ def test_wronskian_and_its_zeros_match_sympy(pair, x, y):
 
 
 @st.composite
-def sparse_pairs(draw):
-    """Pairs of degree up to 40 with one to four nonzero coefficients a side; the
-    Wronskian needs no nonzero resultant, so each is built as a HomogPair."""
+def sparse_forms(draw):
+    """Forms (F, G) of degree up to 40 with one to four nonzero coefficients a side;
+    the Wronskian needs no nonzero resultant, so no pair is built."""
     d = draw(st.integers(2, 40))
     sides = []
     for _ in range(2):
         side = [0] * (d + 1)
         for i in draw(st.lists(st.integers(0, d), min_size=1, max_size=4)):
             side[i] = draw(st.integers(-9, 9).filter(bool))
-        sides.append(side)
-    g = math.gcd(*sides[0], *sides[1])
-    if next(c for c in sides[0] + sides[1] if c) < 0:
-        g = -g
-    return HomogPair(d, *(tuple(c // g for c in side) for side in sides))
+        sides.append(tuple(side))
+    return tuple(sides)
 
 
 # small dense pairs meet the same oracle in test_wronskian_and_its_zeros_match_sympy
 @settings(max_examples=60, deadline=None)
-@given(sparse_pairs())
-@example(parse_map("z^40+1"))
-@example(parse_map("[X^40+Y^40:X^39*Y]"))
-def test_wronskian_matches_sympy(pair):
-    d = pair.degree
+@given(sparse_forms())
+@example(((1,) + (0,) * 39 + (1,), (0,) * 40 + (1,)))  # z^40+1
+@example(((1,) + (0,) * 39 + (1,), (0, 1) + (0,) * 39))  # [X^40+Y^40:X^39*Y]
+def test_wronskian_matches_sympy(forms):
+    a, b = forms
+    d = len(a) - 1
     X, Y = sympy.symbols("X Y")
-    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.a))
-    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(pair.b))
+    f = sum(c * X ** (d - i) * Y**i for i, c in enumerate(a))
+    g = sum(c * X ** (d - i) * Y**i for i, c in enumerate(b))
     w = sympy.Poly(sympy.diff(f, X) * sympy.diff(g, Y) - sympy.diff(f, Y) * sympy.diff(g, X),
                    X, Y)
-    assert wronskian(pair) == tuple(int(w.coeff_monomial(X ** (2 * d - 2 - k) * Y**k))
+    assert wronskian(a, b) == tuple(int(w.coeff_monomial(X ** (2 * d - 2 - k) * Y**k))
                                     for k in range(2 * d - 1))
 
 

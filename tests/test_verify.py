@@ -24,7 +24,7 @@ from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import (INFINITY, ProjPoint, cross_product, distance_support,
                              from_rational, point_sort_key, points_up_to_height)
-from p1dyn.ratmap import (DegenerateMapError, PlaceSet, escape_threshold, make_pair,
+from p1dyn.ratmap import (DegenerateMapError, HomogPair, PlaceSet, escape_threshold,
                           reduction_profile)
 from p1dyn.report import verification_line
 from p1dyn.verify import (
@@ -147,7 +147,7 @@ def _maps_points_images(draw):
     d = draw(st.integers(2, 3))
     coeffs = st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
     try:
-        pair = make_pair(draw(coeffs), draw(coeffs))
+        pair = HomogPair(draw(coeffs), draw(coeffs))
     except DegenerateMapError:
         reject()
     pts = draw(st.lists(st.sampled_from(_GRID_9), min_size=3, max_size=12, unique=True))
@@ -406,6 +406,8 @@ def test_three_point_set_validation():
         three_point_set(pt(0), pt(1), pt(2), S_INF, targets={(0, 6): 1})
     with pytest.raises(VerificationInputError, match="place set"):
         three_point_set(pt(0), pt(1), pt(2), S_INF_2, targets={(0, 2): 1})
+    with pytest.raises(VerificationInputError, match="nonnegative"):
+        three_point_set(pt(0), pt(1), pt(2), S_INF, targets={(0, 5): -1})
 
 
 def test_four_point_set_golden():
