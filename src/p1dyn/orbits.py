@@ -10,7 +10,8 @@ candidates is flagged incomplete and never silently treated as finished.
 Preperiodic points have height at most T.  enumerate_preperiodic walks every
 canonical point up to min(height, T), except for a polynomial pair,
 b = (0, ..., 0, b_d) with a_0 != 0, where phi(z) = F(z, 1)/b_d.  There, a
-start z = x/y (y >= 1) is dropped when
+start z = x/y (y >= 1) is dropped when one of these rules, read at the
+search height ``height`` and not at min(height, T), holds:
 
 (i)  |z| > R, a radius past which |phi(z)| > |z| on the real line.  At d = 2,
      with B+- = a_1 -+ b_2 and D+- = B+-^2 - 4*a_0*a_2, R is the largest
@@ -44,10 +45,13 @@ A strictly monotone |z| or v_p(z) never repeats, so no dropped start is
 preperiodic.  A walk of it could only have escaped or, with too small a
 ``max_iters``, stayed undecided; so the inventory is the one the full scan
 gives, except that such starts, like those above T, are not listed as undecided.
+``starts`` counts infinity and the starts the rules keep at the search
+height, on the grid capped at T.
 
 A polynomial pair fixes infinity: F(1, 0) = a_0 != 0 and G(1, 0) = 0.  So
 when the sieve keeps no row, the walk's whole result is the fixed point
-infinity, and it is returned with no walk.
+infinity, and it is returned with no walk.  None of the rules reads T, so
+such a pair never derives it (ratmap.escape_threshold).
 
 The Wronskian W = F_X*G_Y - F_Y*G_X (ratmap.wronskian) vanishes exactly at the
 critical points, so a cycle is critical, its points in ``per0``, when W is 0
@@ -163,7 +167,7 @@ class DynamicalInventory(Record):
         _set(self, "image", image)
         _set(self, "incomplete", incomplete)
         _set(self, "undecided", undecided)
-        _set(self, "starts", starts)  # candidates offered to the walker, infinity included
+        _set(self, "starts", starts)  # starts offered to the walker, infinity included
 
 
 def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
@@ -189,7 +193,17 @@ def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
 
 
 def _polynomial_rows(pair: HomogPair, height: int):
-    """Rows (y, x bound) of the starts rules (i) to (iii) keep, or None if not a polynomial.
+    """Rows (y, x bound) of the starts rules (i) to (iii) keep at search height
+    ``height``, on the grid up to min(height, T), or None if not a polynomial.
+
+    The rules' decisions read no T: rule (i)'s "both D+- < 0", then rules
+    (ii) and (iii), whose trial division of a_0 stops at the search height,
+    not at min(height, T).  A pair they leave no row returns [] before T is
+    read; only a pair with a row reads T, and its rows are clipped to
+    y <= min(height, T) and |x| <= min(height, T), which may leave none.
+    Rules (ii) and (iii) are proofs at every prime, so a prime of a_0 in
+    (T, height] can only drop more starts: one with no kept exponent
+    settles the pair.
 
     Row y keeps |x| <= floor(y*R); at d = 2 that is the largest
     (y*|B+-| + isqrt(y^2*D+-)) // (2|a_0|) over D+- >= 0, as the floor of a
@@ -228,8 +242,9 @@ def _polynomial_rows(pair: HomogPair, height: int):
         ys = [y * q for y in ys for q in powers if y * q <= height]
         if not ys:
             return []
-    return [(y, min(height, max((y * s + isqrt(y * y * disc)) // den for s, disc in radii)))
-            for y in sorted(ys)]
+    cap = min(height, escape_threshold(pair))
+    return [(y, min(cap, max((y * s + isqrt(y * y * disc)) // den for s, disc in radii)))
+            for y in sorted(ys) if y <= cap]
 
 
 def _vanishes(form, x: int, y: int) -> bool:
@@ -257,15 +272,15 @@ def _walk_grid(pair: HomogPair, height: int, max_iters: int):
     """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk.
 
     A polynomial pair whose sieve keeps no row gets the walk of infinity
-    alone, a fixed point, with no walk: one cycle, one start.
+    alone, a fixed point, with no walk and no T: one cycle, one start.
     """
     _check_limits(pair, max_iters, height)
     step = step_kernel(pair.a, pair.b)
-    threshold = escape_threshold(pair)
-    grid_height = min(height, threshold)
-    rows = _polynomial_rows(pair, grid_height)
+    rows = _polynomial_rows(pair, height)
     if rows == []:
         return [((1, 0),)], {(1, 0): (0, 0)}, [], 1, step
+    threshold = escape_threshold(pair)
+    grid_height = min(height, threshold)
 
     cycles: list[tuple[tuple[int, int], ...]] = []
     preper_map: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (tail_len, cycle id)
@@ -322,8 +337,9 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     point above T, a proof), or uses up ``max_iters``.  The returned
     preperiodic set also contains all forward images of found preperiodic
     points, even above the height bound.  Candidates left undecided are listed
-    and make the inventory incomplete; ``starts`` counts the candidates.  Only
-    the ``undecided`` list can differ from a walk of the full grid.  ``per0``
+    and make the inventory incomplete; ``starts`` counts infinity and the
+    starts the rules keep at the search height, on the grid capped at T.
+    Only the ``undecided`` list can differ from a walk of the full grid.  ``per0``
     holds the cycles with a critical point, decided as in preperiodic_counts.
     ``analyze`` and ``verify`` take this inventory; ``batch`` takes only its
     sizes, from ``preperiodic_counts``.

@@ -23,12 +23,16 @@ class DegenerateMapError(ValueError):
 
 class HomogPair(Record):
     """The forms' coefficients, compared, and three fields that are not: ``source``,
-    the text the map was read from, and ``resultant`` and ``threshold``, Res and the
-    escape threshold T (None when d < 2), derived once (``_adjugate_rows``).  Built
-    from two int vectors of one length d + 1 >= 2, their content divided out and the
-    first nonzero coefficient made positive; Res = 0 is refused."""
+    the text the map was read from, ``resultant``, Res, and ``threshold``, the escape
+    threshold T (None when d < 2).  Built from two int vectors of one length
+    d + 1 >= 2, their content divided out and the first nonzero coefficient made
+    positive; Res = 0 is refused.  A polynomial pair takes Res = (a_0*b_d)^d in
+    closed form, and T only on its first read (``escape_threshold``), since the
+    sieve settles most polynomial pairs before any walk reads T; any other pair
+    takes Res and T from its one elimination (``_adjugate_rows``) when it is built.
+    """
 
-    __slots__ = ("degree", "a", "b", "source", "resultant", "threshold")
+    __slots__ = ("degree", "a", "b", "source", "resultant", "_threshold")
     _compared = ("degree", "a", "b")
 
     def __init__(self, a, b, source: str = ""):
@@ -49,19 +53,26 @@ class HomogPair(Record):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "source", source)
-        res, rows = _adjugate_rows(self)
+        threshold = None
+        if self.polynomial:  # S is triangular: Res is its diagonal's product
+            res = (a[0] * b[-1]) ** degree
+        else:
+            res, rows = _adjugate_rows(self)
+            if res and degree >= 2:
+                threshold = _threshold_of(rows, degree)
         if res == 0:
             raise DegenerateMapError("the two forms share a projective root (resultant 0)")
-        threshold = None
-        if degree >= 2:
-            content = math.gcd(*rows[0], *rows[1])
-            threshold = _iroot(max(sum(map(abs, row)) for row in rows) // content, degree - 1)
         _set(self, "resultant", res)
-        _set(self, "threshold", threshold)
+        _set(self, "_threshold", threshold)
 
     def __reduce__(self):
-        # only the inputs: __init__ derives Res and T again
+        # only the inputs: __init__ derives Res again, and T is derived on demand
         return HomogPair, (self.a, self.b, self.source)
+
+    @property
+    def threshold(self) -> int | None:
+        """T, derived on the first read (``escape_threshold``); None when d < 2."""
+        return escape_threshold(self) if self.degree >= 2 else None
 
     @property
     def polynomial(self) -> bool:
@@ -156,18 +167,17 @@ def _adjugate_rows(pair: HomogPair) -> tuple[int, list[list[int]]]:
     and row 0 comes from one forward substitution over the nonzero a_t,
     y_k = (Res*[k = 0] - sum of a_t*y_(k-t) over 0 <= k-t < d) / (a_0 if k < d
     else b_d), each division exact because y is integral: O(d*k) operations
-    for k nonzero coefficients, and no matrix.  Any other pair eliminates
-    S^T augmented by e_0 and e_(2d-1) (``_eliminate``).
+    for k nonzero coefficients, and no matrix.  a_0 != 0 here, since a_0 = 0
+    makes [1 : 0] a common root, Res = 0, which HomogPair refuses from the
+    closed form before any pair reaches this solve.  Any other pair
+    eliminates S^T augmented by e_0 and e_(2d-1) (``_eliminate``).
     """
     d = pair.degree
     if not pair.polynomial:
         augmented = [list(column) + [int(k == 0), int(k == 2 * d - 1)]
                      for k, column in enumerate(zip(*_sylvester(pair)))]
         return _eliminate(augmented)
-    a, lead, tail = pair.a, pair.a[0], pair.b[-1]
-    res = (lead * tail) ** d
-    if not res:  # a_0 = 0: [1 : 0] is a common root
-        return 0, []
+    a, lead, tail, res = pair.a, pair.a[0], pair.b[-1], pair.resultant
     terms = [(t, c) for t, c in enumerate(a) if t and c]
     y = [res // lead]
     for k in range(1, 2 * d):
@@ -179,6 +189,12 @@ def _adjugate_rows(pair: HomogPair) -> tuple[int, list[list[int]]]:
                 total -= c * y[k - t]
         y.append(total // (lead if k < d else tail))
     return res, [y, [0] * (2 * d - 1) + [res // tail]]
+
+
+def _threshold_of(rows: list[list[int]], d: int) -> int:
+    """T from rows 0 and 2d-1 of adj(S) (``escape_threshold``)."""
+    content = math.gcd(*rows[0], *rows[1])
+    return _iroot(max(sum(map(abs, row)) for row in rows) // content, d - 1)
 
 
 def escape_threshold(pair: HomogPair) -> int:
@@ -193,12 +209,16 @@ def escape_threshold(pair: HomogPair) -> int:
     gcd(F, G) divides at a coprime point, an image has height >= |R_i|*H^d/(G_i*L)
     for i the larger coordinate; so T is the integer (d-1)-th root of
     max_i (L/R_i)*G_i = max_i S_i/gcd(c_1, c_2), S_i the sum of row i's |cofactors|.
-    Heights above T grow forever, so no point above T is preperiodic.  T is
-    derived once, when the pair is built; this is the one read that checks it.
+    Heights above T grow forever, so no point above T is preperiodic.  A
+    non-polynomial pair gets T with Res, when it is built; a polynomial pair
+    gets it here, on the first read, and keeps it, so its rows are solved at
+    most once and never for a pair that no walk reads T of.
     """
     if pair.degree < 2:
         raise ArithmeticInputError("escape threshold needs a map of degree at least 2")
-    return pair.threshold
+    if pair._threshold is None:
+        _set(pair, "_threshold", _threshold_of(_adjugate_rows(pair)[1], pair.degree))
+    return pair._threshold
 
 
 class PlaceSet(Record):

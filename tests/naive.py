@@ -180,7 +180,7 @@ def _naive_row_dropped(pair, y):
 
 
 def naive_sieve_drops(pair, point, height):
-    """Whether rule (i), (ii) or (iii) of the polynomial sieve drops a start at grid
+    """Whether rule (i), (ii) or (iii) of the polynomial sieve drops a start at search
     height ``height``, as the rules are stated.
 
     For b = (0, ..., 0, b_d), a finite start [x : y] is dropped by rule (i) as
@@ -219,15 +219,15 @@ def naive_sieve_drops(pair, point, height):
     return naive_real_drops(pair, point)
 
 
-def naive_sieve_kept(pair, height):
-    """The finite starts of height <= ``height`` that ``naive_sieve_drops`` keeps at
-    grid height ``height``, with rule (ii), which reads y alone, read once a row."""
+def naive_sieve_kept(pair, grid_height, height):
+    """The finite starts of height <= ``grid_height`` that ``naive_sieve_drops`` keeps
+    at search height ``height``, with rule (ii), which reads y alone, read once a row."""
     polynomial = not any(pair.b[:-1])
     kept = []
-    for y in range(1, height + 1):
+    for y in range(1, grid_height + 1):
         if polynomial and _naive_row_dropped(pair, y):
             continue
-        for x in range(-height, height + 1):
+        for x in range(-grid_height, grid_height + 1):
             if math.gcd(x, y) == 1 and not naive_sieve_drops(pair, ProjPoint(x, y), height):
                 kept.append(ProjPoint(x, y))
     return kept

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from fractions import Fraction
 from math import gcd
 
-from p1dyn import cli, orbits
+from p1dyn import cli, orbits, ratmap
 from p1dyn.bounds import aggregate_bounds
 from p1dyn.cli import main
 from p1dyn.mapparse import parse_map
-from p1dyn.orbits import enumerate_preperiodic
+from p1dyn.orbits import enumerate_preperiodic, preperiodic_counts
 from p1dyn.projline import parse_point
 from p1dyn.ratmap import escape_threshold
 
@@ -682,6 +682,26 @@ def test_batch_builds_no_inventory(monkeypatch, capsys):
     assert main(["batch", "--family", "z^2+c", "--c-num-max", "2",
                  "--c-den-max", "2"]) == 0
     assert "maps analyzed: 7" in capsys.readouterr().out
+
+
+def test_a_sweep_member_the_sieve_settles_derives_no_threshold(monkeypatch):
+    # box 32 at H = 64: the 1,172 members the sieve settles (one start) never solve
+    # for T, and each of the other 123 solves once, however often T is read
+    calls = []
+    adjugate = ratmap._adjugate_rows
+    monkeypatch.setattr(ratmap, "_adjugate_rows", lambda p: calls.append(p) or adjugate(p))
+    settled = 0
+    for den in range(1, 33):
+        for num in range(-32, 33):
+            if gcd(num, den) != 1:
+                continue
+            pair, _ = cli._sweep_pair(num, den)
+            before = len(calls)
+            preperiodic_counts(pair, 64)
+            starts = enumerate_preperiodic(pair, 64).starts
+            assert len(calls) - before == (starts > 1), pair
+            settled += starts == 1
+    assert (settled, len(calls)) == (1172, 123)
 
 
 def test_sweep_pair_equals_the_parsed_map():

@@ -8,13 +8,13 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from p1dyn import orbits
+from p1dyn import orbits, ratmap
 from p1dyn.intarith import ArithmeticInputError, factorize
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import (_polynomial_rows, classify_point, enumerate_preperiodic,
                           preperiodic_counts, tails_of)
 from p1dyn.projline import INFINITY, ProjPoint, parse_point, point_sort_key
-from p1dyn.ratmap import DegenerateMapError, HomogPair, escape_threshold
+from p1dyn.ratmap import DegenerateMapError, HomogPair, escape_threshold, reduction_profile
 from p1dyn.verify import FAIL, run_suite
 
 from naive import (all_points_up_to_height, known_answer_maps, lattes_map, naive_classify,
@@ -236,6 +236,7 @@ def polynomial_pairs(draw):
 @example(rational_pair([1, 0, 0, Fraction(1, 8)], [0, 0, 0, 1]), 200)  # k = 0 drops odd y
 @example(rational_pair([1, 0, Fraction(-29, 16)], [0, 0, 1]), 200)  # y = 4 ties: kept
 @example(rational_pair([Fraction(1, 4), Fraction(1, 8), 0], [0, 0, 1]), 200)  # a_d = 0: 0 is fixed
+@example(rational_pair([1, 0, 0, Fraction(-2, 3)], [0, 0, 0, 1]), 64)  # 3 in (T, H] = (2, 64]
 def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     # the sieve walks exactly the starts rules (i) to (iii) keep, and every
     # start it drops escapes in the full scan at the default budgets
@@ -243,9 +244,10 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
     found, kinds = naive_full_scan(pair, height, 256, 10**6)
     assert inv.preper == found
     assert inv.undecided == ()
-    # the walker sees the grid up to min(height, T): infinity and the kept starts
+    # the walker sees the grid up to min(height, T): infinity and the starts the
+    # rules keep, read at the search height
     grid_height = min(height, escape_threshold(pair))
-    kept = set(naive_sieve_kept(pair, grid_height))
+    kept = set(naive_sieve_kept(pair, grid_height, height))
     assert inv.starts == 1 + len(kept)
     assert all(kinds[p] == "escaped" for p in kinds
                if p.y and max(abs(p.x), p.y) <= grid_height and p not in kept)
@@ -255,10 +257,11 @@ def test_polynomial_sieve_agrees_with_full_scan(pair, height):
 @given(polynomial_pairs(), st.integers(1, 64))
 @example(rational_pair([1, 0, Fraction(1, 2)], [0, 0, 1]), 64)
 @example(rational_pair([1, 0, Fraction(-5, 2**5 * 3**2 * 7)], [0, 0, 1]), 7)
+@example(rational_pair([1, 0, 0, Fraction(-2, 3)], [0, 0, 0, 1]), 64)  # 3 in (T, H] = (2, 64]
 def test_a_pair_the_sieve_settles_has_only_infinity(pair, height):
     # a polynomial fixes infinity, F(1, 0) = a_0 and G(1, 0) = 0, and when the
     # sieve keeps no row nothing else is preperiodic
-    if _polynomial_rows(pair, min(height, escape_threshold(pair))) != []:
+    if _polynomial_rows(pair, height) != []:
         return
     inv = enumerate_preperiodic(pair, height)
     assert inv.preper == inv.per0 == {INFINITY}
@@ -266,6 +269,22 @@ def test_a_pair_the_sieve_settles_has_only_infinity(pair, height):
     assert inv.tail == frozenset() and inv.tail_lengths == {} and inv.starts == 1
     assert preperiodic_counts(pair, height) == (1, 1, 0, 1, False)
     assert naive_full_scan(pair, min(height, 16), 256, 10**6)[0] == {INFINITY}
+
+
+def test_no_threshold_where_no_walk_reads_it(monkeypatch):
+    # T is derived only when a walk reads it: rule (i) settles z^2+1/2, rule (iii)
+    # (Walde-Russo) z^2-1/2, and a polynomial's Res needs no rows
+    def refuse(pair):
+        raise AssertionError(f"rows of adj(S) derived for {pair}")
+
+    monkeypatch.setattr(ratmap, "_adjugate_rows", refuse)
+    for text in ("z^2+1/2", "z^2-1/2"):
+        pair = parse_map(text)
+        assert reduction_profile(pair).bad_primes == (2,)
+        assert preperiodic_counts(pair, 64) == (1, 1, 0, 1, False)
+    start = time.perf_counter()
+    assert parse_map("z^2+1/2^1000001").resultant == 2 ** (4 * 1000001)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -180,8 +182,8 @@ def test_resultant_matches_sympy_on_random_pairs():
 
 
 def test_one_elimination_per_map(monkeypatch):
-    # Res and the escape threshold T are derived once, when the pair is built; a
-    # polynomial gets them by a triangular solve, with no Sylvester matrix at all
+    # Res and the escape threshold T are derived once per pair; a polynomial gets
+    # Res in closed form and T by a triangular solve, with no Sylvester matrix at all
     calls = []
     eliminate, sylvester = ratmap._eliminate, ratmap._sylvester
     monkeypatch.setattr(ratmap, "_eliminate", lambda m: calls.append("eliminate") or eliminate(m))
@@ -467,6 +469,40 @@ def small_pairs(draw, coefficient=st.integers(-5, 5), degrees=st.integers(2, 3))
         return rational_pair(draw(coeffs), draw(coeffs))
     except DegenerateMapError:
         assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polynomial_pairs(), small_pairs(degrees=st.integers(1, 3))))
+@example(HomogPair([3, 0, 0, -2], [0, 0, 0, 3]))
+@example(parse_map("[X^3+2*Y^3:X*Y^2]"))
+@example(parse_map("(z^2+1)/(2*z+1)"))
+@example(parse_map("z+1"))
+@example(parse_map("[X:X+Y]"))
+def test_lazy_threshold_equals_the_eager_formula(pair):
+    # a polynomial pair solves for T on its first read and keeps it; any other pair
+    # took T from its elimination when it was built; copies derive T again
+    def twins(p):
+        return [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+
+    before = twins(pair)
+    calls = []
+    adjugate = ratmap._adjugate_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratmap, "_adjugate_rows", lambda p: calls.append(p) or adjugate(p))
+        if pair.degree < 2:
+            assert pair.threshold is None and calls == []
+            assert all(twin == pair and twin.threshold is None for twin in before)
+            return
+        threshold = escape_threshold(pair)
+        assert len(calls) == pair.polynomial
+        assert escape_threshold(pair) == pair.threshold == threshold
+        assert len(calls) == pair.polynomial
+    rows = adjugate(pair)[1]
+    content = math.gcd(*rows[0], *rows[1])
+    assert threshold == _iroot(max(sum(map(abs, row)) for row in rows) // content,
+                               pair.degree - 1)
+    for twin in before + twins(pair):
+        assert twin == pair and escape_threshold(twin) == threshold
 
 
 @settings(max_examples=200, deadline=None)
