@@ -15,18 +15,25 @@ raises SystemExit(2).  main(argv) may be called repeatedly from Python;
 each call reads its argv into a new namespace, so nothing carries over
 from one call to the next.
 
-batch --jobs N forks min(N, maps, usable CPUs) - 1 worker processes directly
-(no pool) and sends rows back with marshal; where os.fork does not exist
-every slice runs in-process.  Either way the rows, and so the CSV, come out
-in task order, byte-identical for any job count.
+batch streams its sweep: the members come from a generator, each row is one
+flat tuple in the CSV's column order, and the rows are made a window of
+_WINDOW consecutive members at a time.  With --jobs N, min(N, maps, usable
+CPUs) workers split each window by stride, the parent being worker 0; the
+other workers are forked once, directly (no pool), and each sends one
+marshal record per window.  Where os.fork does not exist every slice runs
+in-process.  The CSV is opened before the first member is computed, each
+window's lines are written as soon as the earlier windows are, and only the
+summary (max |PrePer| and where, the undecided count, the violations) is
+kept, so memory does not grow with the box.  The rows, and so the CSV, come
+out in task order, byte-identical for any job count.
 """
 
 import csv
-import io
 import marshal
 import os
 import sys
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
@@ -69,13 +76,17 @@ def _parse_s_extra(text: str) -> list[int]:
     return primes
 
 
+def _cannot_write(path: str, e: OSError) -> int:
+    return _fail(f"cannot write {path}: {e.strerror or e}")
+
+
 def _write_file(path: str, text: str) -> bool:
     """Writes text to path; on failure prints an error line and returns False."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        _fail(f"cannot write {path}: {e.strerror or e}")
+        _cannot_write(path, e)
         return False
     return True
 
@@ -142,6 +153,10 @@ def _within_q(s: int, count: int) -> bool:
     return holds
 
 
+# members per window of batch's map: box 32's 1,295 fit in one
+_WINDOW = 4096
+
+
 def _sweep_pair(num: int, den: int):
     """(pair, c) for z^2 + num/den: parse_map's pair, source text included, and c,
     the text str(Fraction(num, den)) gives.  gcd(num, den) = 1 and den >= 1 make
@@ -151,68 +166,91 @@ def _sweep_pair(num: int, den: int):
     return HomogPair((den, 0, num), (0, 0, den), source), c
 
 
+def _sweep_tasks(args):
+    """The members of the sweep box in CSV order, as tasks (num, den, height, max_iters)."""
+    return ((num, den, args.height, args.max_iters)
+            for den in range(1, args.c_den_max + 1)
+            for num in range(-args.c_num_max, args.c_num_max + 1)
+            if gcd(num, den) == 1)
+
+
 def _sweep_entry(task):
-    """Preperiodic counts for one member of z^2 + c, plus the overall bound check."""
+    """One member of z^2 + c as a flat tuple in the CSV's column order: c, s, the bad
+    primes, the four counts, whether starts were left undecided and the bound check."""
     num, den, height, max_iters = task
     pair, c = _sweep_pair(num, den)
     profile = reduction_profile(pair)
+    s = profile.places.size
     preper, per, tail, per0, incomplete = preperiodic_counts(pair, height, max_iters=max_iters)
     if incomplete:
         status = SKIPPED
     else:
-        status = PASS if _within_q(profile.places.size, preper) else FAIL
-    return {"c": c, "s": profile.places.size,
-            "bad_primes": list(profile.bad_primes),
-            "preper": preper, "per": per, "tail": tail, "per0": per0,
-            "incomplete": incomplete, "count_le_Q": status}
+        status = PASS if _within_q(s, preper) else FAIL
+    return c, s, profile.bad_primes, preper, per, tail, per0, incomplete, status
 
 
-def _fork_slice(fn, part):
-    """(pid, read fd) of a forked child that sends back marshal.dumps([fn(t) for t in part])."""
+def _fork_worker(fn, tasks, i: int, workers: int, window: int, readers: list):
+    """(pid, reader) of a forked child that reads the windows of ``tasks`` from its own
+    copy of the iterator and sends one marshal record per window: [fn(t) for t in
+    window[i::workers]].  It exits 0 after the last window, 1 at its first exception."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
-        os.close(r)
         code = 1
         try:
-            data = marshal.dumps([fn(t) for t in part])
+            os.close(r)
+            for fh in readers:  # hold no earlier child's pipe open: a closed reader stops it
+                fh.close()
             with open(w, "wb") as fh:
-                fh.write(data)
+                while chunk := list(islice(tasks, window)):
+                    marshal.dump([fn(t) for t in chunk[i::workers]], fh)
+                    fh.flush()
             code = 0
         finally:
             # leave at once: no exception report, atexit hooks or stdio flushes here
             os._exit(code)
     os.close(w)
-    return pid, r
+    return pid, open(r, "rb")
 
 
-def _collect(pid: int, r: int):
-    """The child's rows, or None if it did not exit 0."""
-    with open(r, "rb") as fh:
-        data = fh.read()
-    _, status = os.waitpid(pid, 0)
-    return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+def _fork_map(fn, tasks, workers: int, window: int):
+    """fn(t) for every t of the iterable ``tasks``, yielded a window at a time, in order.
 
-
-def _fork_map(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], split into the strided slices tasks[i::workers].
-
-    Slice 0 runs here and slices 1.. in forked children, read back after it.
-    A slice whose child failed runs again here, so its exception is raised
-    as it would be in-process; without os.fork every slice runs here.
+    A window is the next ``window`` tasks, split into the strided slices
+    chunk[i::workers].  Slice 0 runs here and slice i in the i-th forked
+    child, whose record for the window is read after slice 0.  A slice whose
+    child failed runs here, so its exception is raised as it would be
+    in-process, and so do that child's later slices; without os.fork every
+    slice runs here.  Only one window is held here at a time, and a child
+    runs at most a pipe's worth of records ahead.
     """
-    children = ([_fork_slice(fn, tasks[i::workers]) for i in range(1, workers)]
-                if hasattr(os, "fork") else [])
-    rows = [None] * len(tasks)
+    tasks = iter(tasks)
+    pids, readers = [], [None] * (workers - 1)  # None where slice i runs here
+    if hasattr(os, "fork"):
+        for i in range(1, workers):
+            pid, readers[i - 1] = _fork_worker(fn, tasks, i, workers, window, readers[:i - 1])
+            pids.append(pid)
     try:
-        rows[::workers] = [fn(t) for t in tasks[::workers]]
+        while chunk := list(islice(tasks, window)):
+            rows = [None] * len(chunk)
+            rows[::workers] = [fn(t) for t in chunk[::workers]]
+            for i, fh in enumerate(readers, 1):
+                part = None
+                if fh is not None:
+                    try:
+                        part = marshal.load(fh)
+                    except (EOFError, ValueError):  # the child failed
+                        fh.close()
+                        readers[i - 1] = None
+                rows[i::workers] = [fn(t) for t in chunk[i::workers]] if part is None else part
+            yield rows
     finally:
-        # reap every child, also when slice 0 raised
-        sent = [_collect(pid, r) for pid, r in children]
-    for i in range(1, workers):
-        part = sent[i - 1] if sent else None
-        rows[i::workers] = [fn(t) for t in tasks[i::workers]] if part is None else part
-    return rows
+        # reap every child, also when this process raised: a closed reader stops it
+        for fh in readers:
+            if fh is not None:
+                fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _usable_cpus() -> int:
@@ -232,26 +270,47 @@ def cmd_batch(args) -> int:
         return _fail("--jobs must be at least 1")
     if args.height < 1 or args.max_iters < 1:
         return _fail("search limits must be positive")
-    tasks = [(num, den, args.height, args.max_iters)
-             for den in range(1, args.c_den_max + 1)
-             for num in range(-args.c_num_max, args.c_num_max + 1)
-             if gcd(num, den) == 1]
-    # every worker starts at once, so never more than the maps or the CPUs
-    workers = min(args.jobs, len(tasks), _usable_cpus())
-    rows = _fork_map(_sweep_entry, tasks, workers)
-    if args.csv:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(batch_rows_csv(rows))
-        if not _write_file(args.csv, buf.getvalue()):
-            return 2
-    best = max(r["preper"] for r in rows)
-    attained = [r["c"] for r in rows if r["preper"] == best]
-    print(f"maps analyzed: {len(rows)}")
+    # every worker starts at once, so never more than the CPUs or the maps
+    workers = sum(1 for _ in islice(_sweep_tasks(args), min(args.jobs, _usable_cpus())))
+    # the CSV is opened before the first member is computed
+    try:
+        out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else None
+    except OSError as e:
+        return _cannot_write(args.csv, e)
+    maps = undecided = 0
+    best, attained, violations = -1, [], []
+    writer = csv.writer(out) if out else None
+    windows = _fork_map(_sweep_entry, _sweep_tasks(args), workers, _WINDOW)
+    try:
+        for rows in windows:
+            if writer:
+                lines = batch_rows_csv(rows)
+                try:
+                    writer.writerows(lines[1:] if maps else lines)  # one header, at the top
+                except OSError as e:
+                    return _cannot_write(args.csv, e)
+            maps += len(rows)
+            for c, _, _, preper, _, _, _, incomplete, status in rows:
+                if preper > best:
+                    best, attained = preper, []
+                if preper == best:
+                    attained.append(c)
+                undecided += incomplete
+                if status == FAIL:
+                    violations.append(c)
+        if out:
+            try:
+                out.close()  # its last lines reach the file here
+            except OSError as e:
+                return _cannot_write(args.csv, e)
+    finally:
+        windows.close()
+        if out:
+            out.close()
+    print(f"maps analyzed: {maps}")
     print(f"max |PrePer| = {best} at " + ", ".join(f"c = {c}" for c in attained))
-    undecided = sum(1 for r in rows if r["incomplete"])
     if undecided:
         print(f"note: {undecided} sweep entries left starting points undecided")
-    violations = [r["c"] for r in rows if r["count_le_Q"] == FAIL]
     if violations:
         print("preperiodic count bound violated at " +
               ", ".join(f"c = {c}" for c in violations))

@@ -124,7 +124,11 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     exponents of resultants and cross products; past that, n is divided by
     p, p^2, p^4, ... while they divide and then by the same powers going
     down, so a factor p^e costs about 2*log2(e) divisions instead of e.
+    At p = 2, e is the index of n's lowest set bit, read in one step.
     """
+    if p == 2:
+        e = (n & -n).bit_length() - 1
+        return n >> e, e
     e = 0
     while e < 32 and n % p == 0:
         n //= p

@@ -58,7 +58,8 @@ critical points, so a cycle is critical, its points in ``per0``, when W is 0
 at the coprime coordinates of one of its points.  At infinity that value is
 W's leading coefficient, the one term i + j = 1 of ratmap.wronskian's sum:
 W(1, 0) = d*(a_0*b_1 - a_1*b_0).  For a polynomial b_0 = b_1 = 0, so infinity
-is critical, and W is built only for a cycle with a finite point.
+is critical, and W is built only for a cycle with a finite point.  So a
+pair the sieve settles counts (1, 1, 0, 1, False) with no walk record at all.
 
 One walk serves two callers: enumerate_preperiodic builds the inventory that
 ``analyze`` and ``verify`` read, and preperiodic_counts returns only the five
@@ -268,15 +269,20 @@ def _critical(pair: HomogPair, cycles) -> list[bool]:
             for c in cycles]
 
 
-def _walk_grid(pair: HomogPair, height: int, max_iters: int):
-    """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's walk.
+def _sieved_rows(pair: HomogPair, height: int, max_iters: int):
+    """The limits checked, then ``_polynomial_rows(pair, height)``."""
+    _check_limits(pair, max_iters, height)
+    return _polynomial_rows(pair, height)
+
+
+def _walk_grid(pair: HomogPair, height: int, max_iters: int, rows):
+    """(cycles, preper_map, undecided, starts, step) of enumerate_preperiodic's
+    walk over ``rows``, the sieve's (``_sieved_rows``).
 
     A polynomial pair whose sieve keeps no row gets the walk of infinity
     alone, a fixed point, with no walk and no T: one cycle, one start.
     """
-    _check_limits(pair, max_iters, height)
     step = step_kernel(pair.a, pair.b)
-    rows = _polynomial_rows(pair, height)
     if rows == []:
         return [((1, 0),)], {(1, 0): (0, 0)}, [], 1, step
     threshold = escape_threshold(pair)
@@ -316,9 +322,13 @@ def preperiodic_counts(pair: HomogPair, height: int = 1024, *,
     """(preper, per, tail, per0, incomplete): the sizes of enumerate_preperiodic's sets.
 
     Counted straight from the walk; no point, order or image is built.  A
-    pair the sieve settles counts (1, 1, 0, 1, False) with no walk and no W.
+    pair the sieve settles counts (1, 1, 0, 1, False), infinity a critical
+    fixed point, before any walk, count or W (module docstring).
     """
-    cycles, preper_map, undecided, _, _ = _walk_grid(pair, height, max_iters)
+    rows = _sieved_rows(pair, height, max_iters)
+    if rows == []:
+        return 1, 1, 0, 1, False
+    cycles, preper_map, undecided, _, _ = _walk_grid(pair, height, max_iters, rows)
     per = sum(map(len, cycles))
     per0 = sum(len(c) for c, crit in zip(cycles, _critical(pair, cycles)) if crit)
     return len(preper_map), per, len(preper_map) - per, per0, bool(undecided)
@@ -344,7 +354,8 @@ def enumerate_preperiodic(pair: HomogPair, height: int = 1024, *,
     ``analyze`` and ``verify`` take this inventory; ``batch`` takes only its
     sizes, from ``preperiodic_counts``.
     """
-    cycles, preper_map, undecided, starts, step = _walk_grid(pair, height, max_iters)
+    cycles, preper_map, undecided, starts, step = _walk_grid(
+        pair, height, max_iters, _sieved_rows(pair, height, max_iters))
 
     # each cycle rotated to start at its least point, kept at its walk index
     by_id = []

@@ -233,13 +233,12 @@ def verification_line(r: VerificationReport) -> str:
     return head
 
 
-def batch_rows_csv(rows: list[dict]) -> list[list[str]]:
-    """Header plus one row per parameter value, all cells as strings."""
-    header = ["c", "s", "bad_primes", "preper", "per", "tail", "per0",
-              "incomplete", "count_le_Q"]
-    out = [header]
-    for r in rows:
-        out.append([r["c"], str(r["s"]), ";".join(str(p) for p in r["bad_primes"]),
-                    str(r["preper"]), str(r["per"]), str(r["tail"]), str(r["per0"]),
-                    "yes" if r["incomplete"] else "no", r["count_le_Q"]])
+def batch_rows_csv(rows: list[tuple]) -> list[list[str]]:
+    """Header plus one row per parameter value, all cells as strings; each row is a
+    flat tuple (c, s, bad primes, preper, per, tail, per0, incomplete, count_le_Q)."""
+    out = [["c", "s", "bad_primes", "preper", "per", "tail", "per0", "incomplete",
+            "count_le_Q"]]
+    for c, s, bad, preper, per, tail, per0, incomplete, status in rows:
+        out.append([c, str(s), ";".join(map(str, bad)), str(preper), str(per), str(tail),
+                    str(per0), "yes" if incomplete else "no", status])
     return out

@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -536,41 +539,61 @@ def test_batch_jobs_keep_order(tmp_path):
     assert one.read_text() == two.read_text()
 
 
-def _record_workers(monkeypatch, cpus):
-    """Replaces the fork map by an in-process one; returns the worker counts it is given."""
-    workers = []
+def _record_workers(monkeypatch, cpus, window):
+    """Windows of ``window`` members and ``cpus`` usable CPUs; returns, per call of the
+    fork map, [the workers it is given, the children it forks]."""
+    calls = []
+    fork_map, fork_worker = cli._fork_map, cli._fork_worker
 
-    def record(fn, tasks, count):
-        workers.append(count)
-        return [fn(t) for t in tasks]
+    def record(fn, tasks, workers, size):
+        calls.append([workers, 0])
+        return fork_map(fn, tasks, workers, size)
+
+    def forked(*args):
+        calls[-1][1] += 1
+        return fork_worker(*args)
 
     monkeypatch.setattr(cli, "_fork_map", record)
+    monkeypatch.setattr(cli, "_fork_worker", forked)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    return workers
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    return calls
 
 
 _BOX_1 = ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"]  # 3 maps
 _BOX_8 = ["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
           "--height", "4"]  # 87 maps
 
+# the batch window: one window for every box below, or windows that split them unevenly
+_WINDOWS = (cli._WINDOW, 2, 10)
+
 
 def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
-    workers = _record_workers(monkeypatch, 64)
-    assert main(_BOX_1 + ["--jobs", "100000"]) == 0
-    assert "maps analyzed: 3" in capsys.readouterr().out
-    assert main(_BOX_8 + ["--jobs", "2"]) == 0
-    assert workers == [3, 2]
-    capsys.readouterr()
+    for window in _WINDOWS:
+        calls = _record_workers(monkeypatch, 64, window)
+        assert main(_BOX_1 + ["--jobs", "100000"]) == 0
+        assert "maps analyzed: 3" in capsys.readouterr().out
+        assert main(_BOX_8 + ["--jobs", "2"]) == 0
+        workers = [w for w, _ in calls]
+        assert workers == [3, 2]
+        assert [forks for _, forks in calls] == [w - 1 for w in workers]
+        capsys.readouterr()
 
 
-def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys):
-    outputs = []
-    for cpus, jobs in ((1, 1), (64, 5), (2, 100000), (1, 100000)):
-        workers = _record_workers(monkeypatch, cpus)
-        assert main(_BOX_8 + ["--jobs", str(jobs)]) == 0
-        outputs.append(capsys.readouterr().out)
-        assert workers == [min(jobs, cpus)]
+def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys, tmp_path):
+    outputs, tables = [], []
+    for window in _WINDOWS:
+        for cpus, jobs in ((1, 1), (64, 5), (2, 100000), (1, 100000), (3, 3)):
+            calls = _record_workers(monkeypatch, cpus, window)
+            out = tmp_path / f"{window}-{cpus}-{jobs}.csv"
+            assert main(_BOX_8 + ["--jobs", str(jobs), "--csv", str(out)]) == 0
+            outputs.append(capsys.readouterr().out)
+            tables.append(out.read_bytes())
+            workers = [w for w, _ in calls]
+            assert workers == [min(jobs, cpus)]
+            assert calls == [[min(jobs, cpus), min(jobs, cpus) - 1]]
     assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
+    assert len(set(tables)) == 1
 
 
 def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
@@ -632,15 +655,24 @@ def test_batch_exits_4_on_a_failed_count(zero_bounds, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("count, workers", [(7, 3), (2, 2)])
+@pytest.mark.parametrize("count, workers", [(7, 3), (2, 2), (7, 1), (11, 2), (11, 3), (13, 3)])
 def test_fork_map_returns_slices_in_task_order(count, workers):
-    rows = cli._fork_map(lambda t: (t * t, os.getpid()), list(range(count)), workers)
-    assert [square for square, _ in rows] == [t * t for t in range(count)]
-    # slice 0 runs here, every other slice in a child of its own
-    pids = [pid for _, pid in rows]
-    assert pids[::workers] == [os.getpid()] * len(pids[::workers])
-    children = {pid for pid in pids if pid != os.getpid()}
-    assert len(children) == workers - 1 <= 2
+    here = os.getpid()
+    for window in (cli._WINDOW, 3, 4):
+        windows = list(cli._fork_map(lambda t: (t * t, os.getpid()), iter(range(count)),
+                                     workers, window))
+        assert [len(w) for w in windows] == [min(window, count - k)
+                                             for k in range(0, count, window)]
+        rows = [row for w in windows for row in w]
+        assert [square for square, _ in rows] == [t * t for t in range(count)]
+        # in each window slice 0 runs here, every other slice in a child of its own
+        by_slice = [set() for _ in range(workers)]
+        for w in windows:
+            for i in range(workers):
+                by_slice[i] |= {pid for _, pid in w[i::workers]}
+        assert by_slice[0] == {here}
+        children = {pid for _, pid in rows if pid != here}
+        assert all(len(pids) == 1 for pids in by_slice) and len(children) == workers - 1 <= 2
 
 
 def test_fork_map_raises_a_child_s_exception_here():
@@ -649,9 +681,26 @@ def test_fork_map_raises_a_child_s_exception_here():
             raise ValueError(f"task {t} refused")
         return t * t
 
-    # task 4 sits in slice 1, which a child runs first and this process runs again
-    with pytest.raises(ValueError, match=r"^task 4 refused$"):
-        cli._fork_map(square, list(range(7)), 3)
+    # task 4 sits in slice 1 of its window, which a child runs first and this process again
+    for window in (cli._WINDOW, 5, 3):
+        with pytest.raises(ValueError, match=r"^task 4 refused$"):
+            list(cli._fork_map(square, range(7), 3, window))
+
+
+def test_a_failed_child_s_later_slices_run_here():
+    # a child that fails only in itself: its slice of the window runs here, and so
+    # does every later slice it would have sent, with no row lost or reordered
+    here = os.getpid()
+
+    def square(t):
+        if t == 4 and os.getpid() != here:
+            raise ValueError("a child refused")
+        return t * t, os.getpid()
+
+    rows = [row for w in cli._fork_map(square, range(11), 2, 3) for row in w]
+    assert [sq for sq, _ in rows] == [t * t for t in range(11)]
+    # windows [0, 1, 2], [3, 4, 5], ...: the child sends task 1 and fails at task 4
+    assert [pid == here for _, pid in rows] == [True, False] + [True] * 9
 
 
 def test_batch_without_fork_matches_one_job(monkeypatch, tmp_path):
@@ -659,8 +708,51 @@ def test_batch_without_fork_matches_one_job(monkeypatch, tmp_path):
     assert main(_BOX_8 + ["--csv", str(one)]) == 0
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
-    assert main(_BOX_8 + ["--jobs", "3", "--csv", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+    for window in _WINDOWS:
+        monkeypatch.setattr(cli, "_WINDOW", window)
+        assert main(_BOX_8 + ["--jobs", "3", "--csv", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_csv_that_fails_part_way_exits_2(monkeypatch, capsys):
+    # box 8 fails as its last lines are flushed; box 64 in windows of 256 fails part way,
+    # and the child that still has windows to send is stopped and reaped
+    monkeypatch.setattr(cli, "_WINDOW", 256)
+    box_64 = ["batch", "--family", "z^2+c", "--c-num-max", "64", "--c-den-max", "64"]
+    for argv in (_BOX_8, box_64):
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs, "--csv", "/dev/full"]) == 2
+            assert capsys.readouterr() == (
+                "", "error: cannot write /dev/full: No space left on device\n")
+            with pytest.raises(ChildProcessError):  # no child left running or unreaped
+                os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_holds_one_window_of_rows_at_a_time(monkeypatch, tmp_path, capsys):
+    # box 64 (5,039 maps) in windows of 256: batch's traced peak stays under a fixed
+    # multiple of the peak of one window's rows made and written by hand, where
+    # holding every row until the end would take the rows of 20 windows
+    monkeypatch.setattr(cli, "_WINDOW", 256)
+    argv = ["batch", "--family", "z^2+c", "--c-num-max", "64", "--c-den-max", "64",
+            "--csv", str(tmp_path / "box64.csv")]
+    assert main(argv) == 0  # the bound caches fill here, before any measurement
+    assert "maps analyzed: 5039" in capsys.readouterr().out
+    tasks = list(islice(cli._sweep_tasks(cli._read_argv(argv)[1]), 256))
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "window.csv", "w", newline="") as fh:
+            base = tracemalloc.get_traced_memory()[0]
+            csv.writer(fh).writerows(cli.batch_rows_csv([cli._sweep_entry(t) for t in tasks]))
+            window = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * window
+    capsys.readouterr()
 
 
 def test_batch_builds_members_without_parsing(monkeypatch, capsys):
@@ -701,6 +793,27 @@ def test_a_sweep_member_the_sieve_settles_derives_no_threshold(monkeypatch):
             starts = enumerate_preperiodic(pair, 64).starts
             assert len(calls) - before == (starts > 1), pair
             settled += starts == 1
+    assert (settled, len(calls)) == (1172, 123)
+
+
+def test_a_sweep_member_the_sieve_settles_decides_no_criticality(monkeypatch):
+    # box 32 at H = 64: the 1,172 members the sieve settles count (1, 1, 0, 1, False)
+    # with no call to _critical, and each of the other 123 calls it once
+    calls = []
+    critical = orbits._critical
+    monkeypatch.setattr(orbits, "_critical",
+                        lambda pair, cycles: calls.append(pair) or critical(pair, cycles))
+    box = SimpleNamespace(c_num_max=32, c_den_max=32, height=64, max_iters=256)
+    settled = 0
+    for num, den, height, max_iters in cli._sweep_tasks(box):
+        pair, _ = cli._sweep_pair(num, den)
+        before = len(calls)
+        counts = preperiodic_counts(pair, height, max_iters=max_iters)
+        if orbits._polynomial_rows(pair, height) == []:
+            assert (len(calls) - before, counts) == (0, (1, 1, 0, 1, False)), pair
+            settled += 1
+        else:
+            assert len(calls) - before == 1, pair
     assert (settled, len(calls)) == (1172, 123)
 
 

@@ -31,6 +31,26 @@ def test_factorize_strips_huge_prime_powers():
     assert factorize((2**61 - 1)**40 * (2**31 - 1)) == {2**31 - 1: 1, 2**61 - 1: 40}
 
 
+def _strip_by_division(n: int, p: int) -> tuple[int, int]:
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return n, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**70), 2**70).filter(bool), st.sampled_from([0, 1, 31, 32, 33, 64, 4097]))
+def test_strip_at_2_agrees_with_the_division_loop(m, e):
+    # signed n carrying small and large powers of 2, odd cofactors and even ones
+    n = m << e
+    assert intarith._strip(n, 2) == _strip_by_division(n, 2)
+
+
+def test_strip_at_2_reads_a_million_bit_power_in_one_step():
+    for m in (1, -1, 3, -5, 2**64 + 1):
+        assert intarith._strip(m << 1000001, 2) == (m, 1000001)
+
+
 # the largest prime below each draw: between 10^4 and 2^28
 _BIG_PRIMES = st.integers(10**4 + 8, 2**28).map(sympy.prevprime)
 

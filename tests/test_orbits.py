@@ -518,6 +518,15 @@ def test_a_huge_denominator_that_is_no_square_is_decided_without_a_walk():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("text", ["z^2-1/2^1000001", "z^2+1/2^1000001"])
+def test_a_million_bit_power_of_2_in_c_is_decided_at_once(text):
+    # rule (iii) reads v_2 of each coefficient, one step each at p = 2
+    pair = parse_map(text)
+    start = time.perf_counter()
+    assert preperiodic_counts(pair, 4) == (1, 1, 0, 1, False)
+    assert time.perf_counter() - start < 1
+
+
 def test_lattes_map_of_y2_equals_x3_plus_1():
     # a rational x is preperiodic exactly when (x, sqrt(x^3 + 1)) is a torsion point
     # of y^2 = x^3 + 1 or of a twist (Mazur): x in {-1, 0, 2} and infinity

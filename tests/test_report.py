@@ -128,11 +128,12 @@ def test_verification_line_pass_compact():
 
 
 def test_batch_rows_csv_shape():
-    rows = batch_rows_csv([{"c": "-1/2", "s": 2, "bad_primes": [2], "preper": 1,
-                            "per": 1, "tail": 0, "per0": 1, "incomplete": False,
-                            "count_le_Q": "PASS"}])
+    members = [("-1/2", 2, (2,), 1, 1, 0, 1, False, "PASS"),
+               ("-5/6", 3, (2, 3), 1, 1, 0, 1, True, "SKIPPED")]
+    rows = batch_rows_csv(members)
     assert rows[0][0] == "c" and rows[0][-1] == "count_le_Q"
     assert rows[1] == ["-1/2", "2", "2", "1", "1", "0", "1", "no", "PASS"]
+    assert rows[2] == ["-5/6", "3", "2;3", "1", "1", "0", "1", "yes", "SKIPPED"]
 
 
 @pytest.mark.parametrize("extra", [(), (3, 5, 7, 11, 13, 17)])
