@@ -17,8 +17,9 @@ from one call to the next.
 
 batch streams its sweep: the members come from a generator, each row is one
 flat tuple in the CSV's column order, and the rows are made a window of
-_WINDOW consecutive members at a time.  With --jobs N, min(N, maps, usable
-CPUs) workers split each window by stride, the parent being worker 0; the
+_WINDOW consecutive members at a time.  With --jobs N, min(N, usable CPUs,
+full windows), but at least one, workers split each window by stride, the
+parent being worker 0 (a sweep of less than two windows forks nothing); the
 other workers are forked once, directly (no pool), and each sends one
 marshal record per window.  Where os.fork does not exist every slice runs
 in-process.  The CSV is opened before the first member is computed, each
@@ -270,8 +271,11 @@ def cmd_batch(args) -> int:
         return _fail("--jobs must be at least 1")
     if args.height < 1 or args.max_iters < 1:
         return _fail("search limits must be positive")
-    # every worker starts at once, so never more than the CPUs or the maps
-    workers = sum(1 for _ in islice(_sweep_tasks(args), min(args.jobs, _usable_cpus())))
+    # every worker starts at once, so never more than the CPUs; and on a loaded host a
+    # fork costs more than it saves on less than a window, so one per full window at most
+    most = min(args.jobs, _usable_cpus())
+    members = sum(1 for _ in islice(_sweep_tasks(args), most * _WINDOW if most > 1 else 0))
+    workers = min(most, max(1, members // _WINDOW))
     # the CSV is opened before the first member is computed
     try:
         out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else None
@@ -351,7 +355,7 @@ _COMMANDS = {
         ("--c-den-max", int, _REQUIRED, "range bound for the denominator of c"),
         ("--height", int, 64, "height bound for the point search"),
         _MAX_ITERS,
-        ("--jobs", int, 1, "worker processes"),
+        ("--jobs", int, 1, "worker processes, one per full window of 4,096 maps at most"),
         ("--csv", str, "", "write per-map rows to this path"),
     )),
 }

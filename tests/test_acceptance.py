@@ -10,14 +10,15 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 
 from p1dyn.bounds import bound_table, unit_equation_bound
-from p1dyn.cli import main
+from p1dyn.cli import _sweep_pair, _sweep_tasks, main
 from p1dyn.magnitude import digit_count, force_exact
 from p1dyn.mapparse import parse_map
-from p1dyn.orbits import classify_point, enumerate_preperiodic
+from p1dyn.orbits import _sieved_rows, classify_point, enumerate_preperiodic
 from p1dyn.projline import INFINITY, ProjPoint, log_distance, points_up_to_height
 from p1dyn.ratmap import PlaceSet, escape_threshold, reduction_profile
 from p1dyn.verify import (PASS, check_chain_lemma, check_non_expansion,
@@ -221,7 +222,11 @@ def test_criterion_8_quadratic_family_sweep(capsys, tmp_path):
 
 
 def test_criterion_8_box_128_sweep(capsys, tmp_path):
-    # 14,952 of the 20,087 members keep no sieve row and walk nothing
+    # 17,137 of the 20,087 members keep no sieve row and walk nothing
+    box = SimpleNamespace(c_num_max=128, c_den_max=128, height=64, max_iters=256)
+    settled = sum(_sieved_rows(_sweep_pair(num, den)[0], height, max_iters) == []
+                  for num, den, height, max_iters in _sweep_tasks(box))
+    assert settled == 17137
     out = tmp_path / "sweep128.csv"
     start = time.perf_counter()
     code = main(["batch", "--family", "z^2+c", "--c-num-max", "128", "--c-den-max", "128",

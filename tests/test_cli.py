@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from p1dyn.projline import parse_point
 from p1dyn.ratmap import escape_threshold
 
 from naive import build_parser, naive_sieve_drops
+from test_acceptance import SWEEP_CSV_SHA256
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -568,6 +570,12 @@ _BOX_8 = ["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
 _WINDOWS = (cli._WINDOW, 2, 10)
 
 
+def _workers(jobs, cpus, maps, window):
+    """batch's worker count: never more than the jobs or the CPUs, and one per full
+    window of maps at most, but at least one."""
+    return min(jobs, cpus, max(1, maps // window))
+
+
 def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
     for window in _WINDOWS:
         calls = _record_workers(monkeypatch, 64, window)
@@ -575,7 +583,8 @@ def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
         assert "maps analyzed: 3" in capsys.readouterr().out
         assert main(_BOX_8 + ["--jobs", "2"]) == 0
         workers = [w for w, _ in calls]
-        assert workers == [3, 2]
+        assert workers == [_workers(100000, 64, 3, window), _workers(2, 64, 87, window)]
+        assert workers[0] <= 3 and workers[1] <= 87
         assert [forks for _, forks in calls] == [w - 1 for w in workers]
         capsys.readouterr()
 
@@ -590,10 +599,31 @@ def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys, tmp_path)
             outputs.append(capsys.readouterr().out)
             tables.append(out.read_bytes())
             workers = [w for w, _ in calls]
-            assert workers == [min(jobs, cpus)]
-            assert calls == [[min(jobs, cpus), min(jobs, cpus) - 1]]
+            assert workers == [_workers(jobs, cpus, 87, window)] and workers[0] <= cpus
+            assert calls == [[workers[0], workers[0] - 1]]
     assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
     assert len(set(tables)) == 1
+
+
+def test_a_sweep_of_less_than_two_windows_forks_nothing(monkeypatch, capsys, tmp_path):
+    # box 32 (1,295 maps) is less than one window of 4,096: one process, whatever --jobs
+    calls = _record_workers(monkeypatch, 2, cli._WINDOW)
+    out = tmp_path / "box32.csv"
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "32", "--c-den-max", "32",
+                 "--jobs", "2", "--csv", str(out)]) == 0
+    assert "maps analyzed: 1295" in capsys.readouterr().out
+    assert calls == [[1, 0]]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+    # box 8 (87 maps) is one full window of 44 and a part, but two full windows of 43
+    one = tmp_path / "one.csv"
+    assert main(_BOX_8 + ["--csv", str(one)]) == 0
+    for window, forks in ((44, 0), (43, 1)):
+        calls = _record_workers(monkeypatch, 2, window)
+        two = tmp_path / f"two-{window}.csv"
+        assert main(_BOX_8 + ["--jobs", "2", "--csv", str(two)]) == 0
+        assert calls == [[forks + 1, forks]]
+        assert two.read_bytes() == one.read_bytes()
+    capsys.readouterr()
 
 
 def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
