@@ -397,8 +397,10 @@ def _named(token: str) -> str:
 def _not_an_int(text: str) -> str:
     """Why int() refused text: too many digits to read, or no integer at all."""
     limit = sys.get_int_max_str_digits()  # process-wide: read here, never changed
-    if text.isdecimal() and len(text) > limit:
-        return f"an integer of {len(text)} digits, past this interpreter's limit of {limit} digits"
+    body = text.strip()  # int() reads surrounding whitespace and one sign
+    body = body[1:] if body[:1] in ("+", "-") else body
+    if body.isdecimal() and len(body) > limit:
+        return f"an integer of {len(body)} digits, past this interpreter's limit of {limit} digits"
     return f"invalid int value {_named(text)}"
 
 

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intarith import _least_root, _strip, int_digits
-from .record import Record, _set
+from .record import Record
 
 EXACT_DIGIT_CEILING = 10**6
 _GUARD_BITS = 16
@@ -73,9 +73,6 @@ class Magnitude(Record):
     """A sum of terms (c, powers, q), each c * prod(base^k) * e^q, in canonical form."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        _set(self, "terms", terms)
 
     @property
     def ln(self) -> int | Fraction | None:

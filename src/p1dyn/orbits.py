@@ -73,21 +73,14 @@ from math import isqrt
 from .intarith import ArithmeticInputError, _strip
 from .projline import ProjPoint, coordinates_up_to_height, point_sort_key
 from .ratmap import HomogPair, escape_threshold, step_kernel, wronskian
-from .record import Record, _set
+from .record import Record
 
 
 class OrbitClassification(Record):
-    __slots__ = ("kind", "trajectory", "period", "tail_length", "cycle", "steps")
+    """One start's orbit; ``kind`` is periodic, tail, escaped or undecided."""
 
-    def __init__(self, kind: str, trajectory: tuple[ProjPoint, ...],
-                 period: int | None = None, tail_length: int | None = None,
-                 cycle: tuple[ProjPoint, ...] | None = None, steps: int | None = None):
-        _set(self, "kind", kind)  # periodic | tail | escaped | undecided
-        _set(self, "trajectory", trajectory)
-        _set(self, "period", period)
-        _set(self, "tail_length", tail_length)
-        _set(self, "cycle", cycle)
-        _set(self, "steps", steps)
+    __slots__ = ("kind", "trajectory", "period", "tail_length", "cycle", "steps")
+    _defaults = {"period": None, "tail_length": None, "cycle": None, "steps": None}
 
 
 def _check_limits(pair: HomogPair, max_iters: int, height: int = 1):
@@ -142,33 +135,12 @@ def classify_point(pair: HomogPair, point: ProjPoint, *,
 
 
 class DynamicalInventory(Record):
-    """Points found by cycle and tail; ``per0``: the cycles with a zero of the Wronskian."""
+    """Points found by cycle and tail; ``per0``: the cycles with a zero of the Wronskian;
+    ``starts``: how many starts were offered to the walker, infinity included."""
 
     __slots__ = ("pair", "search_height", "max_iters", "preper", "per", "tail", "per0",
                  "cycles", "tails_by_target", "tail_lengths", "image", "incomplete",
                  "undecided", "starts")
-
-    def __init__(self, pair: HomogPair, search_height: int, max_iters: int,
-                 preper: frozenset[ProjPoint], per: frozenset[ProjPoint],
-                 tail: frozenset[ProjPoint], per0: frozenset[ProjPoint],
-                 cycles: tuple[tuple[ProjPoint, ...], ...],
-                 tails_by_target: dict[ProjPoint, tuple[ProjPoint, ...]],
-                 tail_lengths: dict[ProjPoint, int], image: dict[ProjPoint, ProjPoint],
-                 incomplete: bool, undecided: tuple[ProjPoint, ...], starts: int):
-        _set(self, "pair", pair)
-        _set(self, "search_height", search_height)
-        _set(self, "max_iters", max_iters)
-        _set(self, "preper", preper)
-        _set(self, "per", per)
-        _set(self, "tail", tail)
-        _set(self, "per0", per0)
-        _set(self, "cycles", cycles)
-        _set(self, "tails_by_target", tails_by_target)
-        _set(self, "tail_lengths", tail_lengths)
-        _set(self, "image", image)
-        _set(self, "incomplete", incomplete)
-        _set(self, "undecided", undecided)
-        _set(self, "starts", starts)  # starts offered to the walker, infinity included
 
 
 def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .intarith import ArithmeticInputError, _strip, factorize, is_prime
+from .intarith import ArithmeticInputError, _name, _strip, factorize, is_prime
 from .record import Record, _set
 
 #: Distance value for a point compared with itself (v_p(0), conventionally).
@@ -77,7 +77,7 @@ def log_distance(p1: ProjPoint, p2: ProjPoint, p: int):
     Zero exactly when the two points remain distinct modulo p.
     """
     if not is_prime(p):
-        raise ArithmeticInputError(f"{p} is not prime")
+        raise ArithmeticInputError(f"{_name(p)} is not prime")
     c = cross_product(p1, p2)
     if c == 0:
         return INFINITE_DISTANCE

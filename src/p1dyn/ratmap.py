@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .intarith import ArithmeticInputError, _iroot, factorize, is_prime
+from .intarith import ArithmeticInputError, _iroot, _name, factorize, is_prime
 from .projline import ProjPoint
 from .record import Record, _set
 
@@ -226,9 +226,6 @@ class PlaceSet(Record):
 
     __slots__ = ("finite",)
 
-    def __init__(self, finite: frozenset[int]):
-        _set(self, "finite", finite)
-
     @property
     def size(self) -> int:
         return 1 + len(self.finite)
@@ -237,7 +234,7 @@ class PlaceSet(Record):
         extra = set(self.finite)
         for p in primes:
             if not is_prime(p):
-                raise ArithmeticInputError(f"{p} is not prime")
+                raise ArithmeticInputError(f"{_name(p)} is not prime")
             extra.add(p)
         return PlaceSet(frozenset(extra))
 
@@ -247,11 +244,6 @@ class PlaceSet(Record):
 
 class ReductionProfile(Record):
     __slots__ = ("resultant", "bad_primes", "places")
-
-    def __init__(self, resultant: int, bad_primes: tuple[int, ...], places: PlaceSet):
-        _set(self, "resultant", resultant)
-        _set(self, "bad_primes", bad_primes)
-        _set(self, "places", places)
 
 
 def reduction_profile(pair: HomogPair) -> ReductionProfile:
@@ -263,7 +255,7 @@ def reduction_profile(pair: HomogPair) -> ReductionProfile:
 
 def good_reduction(pair: HomogPair, p: int) -> bool:
     if not is_prime(p):
-        raise ArithmeticInputError(f"{p} is not prime")
+        raise ArithmeticInputError(f"{_name(p)} is not prime")
     return pair.resultant % p != 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .bounds import aggregate_bounds, unit_equation_bound
-from .intarith import _strip, is_prime
+from .intarith import _name, _strip, is_prime
 from .magnitude import Comparison, compare, exact, force_exact, sum_of
 from .orbits import DynamicalInventory, enumerate_preperiodic
 from .projline import (
@@ -37,7 +37,7 @@ from .projline import (
     points_up_to_height,
 )
 from .ratmap import HomogPair, PlaceSet, ReductionProfile, evaluate, reduction_profile
-from .record import Record, _set
+from .record import Record
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -54,14 +54,7 @@ class VerificationInputError(ValueError):
 
 class VerificationReport(Record):
     __slots__ = ("check_name", "status", "reason", "witnesses", "parameters")
-
-    def __init__(self, check_name: str, status: str, reason: str = "",
-                 witnesses: tuple = (), parameters: tuple = ()):
-        _set(self, "check_name", check_name)
-        _set(self, "status", status)
-        _set(self, "reason", reason)
-        _set(self, "witnesses", witnesses)
-        _set(self, "parameters", parameters)
+    _defaults = {"reason": "", "witnesses": (), "parameters": ()}
 
 
 def _finish(name, failures, confirmations, checked, params):
@@ -352,9 +345,9 @@ def three_point_set(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint,
             if i not in (0, 1, 2):
                 raise VerificationInputError(f"target index {i} out of range")
             if not is_prime(p):
-                raise VerificationInputError(f"target prime {p} is not prime")
+                raise VerificationInputError(f"target prime {_name(p)} is not prime")
             if p in places.finite:
-                raise VerificationInputError(f"target prime {p} lies in the place set")
+                raise VerificationInputError(f"target prime {_name(p)} lies in the place set")
             if not isinstance(n, int) or n < 0:
                 raise VerificationInputError("target distances are nonnegative integers")
             if n > 0:

@@ -280,6 +280,9 @@ def test_analyze_s_extra_rejects_composites(capsys):
                  id="5000 digits"),
     pytest.param("x" * 61, "error: --s-extra: invalid int value of 61 characters\n",
                  id="61 characters"),
+    pytest.param("-" + "9" * 5000, "error: --s-extra: an integer of 5000 digits, past this "
+                 f"interpreter's limit of {sys.get_int_max_str_digits()} digits\n",
+                 id="signed 5000 digits"),
     pytest.param(str(10**99), "error: --s-extra: a 100-digit number is not prime\n",
                  id="100-digit composite"),
 ])
@@ -431,6 +434,9 @@ def test_argv_mistakes_print_one_error_line(capsys, argv):
 
 @pytest.mark.parametrize("argv, named", [
     (["bounds", "--d", "9" * 5001, "--s", "1"], "an integer of 5001 digits"),
+    (["bounds", "--d", "-" + "9" * 5000, "--s", "1"], "an integer of 5000 digits"),
+    (["bounds", "--d", " +" + "9" * 5000 + " ", "--s", "1"], "an integer of 5000 digits"),
+    (["bounds", "--d", "--" + "9" * 5000, "--s", "1"], "of 5002 characters"),
     (["analyze", "--map", "z^2", "--height", "9" * 5001], "an integer of 5001 digits"),
     (["analyze", "--map", "z^2", "--height", "x" + "9" * 5000], "of 5001 characters"),
     (["bounds", "--d", "2", "--s", "1", "--which", "Q" * 61], "of 61 characters"),

@@ -56,7 +56,7 @@ def test_importing_the_cli_loads_no_process_machinery():
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_typing():
-    # records are slotted classes, so nothing generates code at import; -S keeps
+    # records are slotted classes whose constructors Record writes itself; -S keeps
     # site and its .pth hooks, which may load typing themselves, out of the probe
     loaded = _modules_after_importing_the_cli("-S")
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} == set()
@@ -113,6 +113,38 @@ def test_every_public_method_or_property_is_read():
                for m in _public_members(ast.parse(path.read_text(), filename=str(path)))]
     assert members
     assert [m for m in members if m.split(".")[1] not in read] == []
+
+
+def _store_only_inits(tree: ast.Module) -> list[str]:
+    """Record subclasses whose __init__ only runs _set(self, "f", f) statements."""
+    def stores_its_argument(stmt) -> bool:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_set" and len(call.args) == 3
+                and isinstance(call.args[1], ast.Constant) and isinstance(call.args[2], ast.Name)
+                and call.args[2].id == call.args[1].value)
+
+    return [f"{node.name} (line {item.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            and all(map(stores_its_argument, item.body))]
+
+
+def test_no_record_writes_a_constructor_that_only_stores_its_arguments():
+    # Record generates that constructor from __slots__ and _defaults
+    probe = ("class A(Record):\n    def __init__(self, x, y=0):\n        _set(self, 'x', x)\n"
+             "        _set(self, 'y', y)\n"
+             "class B(Record):\n    def __init__(self, x):\n        _set(self, 'x', abs(x))\n"
+             "class C:\n    def __init__(self, x):\n        _set(self, 'x', x)\n")
+    assert [hit.split()[0] for hit in _store_only_inits(ast.parse(probe))] == ["A"]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = _store_only_inits(ast.parse(path.read_text(), filename=str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
 
 
 # the exact math functions, and math.inf, the sentinel behind INFINITE_DISTANCE

@@ -1,6 +1,7 @@
 """The value semantics of the package's records: equality, hashing, immutability."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from p1dyn.bounds import aggregate_bounds
 from p1dyn.magnitude import Magnitude, exact, exp_of, max_of, power, prod_of, sum_of
 from p1dyn.mapparse import parse_map
-from p1dyn.orbits import OrbitClassification, classify_point, enumerate_preperiodic
+from p1dyn.orbits import (DynamicalInventory, OrbitClassification, classify_point,
+                          enumerate_preperiodic)
 from p1dyn.projline import ProjPoint
-from p1dyn.ratmap import PlaceSet, escape_threshold, reduction_profile
+from p1dyn.ratmap import PlaceSet, ReductionProfile, escape_threshold, reduction_profile
 from p1dyn.verify import VerificationReport
 
 
@@ -84,3 +86,48 @@ def test_defaults_repr_and_copies():
     for record in (profile, report, orbit, sum_of(exp_of(3), exact(2))):
         assert copy.copy(record) == record and copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+# the constructors Record generates from __slots__ and _defaults: the parameter names,
+# order and defaults each class's handwritten __init__ had
+_GENERATED = {
+    OrbitClassification:
+        "(kind, trajectory, period=None, tail_length=None, cycle=None, steps=None)",
+    DynamicalInventory: "(pair, search_height, max_iters, preper, per, tail, per0, cycles, "
+                        "tails_by_target, tail_lengths, image, incomplete, undecided, starts)",
+    VerificationReport: "(check_name, status, reason='', witnesses=(), parameters=())",
+    PlaceSet: "(finite)",
+    ReductionProfile: "(resultant, bad_primes, places)",
+    Magnitude: "(terms)",
+}
+
+
+def test_generated_constructors_keep_their_signatures():
+    assert {cls: str(inspect.signature(cls)) for cls in _GENERATED} == _GENERATED
+    with pytest.raises(TypeError, match=r"^Magnitude\.__init__\(\) missing 1 required"):
+        Magnitude()
+
+
+def test_generated_records_copy_pickle_and_print_every_field():
+    pair = parse_map("z^2-1")
+    records = [classify_point(pair, ProjPoint(0, 1)), enumerate_preperiodic(pair, 1),
+               VerificationReport("demo", "FAIL", "why", (1,), (("d", "2"),)),
+               PlaceSet(frozenset({2})), reduction_profile(parse_map("z^2-29/16")), exact(5)]
+    assert [type(r) for r in records] == list(_GENERATED)
+    for record in records:
+        fields = [getattr(record, name) for name in record.__slots__]
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
+            assert [getattr(twin, name) for name in twin.__slots__] == fields
+    orbit, inventory, report, places, profile, magnitude = map(repr, records)
+    assert orbit == ("OrbitClassification(kind='periodic', trajectory=(ProjPoint(0, 1), "
+                     "ProjPoint(-1, 1)), period=2, tail_length=0, cycle=(ProjPoint(0, 1), "
+                     "ProjPoint(-1, 1)), steps=2)")
+    assert inventory.startswith("DynamicalInventory(pair=HomogPair(degree=2, a=(1, 0, -1), ")
+    assert inventory.endswith(", incomplete=False, undecided=(), starts=4)")
+    assert report == ("VerificationReport(check_name='demo', status='FAIL', reason='why', "
+                      "witnesses=(1,), parameters=(('d', '2'),))")
+    assert places == "PlaceSet(finite=frozenset({2}))"
+    assert profile == ("ReductionProfile(resultant=65536, bad_primes=(2,), "
+                       "places=PlaceSet(finite=frozenset({2})))")
+    assert magnitude == "Magnitude(terms=((5, (), 0),))"

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from naive import (known_answer_maps, naive_evaluate, naive_four_point_members,
                    naive_non_expansion, naive_three_point_members, naive_ultrametric)
 from p1dyn import intarith, verify
-from p1dyn.intarith import is_prime
+from p1dyn.intarith import ArithmeticInputError, is_prime
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic
 from p1dyn.projline import (INFINITY, ProjPoint, cross_product, distance_support,
-                             from_rational, point_sort_key, points_up_to_height)
+                             from_rational, log_distance, point_sort_key, points_up_to_height)
 from p1dyn.ratmap import (DegenerateMapError, HomogPair, PlaceSet, escape_threshold,
-                          reduction_profile)
+                          good_reduction, reduction_profile)
 from p1dyn.report import verification_line
 from p1dyn.verify import (
     VerificationInputError,
@@ -408,6 +408,19 @@ def test_three_point_set_validation():
         three_point_set(pt(0), pt(1), pt(2), S_INF_2, targets={(0, 2): 1})
     with pytest.raises(VerificationInputError, match="nonnegative"):
         three_point_set(pt(0), pt(1), pt(2), S_INF, targets={(0, 5): -1})
+
+
+def test_refusals_name_a_composite_past_the_int_string_limit():
+    # 17 divides 10^5000 + 1, and its 5,001 digits are too many for str()
+    n = 10**5000 + 1
+    calls = [lambda: log_distance(pt(0), pt(1), n), lambda: S_INF.extended([n]),
+             lambda: good_reduction(parse_map("z^2-1"), n)]
+    for call in calls:
+        with pytest.raises(ArithmeticInputError, match="^a 5001-digit number is not prime$"):
+            call()
+    with pytest.raises(VerificationInputError,
+                       match="^target prime a 5001-digit number is not prime$"):
+        three_point_set(pt(0), pt(1), pt(2), S_INF, targets={(0, n): 1})
 
 
 def test_four_point_set_golden():
