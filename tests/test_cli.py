@@ -434,12 +434,12 @@ def test_argv_mistakes_print_one_error_line(capsys, argv):
 
 @pytest.mark.parametrize("argv, named", [
     (["bounds", "--d", "9" * 5001, "--s", "1"], "an integer of 5001 digits"),
-    (["bounds", "--d", "-" + "9" * 5000, "--s", "1"], "an integer of 5000 digits"),
-    (["bounds", "--d", " +" + "9" * 5000 + " ", "--s", "1"], "an integer of 5000 digits"),
-    (["bounds", "--d", "--" + "9" * 5000, "--s", "1"], "of 5002 characters"),
     (["analyze", "--map", "z^2", "--height", "9" * 5001], "an integer of 5001 digits"),
     (["analyze", "--map", "z^2", "--height", "x" + "9" * 5000], "of 5001 characters"),
     (["bounds", "--d", "2", "--s", "1", "--which", "Q" * 61], "of 61 characters"),
+    (["bounds", "--d", "-" + "9" * 5000, "--s", "1"], "an integer of 5000 digits"),
+    (["bounds", "--d", " +" + "9" * 5000 + " ", "--s", "1"], "an integer of 5000 digits"),
+    (["bounds", "--d", "--" + "9" * 5000, "--s", "1"], "of 5002 characters"),
 ])
 def test_a_long_bad_token_is_named_by_its_length(capsys, argv, named):
     # an all-digit value past the int-string limit is a valid integer too long to read
