@@ -399,8 +399,10 @@ def _not_an_int(text: str) -> str:
     limit = sys.get_int_max_str_digits()  # process-wide: read here, never changed
     body = text.strip()  # int() reads surrounding whitespace and one sign
     body = body[1:] if body[:1] in ("+", "-") else body
-    if body.isdecimal() and len(body) > limit:
-        return f"an integer of {len(body)} digits, past this interpreter's limit of {limit} digits"
+    groups = body.split("_")  # and single underscores between digits, which are not digits
+    digits = len(body) - len(groups) + 1
+    if all(group.isdecimal() for group in groups) and digits > limit:
+        return f"an integer of {digits} digits, past this interpreter's limit of {limit} digits"
     return f"invalid int value {_named(text)}"
 
 

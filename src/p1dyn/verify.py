@@ -10,14 +10,14 @@ depends on |cross product| alone, so the sample table and the point-set scan
 factor each distinct |cross product| once per call, and pairs that share it
 share one support dict, which nothing mutates.  The ultrametric and
 non-expansion checks of run_suite read one sample table.  Non-expansion can
-fail only at the primes of the source pair's support, where image distances
-are read by valuation: image cross products are never factored.  Every count
+fail only at the primes p of the source pair's support, where it holds iff
+p^δ_p divides the image cross product, which is never factored.  Every count
 meets its bound in _count_check, which also words the witness.  Both
 point-set lemmas share one scan, which stops at a candidate's first mismatch.
 
-The ultrametric check runs prime by prime: at p the three inequalities of
-a trio hold iff the least of its three δ_p values occurs at least twice, so
-trios with at most one pair at p are counted, not walked.
+The ultrametric check runs prime by prime: at p every trio holds iff each
+graph {δ_p >= k}, k >= 1, is a union of cliques, which one union-find pass
+decides; trios are walked only at a prime that fails, to word its witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .bounds import aggregate_bounds, unit_equation_bound
-from .intarith import _name, _strip, is_prime
+from .intarith import _name, is_prime
 from .magnitude import Comparison, compare, exact, force_exact, sum_of
 from .orbits import DynamicalInventory, enumerate_preperiodic
 from .projline import (
@@ -111,9 +111,8 @@ def check_ultrametric(points) -> VerificationReport:
     """Triangle inequality δ_p(P1,P3) >= min(δ_p(P1,P2), δ_p(P2,P3)).
 
     At p the three inequalities of a trio (one per middle point) all hold
-    iff the least of its three δ_p values occurs at least twice.  Trios with
-    at most one pair at p are counted, not walked; ``checked`` is the count
-    of (trio, middle point, prime of the trio's three supports).
+    iff the least of its three δ_p values occurs at least twice; ``checked``
+    is the count of (trio, middle point, prime of the trio's three supports).
     """
     if len(set(points)) < 3:
         raise VerificationInputError("ultrametric check needs at least three points")
@@ -121,39 +120,55 @@ def check_ultrametric(points) -> VerificationReport:
 
 
 def _ultrametric(pts, supports) -> VerificationReport:
+    """The ultrametric check: one union-find pass per prime p, in falling δ_p.
+
+    Every trio holds at p iff each graph G_k = {δ_p >= k}, k >= 1, is a
+    disjoint union of cliques: a trio whose least value m, on (a, c), is
+    unique puts a-b and b-c but not a-c in G_(m+1), and a-b, b-c in G_k
+    without a-c make δ_p(a, c) < k a unique least value.  G_k changes only
+    at the δ values of the pairs at p, so each level down to the lowest
+    positive one is tested: a graph is a union of cliques iff its edge count
+    is Σ C(size, 2) over its components.  A clique of s points meets
+    C(s,2)(n-2) - 2C(s,3) trios, which gives ``checked``; trios are walked
+    only where p fails or an explicit 0 leaves the pairs at p short of cliques.
+    """
     n = len(pts)
-    # adj[p][i] == {j: δ_p(pts[i], pts[j])} over the pairs whose support holds p;
-    # an explicit 0 in a support still counts
-    adj: dict = {}
+    at_prime: dict = {}  # p -> [(δ_p, i, j)] over the pairs whose support holds p
     for (i, j), support in zip(itertools.combinations(range(n), 2), supports):
         for p, d in support.items():
-            at_p = adj.setdefault(p, {})
-            at_p.setdefault(i, {})[j] = d
-            at_p.setdefault(j, {})[i] = d
+            at_prime.setdefault(p, []).append((d, i, j))
     found = []  # (trio, middle position, p, witness) of each failed inequality
     checked = 0
-    for p, at_p in adj.items():
-        edges = wedges = triangles = 0
-        for v, nbrs in at_p.items():
-            edges += len(nbrs)
-            wedges += len(nbrs) * (len(nbrs) - 1) // 2
-            for a, b in itertools.combinations(nbrs, 2):
-                if b in at_p[a]:
-                    if a < v or b < v:
-                        continue  # a triangle is met from each corner; take it at its least
-                    triangles += 1
-                    d_ab = at_p[a][b]
-                else:
-                    d_ab = 0
-                d_va, d_vb = nbrs[a], nbrs[b]
-                low = min(d_ab, d_va, d_vb)
-                if (d_ab == low) + (d_va == low) + (d_vb == low) == 1:
-                    # the one inequality that fails is at the point opposite the minimum
-                    found.append(_ultrametric_failure(pts, p, {v: d_ab, a: d_vb, b: d_va}))
-        # trios with a pair at p: each pair with each third point counts a trio
-        # once per pair at p, so take off its neighbour pairs (one for two
-        # pairs, three for a triangle) and give each triangle one back
-        checked += 3 * (edges // 2 * (n - 2) - wedges + triangles)
+    for p, edges in at_prime.items():
+        edges.sort(reverse=True)
+        comp: dict = {}  # point -> its component's list of points, shared by all of them
+        cliques = triples = 0  # Σ C(size, 2) and Σ C(size, 3) over the components
+        holds = True
+        for k, (d, i, j) in enumerate(edges):
+            a = comp.get(i) or comp.setdefault(i, [i])
+            b = comp.get(j) or comp.setdefault(j, [j])
+            if a is not b:
+                cliques += len(a) * len(b)
+                triples += len(a) * len(b) * (len(a) + len(b) - 2) // 2
+                if len(a) < len(b):
+                    a, b = b, a
+                a.extend(b)
+                for v in b:
+                    comp[v] = a
+            if d > 0 and (k + 1 == len(edges) or edges[k + 1][0] != d):
+                holds = holds and k + 1 == cliques  # the end of level d
+        if holds and len(edges) == cliques:
+            checked += 3 * (cliques * (n - 2) - 2 * triples)
+            continue
+        delta = {(i, j): d for d, i, j in edges}
+        met = len(edges) * (n - len(comp))  # trios of a pair at p and a point off them all
+        for trio in itertools.combinations(sorted(comp), 3):
+            pairs = [tuple(u for u in trio if u != v) for v in trio]
+            met += any(pair in delta for pair in pairs)
+            sides = {v: delta.get(pair, 0) for v, pair in zip(trio, pairs)}
+            if list(sides.values()).count(min(sides.values())) == 1:
+                found.append(_ultrametric_failure(pts, p, sides))
+        checked += 3 * met
     failures = [witness for *_, witness in sorted(found)]
     return _finish("ultrametric", failures, [f"{n} points, all ordered triples"], checked,
                    [("points", str(n))])
@@ -173,21 +188,23 @@ def _non_expansion(pair: HomogPair, profile: ReductionProfile,
     images = [evaluate(pair, pt) for pt in pts]
     coords = [(q.x, q.y) for q in images]
     bad = set(profile.bad_primes)
-    failures = []
+    found = []  # (pair, p, witness) of each failed inequality
     checked = 0
     for (i, j), s_before in zip(itertools.combinations(range(len(pts)), 2), supports):
         if not s_before:
             continue
         (x1, y1), (x2, y2) = coords[i], coords[j]
         c = x1 * y2 - x2 * y1
-        for p in sorted(s_before.keys() - bad):
-            before = s_before[p]
-            # p comes from factorize, so it needs no second primality proof
-            after = INFINITE_DISTANCE if c == 0 else _strip(c, p)[1]
+        for p, before in s_before.items():
+            if p in bad:
+                continue
             checked += 1
-            if after < before:
-                failures.append(f"d_{p}({images[i]},{images[j]})={after} < "
-                                f"d_{p}({pts[i]},{pts[j]})={before}")
+            # δ_p(φP, φQ) >= δ_p(P, Q) iff p^δ_p(P, Q) divides the image cross product
+            if c % p ** before:
+                after = next(v for v in range(before) if c % p ** (v + 1))
+                found.append((i, j, p, f"d_{p}({images[i]},{images[j]})={after} < "
+                                       f"d_{p}({pts[i]},{pts[j]})={before}"))
+    failures = [witness for *_, witness in sorted(found)]
     return _finish("non_expansion", failures, [f"{len(pts)} points, all pairs, good primes only"],
                    checked, [("map", pair.source or "pair"), ("points", str(len(pts)))])
 

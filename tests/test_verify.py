@@ -119,6 +119,21 @@ def test_ultrametric_matches_naive_walk(case):
     assert got == naive_ultrametric(pts, faulty)
 
 
+@pytest.mark.parametrize("values, faults, witness", [
+    # δ_2 = 6 on 0-8 and 8-16 but 4 on 0-16: the top level {δ_2 >= 6} is a path
+    ((0, 8, 16), {8: ("bump", 2, 3)}, "d_2(0,16)=4 < min over 8 = 6"),
+    # δ_2(1, 5) = 2 deleted: the one level {δ_2 >= 1}, also the lowest, is a path
+    ((1, 3, 5), {4: ("delete", 2, 0)}, "d_2(1,5)=0 < min over 3 = 1"),
+])
+def test_ultrametric_tests_each_level_of_the_union_find(monkeypatch, values, faults, witness):
+    pts = [pt(v) for v in values]
+    faulty = _faulty_support(faults)
+    monkeypatch.setattr(verify, "distance_support", faulty)
+    got = check_ultrametric(pts)
+    assert got.witnesses == (witness,)
+    assert got == naive_ultrametric(pts, faulty)
+
+
 # non-expansion tests at the verify-ref maps: (pair, good prime of the pair's support)
 _NON_EXPANSION_CHECKED = {
     "[X^2-Y^2:X*Y]": "269", "[X^3+2*Y^3:X*Y^2]": "182", "z^2-1": "269", "z^2+1": "269",
@@ -174,6 +189,25 @@ def test_non_expansion_matches_naive_union_rule(case):
     assert (got.status, got.witnesses) == (want.status, want.witnesses)
     if got.status == "PASS":
         assert params_dict(got)["checked"] == str(source_checked)
+
+
+@pytest.mark.parametrize("image_of_9, witness", [
+    (pt(3), "d_3(0,3)=1 < d_3(0,9)=2"),  # v_3 of the image cross product is δ_3 - 1
+    (pt(18), None),  # v_3(18) = δ_3(0, 9) = 2
+    (pt(0), None),  # the images coincide
+])
+def test_non_expansion_needs_p_to_the_source_distance(monkeypatch, image_of_9, witness):
+    pair = parse_map("z^2-1")
+    profile = reduction_profile(pair)
+    images = {pt(0): pt(0), pt(9): image_of_9}
+    monkeypatch.setattr(verify, "evaluate", lambda _pair, q: images[q])
+    got = check_non_expansion(pair, profile, images)
+    want, _ = naive_non_expansion(images, images.__getitem__, profile.bad_primes)
+    assert (got.status, got.witnesses) == (want.status, want.witnesses)
+    if witness is None:
+        assert got.status == "PASS" and params_dict(got)["checked"] == "1"
+    else:
+        assert got.status == "FAIL" and got.witnesses == (witness,)
 
 
 def _assert_factored_once_per_cross_product(calls, pts):
