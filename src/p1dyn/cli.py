@@ -15,34 +15,31 @@ raises SystemExit(2).  main(argv) may be called repeatedly from Python;
 each call reads its argv into a new namespace, so nothing carries over
 from one call to the next.
 
-batch streams its sweep: the members come from a generator, each row is one
-flat tuple in the CSV's column order, and the rows are made a window of
-_WINDOW consecutive members at a time.  With --jobs N, min(N, usable CPUs,
-full windows), but at least one, workers split each window by stride, the
-parent being worker 0 (a sweep of less than two windows forks nothing); the
-other workers are forked once, directly (no pool), and each sends one
-marshal record per window.  Where os.fork does not exist every slice runs
-in-process.  The CSV is opened before the first member is computed, each
-window's lines are written as soon as the earlier windows are, and only the
-summary (max |PrePer| and where, the undecided count, the violations) is
-kept, so memory does not grow with the box.  The rows, and so the CSV, come
-out in task order, byte-identical for any job count.
+batch streams its sweep in one process: the members come from a generator,
+one denominator row at a time, each row of the CSV is one flat tuple in its
+column order, and the rows are made a window of _WINDOW consecutive members
+at a time.  A row's den is factored once and its sieve rules (ii) and (iii)
+decided once, so a member that they or rule (i) settle costs no pair and no
+walk.  The CSV is opened before the first member is computed, each window's
+lines are written as soon as the earlier windows are, and only the summary
+(max |PrePer| and where, the undecided count, the violations) is kept, so
+memory does not grow with the box.  --jobs is accepted, refused below 1, and
+changes nothing.
 """
 
 import csv
-import marshal
-import os
 import sys
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from types import SimpleNamespace
 
 from .bounds import BOUND_ORDER, BoundInputError, aggregate_bounds
 from .intarith import (ArithmeticInputError, FactorizationIncompleteError,
-                       PrimalityRangeError, _name, is_prime)
+                       PrimalityRangeError, _name, factorize, is_prime)
 from .mapparse import MapSyntaxError, parse_map
-from .orbits import enumerate_preperiodic, preperiodic_counts
+from .orbits import (_escape_radii, _kept_denominators, enumerate_preperiodic,
+                     preperiodic_counts)
 from .ratmap import DegenerateMapError, HomogPair, reduction_profile
 from .report import (SCHEMA_VERSION, OutputSizeError, analysis_report, analysis_text,
                      batch_rows_csv, bound_rows, map_coefficients, report_json,
@@ -154,111 +151,58 @@ def _within_q(s: int, count: int) -> bool:
     return holds
 
 
-# members per window of batch's map: box 32's 1,295 fit in one
+# rows per window of batch's CSV: box 32's 1,295 fit in one
 _WINDOW = 4096
 
 
+def _sweep_c(num: int, den: int) -> str:
+    """c = num/den as str(Fraction(num, den)) writes it, for gcd(num, den) = 1, den >= 1."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _sweep_pair(num: int, den: int):
-    """(pair, c) for z^2 + num/den: parse_map's pair, source text included, and c,
-    the text str(Fraction(num, den)) gives.  gcd(num, den) = 1 and den >= 1 make
-    the pair normalized, so HomogPair divides out no content."""
-    c = str(num) if den == 1 else f"{num}/{den}"
+    """(pair, c) for z^2 + num/den: parse_map's pair, source text included, and c
+    (``_sweep_c``).  gcd(num, den) = 1 and den >= 1 make the pair normalized, so
+    HomogPair divides out no content."""
+    c = _sweep_c(num, den)
     source = f"z^2+{c}" if num >= 0 else f"z^2{c}"
     return HomogPair((den, 0, num), (0, 0, den), source), c
 
 
-def _sweep_tasks(args):
-    """The members of the sweep box in CSV order, as tasks (num, den, height, max_iters)."""
-    return ((num, den, args.height, args.max_iters)
-            for den in range(1, args.c_den_max + 1)
-            for num in range(-args.c_num_max, args.c_num_max + 1)
-            if gcd(num, den) == 1)
-
-
-def _sweep_entry(task):
+def _sweep_entry(num: int, den: int, s: int, bad: tuple, height: int, max_iters: int):
     """One member of z^2 + c as a flat tuple in the CSV's column order: c, s, the bad
-    primes, the four counts, whether starts were left undecided and the bound check."""
-    num, den, height, max_iters = task
+    primes, the four counts, whether starts were left undecided and the bound check.
+    s and the bad primes are its denominator row's (``_sweep_row``)."""
     pair, c = _sweep_pair(num, den)
-    profile = reduction_profile(pair)
-    s = profile.places.size
     preper, per, tail, per0, incomplete = preperiodic_counts(pair, height, max_iters=max_iters)
     if incomplete:
         status = SKIPPED
     else:
         status = PASS if _within_q(s, preper) else FAIL
-    return c, s, profile.bad_primes, preper, per, tail, per0, incomplete, status
+    return c, s, bad, preper, per, tail, per0, incomplete, status
 
 
-def _fork_worker(fn, tasks, i: int, workers: int, window: int, readers: list):
-    """(pid, reader) of a forked child that reads the windows of ``tasks`` from its own
-    copy of the iterator and sends one marshal record per window: [fn(t) for t in
-    window[i::workers]].  It exits 0 after the last window, 1 at its first exception."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            for fh in readers:  # hold no earlier child's pipe open: a closed reader stops it
-                fh.close()
-            with open(w, "wb") as fh:
-                while chunk := list(islice(tasks, window)):
-                    marshal.dump([fn(t) for t in chunk[i::workers]], fh)
-                    fh.flush()
-            code = 0
-        finally:
-            # leave at once: no exception report, atexit hooks or stdio flushes here
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+def _sweep_row(den: int, num_max: int, height: int, max_iters: int):
+    """The members z^2 + num/den, |num| <= num_max and gcd(num, den) = 1, as
+    ``_sweep_entry``'s tuples, in CSV order.
 
-
-def _fork_map(fn, tasks, workers: int, window: int):
-    """fn(t) for every t of the iterable ``tasks``, yielded a window at a time, in order.
-
-    A window is the next ``window`` tasks, split into the strided slices
-    chunk[i::workers].  Slice 0 runs here and slice i in the i-th forked
-    child, whose record for the window is read after slice 0.  A slice whose
-    child failed runs here, so its exception is raised as it would be
-    in-process, and so do that child's later slices; without os.fork every
-    slice runs here.  Only one window is held here at a time, and a child
-    runs at most a pipe's worth of records ahead.
+    They share Res = den^4, so den is factored once for the bad primes and s,
+    and the sieve's rules (ii) and (iii) are decided once for the row
+    (orbits module docstring, row form).  A member that they or rule (i) settle
+    counts infinity alone, a critical fixed point, with no pair built, no
+    reduction profile and no walk; any other goes through ``_sweep_entry``.
     """
-    tasks = iter(tasks)
-    pids, readers = [], [None] * (workers - 1)  # None where slice i runs here
-    if hasattr(os, "fork"):
-        for i in range(1, workers):
-            pid, readers[i - 1] = _fork_worker(fn, tasks, i, workers, window, readers[:i - 1])
-            pids.append(pid)
-    try:
-        while chunk := list(islice(tasks, window)):
-            rows = [None] * len(chunk)
-            rows[::workers] = [fn(t) for t in chunk[::workers]]
-            for i, fh in enumerate(readers, 1):
-                part = None
-                if fh is not None:
-                    try:
-                        part = marshal.load(fh)
-                    except (EOFError, ValueError):  # the child failed
-                        fh.close()
-                        readers[i - 1] = None
-                rows[i::workers] = [fn(t) for t in chunk[i::workers]] if part is None else part
-            yield rows
-    finally:
-        # reap every child, also when this process raised: a closed reader stops it
-        for fh in readers:
-            if fh is not None:
-                fh.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform says; else all of them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    bad = tuple(sorted(factorize(den)))
+    s = len(bad) + 1
+    settled = (s, bad, 1, 1, 0, 1, False, PASS if _within_q(s, 1) else FAIL)  # after c
+    row_settled = not _kept_denominators((den, 0, 1), den, height)
+    for num in range(-num_max, num_max + 1):
+        if gcd(num, den) != 1:
+            continue
+        if row_settled or _escape_radii((den, 0, num), den) is None:
+            yield (_sweep_c(num, den),) + settled
+        else:
+            yield _sweep_entry(num, den, s, bad, height, max_iters)
 
 
 def cmd_batch(args) -> int:
@@ -271,11 +215,6 @@ def cmd_batch(args) -> int:
         return _fail("--jobs must be at least 1")
     if args.height < 1 or args.max_iters < 1:
         return _fail("search limits must be positive")
-    # every worker starts at once, so never more than the CPUs; and on a loaded host a
-    # fork costs more than it saves on less than a window, so one per full window at most
-    most = min(args.jobs, _usable_cpus())
-    members = sum(1 for _ in islice(_sweep_tasks(args), most * _WINDOW if most > 1 else 0))
-    workers = min(most, max(1, members // _WINDOW))
     # the CSV is opened before the first member is computed
     try:
         out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else None
@@ -284,9 +223,11 @@ def cmd_batch(args) -> int:
     maps = undecided = 0
     best, attained, violations = -1, [], []
     writer = csv.writer(out) if out else None
-    windows = _fork_map(_sweep_entry, _sweep_tasks(args), workers, _WINDOW)
+    members = chain.from_iterable(
+        _sweep_row(den, args.c_num_max, args.height, args.max_iters)
+        for den in range(1, args.c_den_max + 1))
     try:
-        for rows in windows:
+        while rows := list(islice(members, _WINDOW)):
             if writer:
                 lines = batch_rows_csv(rows)
                 try:
@@ -308,7 +249,6 @@ def cmd_batch(args) -> int:
             except OSError as e:
                 return _cannot_write(args.csv, e)
     finally:
-        windows.close()
         if out:
             out.close()
     print(f"maps analyzed: {maps}")
@@ -355,7 +295,7 @@ _COMMANDS = {
         ("--c-den-max", int, _REQUIRED, "range bound for the denominator of c"),
         ("--height", int, 64, "height bound for the point search"),
         _MAX_ITERS,
-        ("--jobs", int, 1, "worker processes, one per full window of 4,096 maps at most"),
+        ("--jobs", int, 1, "accepted and ignored: batch runs in one process"),
         ("--csv", str, "", "write per-map rows to this path"),
     )),
 }

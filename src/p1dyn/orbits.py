@@ -48,6 +48,16 @@ gives, except that such starts, like those above T, are not listed as undecided.
 ``starts`` counts infinity and the starts the rules keep at the search
 height, on the grid capped at T.
 
+Row form.  Rules (ii) and (iii) read only a_0's primes p <= height, the
+zero pattern of a and v_p of its nonzero coefficients and of b_d at those
+primes (``_kept_denominators``).  So pairs that share a_0 and b_d, and whose
+other coefficients have one zero pattern and are p-units at every such p,
+read the same numbers and get one verdict, the kept y; only rule (i) is read
+pair by pair.  For z^2 + num/den, a = (den, 0, num) and b_d = den, and
+gcd(num, den) = 1 makes num a p-unit at every prime of den; num = 0 comes
+only with den = 1, which has no prime.  So every member of one denominator
+row has the kept y of a = (den, 0, 1), which ``batch`` takes once per den.
+
 A polynomial pair fixes infinity: F(1, 0) = a_0 != 0 and G(1, 0) = 0.  So
 when the sieve keeps no row, the walk's whole result is the fixed point
 infinity, and it is returned with no walk.  None of the rules reads T, so
@@ -143,15 +153,15 @@ class DynamicalInventory(Record):
                  "undecided", "starts")
 
 
-def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
+def _kept_exponents(a, b_d: int, p: int, height: int) -> list[int]:
     """The exponents e < min(K_p, height.bit_length()) that rule (iii) keeps, for
     a prime p of a_0: the values of v_p(y) a kept row can have (module docstring).
     p^e <= height needs e < height.bit_length(), so a huge power of p in a_0
     costs no more than that many steps.
     """
-    a, d = pair.a, pair.degree
+    d = len(a) - 1
     vals = [(i, _strip(c, p)[1]) for i, c in enumerate(a) if c]
-    top, v_b = vals[0][1], _strip(pair.b[-1], p)[1]
+    top, v_b = vals[0][1], _strip(b_d, p)[1]
     k_p = max(1, (top - v_b) // (d - 1) + 1, *((top - v) // i + 1 for i, v in vals[1:]))
     # e = 0: only the constant term's valuation is exact; the others' are lower bounds
     least = vals[-1][1]
@@ -165,43 +175,30 @@ def _kept_exponents(pair: HomogPair, p: int, height: int) -> list[int]:
     return kept
 
 
-def _polynomial_rows(pair: HomogPair, height: int):
-    """Rows (y, x bound) of the starts rules (i) to (iii) keep at search height
-    ``height``, on the grid up to min(height, T), or None if not a polynomial.
-
-    The rules' decisions read no T: rule (i)'s "both D+- < 0", then rules
-    (ii) and (iii), whose trial division of a_0 stops at the search height,
-    not at min(height, T).  A pair they leave no row returns [] before T is
-    read; only a pair with a row reads T, and its rows are clipped to
-    y <= min(height, T) and |x| <= min(height, T), which may leave none.
-    Rules (ii) and (iii) are proofs at every prime, so a prime of a_0 in
-    (T, height] can only drop more starts: one with no kept exponent
-    settles the pair.
-
-    Row y keeps |x| <= floor(y*R); at d = 2 that is the largest
-    (y*|B+-| + isqrt(y^2*D+-)) // (2|a_0|) over D+- >= 0, as the floor of a
-    quotient by an integer is that of its numerator's floor.  When both
-    D+- < 0, no row is kept and a_0 is never factored.
-
-    Rules (ii) and (iii) drop every y with a prime factor p not dividing
-    a_0, or with a prime p <= height of a_0 and v_p(y) not among
-    ``_kept_exponents(pair, p, height)``; so the kept y are the products of
-    p^e over those primes, each e kept, listed directly in ascending order
-    from one trial division of a_0.  A prime with no kept exponent leaves no
-    row, and only infinity is walked.
+def _escape_radii(a, b_d: int):
+    """Rule (i) for the coefficients a of F and b_d: (den, radii) with the radius
+    R = the largest (s + sqrt(disc)) / den over (s, disc) in radii, or None when
+    no finite start is kept, at d = 2 both D+- < 0 (module docstring).
     """
-    if not pair.polynomial:
-        return None
-    a, lead = pair.a, abs(pair.a[0])
-    if pair.degree == 2:  # rule (i)'s exact R, read before any trial division
-        b2, den = pair.b[2], 2 * lead
-        radii = [(abs(a[1] - s), (a[1] - s) ** 2 - 4 * a[0] * a[2]) for s in (b2, -b2)]
-        radii = [r for r in radii if r[1] >= 0]  # R = max of (s + sqrt(disc)) / den
-        if not radii:
-            return []
-    else:  # R = s / den
-        den, radii = lead, [(max(lead, sum(abs(c) for c in a[1:]) + abs(pair.b[-1])), 0)]
-    primes, rest, p = [], lead, 2
+    lead = abs(a[0])
+    if len(a) == 3:
+        radii = [(abs(a[1] - s), (a[1] - s) ** 2 - 4 * a[0] * a[2]) for s in (b_d, -b_d)]
+        radii = [r for r in radii if r[1] >= 0]
+        return (2 * lead, radii) if radii else None
+    return lead, [(max(lead, sum(abs(c) for c in a[1:]) + abs(b_d)), 0)]
+
+
+def _kept_denominators(a, b_d: int, height: int) -> list[int]:
+    """Rules (ii) and (iii) for the coefficients a of F and b_d: the denominators
+    y <= height they keep, ascending, or [] when they keep none.
+
+    They drop every y with a prime factor p not dividing a_0, or with a prime
+    p <= height of a_0 and v_p(y) not among ``_kept_exponents(a, b_d, p,
+    height)``; so the kept y are the products of p^e over those primes, each e
+    kept, listed directly from one trial division of a_0 that stops at the
+    search height.  A prime with no kept exponent keeps no y.
+    """
+    primes, rest, p = [], abs(a[0]), 2
     while p * p <= rest and p <= height:
         if rest % p == 0:
             primes.append(p)
@@ -211,13 +208,45 @@ def _polynomial_rows(pair: HomogPair, height: int):
         primes.append(rest)
     ys = [1]
     for p in primes:
-        powers = [p**e for e in _kept_exponents(pair, p, height)]
+        powers = [p**e for e in _kept_exponents(a, b_d, p, height)]
         ys = [y * q for y in ys for q in powers if y * q <= height]
         if not ys:
             return []
+    return sorted(ys)
+
+
+def _polynomial_rows(pair: HomogPair, height: int):
+    """Rows (y, x bound) of the starts rules (i) to (iii) keep at search height
+    ``height``, on the grid up to min(height, T), or None if not a polynomial.
+
+    The rules' decisions read no T: rule (i)'s "both D+- < 0"
+    (``_escape_radii``), then rules (ii) and (iii) (``_kept_denominators``),
+    whose trial division of a_0 stops at the search height, not at
+    min(height, T).  A pair they leave no row returns [] before T is read;
+    only a pair with a row reads T, and its rows are clipped to
+    y <= min(height, T) and |x| <= min(height, T), which may leave none.
+    Rules (ii) and (iii) are proofs at every prime, so a prime of a_0 in
+    (T, height] can only drop more starts: one with no kept exponent
+    settles the pair.
+
+    Row y keeps |x| <= floor(y*R); at d = 2 that is the largest
+    (y*|B+-| + isqrt(y^2*D+-)) // (2|a_0|) over D+- >= 0, as the floor of a
+    quotient by an integer is that of its numerator's floor.  When both
+    D+- < 0, no row is kept and a_0 is never factored.
+    """
+    if not pair.polynomial:
+        return None
+    a, b_d = pair.a, pair.b[-1]
+    radius = _escape_radii(a, b_d)
+    if radius is None:
+        return []
+    ys = _kept_denominators(a, b_d, height)
+    if not ys:
+        return []
+    den, radii = radius
     cap = min(height, escape_threshold(pair))
     return [(y, min(cap, max((y * s + isqrt(y * y * disc)) // den for s, disc in radii)))
-            for y in sorted(ys) if y <= cap]
+            for y in ys if y <= cap]
 
 
 def _vanishes(form, x: int, y: int) -> bool:

@@ -10,12 +10,12 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
+from math import gcd
 
 import mpmath
 
 from p1dyn.bounds import bound_table, unit_equation_bound
-from p1dyn.cli import _sweep_pair, _sweep_tasks, main
+from p1dyn.cli import _sweep_pair, main
 from p1dyn.magnitude import digit_count, force_exact
 from p1dyn.mapparse import parse_map
 from p1dyn.orbits import _sieved_rows, classify_point, enumerate_preperiodic
@@ -223,9 +223,8 @@ def test_criterion_8_quadratic_family_sweep(capsys, tmp_path):
 
 def test_criterion_8_box_128_sweep(capsys, tmp_path):
     # 17,137 of the 20,087 members keep no sieve row and walk nothing
-    box = SimpleNamespace(c_num_max=128, c_den_max=128, height=64, max_iters=256)
-    settled = sum(_sieved_rows(_sweep_pair(num, den)[0], height, max_iters) == []
-                  for num, den, height, max_iters in _sweep_tasks(box))
+    settled = sum(_sieved_rows(_sweep_pair(num, den)[0], 64, 256) == []
+                  for den in range(1, 129) for num in range(-128, 129) if gcd(num, den) == 1)
     assert settled == 17137
     out = tmp_path / "sweep128.csv"
     start = time.perf_counter()

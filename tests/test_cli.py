@@ -10,7 +10,6 @@ import time
 import tracemalloc
 from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +25,10 @@ from p1dyn.mapparse import parse_map
 from p1dyn.orbits import enumerate_preperiodic, preperiodic_counts
 from p1dyn.projline import parse_point
 from p1dyn.ratmap import escape_threshold
+from p1dyn.verify import FAIL, PASS, SKIPPED
 
 from naive import build_parser, naive_sieve_drops
-from test_acceptance import SWEEP_CSV_SHA256
+from test_acceptance import SWEEP_128_CSV_SHA256
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -554,100 +554,9 @@ def test_batch_jobs_keep_order(tmp_path):
     assert one.read_text() == two.read_text()
 
 
-def _record_workers(monkeypatch, cpus, window):
-    """Windows of ``window`` members and ``cpus`` usable CPUs; returns, per call of the
-    fork map, [the workers it is given, the children it forks]."""
-    calls = []
-    fork_map, fork_worker = cli._fork_map, cli._fork_worker
-
-    def record(fn, tasks, workers, size):
-        calls.append([workers, 0])
-        return fork_map(fn, tasks, workers, size)
-
-    def forked(*args):
-        calls[-1][1] += 1
-        return fork_worker(*args)
-
-    monkeypatch.setattr(cli, "_fork_map", record)
-    monkeypatch.setattr(cli, "_fork_worker", forked)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli, "_WINDOW", window)
-    return calls
-
-
 _BOX_1 = ["batch", "--family", "z^2+c", "--c-num-max", "1", "--c-den-max", "1"]  # 3 maps
 _BOX_8 = ["batch", "--family", "z^2+c", "--c-num-max", "8", "--c-den-max", "8",
           "--height", "4"]  # 87 maps
-
-# the batch window: one window for every box below, or windows that split them unevenly
-_WINDOWS = (cli._WINDOW, 2, 10)
-
-
-def _workers(jobs, cpus, maps, window):
-    """batch's worker count: never more than the jobs or the CPUs, and one per full
-    window of maps at most, but at least one."""
-    return min(jobs, cpus, max(1, maps // window))
-
-
-def test_batch_pool_never_has_more_workers_than_maps(monkeypatch, capsys):
-    for window in _WINDOWS:
-        calls = _record_workers(monkeypatch, 64, window)
-        assert main(_BOX_1 + ["--jobs", "100000"]) == 0
-        assert "maps analyzed: 3" in capsys.readouterr().out
-        assert main(_BOX_8 + ["--jobs", "2"]) == 0
-        workers = [w for w, _ in calls]
-        assert workers == [_workers(100000, 64, 3, window), _workers(2, 64, 87, window)]
-        assert workers[0] <= 3 and workers[1] <= 87
-        assert [forks for _, forks in calls] == [w - 1 for w in workers]
-        capsys.readouterr()
-
-
-def test_batch_never_forks_more_workers_than_cpus(monkeypatch, capsys, tmp_path):
-    outputs, tables = [], []
-    for window in _WINDOWS:
-        for cpus, jobs in ((1, 1), (64, 5), (2, 100000), (1, 100000), (3, 3)):
-            calls = _record_workers(monkeypatch, cpus, window)
-            out = tmp_path / f"{window}-{cpus}-{jobs}.csv"
-            assert main(_BOX_8 + ["--jobs", str(jobs), "--csv", str(out)]) == 0
-            outputs.append(capsys.readouterr().out)
-            tables.append(out.read_bytes())
-            workers = [w for w, _ in calls]
-            assert workers == [_workers(jobs, cpus, 87, window)] and workers[0] <= cpus
-            assert calls == [[workers[0], workers[0] - 1]]
-    assert len(set(outputs)) == 1 and "maps analyzed: 87" in outputs[0]
-    assert len(set(tables)) == 1
-
-
-def test_a_sweep_of_less_than_two_windows_forks_nothing(monkeypatch, capsys, tmp_path):
-    # box 32 (1,295 maps) is less than one window of 4,096: one process, whatever --jobs
-    calls = _record_workers(monkeypatch, 2, cli._WINDOW)
-    out = tmp_path / "box32.csv"
-    assert main(["batch", "--family", "z^2+c", "--c-num-max", "32", "--c-den-max", "32",
-                 "--jobs", "2", "--csv", str(out)]) == 0
-    assert "maps analyzed: 1295" in capsys.readouterr().out
-    assert calls == [[1, 0]]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
-    # box 8 (87 maps) is one full window of 44 and a part, but two full windows of 43
-    one = tmp_path / "one.csv"
-    assert main(_BOX_8 + ["--csv", str(one)]) == 0
-    for window, forks in ((44, 0), (43, 1)):
-        calls = _record_workers(monkeypatch, 2, window)
-        two = tmp_path / f"two-{window}.csv"
-        assert main(_BOX_8 + ["--jobs", "2", "--csv", str(two)]) == 0
-        assert calls == [[forks + 1, forks]]
-        assert two.read_bytes() == one.read_bytes()
-    capsys.readouterr()
-
-
-def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert cli._usable_cpus() == 3
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._usable_cpus() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._usable_cpus() == 1
-
 
 def test_batch_builds_each_q_table_once_per_place_count(tmp_path, capsys):
     # --jobs 1 runs every map here, so the caches it fills are this process's
@@ -698,65 +607,6 @@ def test_batch_exits_4_on_a_failed_count(zero_bounds, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("count, workers", [(7, 3), (2, 2), (7, 1), (11, 2), (11, 3), (13, 3)])
-def test_fork_map_returns_slices_in_task_order(count, workers):
-    here = os.getpid()
-    for window in (cli._WINDOW, 3, 4):
-        windows = list(cli._fork_map(lambda t: (t * t, os.getpid()), iter(range(count)),
-                                     workers, window))
-        assert [len(w) for w in windows] == [min(window, count - k)
-                                             for k in range(0, count, window)]
-        rows = [row for w in windows for row in w]
-        assert [square for square, _ in rows] == [t * t for t in range(count)]
-        # in each window slice 0 runs here, every other slice in a child of its own
-        by_slice = [set() for _ in range(workers)]
-        for w in windows:
-            for i in range(workers):
-                by_slice[i] |= {pid for _, pid in w[i::workers]}
-        assert by_slice[0] == {here}
-        children = {pid for _, pid in rows if pid != here}
-        assert all(len(pids) == 1 for pids in by_slice) and len(children) == workers - 1 <= 2
-
-
-def test_fork_map_raises_a_child_s_exception_here():
-    def square(t):
-        if t == 4:
-            raise ValueError(f"task {t} refused")
-        return t * t
-
-    # task 4 sits in slice 1 of its window, which a child runs first and this process again
-    for window in (cli._WINDOW, 5, 3):
-        with pytest.raises(ValueError, match=r"^task 4 refused$"):
-            list(cli._fork_map(square, range(7), 3, window))
-
-
-def test_a_failed_child_s_later_slices_run_here():
-    # a child that fails only in itself: its slice of the window runs here, and so
-    # does every later slice it would have sent, with no row lost or reordered
-    here = os.getpid()
-
-    def square(t):
-        if t == 4 and os.getpid() != here:
-            raise ValueError("a child refused")
-        return t * t, os.getpid()
-
-    rows = [row for w in cli._fork_map(square, range(11), 2, 3) for row in w]
-    assert [sq for sq, _ in rows] == [t * t for t in range(11)]
-    # windows [0, 1, 2], [3, 4, 5], ...: the child sends task 1 and fails at task 4
-    assert [pid == here for _, pid in rows] == [True, False] + [True] * 9
-
-
-def test_batch_without_fork_matches_one_job(monkeypatch, tmp_path):
-    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert main(_BOX_8 + ["--csv", str(one)]) == 0
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    monkeypatch.delattr(os, "fork")
-    for window in _WINDOWS:
-        monkeypatch.setattr(cli, "_WINDOW", window)
-        assert main(_BOX_8 + ["--jobs", "3", "--csv", str(two)]) == 0
-        assert one.read_bytes() == two.read_bytes()
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 def test_a_csv_that_fails_part_way_exits_2(monkeypatch, capsys):
     # box 8 fails as its last lines are flushed; box 64 in windows of 256 fails part way,
@@ -781,12 +631,16 @@ def test_batch_holds_one_window_of_rows_at_a_time(monkeypatch, tmp_path, capsys)
             "--csv", str(tmp_path / "box64.csv")]
     assert main(argv) == 0  # the bound caches fill here, before any measurement
     assert "maps analyzed: 5039" in capsys.readouterr().out
-    tasks = list(islice(cli._sweep_tasks(cli._read_argv(argv)[1]), 256))
+    entries = []
+    for num, den in islice(((num, den) for den in range(1, 65) for num in range(-64, 65)
+                            if gcd(num, den) == 1), 256):
+        profile = ratmap.reduction_profile(cli._sweep_pair(num, den)[0])
+        entries.append((num, den, profile.places.size, profile.bad_primes, 64, 256))
     tracemalloc.start()
     try:
         with open(tmp_path / "window.csv", "w", newline="") as fh:
             base = tracemalloc.get_traced_memory()[0]
-            csv.writer(fh).writerows(cli.batch_rows_csv([cli._sweep_entry(t) for t in tasks]))
+            csv.writer(fh).writerows(cli.batch_rows_csv([cli._sweep_entry(*e) for e in entries]))
             window = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -846,18 +700,72 @@ def test_a_sweep_member_the_sieve_settles_decides_no_criticality(monkeypatch):
     critical = orbits._critical
     monkeypatch.setattr(orbits, "_critical",
                         lambda pair, cycles: calls.append(pair) or critical(pair, cycles))
-    box = SimpleNamespace(c_num_max=32, c_den_max=32, height=64, max_iters=256)
     settled = 0
-    for num, den, height, max_iters in cli._sweep_tasks(box):
-        pair, _ = cli._sweep_pair(num, den)
-        before = len(calls)
-        counts = preperiodic_counts(pair, height, max_iters=max_iters)
-        if orbits._polynomial_rows(pair, height) == []:
-            assert (len(calls) - before, counts) == (0, (1, 1, 0, 1, False)), pair
-            settled += 1
-        else:
-            assert len(calls) - before == 1, pair
+    for den in range(1, 33):
+        for num in range(-32, 33):
+            if gcd(num, den) != 1:
+                continue
+            pair, _ = cli._sweep_pair(num, den)
+            before = len(calls)
+            counts = preperiodic_counts(pair, 64)
+            if orbits._polynomial_rows(pair, 64) == []:
+                assert (len(calls) - before, counts) == (0, (1, 1, 0, 1, False)), pair
+                settled += 1
+            else:
+                assert len(calls) - before == 1, pair
     assert (settled, len(calls)) == (1172, 123)
+
+
+def test_batch_builds_no_pair_for_a_member_the_sieve_settles(monkeypatch, capsys):
+    # box 32 at H = 64: the 1,172 members the sieve settles are decided by their
+    # denominator row and rule (i) alone; only the other 123 are built
+    members = [(num, den) for den in range(1, 33) for num in range(-32, 33) if gcd(num, den) == 1]
+    settled = {(num, den) for num, den in members
+               if orbits._polynomial_rows(cli._sweep_pair(num, den)[0], 64) == []}
+    built = []
+    homog_pair = cli.HomogPair
+
+    def build(a, b, source):
+        if (a[2], a[0]) in settled:
+            raise AssertionError(f"batch built the settled member {source}")
+        built.append(source)
+        return homog_pair(a, b, source)
+
+    monkeypatch.setattr(cli, "HomogPair", build)
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "32", "--c-den-max", "32"]) == 0
+    assert "maps analyzed: 1295" in capsys.readouterr().out
+    assert (len(settled), len(built)) == (1172, 123)
+
+
+@settings(max_examples=60, deadline=None)
+@given(den=st.one_of(st.integers(1, 400), st.integers(1, 20).map(lambda r: r * r)),
+       num_max=st.integers(1, 24), height=st.integers(1, 96), max_iters=st.integers(1, 256))
+def test_a_denominator_row_equals_its_members_one_by_one(den, num_max, height, max_iters):
+    expected = []
+    for num in range(-num_max, num_max + 1):
+        if gcd(num, den) != 1:
+            continue
+        pair, c = cli._sweep_pair(num, den)
+        profile = ratmap.reduction_profile(pair)
+        s = profile.places.size
+        preper, per, tail, per0, incomplete = preperiodic_counts(pair, height,
+                                                                 max_iters=max_iters)
+        status = SKIPPED if incomplete else PASS if cli._within_q(s, preper) else FAIL
+        expected.append((c, s, profile.bad_primes, preper, per, tail, per0, incomplete, status))
+    assert list(cli._sweep_row(den, num_max, height, max_iters)) == expected
+
+
+def test_batch_jobs_2_runs_in_one_process(monkeypatch, tmp_path, capsys):
+    # box 128 is four full windows of 4,096 members, and --jobs 2 still forks nothing
+    def refuse():
+        raise AssertionError("batch forked")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    out = tmp_path / "box128.csv"
+    assert main(["batch", "--family", "z^2+c", "--c-num-max", "128", "--c-den-max", "128",
+                 "--jobs", "2", "--csv", str(out)]) == 0
+    assert "maps analyzed: 20087" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_128_CSV_SHA256
 
 
 def test_sweep_pair_equals_the_parsed_map():

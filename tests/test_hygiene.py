@@ -50,7 +50,7 @@ def _modules_after_importing_the_cli(*flags: str, then: str = "pass") -> set[str
 
 
 def test_importing_the_cli_loads_no_process_machinery():
-    # only batch --jobs forks, and it needs none of these: the CLI starts without them
+    # no command starts a process, so the CLI starts without any of these
     loaded = _modules_after_importing_the_cli()
     assert loaded & {"concurrent", "multiprocessing", "subprocess", "socket", "pickle"} == set()
 
